@@ -23,8 +23,9 @@ from . import defaults, ioutil, likelihood, metrics, svg
 from .catalog import (CatalogError, RecordError, load_marker_catalog,
                       record_from_dict, save_marker_catalog)
 from .cohort import CohortSpec, SplitParams, run_cohort_pipeline
-from .explain import (NormalizedLrFn, ShapConfig, cohort_summary,
-                      draw_background, waterfall)
+from .explain import (ExplainError, NormalizedLrFn, ShapConfig,
+                      cohort_summary, draw_background, shap_provenance,
+                      waterfall)
 from .model import (ModelError, ModelIOError, RiskModelConfig, load_model,
                     save_model, train_ensemble)
 from .preprocess import (NormalizationParams, PreprocessError,
@@ -226,12 +227,25 @@ def cmd_train(cfg, args) -> int:
     return EXIT_OK
 
 
+def _model_extra(extras: dict, path, key: str, fields: tuple) -> dict:
+    """extras[key] of a model file, checked to hold every field."""
+    entry = extras.get(key) if isinstance(extras, dict) else None
+    if not isinstance(entry, dict):
+        raise ModelIOError(f"{path}: model file has no extras.{key}")
+    for name in fields:
+        if name not in entry:
+            raise ModelIOError(
+                f"{path}: model file has no extras.{key}.{name}")
+    return entry
+
+
 def _load_model_and_dev(cfg):
     path = _path(cfg, "model", "model.json")
     if not os.path.exists(path):
         raise ConfigError(f"{path} not found; run 'train' first")
     ensemble, extras = load_model(path)
-    ds = extras.get("dev_scores", {})
+    ds = _model_extra(extras, path, "dev_scores",
+                      ("scores", "labels", "encounter_ids"))
     dev = likelihood.ScoredCohort.from_arrays(
         ds["scores"], ds["labels"], ds["encounter_ids"])
     return ensemble, dev, extras
@@ -385,7 +399,8 @@ def cmd_explain(cfg, args) -> int:
         n_permutations=ecfg.get("n_permutations", 100),
         seed=cfg["master_seed"],
         top_k_summary=ecfg.get("top_k", 15))
-    bg = extras["background"]
+    bg = _model_extra(extras, _path(cfg, "model", "model.json"),
+                      "background", ("values", "mask"))
     bg_v = np.array(bg["values"])
     bg_m = np.array(bg["mask"])
     fn = NormalizedLrFn(ensemble, dev,
@@ -406,6 +421,7 @@ def cmd_explain(cfg, args) -> int:
                        "normalized_value": i.normalized_value}
                       for i in wf.items]})
         outputs.append(out)
+        results = [wf.result]
         print(f"explain: waterfall for {record.patient_id} -> {out}")
     else:
         records, rec_extras = _load_labeled(cfg)
@@ -434,10 +450,13 @@ def cmd_explain(cfg, args) -> int:
         ioutil.write_table(beeswarm, ["feature", "phi", "normalized_value"],
                            rows)
         outputs += [out, beeswarm]
+        results = summary.results
         print(f"explain: top features {summary.top_features()[:5]} -> {out}")
     ioutil.write_manifest(os.path.join(out_dir, "explain_manifest.json"),
                           "explain", cfg,
-                          [_path(cfg, "model", "model.json")], outputs)
+                          [_path(cfg, "model", "model.json")], outputs,
+                          {"shapley": shap_provenance(results,
+                                                      shap_cfg.seed)})
     return EXIT_OK
 
 
@@ -598,7 +617,8 @@ def main(argv=None) -> int:
                     f"unknown cancer_type {cfg['cancer_type']!r}")
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, CatalogError, RecordError, SynthError,
-            PreprocessError, ModelError, ModelIOError, TypeError) as e:
+            PreprocessError, ModelError, ModelIOError, ExplainError,
+            likelihood.LikelihoodError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:  # noqa: BLE001 - CLI boundary

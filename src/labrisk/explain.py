@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import ScoredCohort, lr_from_counts, similar_cohort
-from .model import RiskAssessment, RiskEnsemble
+# similar_cohort stays reachable as explain.similar_cohort, the name under
+# which perfbench/spans.py wraps it.
+from .likelihood import ScoredCohort, lr_from_counts, similar_cohort  # noqa: F401
+from .model import RiskEnsemble, score_summary
 
 
 class ExplainError(ValueError):
@@ -38,7 +40,14 @@ def normalize_lr(lr) -> float | np.ndarray:
 
 
 class NormalizedLrFn:
-    """Batched callable (values, mask) -> normalized LR in (0, 1)."""
+    """The attributed value function: (values, mask) -> normalized LR.
+
+    Maps (..., d) values and mask to (...) normalized LRs in (0, 1), with
+    the same bits for a row whatever stack it arrives in. Each row is scored
+    by the ensemble, summarized to a mean and CI, matched to its
+    similar-score development cohort, and its LR is squashed by
+    normalize_lr.
+    """
 
     def __init__(self, ensemble: RiskEnsemble, dev: ScoredCohort,
                  min_n: int = 50):
@@ -47,18 +56,11 @@ class NormalizedLrFn:
         self.min_n = min_n
 
     def __call__(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(values)
-        mask = np.atleast_2d(mask)
         scores = self.ensemble.predict_batch(values, mask)
-        out = np.empty(values.shape[0])
-        for i in range(values.shape[0]):
-            assessment = RiskAssessment.from_scores(
-                scores[i], self.ensemble.config.ci_scale)
-            similar = similar_cohort(self.dev, assessment, self.min_n)
-            lr, _ = lr_from_counts(similar.n_pos, len(similar),
-                                   self.dev.n_pos, len(self.dev))
-            out[i] = normalize_lr(lr)
-        return out
+        mean, _, lo, hi = score_summary(scores, self.ensemble.config.ci_scale)
+        pos_sub, n_sub = self.dev.similar_counts(mean, lo, hi, self.min_n)
+        lr, _ = lr_from_counts(pos_sub, n_sub, self.dev.n_pos, len(self.dev))
+        return normalize_lr(lr)
 
 
 @dataclass
@@ -88,8 +90,21 @@ class ShapResult:
         return float(self.fx - (self.base_value + self.phi.sum()))
 
 
+def shap_provenance(results: list[ShapResult], seed: int) -> dict:
+    """How a set of attributions was computed, for a run manifest: method,
+    value-function samples per attribution, seed, and the widest per-feature
+    99% Monte-Carlo half-width (None for exact enumeration)."""
+    widths = [float(r.ci99.max()) for r in results
+              if r.ci99 is not None and r.ci99.size]
+    return {"method": results[0].method,
+            "n_samples": results[0].n_samples,
+            "seed": seed,
+            "max_ci99_half_width": max(widths) if widths else None}
+
+
 def _compose(values, mask, coalition, bg_values, bg_mask):
-    """Sample features inside the coalition, background features outside."""
+    """Sample features inside the coalition, background features outside;
+    broadcasts over leading axes."""
     v = np.where(coalition, values, bg_values)
     m = np.where(coalition, mask, bg_mask)
     return v, m
@@ -97,33 +112,26 @@ def _compose(values, mask, coalition, bg_values, bg_mask):
 
 def _shap_exact(fn, values, mask, bg_v, bg_m, active, seed) -> ShapResult:
     d = active.size
-    n_bg = bg_v.shape[0]
     n_sub = 1 << d
-    # Value of every coalition, averaged over the background set.
-    coalition = np.zeros_like(values, dtype=bool)
-    v_of = np.empty(n_sub)
-    rows_v = np.empty((n_bg, values.size))
-    rows_m = np.empty((n_bg, values.size))
-    for s in range(n_sub):
-        coalition[:] = False
-        for j in range(d):
-            if s >> j & 1:
-                coalition[active[j]] = True
-        for b in range(n_bg):
-            rows_v[b], rows_m[b] = _compose(values, mask, coalition,
-                                            bg_v[b], bg_m[b])
-        v_of[s] = float(np.mean(fn(rows_v, rows_m)))
+    # Coalition s holds active feature j when bit j of s is set.
+    subsets = np.arange(n_sub)
+    bits = (subsets[:, None] >> np.arange(d)) & 1
+    coalitions = np.zeros((n_sub, values.size), dtype=bool)
+    coalitions[:, active] = bits.astype(bool)
+    # Value of every coalition, averaged over the background set; one call
+    # per coalition keeps the batch at the background size.
+    v_of = np.array([np.mean(fn(*_compose(values, mask, c, bg_v, bg_m)))
+                     for c in coalitions])
     # Shapley weights by coalition size.
     fact = [math.factorial(i) for i in range(d + 1)]
-    weight = [fact[k] * fact[d - k - 1] / fact[d] for k in range(d)]
+    weight = np.array([fact[k] * fact[d - k - 1] / fact[d] for k in range(d)])
+    size = bits.sum(axis=1)
     phi = np.zeros(values.size)
     for j in range(d):
-        bit = 1 << j
-        for s in range(n_sub):
-            if s & bit:
-                continue
-            k = bin(s).count("1")
-            phi[active[j]] += weight[k] * (v_of[s | bit] - v_of[s])
+        without = subsets[bits[:, j] == 0]
+        terms = weight[size[without]] * (v_of[without | 1 << j] - v_of[without])
+        # Summed in subset order, left to right, like a scalar loop.
+        phi[active[j]] = np.cumsum(terms)[-1]
     return ShapResult(phi=phi, base_value=float(v_of[0]),
                       fx=float(v_of[n_sub - 1]),
                       method="exact_enumeration", n_samples=n_sub, seed=seed)
@@ -135,34 +143,31 @@ def _shap_sampling(fn, values, mask, bg_v, bg_m, active,
     d = active.size
     n_bg = bg_v.shape[0]
     n_pairs = max(1, n_permutations // 2)
-    contribs = np.zeros((2 * n_pairs, values.size))
-    base_draws = np.empty(2 * n_pairs)
-    fx = None
+    perms = np.empty((n_pairs, d), dtype=np.intp)
+    draws = np.empty(n_pairs, dtype=np.intp)
     for pair in range(n_pairs):
-        perm = rng.permutation(d)
-        b = int(rng.integers(n_bg))
-        for which, order in enumerate((perm, perm[::-1])):
-            row = 2 * pair + which
-            # Walk the permutation, adding sample features one at a time.
-            walk_v = np.empty((d + 1, values.size))
-            walk_m = np.empty((d + 1, values.size))
-            coalition = np.zeros_like(values, dtype=bool)
-            walk_v[0], walk_m[0] = _compose(values, mask, coalition,
-                                            bg_v[b], bg_m[b])
-            for step, j in enumerate(order, start=1):
-                coalition[active[j]] = True
-                walk_v[step], walk_m[step] = _compose(
-                    values, mask, coalition, bg_v[b], bg_m[b])
-            f = fn(walk_v, walk_m)
-            base_draws[row] = f[0]
-            fx = float(f[-1])
-            for step, j in enumerate(order, start=1):
-                contribs[row, active[j]] = f[step] - f[step - 1]
+        perms[pair] = rng.permutation(d)
+        draws[pair] = rng.integers(n_bg)
+    # Walk 2i follows permutation i, walk 2i + 1 its reverse (antithetic).
+    n_walks = 2 * n_pairs
+    added = active[np.stack([perms, perms[:, ::-1]], axis=1).reshape(
+        n_walks, d)]  # feature added at each step of each walk
+    b = np.repeat(draws, 2)
+    walk = np.arange(n_walks)[:, None]
+    # step[w, f]: the step of walk w that adds feature f (never: d + 1).
+    step = np.full((n_walks, values.size), d + 1)
+    step[walk, added] = np.arange(1, d + 1)
+    coalitions = step[:, None, :] <= np.arange(d + 1)[:, None]
+    walk_v, walk_m = _compose(values, mask, coalitions,
+                              bg_v[b, None, :], bg_m[b, None, :])
+    f = fn(walk_v, walk_m)  # (walks, d + 1)
+    contribs = np.zeros((n_walks, values.size))
+    contribs[walk, added] = f[:, 1:] - f[:, :-1]
     phi = contribs.mean(axis=0)
-    se = contribs.std(axis=0, ddof=1) / math.sqrt(contribs.shape[0])
-    return ShapResult(phi=phi, base_value=float(base_draws.mean()), fx=fx,
-                      method="permutation_sampling",
-                      n_samples=2 * n_pairs, seed=seed, ci99=2.576 * se)
+    se = contribs.std(axis=0, ddof=1) / math.sqrt(n_walks)
+    return ShapResult(phi=phi, base_value=float(f[:, 0].mean()),
+                      fx=float(f[-1, -1]), method="permutation_sampling",
+                      n_samples=n_walks, seed=seed, ci99=2.576 * se)
 
 
 def shap_values(fn, values: np.ndarray, mask: np.ndarray,
@@ -170,7 +175,15 @@ def shap_values(fn, values: np.ndarray, mask: np.ndarray,
                 config: ShapConfig | None = None,
                 seed: int | None = None) -> ShapResult:
     """Per-feature Shapley attributions of fn at (values, mask) against a
-    background set. Deterministic per seed."""
+    background set. Deterministic per seed.
+
+    fn maps (..., d) values and mask to (...) outputs, one per row, and must
+    give a row the same value whatever its leading axes; NormalizedLrFn is
+    the pipeline's. Exact enumeration calls it on (n_background, d) per
+    coalition; permutation sampling calls it once on every walk stacked,
+    (n_samples, d + 1, d), where row t of a walk holds its first t
+    features.
+    """
     config = config or ShapConfig()
     if seed is None:
         seed = config.seed
@@ -216,6 +229,7 @@ class CohortShapSummary:
     feature_values: np.ndarray  # normalized values, (n_samples, d)
     ranking: list[int]  # feature indices by descending mean |phi|
     top_k: int
+    results: list[ShapResult] = field(repr=False, default_factory=list)
 
     def top_features(self) -> list[str]:
         return [self.feature_names[i] for i in self.ranking[:self.top_k]]
@@ -232,17 +246,16 @@ def cohort_summary(fn, values: np.ndarray, mask: np.ndarray,
     if n < config.min_summary_samples:
         raise ExplainError(
             f"need at least {config.min_summary_samples} samples, got {n}")
-    phis = np.empty((n, values.shape[1]))
-    for i in range(n):
-        # Sample-index-derived seeds keep results schedule-independent.
-        res = shap_values(fn, values[i], mask[i], bg_values, bg_mask,
-                          config, seed=config.seed * 1_000_003 + i)
-        phis[i] = res.phi
+    # Sample-index-derived seeds keep results schedule-independent.
+    results = [shap_values(fn, values[i], mask[i], bg_values, bg_mask,
+                           config, seed=config.seed * 1_000_003 + i)
+               for i in range(n)]
+    phis = np.array([res.phi for res in results])
     mean_abs = np.abs(phis).mean(axis=0)
     ranking = list(np.lexsort((np.arange(mean_abs.size), -mean_abs)))
     return CohortShapSummary(feature_names=list(feature_names), phi=phis,
                              feature_values=values, ranking=ranking,
-                             top_k=config.top_k_summary)
+                             top_k=config.top_k_summary, results=results)
 
 
 @dataclass

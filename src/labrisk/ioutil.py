@@ -84,7 +84,9 @@ def sha256_of_file(path) -> str:
 
 
 def write_manifest(path, command: str, config: dict,
-                   inputs: list[str], outputs: list[str]) -> None:
+                   inputs: list[str], outputs: list[str],
+                   details: dict | None = None) -> None:
+    """Run manifest; `details` adds stage-specific top-level fields."""
     from . import __version__
     manifest = {
         "command": command,
@@ -98,5 +100,6 @@ def write_manifest(path, command: str, config: dict,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
+        **(details or {}),
     }
     atomic_write_json(path, manifest)

@@ -9,8 +9,8 @@ continuity correction and are flagged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,33 +29,31 @@ def odds(p: float) -> float:
     return p / (1.0 - p)
 
 
-def likelihood_ratio(post_p: float, pre_p: float) -> float:
-    if not 0.0 < pre_p < 1.0:
-        raise LikelihoodError("pre-test probability must be in (0, 1)")
-    return odds(post_p) / odds(pre_p)
+def lr_from_counts(pos_sub, n_sub, pos_all: int, n_all: int):
+    """LR of count-defined subgroups vs the full cohort.
 
-
-def lr_from_counts(pos_sub: int, n_sub: int, pos_all: int,
-                   n_all: int) -> tuple[float, bool]:
-    """LR of a count-defined subgroup vs the full cohort.
-
-    Returns (lr, corrected): when the subgroup is all-positive or
-    all-negative, 0.5 is added to both cells and the result is flagged.
+    Elementwise over arrays of (pos_sub, n_sub). Returns (lr, corrected):
+    when a subgroup is all-positive or all-negative, 0.5 is added to both
+    cells and the result is flagged. Scalar counts give a float and a bool.
     """
-    if n_sub <= 0:
+    pos_sub = np.asarray(pos_sub, dtype=np.int64)
+    n_sub = np.asarray(n_sub, dtype=np.int64)
+    if np.any(n_sub <= 0):
         raise LikelihoodError("empty subgroup")
     if not 0 < pos_all < n_all:
         raise LikelihoodError("cohort must contain both classes")
-    if pos_sub == pos_all and n_sub == n_all:
-        return 1.0, False  # subgroup is the whole cohort: LR is exactly 1
     pre = odds(pos_all / n_all)
     neg_sub = n_sub - pos_sub
-    corrected = pos_sub == 0 or neg_sub == 0
-    if corrected:
-        post = (pos_sub + 0.5) / (neg_sub + 0.5)
-    else:
-        post = pos_sub / neg_sub
-    return post / pre, corrected
+    corrected = (pos_sub == 0) | (neg_sub == 0)
+    post = np.where(corrected, (pos_sub + 0.5) / (neg_sub + 0.5),
+                    pos_sub / np.where(corrected, 1, neg_sub))
+    # A subgroup that is the whole cohort has an LR of exactly 1.
+    whole = (pos_sub == pos_all) & (n_sub == n_all)
+    lr = np.where(whole, 1.0, post / pre)
+    corrected &= ~whole
+    if lr.ndim == 0:
+        return float(lr), bool(corrected)
+    return lr, corrected
 
 
 @dataclass
@@ -74,6 +72,8 @@ class ScoredCohort:
             raise LikelihoodError("scored cohort length mismatch")
         if scores.size == 0:
             raise LikelihoodError("empty scored cohort")
+        if not np.isfinite(scores).all():
+            raise LikelihoodError("scored cohort has non-finite scores")
         return cls(patient_ids=list(patient_ids), scores=scores, labels=labels)
 
     def __len__(self) -> int:
@@ -93,19 +93,118 @@ class ScoredCohort:
             patient_ids=[self.patient_ids[i] for i in idx],
             scores=self.scores[idx], labels=self.labels[idx])
 
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, sorted scores, prefix sums of the labels in that order).
+        The sort is stable: equal scores keep ascending original index."""
+        order = np.argsort(self.scores, kind="stable")
+        cum_pos = np.zeros(order.size + 1, dtype=np.int64)
+        cum_pos[1:] = np.cumsum(self.labels[order])
+        return order, self.scores[order], cum_pos
+
+    def similar_counts(self, mean, lo, hi,
+                       min_n: int = 50) -> tuple[np.ndarray, np.ndarray]:
+        """(n_pos, n) of the similar-score cohort of every (mean, lo, hi),
+        as similar_cohort defines it; the arguments broadcast together."""
+        mean, lo, hi = np.broadcast_arrays(
+            *(np.asarray(a, dtype=np.float64) for a in (mean, lo, hi)))
+        start, stop, tie_row, tie_idx = self._similar(
+            mean.ravel(), lo.ravel(), hi.ravel(), min_n)
+        cum_pos = self._sorted[2]
+        n_pos = cum_pos[stop] - cum_pos[start]
+        n = stop - start
+        np.add.at(n_pos, tie_row, self.labels[tie_idx])
+        np.add.at(n, tie_row, 1)
+        return n_pos.reshape(mean.shape), n.reshape(mean.shape)
+
+    def _similar(self, mean, lo, hi, min_n):
+        """Members of the similar-score cohort of each (mean, lo, hi) row:
+        a range [start, stop) of sorted positions per row, plus members
+        given as flat (row, original index) pairs.
+
+        A row takes the scores inside [lo, hi] if there are at least min_n.
+        Otherwise it takes the k = min(min_n, n) first scores in the order
+        (|score - mean|, original index), as np.lexsort gives it. Along the
+        sorted scores that distance falls, then rises, so these are every
+        score nearer than the k-th smallest distance d, which all lie within
+        k positions of the mean, and the lowest original indices among the
+        scores at exactly d. Duplicated scores, and distinct scores whose
+        distances round alike, can put scores at d further out, so their
+        run is found by bisection.
+        """
+        order, s, _ = self._sorted
+        n_all = s.size
+        start = np.searchsorted(s, lo, side="left")
+        stop = np.maximum(np.searchsorted(s, hi, side="right"), start)
+        tie_row = tie_idx = np.empty(0, dtype=np.intp)
+        fb = np.flatnonzero(stop - start < min_n)
+        if fb.size == 0:
+            return start, stop, tie_row, tie_idx
+        k = min(min_n, n_all)
+        mu = mean[fb]
+        p = np.searchsorted(s, mu, side="left")  # s[:p] < mu <= s[p:]
+        pos = p[:, None] + np.arange(-k, k)
+        near = np.where((pos >= 0) & (pos < n_all),
+                        np.abs(s[np.clip(pos, 0, n_all - 1)] - mu[:, None]),
+                        np.inf)
+        d = np.partition(near, k - 1, axis=1)[:, k - 1]
+        lt_lo = p - (near[:, :k] < d[:, None]).sum(axis=1)
+        lt_hi = p + (near[:, k:] < d[:, None]).sum(axis=1)
+        le_lo = _bisect(lambda i: np.abs(s[i] - mu) <= d,
+                        np.zeros_like(p), p)
+        le_hi = _bisect(lambda i: np.abs(s[i] - mu) > d,
+                        p, np.full_like(p, n_all))
+        need = k - (lt_hi - lt_lo)  # members to take from the scores at d
+        every = (lt_lo - le_lo) + (le_hi - lt_hi) == need
+        start[fb] = np.where(every, le_lo, lt_lo)
+        stop[fb] = np.where(every, le_hi, lt_hi)
+        part = np.flatnonzero(~every)
+        if part.size:
+            # Scores at d on both sides of the window, lowest index first.
+            row, at = _ranges(np.tile(np.arange(part.size), 2),
+                              np.r_[le_lo[part], lt_hi[part]],
+                              np.r_[lt_lo[part], le_hi[part]])
+            idx = order[at]
+            by = np.lexsort((idx, row))
+            row, idx = row[by], idx[by]
+            rank = np.arange(row.size) - np.searchsorted(row, row)
+            keep = rank < need[part][row]
+            tie_row, tie_idx = fb[part][row[keep]], idx[keep]
+        return start, stop, tie_row, tie_idx
+
+
+def _bisect(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the smallest i in [lo, hi) where pred(i) holds, else hi.
+    pred maps an index per row to a bool per row and must be False, then
+    True, along each row's range."""
+    while True:
+        todo = lo < hi
+        if not todo.any():
+            return lo
+        mid = np.where(todo, (lo + hi) // 2, 0)
+        ok = todo & pred(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(todo & ~ok, mid + 1, lo)
+
+
+def _ranges(row: np.ndarray, start: np.ndarray,
+            stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row, position) pairs covering each range [start, stop)."""
+    lens = stop - start
+    offset = np.repeat(start - (np.cumsum(lens) - lens), lens)
+    return np.repeat(row, lens), np.arange(lens.sum()) + offset
+
 
 def similar_cohort(dev: ScoredCohort, assessment: RiskAssessment,
                    min_n: int = 50) -> ScoredCohort:
     """Development entries with scores inside the assessment CI, expanded to
-    the min_n nearest neighbors by |score - mean| when too few fall inside."""
+    the min_n nearest neighbors by |score - mean| (ties to the lower index)
+    when too few fall inside."""
     lo, hi = assessment.ci
-    inside = np.flatnonzero((dev.scores >= lo) & (dev.scores <= hi))
-    if inside.size >= min_n:
-        return dev.subset(inside)
-    k = min(min_n, len(dev))
-    dist = np.abs(dev.scores - assessment.mean)
-    nearest = np.lexsort((np.arange(len(dev)), dist))[:k]
-    return dev.subset(np.sort(nearest))
+    start, stop, _, tie_idx = dev._similar(
+        np.array([assessment.mean]), np.array([lo]), np.array([hi]), min_n)
+    members = np.concatenate([dev._sorted[0][start[0]:stop[0]], tie_idx])
+    return dev.subset(np.sort(members))
 
 
 @dataclass

@@ -105,17 +105,16 @@ class RiskModel:
     # --- forward pieces ---
 
     def encode(self, values: np.ndarray, mask: np.ndarray, train: bool):
-        h = np.concatenate([values, mask], axis=1)
+        h = np.concatenate([values, mask], axis=-1)
         for layer in self.encoder:
-            h = layer.forward(h, train) if isinstance(layer, nn.BatchNorm) \
-                else layer.forward(h)
-        return self.mu_head.forward(h), self.logvar_head.forward(h)
+            h = layer.forward(h, train)
+        return (self.mu_head.forward(h, train),
+                self.logvar_head.forward(h, train))
 
     def decode(self, z: np.ndarray, train: bool) -> np.ndarray:
         h = z
         for layer in self.decoder:
-            h = layer.forward(h, train) if isinstance(layer, nn.BatchNorm) \
-                else layer.forward(h)
+            h = layer.forward(h, train)
         return h
 
     def _backward_decoder(self, drecon: np.ndarray) -> np.ndarray:
@@ -130,10 +129,11 @@ class RiskModel:
             dh = layer.backward(dh)
 
     def predict_scores(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Eval-mode risk scores in [0, 1] (mu path, running batch stats)."""
+        """Eval-mode risk scores in [0, 1] (mu path, running batch stats):
+        (..., d) rows give (...) scores."""
         mu, _ = self.encode(np.atleast_2d(values), np.atleast_2d(mask),
                             train=False)
-        logit = self.classifier.forward(mu)[:, 0]
+        logit = self.classifier.forward(mu, train=False)[..., 0]
         return nn.sigmoid(logit)
 
     # --- losses ---
@@ -233,6 +233,18 @@ def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
     return history
 
 
+def score_summary(scores, ci_scale: float = 1.0):
+    """Ensemble summary over the last (member) axis: (mean, std, lo, hi),
+    with the population std and the CI mean +- ci_scale * std clipped to
+    [0, 1]."""
+    scores = np.asarray(scores, dtype=np.float64)
+    mean = scores.mean(axis=-1)
+    std = scores.std(axis=-1)  # population convention
+    lo = np.maximum(0.0, mean - ci_scale * std)
+    hi = np.minimum(1.0, mean + ci_scale * std)
+    return mean, std, lo, hi
+
+
 @dataclass
 class RiskAssessment:
     per_member_scores: list[float]
@@ -244,12 +256,10 @@ class RiskAssessment:
     def from_scores(cls, scores: np.ndarray,
                     ci_scale: float = 1.0) -> "RiskAssessment":
         scores = np.asarray(scores, dtype=np.float64)
-        mean = float(scores.mean())
-        std = float(scores.std())  # population convention
-        lo = max(0.0, mean - ci_scale * std)
-        hi = min(1.0, mean + ci_scale * std)
+        mean, std, lo, hi = score_summary(scores, ci_scale)
         return cls(per_member_scores=[float(s) for s in scores],
-                   mean=mean, std=std, ci=(lo, hi))
+                   mean=float(mean), std=float(std),
+                   ci=(float(lo), float(hi)))
 
 
 @dataclass
@@ -262,15 +272,16 @@ class RiskEnsemble:
     history: list[dict] = field(default_factory=list)
 
     def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """(n, n_members) matrix of eval-mode scores."""
+        """Eval-mode scores of every member: (..., n_features) rows give
+        (..., n_members); a single 1-D row gives (1, n_members)."""
         values = np.atleast_2d(values)
         mask = np.atleast_2d(mask)
-        if values.shape[1] != self.config.n_features:
+        if values.shape[-1] != self.config.n_features:
             raise ModelError(
                 f"expected {self.config.n_features} features, "
-                f"got {values.shape[1]}")
-        return np.column_stack(
-            [m.predict_scores(values, mask) for m in self.members])
+                f"got {values.shape[-1]}")
+        return np.stack(
+            [m.predict_scores(values, mask) for m in self.members], axis=-1)
 
     def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
         scores = self.predict_batch(values, mask)[0]

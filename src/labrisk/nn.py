@@ -36,11 +36,15 @@ class Linear:
         self.bias = np.zeros(out_dim)
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """(..., in) -> (..., out). numpy multiplies a stack of batches one
+        batch at a time, so each gets the bits it would get alone. Only
+        train mode keeps x for backward, which takes (n, in) batches."""
+        if x.ndim == 0 or x.shape[-1] != self.weight.shape[1]:
             raise ShapeError(
-                f"linear expects (*, {self.weight.shape[1]}), got {x.shape}")
-        self._x = x
+                f"linear expects (..., {self.weight.shape[1]}), got {x.shape}")
+        if train:
+            self._x = x
         return _check_finite(x @ self.weight.T + self.bias, "linear forward")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -57,7 +61,8 @@ class Linear:
 
 
 class BatchNorm:
-    """Per-feature batch normalization with running statistics."""
+    """Per-feature batch normalization with running statistics. Eval mode
+    keeps nothing for backward."""
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
         self.gamma = np.ones(dim)
@@ -83,16 +88,15 @@ class BatchNorm:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, train, x.shape[0])
+        if train:
+            self._cache = (xhat, inv_std, x.shape[0])
         return _check_finite(self.gamma * xhat + self.beta, "batchnorm forward")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, train, n = self._cache
+        xhat, inv_std, n = self._cache
         self.dgamma = (dy * xhat).sum(axis=0)
         self.dbeta = dy.sum(axis=0)
         dxhat = dy * self.gamma
-        if not train:
-            return dxhat * inv_std
         return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
 
@@ -109,7 +113,8 @@ class LeakyReLU:
         self._x = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._x = x
+        if train:
+            self._x = x
         return np.where(x > 0, x, self.slope * x)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

@@ -1,11 +1,19 @@
 """End-to-end CLI pipeline on a small cohort, plus error-path exit codes."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from labrisk import cli, ioutil
+from labrisk import cli, ioutil, likelihood
 from labrisk.catalog import record_to_dict
+from labrisk.explain import (NormalizedLrFn, ShapConfig, normalize_lr,
+                             shap_values)
+from labrisk.model import RiskAssessment, load_model
+from labrisk.preprocess import complete_derived, vectorize_many
+
+from test_likelihood import similar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +82,11 @@ def test_predict_and_explain_patient(run, tmp_path):
                      "--patient", str(patient)]) == 0
     wf = json.loads((out / "waterfall.json").read_text())
     assert len(wf["items"]) == 10  # top 9 + aggregated remainder
+    shapley = json.loads((out / "explain_manifest.json").read_text())[
+        "shapley"]
+    assert shapley["method"] == "permutation_sampling"
+    assert shapley["n_samples"] == 30 and shapley["seed"] == 99
+    assert shapley["max_ci99_half_width"] > 0
 
 
 def test_explain_cohort_summary(run):
@@ -81,6 +94,10 @@ def test_explain_cohort_summary(run):
     assert cli.main(["explain", "--config", str(cfg_path)]) == 0
     summary = json.loads((out / "shap_summary.json").read_text())
     assert len(summary["top_features"]) == 15
+    shapley = json.loads((out / "explain_manifest.json").read_text())[
+        "shapley"]
+    assert shapley["method"] == "permutation_sampling"
+    assert shapley["max_ci99_half_width"] > 0
 
 
 def test_comorbid_stage(run):
@@ -100,6 +117,108 @@ def test_predict_rejects_unknown_marker(run, tmp_path):
     patient.write_text(json.dumps(doc))
     assert cli.main(["predict", "--config", str(cfg_path),
                      "--patient", str(patient)]) == 3
+
+
+def _patient_file(out, path, keep_markers=None):
+    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    doc = record_to_dict(next(r for r, e in zip(records, extras)
+                              if e["split"] == "validation"))
+    if keep_markers is not None:
+        doc["measurements"] = dict(
+            list(doc["measurements"].items())[:keep_markers])
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_explain_too_few_markers_is_validation_error(run, tmp_path, capsys):
+    cfg_path, out = run
+    patient = _patient_file(out, tmp_path / "sparse.json", keep_markers=5)
+    assert cli.main(["explain", "--config", str(cfg_path),
+                     "--patient", str(patient)]) == 3
+    assert "observed markers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop, commands, field", [
+    ("extras", ("predict", "explain"), "extras.dev_scores"),
+    ("background", ("explain",), "extras.background"),
+])
+def test_model_without_extras_is_validation_error(run, tmp_path, capsys,
+                                                  drop, commands, field):
+    cfg_path, out = run
+    doc = json.loads((out / "model.json").read_text())
+    payload = doc["payload"]
+    if drop == "extras":
+        del payload["extras"]
+    else:
+        del payload["extras"][drop]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    config = {"paths": {"output_dir": str(tmp_path / "o"),
+                        "model": str(model)},
+              "master_seed": 99, "cancer_type": "liver"}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    patient = _patient_file(out, tmp_path / "patient.json")
+    for command in commands:
+        assert cli.main([command, "--config", str(cfg),
+                         "--patient", str(patient)]) == 3, command
+        err = capsys.readouterr().err
+        assert str(model) in err and field in err, err
+
+
+def reference_value_fn(ensemble, dev, values, mask, min_n):
+    """Row-at-a-time value function: one predict_batch call per walk, then
+    per row the ensemble summary, the oracle similar-score cohort, its LR
+    and the squashing."""
+    out = np.empty(values.shape[:-1])
+    for w in np.ndindex(values.shape[:-2]):
+        scores = ensemble.predict_batch(values[w], mask[w])
+        for i in range(scores.shape[0]):
+            a = RiskAssessment.from_scores(scores[i], ensemble.config.ci_scale)
+            members = similar_oracle(dev.scores, a.mean, *a.ci, min_n)
+            lr, _ = likelihood.lr_from_counts(
+                int(dev.labels[members].sum()), members.size, dev.n_pos,
+                len(dev))
+            out[w + (i,)] = normalize_lr(lr)
+    return out
+
+
+def test_stacked_value_function_is_bit_exact(run):
+    _, out = run
+    ensemble, extras = load_model(out / "model.json")
+    ds = extras["dev_scores"]
+    dev = likelihood.ScoredCohort.from_arrays(ds["scores"], ds["labels"])
+    bg_v = np.array(extras["background"]["values"])
+    bg_m = np.array(extras["background"]["mask"])
+    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    val = [complete_derived(r) for r, e in zip(records, rec_extras)
+           if e["split"] == "validation"][:3]
+    values, mask = vectorize_many(val, ensemble.normalization)
+    fn = NormalizedLrFn(ensemble, dev, min_n=50)
+    stacks = []
+
+    def spy(v, m):
+        stacks.append((v, m))
+        return fn(v, m)
+
+    def per_walk(v, m):
+        return np.stack([fn(v[w], m[w]) for w in range(v.shape[0])])
+
+    cfg = ShapConfig(seed=5, n_permutations=30)
+    for x, m in zip(values, mask):
+        stacked = shap_values(spy, x, m, bg_v, bg_m, cfg)
+        walk_v, walk_m = stacks.pop()
+        assert walk_v.shape == (30, x.size + 1, x.size)
+        np.testing.assert_array_equal(
+            fn(walk_v, walk_m),
+            reference_value_fn(ensemble, dev, walk_v, walk_m, 50))
+        looped = shap_values(per_walk, x, m, bg_v, bg_m, cfg)
+        assert np.array_equal(stacked.phi, looped.phi)
+        assert np.array_equal(stacked.ci99, looped.ci99)
+        assert stacked.base_value == looped.base_value
+        assert stacked.fx == looped.fx
 
 
 def test_predict_requires_patient_flag(run):

@@ -35,10 +35,13 @@ def brute_force_shap(fn, x, m, bg_v, bg_m, active):
 
 
 def batched(f):
+    """Lifts a one-row function to the value-function contract:
+    (..., d) values and mask to (...)."""
     def wrapper(v, mm):
-        v = np.atleast_2d(v)
-        mm = np.atleast_2d(mm)
-        return np.array([f(v[i], mm[i]) for i in range(v.shape[0])])
+        v, mm = np.asarray(v), np.asarray(mm)
+        rows = [f(a, b) for a, b in zip(v.reshape(-1, v.shape[-1]),
+                                        mm.reshape(-1, mm.shape[-1]))]
+        return np.array(rows).reshape(v.shape[:-1])
     return wrapper
 
 
@@ -106,9 +109,7 @@ def test_masked_feature_gets_zero_attribution_when_background_masked():
     d = 5
 
     def fn(v, mm):
-        v = np.atleast_2d(v)
-        mm = np.atleast_2d(mm)
-        return (v * mm).sum(axis=1)
+        return (v * mm).sum(axis=-1)
 
     x = rng.normal(size=d)
     m = np.ones(d)
@@ -125,7 +126,7 @@ def test_mask_bit_participates_in_coalitions():
     d = 3
 
     def fn(v, mm):
-        return np.atleast_2d(mm).sum(axis=1)
+        return np.asarray(mm).sum(axis=-1)
 
     x = np.zeros(d)
     m = np.zeros(d)  # nothing observed for this sample
@@ -166,7 +167,7 @@ def test_waterfall_requires_enough_markers():
     d = 30
 
     def fn(v, mm):
-        return np.atleast_2d(v).sum(axis=1)
+        return np.asarray(v).sum(axis=-1)
 
     rng = np.random.default_rng(8)
     x = rng.normal(size=d)
@@ -183,7 +184,7 @@ def test_waterfall_top_k_plus_aggregate():
     d = 30
 
     def fn(v, mm):
-        return np.atleast_2d(v).sum(axis=1)
+        return np.asarray(v).sum(axis=-1)
 
     rng = np.random.default_rng(10)
     x = rng.normal(size=d)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labrisk import defaults, likelihood
 from labrisk.catalog import EncounterRecord
@@ -11,10 +13,27 @@ from labrisk.preprocess import NormalizationParams
 import datetime
 
 
+def likelihood_ratio(post_p, pre_p):
+    """Oracle: post-test odds over pre-test odds."""
+    return likelihood.odds(post_p) / likelihood.odds(pre_p)
+
+
+def similar_oracle(scores, mean, lo, hi, min_n):
+    """Oracle: sorted member indices of the similar-score cohort, straight
+    from its definition (scores inside [lo, hi], else the min_n nearest by
+    |score - mean| with ties to the lower index)."""
+    inside = np.flatnonzero((scores >= lo) & (scores <= hi))
+    if inside.size >= min_n:
+        return inside
+    k = min(min_n, scores.size)
+    dist = np.abs(scores - mean)
+    return np.sort(np.lexsort((np.arange(scores.size), dist))[:k])
+
+
 def test_odds_and_lr_basics():
     assert likelihood.odds(0.5) == 1.0
     assert likelihood.odds(0.2) == pytest.approx(0.25)
-    assert likelihood.likelihood_ratio(0.5, 0.2) == pytest.approx(4.0)
+    assert likelihood_ratio(0.5, 0.2) == pytest.approx(4.0)
 
 
 def test_hand_example_lr_six():
@@ -101,6 +120,57 @@ def test_similar_cohort_ci_filter_and_expansion():
     assert np.abs(expanded.scores - 0.5).max() <= 0.13
 
 
+# A small pool of scores forces duplicates. The 1e-17-scale values and the
+# neighbouring floats after 0.1 are distinct scores whose distances to most
+# means round to the same double.
+_after = np.nextafter(0.1, 1.0)
+SCORE_POOL = [0.0, 1e-17, 2e-17, 0.1, _after, np.nextafter(_after, 1.0),
+              0.25, 0.5, 0.75, 0.9, 1.0]
+
+
+@st.composite
+def similar_cases(draw):
+    score = st.sampled_from(SCORE_POOL) | st.floats(0.0, 1.0)
+    scores = draw(st.lists(score, min_size=1, max_size=40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                           max_size=len(scores)))
+    # Means and CI bounds that land exactly on dev scores, plus lo == hi.
+    point = (st.sampled_from(scores) | st.sampled_from(SCORE_POOL)
+             | st.floats(-0.5, 1.5))
+    query = (st.tuples(point, point, point)
+             | st.tuples(point, point).map(lambda t: (t[0], t[1], t[1])))
+    queries = draw(st.lists(query, min_size=1, max_size=8))
+    min_n = draw(st.integers(0, len(scores) + 3))  # up to beyond len(dev)
+    return np.array(scores), np.array(labels), queries, min_n
+
+
+@settings(max_examples=400, deadline=None)
+@given(similar_cases())
+def test_similar_cohort_matches_brute_force_oracle(case):
+    scores, labels, queries, min_n = case
+    dev = likelihood.ScoredCohort.from_arrays(scores, labels)
+    mean, lo, hi = (np.array(c) for c in zip(*queries))
+    n_pos, n = dev.similar_counts(mean, lo, hi, min_n)
+    for i, (m, a, b) in enumerate(queries):
+        members = similar_oracle(scores, m, a, b, min_n)
+        assert (n_pos[i], n[i]) == (labels[members].sum(), members.size)
+        got = likelihood.similar_cohort(
+            dev, RiskAssessment([m], m, 0.0, (a, b)), min_n)
+        assert [int(p) for p in got.patient_ids] == members.tolist()
+
+
+def test_lr_from_counts_arrays_match_scalars():
+    pos = np.array([0, 3, 5, 2, 1])
+    n = np.array([5, 5, 5, 10, 4])
+    lr, corrected = likelihood.lr_from_counts(pos, n, 2, 10)
+    for i in range(pos.size):
+        assert (lr[i], corrected[i]) == likelihood.lr_from_counts(
+            int(pos[i]), int(n[i]), 2, 10)
+    assert lr[3] == 1.0 and not corrected[3]  # the whole cohort
+    with pytest.raises(likelihood.LikelihoodError):
+        likelihood.lr_from_counts(np.array([1, 0]), np.array([2, 0]), 2, 10)
+
+
 def _record(measurements, age=60.0, sex="female"):
     return EncounterRecord(patient_id="p1", encounter_id="e1",
                            date=datetime.date(2020, 1, 1), age_years=age,
@@ -157,7 +227,7 @@ def test_build_report_round_trip():
     d = report.to_dict()
     assert d["patient_id"] == "p9"
     assert d["likelihood_ratio"] == pytest.approx(
-        likelihood.likelihood_ratio(d["post_test_probability"],
-                                    d["pre_test_probability"]))
+        likelihood_ratio(d["post_test_probability"],
+                         d["pre_test_probability"]))
     text = report.to_text()
     assert "p9" in text and "liver" in text
