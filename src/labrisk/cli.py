@@ -22,7 +22,7 @@ from . import comorbid as comorbid_mod
 from . import defaults, ioutil, likelihood, metrics, svg
 from .catalog import (CatalogError, RecordError, load_marker_catalog,
                       record_from_dict, save_marker_catalog)
-from .cohort import CohortSpec, SplitParams, run_cohort_pipeline
+from .cohort import CohortError, CohortSpec, SplitParams, run_cohort_pipeline
 from .explain import (ExplainError, NormalizedLrFn, ShapConfig,
                       cohort_summary, draw_background, shap_provenance,
                       waterfall)
@@ -215,9 +215,8 @@ def cmd_train(cfg, args) -> int:
     save_model(ensemble, out, extras_payload)
     log = os.path.join(_out_dir(cfg), "train_log.tsv")
     ioutil.write_table(log, ["member", "stage", "epoch", "loss"],
-                       [[i // max(1, len(ensemble.history) // n_members),
-                         h["stage"], h["epoch"], h["loss"]]
-                        for i, h in enumerate(ensemble.history)])
+                       [[h["member"], h["stage"], h["epoch"], h["loss"]]
+                        for h in ensemble.history])
     ioutil.write_manifest(os.path.join(_out_dir(cfg), "train_manifest.json"),
                           "train", cfg,
                           [_path(cfg, "labeled", "labeled.jsonl")],
@@ -617,7 +616,8 @@ def main(argv=None) -> int:
                     f"unknown cancer_type {cfg['cancer_type']!r}")
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, CatalogError, RecordError, SynthError,
-            PreprocessError, ModelError, ModelIOError, ExplainError,
+            CohortError, comorbid_mod.PhecodeError, PreprocessError,
+            ModelError, ModelIOError, ExplainError,
             likelihood.LikelihoodError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -86,8 +86,10 @@ def sha256_of_file(path) -> str:
 def write_manifest(path, command: str, config: dict,
                    inputs: list[str], outputs: list[str],
                    details: dict | None = None) -> None:
-    """Run manifest; `details` adds stage-specific top-level fields."""
+    """Run manifest with the sha256 of every input and output file;
+    `details` adds stage-specific top-level fields."""
     from . import __version__
+    paths = sorted({os.fspath(p) for p in [*inputs, *outputs]})
     manifest = {
         "command": command,
         "config": config,
@@ -95,6 +97,7 @@ def write_manifest(path, command: str, config: dict,
             json.dumps(config, sort_keys=True, separators=(",", ":"))),
         "inputs": sorted(os.fspath(p) for p in inputs),
         "outputs": sorted(os.fspath(p) for p in outputs),
+        "sha256": {p: sha256_of_file(p) for p in paths},
         "versions": {
             "labrisk": __version__,
             "numpy": np.__version__,

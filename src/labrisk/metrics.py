@@ -27,20 +27,12 @@ class RocCurve:
     tpr: np.ndarray
     auc: float
 
-    @property
-    def points(self):
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
-
 
 @dataclass
 class PrCurve:
     recall: np.ndarray
     precision: np.ndarray
     ap: float
-
-    @property
-    def points(self):
-        return list(zip(self.recall.tolist(), self.precision.tolist()))
 
 
 def _tie_grouped_counts(scores, labels):

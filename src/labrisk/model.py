@@ -15,16 +15,17 @@ cross entropy loss. Classification always uses mu, never a sampled z.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import ioutil, nn
 from .preprocess import NormalizationParams
 
-MODEL_FORMAT = "labrisk-ensemble-v1"
+MODEL_FORMAT = "labrisk-ensemble-v2"
 
 
 class ModelError(ValueError):
@@ -63,12 +64,15 @@ class RiskModelConfig:
 
 
 class RiskModel:
+    """One ensemble member. `params` and `grads` are flat buffers of one
+    layout; `state` is `params` then the BatchNorm running statistics, in
+    `_stacks()` order; layer arrays are views of them. rng=None builds a
+    zero model to load a state into."""
+
     def __init__(self, config: RiskModelConfig,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None):
         config.validate()
         self.config = config
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
         d, w, k = config.n_features, config.hidden_width, config.latent_dim
         self.encoder = []
         in_dim = 2 * d  # values ++ presence mask
@@ -86,35 +90,29 @@ class RiskModel:
             in_dim = w
         self.decoder.append(nn.Linear(w, d, rng))
         self.classifier = nn.Linear(k, 1, rng)
-
-    # --- plumbing ---
+        layers = self._stacks()
+        params = [(layer, n) for layer in layers for n in layer.param_names]
+        self.state = nn.pack(params + [(layer, n) for layer in layers
+                                       for n in layer.stat_names])
+        self.grads = nn.pack([(layer, "d" + n) for layer, n in params])
+        self.params = self.state[:self.grads.size]
 
     def _stacks(self):
         return (self.encoder + [self.mu_head, self.logvar_head]
                 + self.decoder + [self.classifier])
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for layer in self._stacks() for p in layer.params()]
+    # --- forward pieces (training mode) ---
 
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self._stacks() for g in layer.grads()]
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    # --- forward pieces ---
-
-    def encode(self, values: np.ndarray, mask: np.ndarray, train: bool):
+    def encode(self, values: np.ndarray, mask: np.ndarray):
         h = np.concatenate([values, mask], axis=-1)
         for layer in self.encoder:
-            h = layer.forward(h, train)
-        return (self.mu_head.forward(h, train),
-                self.logvar_head.forward(h, train))
+            h = layer.forward(h, True)
+        return self.mu_head.forward(h), self.logvar_head.forward(h)
 
-    def decode(self, z: np.ndarray, train: bool) -> np.ndarray:
+    def decode(self, z: np.ndarray) -> np.ndarray:
         h = z
         for layer in self.decoder:
-            h = layer.forward(h, train)
+            h = layer.forward(h, True)
         return h
 
     def _backward_decoder(self, drecon: np.ndarray) -> np.ndarray:
@@ -130,11 +128,12 @@ class RiskModel:
 
     def predict_scores(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode risk scores in [0, 1] (mu path, running batch stats):
-        (..., d) rows give (...) scores."""
-        mu, _ = self.encode(np.atleast_2d(values), np.atleast_2d(mask),
-                            train=False)
-        logit = self.classifier.forward(mu, train=False)[..., 0]
-        return nn.sigmoid(logit)
+        (..., d) rows give (...) scores. logvar_head is not run."""
+        h = np.concatenate([np.atleast_2d(values), np.atleast_2d(mask)],
+                           axis=-1)
+        for layer in self.encoder + [self.mu_head, self.classifier]:
+            h = layer.forward(h, False)
+        return nn.sigmoid(h[..., 0])
 
     # --- losses ---
 
@@ -142,9 +141,9 @@ class RiskModel:
         """Masked-imputation loss: encoder sees only `keep`-retained entries,
         reconstruction is scored on all originally-observed entries."""
         cfg = self.config
-        mu, logvar = self.encode(values * keep, keep, train=True)
+        mu, logvar = self.encode(values * keep, keep)
         z = nn.reparameterize(mu, logvar, noise)
-        recon = self.decode(z, train=True)
+        recon = self.decode(z)
         l_rec, drecon = nn.masked_mse(recon, values, mask)
         l_kl, dmu_kl, dlv_kl = nn.kl_divergence(mu, logvar)
         loss = cfg.w_recon * l_rec + cfg.w_kl * l_kl
@@ -153,16 +152,16 @@ class RiskModel:
         dlogvar = dz * noise * 0.5 * np.exp(0.5 * logvar) + cfg.w_kl * dlv_kl
         self._backward_encoder(dmu, dlogvar)
         # Classifier gradients are identically zero during pretraining.
-        self.classifier.dweight = np.zeros_like(self.classifier.weight)
-        self.classifier.dbias = np.zeros_like(self.classifier.bias)
+        self.classifier.dweight[...] = 0.0
+        self.classifier.dbias[...] = 0.0
         return loss, (l_rec, l_kl)
 
     def finetune_loss_and_grads(self, values, mask, labels, noise):
         """Combined loss: reconstruction + KL + BCE(classifier(mu), label)."""
         cfg = self.config
-        mu, logvar = self.encode(values, mask, train=True)
+        mu, logvar = self.encode(values, mask)
         z = nn.reparameterize(mu, logvar, noise)
-        recon = self.decode(z, train=True)
+        recon = self.decode(z)
         l_rec, drecon = nn.masked_mse(recon, values, mask)
         l_kl, dmu_kl, dlv_kl = nn.kl_divergence(mu, logvar)
         logits = self.classifier.forward(mu)[:, 0]
@@ -177,12 +176,25 @@ class RiskModel:
         return loss, (l_rec, l_kl, l_cls)
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        if idx.size >= 2:  # batchnorm train mode needs >= 2 rows
-            yield idx
+def _fit(model: RiskModel, stage: str, epochs: int, n: int,
+         rng: np.random.Generator, batch_loss) -> list[dict]:
+    """Adam over `model.params` for `epochs` shuffled passes over n rows;
+    batch_loss(idx) fills `model.grads` and returns the batch's loss."""
+    opt = nn.Adam(model.params, lr=model.config.lr)
+    size = model.config.batch_size
+    history = []
+    for epoch in range(epochs):
+        total, count = 0.0, 0
+        order = rng.permutation(n)
+        for idx in (order[i:i + size] for i in range(0, n, size)):
+            if idx.size < 2:  # batchnorm train mode needs >= 2 rows
+                continue
+            total += batch_loss(idx) * idx.size
+            opt.step(model.grads)
+            count += idx.size
+        history.append({"stage": stage, "epoch": epoch,
+                        "loss": total / max(1, count)})
+    return history
 
 
 def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
@@ -191,22 +203,16 @@ def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
     if values.shape[0] == 0:
         raise ModelError("empty training set")
     cfg = model.config
-    opt = nn.Adam(model.parameters(), lr=cfg.lr)
-    history = []
-    for epoch in range(cfg.pretrain_epochs):
-        total, count = 0.0, 0
-        for idx in _batches(values.shape[0], cfg.batch_size, rng):
-            v, m = values[idx], mask[idx]
-            hide = (rng.random(m.shape) < cfg.mask_fraction) * m
-            keep = m * (1.0 - hide)
-            noise = rng.standard_normal((idx.size, cfg.latent_dim))
-            loss, _ = model.pretrain_loss_and_grads(v, m, keep, noise)
-            opt.step(model.gradients())
-            total += loss * idx.size
-            count += idx.size
-        history.append({"stage": "pretrain", "epoch": epoch,
-                        "loss": total / max(1, count)})
-    return history
+
+    def batch_loss(idx):
+        v, m = values[idx], mask[idx]
+        hide = (rng.random(m.shape) < cfg.mask_fraction) * m
+        keep = m * (1.0 - hide)
+        noise = rng.standard_normal((idx.size, cfg.latent_dim))
+        return model.pretrain_loss_and_grads(v, m, keep, noise)[0]
+
+    return _fit(model, "pretrain", cfg.pretrain_epochs, values.shape[0], rng,
+                batch_loss)
 
 
 def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
@@ -217,20 +223,14 @@ def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
     if len(np.unique(labels)) < 2:
         raise ModelError("single-class training set; BCE is degenerate")
     cfg = model.config
-    opt = nn.Adam(model.parameters(), lr=cfg.lr)
-    history = []
-    for epoch in range(cfg.finetune_epochs):
-        total, count = 0.0, 0
-        for idx in _batches(values.shape[0], cfg.batch_size, rng):
-            noise = rng.standard_normal((idx.size, cfg.latent_dim))
-            loss, _ = model.finetune_loss_and_grads(
-                values[idx], mask[idx], labels[idx], noise)
-            opt.step(model.gradients())
-            total += loss * idx.size
-            count += idx.size
-        history.append({"stage": "finetune", "epoch": epoch,
-                        "loss": total / max(1, count)})
-    return history
+
+    def batch_loss(idx):
+        noise = rng.standard_normal((idx.size, cfg.latent_dim))
+        return model.finetune_loss_and_grads(
+            values[idx], mask[idx], labels[idx], noise)[0]
+
+    return _fit(model, "finetune", cfg.finetune_epochs, values.shape[0], rng,
+                batch_loss)
 
 
 def score_summary(scores, ci_scale: float = 1.0):
@@ -315,9 +315,12 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
         rows = np.array(sorted(i for p in chosen for i in patients[p]))
         if rows.size == 0 or labels[rows].max() == 0:
             raise ModelError(f"member {member}: subsample lost all positives")
-        model = RiskModel(config, rng=rng)
-        history += pretrain(model, values[rows], mask[rows], rng)
-        history += finetune(model, values[rows], mask[rows], labels[rows], rng)
+        model = RiskModel(config, rng)
+        history += [
+            dict(h, member=member)
+            for h in (pretrain(model, values[rows], mask[rows], rng)
+                      + finetune(model, values[rows], mask[rows],
+                                 labels[rows], rng))]
         members.append(model)
         subsets.append({"member": member, "n_rows": int(rows.size),
                         "n_patients": len(chosen)})
@@ -327,38 +330,12 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
 
 
 # --- serialization -----------------------------------------------------------
+# Each member is one base64 blob of its little-endian float64 `state`; the
+# layout follows from `config`, so the blob carries no shapes or names.
 
-def _model_to_dict(model: RiskModel) -> dict:
-    tensors = []
-    for layer in model._stacks():
-        if isinstance(layer, nn.Linear):
-            tensors.append({"kind": "linear",
-                            "weight": layer.weight.tolist(),
-                            "bias": layer.bias.tolist()})
-        elif isinstance(layer, nn.BatchNorm):
-            tensors.append({"kind": "batchnorm",
-                            "gamma": layer.gamma.tolist(),
-                            "beta": layer.beta.tolist(),
-                            "running_mean": layer.running_mean.tolist(),
-                            "running_var": layer.running_var.tolist()})
-    return {"tensors": tensors}
-
-
-def _model_from_dict(d: dict, config: RiskModelConfig) -> RiskModel:
-    model = RiskModel(config)
-    tensors = iter(d["tensors"])
-    for layer in model._stacks():
-        if isinstance(layer, nn.Linear):
-            t = next(tensors)
-            layer.weight = np.array(t["weight"], dtype=np.float64)
-            layer.bias = np.array(t["bias"], dtype=np.float64)
-        elif isinstance(layer, nn.BatchNorm):
-            t = next(tensors)
-            layer.gamma = np.array(t["gamma"], dtype=np.float64)
-            layer.beta = np.array(t["beta"], dtype=np.float64)
-            layer.running_mean = np.array(t["running_mean"], dtype=np.float64)
-            layer.running_var = np.array(t["running_var"], dtype=np.float64)
-    return model
+def _checksum(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def ensemble_to_dict(ensemble: RiskEnsemble, extras: dict | None = None) -> dict:
@@ -368,28 +345,42 @@ def ensemble_to_dict(ensemble: RiskEnsemble, extras: dict | None = None) -> dict
         "normalization": ensemble.normalization.to_dict(),
         "catalog_version": ensemble.catalog_version,
         "member_subsets": ensemble.member_subsets,
-        "members": [_model_to_dict(m) for m in ensemble.members],
+        "members": [base64.b64encode(m.state.astype("<f8").tobytes()).decode()
+                    for m in ensemble.members],
     }
     if extras:
         payload["extras"] = extras
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(canonical.encode()).hexdigest()
-    return {"payload": payload, "checksum": checksum}
+    return {"payload": payload, "checksum": _checksum(payload)}
 
 
-def ensemble_from_dict(doc: dict) -> tuple[RiskEnsemble, dict]:
+def _member_from_blob(blob, config: RiskModelConfig, where: str) -> RiskModel:
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except (TypeError, ValueError) as e:
+        raise ModelIOError(f"{where} is not base64 ({e})") from None
+    model = RiskModel(config, None)
+    if len(raw) != model.state.nbytes:
+        raise ModelIOError(f"{where} holds {len(raw)} bytes, expected "
+                           f"{model.state.nbytes}")
+    model.state[...] = np.frombuffer(raw, dtype="<f8")
+    return model
+
+
+def ensemble_from_dict(doc: dict, source: str) -> tuple[RiskEnsemble, dict]:
     if "payload" not in doc or "checksum" not in doc:
-        raise ModelIOError("not a model file (missing payload/checksum)")
+        raise ModelIOError(f"{source}: not a model file "
+                           "(missing payload/checksum)")
     payload = doc["payload"]
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(canonical.encode()).hexdigest() != doc["checksum"]:
-        raise ModelIOError("model file checksum mismatch (corrupt file)")
+    if _checksum(payload) != doc["checksum"]:
+        raise ModelIOError(f"{source}: checksum mismatch (corrupt file)")
     if payload.get("format") != MODEL_FORMAT:
-        raise ModelIOError(
-            f"unsupported model format {payload.get('format')!r}")
+        raise ModelIOError(f"{source}: unsupported model format "
+                           f"{payload.get('format')!r} in payload.format")
     config = RiskModelConfig(**payload["config"])
     ensemble = RiskEnsemble(
-        members=[_model_from_dict(m, config) for m in payload["members"]],
+        members=[_member_from_blob(blob, config,
+                                   f"{source}: payload.members[{i}]")
+                 for i, blob in enumerate(payload["members"])],
         normalization=NormalizationParams.from_dict(payload["normalization"]),
         config=config,
         catalog_version=payload["catalog_version"],
@@ -399,9 +390,8 @@ def ensemble_from_dict(doc: dict) -> tuple[RiskEnsemble, dict]:
 
 
 def save_model(ensemble: RiskEnsemble, path, extras: dict | None = None) -> None:
-    doc = ensemble_to_dict(ensemble, extras)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+    ioutil.atomic_write_text(path, json.dumps(ensemble_to_dict(ensemble,
+                                                               extras)))
 
 
 def load_model(path) -> tuple[RiskEnsemble, dict]:
@@ -410,4 +400,4 @@ def load_model(path) -> tuple[RiskEnsemble, dict]:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ModelIOError(f"{path}: truncated or invalid ({e})") from None
-    return ensemble_from_dict(doc)
+    return ensemble_from_dict(doc, str(path))

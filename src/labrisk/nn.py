@@ -25,15 +25,50 @@ def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
     return x
 
 
-class Linear:
-    """y = x @ W.T + b with uniform fan-in initialization."""
+class Layer:
+    """Trainable arrays are named in `param_names` (the gradient of `x` is
+    `dx`), other saved state in `stat_names`; all are written in place."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+    param_names: tuple[str, ...] = ()
+    stat_names: tuple[str, ...] = ()
+
+    def params(self):
+        return [getattr(self, n) for n in self.param_names]
+
+    def grads(self):
+        return [getattr(self, "d" + n) for n in self.param_names]
+
+
+def pack(slots: list[tuple[object, str]]) -> np.ndarray:
+    """Copy each `(layer, attribute)` array into one contiguous float64
+    buffer, in order, and rebind the attribute to its view of the buffer."""
+    buf = np.empty(sum(getattr(obj, name).size for obj, name in slots))
+    start = 0
+    for obj, name in slots:
+        a = getattr(obj, name)
+        view = buf[start:start + a.size].reshape(a.shape)
+        view[...] = a
+        setattr(obj, name, view)
+        start += a.size
+    return buf
+
+
+class Linear(Layer):
+    """y = x @ W.T + b with uniform fan-in initialization; rng=None leaves
+    the weight zero for state that is loaded afterwards."""
+
+    param_names = ("weight", "bias")
+
+    def __init__(self, in_dim: int, out_dim: int,
+                 rng: np.random.Generator | None):
         if in_dim <= 0 or out_dim <= 0:
             raise ShapeError(f"bad linear dims ({in_dim}, {out_dim})")
         bound = 1.0 / np.sqrt(in_dim)
-        self.weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+        self.weight = (np.zeros((out_dim, in_dim)) if rng is None else
+                       rng.uniform(-bound, bound, size=(out_dim, in_dim)))
         self.bias = np.zeros(out_dim)
+        self.dweight = np.zeros_like(self.weight)
+        self.dbias = np.zeros_like(self.bias)
         self._x = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -49,24 +84,23 @@ class Linear:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        self.dweight = dy.T @ x
-        self.dbias = dy.sum(axis=0)
+        self.dweight[...] = dy.T @ x
+        self.dbias[...] = dy.sum(axis=0)
         return dy @ self.weight
 
-    def params(self):
-        return [self.weight, self.bias]
 
-    def grads(self):
-        return [self.dweight, self.dbias]
-
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-feature batch normalization with running statistics. Eval mode
     keeps nothing for backward."""
+
+    param_names = ("gamma", "beta")
+    stat_names = ("running_mean", "running_var")
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
+        self.dgamma = np.zeros(dim)
+        self.dbeta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
         self.momentum = momentum
@@ -79,10 +113,10 @@ class BatchNorm:
                 raise ShapeError("batchnorm train mode needs batch size >= 2")
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean)
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var)
+            self.running_mean[...] = ((1 - self.momentum) * self.running_mean
+                                      + self.momentum * mean)
+            self.running_var[...] = ((1 - self.momentum) * self.running_var
+                                     + self.momentum * var)
         else:
             mean = self.running_mean
             var = self.running_var
@@ -94,20 +128,14 @@ class BatchNorm:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, n = self._cache
-        self.dgamma = (dy * xhat).sum(axis=0)
-        self.dbeta = dy.sum(axis=0)
+        self.dgamma[...] = (dy * xhat).sum(axis=0)
+        self.dbeta[...] = dy.sum(axis=0)
         dxhat = dy * self.gamma
         return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
 
-    def params(self):
-        return [self.gamma, self.beta]
 
-    def grads(self):
-        return [self.dgamma, self.dbeta]
-
-
-class LeakyReLU:
+class LeakyReLU(Layer):
     def __init__(self, slope: float = 0.2):
         self.slope = slope
         self._x = None
@@ -120,25 +148,10 @@ class LeakyReLU:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return np.where(self._x > 0, dy, self.slope * dy)
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class ReLU(LeakyReLU):
     def __init__(self):
         super().__init__(slope=0.0)
-
-
-def leaky_relu(x, slope: float = 0.2):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x, slope * x)
-
-
-def relu(x):
-    return leaky_relu(x, 0.0)
 
 
 def sigmoid(x):
@@ -189,13 +202,6 @@ def kl_divergence(mu: np.ndarray,
     return loss, dmu, dlogvar
 
 
-def bce(p, y) -> float:
-    """Binary cross entropy on probabilities (clipped for finiteness)."""
-    p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(-(y * np.log(p) + (1 - y) * np.log1p(-p))))
-
-
 def bce_with_logits(logits: np.ndarray,
                     y: np.ndarray) -> tuple[float, np.ndarray]:
     """Numerically stable sigmoid + BCE. Returns (loss, d loss / d logits)."""
@@ -212,10 +218,10 @@ def bce_with_logits(logits: np.ndarray,
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed list of parameter arrays (updated
-    in place)."""
+    """Bias-corrected Adam over one flat parameter array (updated in
+    place)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-4,
+    def __init__(self, params: np.ndarray, lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
@@ -223,22 +229,22 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ShapeError("adam: gradient list length mismatch")
+    def step(self, grads: np.ndarray) -> None:
+        if grads.shape != self.params.shape:
+            raise ShapeError("adam: gradient shape mismatch")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grads * grads
+        self.params -= (self.lr * (self.m / bc1)
+                        / (np.sqrt(self.v / bc2) + self.eps))
 
 
 def finite_difference_gradient(f, params: list[np.ndarray],

@@ -98,16 +98,16 @@ def test_criterion_1_gradient_checks_under_one_minute():
             return model.pretrain_loss_and_grads(values, mask, keep, noise)[0]
 
         pre()
-        assert nn.grad_check(pre, model.parameters(),
-                             [g.copy() for g in model.gradients()]) < 1e-4
+        assert nn.grad_check(pre, [model.params],
+                             [model.grads.copy()]) < 1e-4
 
         def fine():
             return model.finetune_loss_and_grads(values, mask, labels,
                                                  noise)[0]
 
         fine()
-        assert nn.grad_check(fine, model.parameters(),
-                             [g.copy() for g in model.gradients()]) < 1e-4
+        assert nn.grad_check(fine, [model.params],
+                             [model.grads.copy()]) < 1e-4
         cases += 2
 
     assert cases >= 100

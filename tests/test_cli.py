@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline on a small cohort, plus error-path exit codes."""
 
+import base64
 import hashlib
 import json
 
@@ -138,21 +139,18 @@ def test_explain_too_few_markers_is_validation_error(run, tmp_path, capsys):
     assert "observed markers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("drop, commands, field", [
-    ("extras", ("predict", "explain"), "extras.dev_scores"),
-    ("background", ("explain",), "extras.background"),
-])
-def test_model_without_extras_is_validation_error(run, tmp_path, capsys,
-                                                  drop, commands, field):
-    cfg_path, out = run
+def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
+                           rechecksum=True):
+    """Apply `edit` to the payload of the run's model.json, give it a
+    matching checksum unless `rechecksum` is false, and check that every
+    command exits 3 naming the file and the field, without a traceback."""
+    _, out = run
     doc = json.loads((out / "model.json").read_text())
-    payload = doc["payload"]
-    if drop == "extras":
-        del payload["extras"]
-    else:
-        del payload["extras"][drop]
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    edit(doc["payload"])
+    if rechecksum:
+        canonical = json.dumps(doc["payload"], sort_keys=True,
+                               separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     config = {"paths": {"output_dir": str(tmp_path / "o"),
@@ -166,6 +164,47 @@ def test_model_without_extras_is_validation_error(run, tmp_path, capsys,
                          "--patient", str(patient)]) == 3, command
         err = capsys.readouterr().err
         assert str(model) in err and field in err, err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("drop, commands, field", [
+    ("extras", ("predict", "explain"), "extras.dev_scores"),
+    ("background", ("explain",), "extras.background"),
+])
+def test_model_without_extras_is_validation_error(run, tmp_path, capsys,
+                                                  drop, commands, field):
+    def edit(payload):
+        if drop == "extras":
+            del payload["extras"]
+        else:
+            del payload["extras"][drop]
+
+    _assert_model_rejected(run, tmp_path, capsys, edit, commands, field)
+
+
+def _flip_bit(blob):
+    raw = bytearray(base64.b64decode(blob))
+    raw[3] ^= 0x10
+    return base64.b64encode(raw).decode()
+
+
+@pytest.mark.parametrize("edit, rechecksum, field", [
+    (lambda p: p.update(format="labrisk-ensemble-v1"), True,
+     "payload.format"),
+    (lambda p: p["members"].__setitem__(1, p["members"][1][:-8]), True,
+     "payload.members[1] holds"),
+    (lambda p: p["members"].__setitem__(0, "not*base64"), True,
+     "payload.members[0] is not base64"),
+    (lambda p: p["members"].__setitem__(1, 17), True,
+     "payload.members[1] is not base64"),
+    (lambda p: p["members"].__setitem__(0, _flip_bit(p["members"][0])),
+     False, "checksum"),
+], ids=["v1-format", "truncated-blob", "not-base64", "not-a-string",
+        "bit-flip"])
+def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
+                                            rechecksum, field):
+    _assert_model_rejected(run, tmp_path, capsys, edit,
+                           ("predict", "explain"), field, rechecksum)
 
 
 def reference_value_fn(ensemble, dev, values, mask, min_n):
@@ -253,3 +292,39 @@ def test_unknown_cancer_type_rejected(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["synth", "--config", str(cfg_path)]) == 3
+
+
+def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
+    _, out = run
+    pmap = tmp_path / "phecodes.tsv"
+    pmap.write_text("# icd10\tphecode\nC22\t155\nK70\n")
+    config = {"paths": {"output_dir": str(tmp_path / "o"),
+                        "labeled": str(out / "labeled.jsonl"),
+                        "phecode_map": str(pmap)},
+              "master_seed": 99, "cancer_type": "liver"}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["comorbid", "--config", str(cfg)]) == 3
+    assert f"{pmap}:3:" in capsys.readouterr().err
+
+
+def test_train_log_carries_member_index(run):
+    _, out = run
+    rows = (out / "train_log.tsv").read_text().splitlines()[1:]
+    members = [int(r.split("\t")[0]) for r in rows]
+    assert members == [0] * 9 + [1] * 9  # 3 pretrain + 6 finetune epochs
+
+
+def test_manifest_checksums_match_files(run):
+    """Runs last, so it sees the manifest of every stage run above."""
+    _, out = run
+    manifests = sorted(out.glob("**/*_manifest.json"))
+    names = {m.name for m in manifests}
+    assert {"synth_manifest.json", "cohort_manifest.json",
+            "prepare_manifest.json", "train_manifest.json"} <= names
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        files = set(manifest["inputs"]) | set(manifest["outputs"])
+        assert set(manifest["sha256"]) == files, path
+        for name, digest in manifest["sha256"].items():
+            assert ioutil.sha256_of_file(name) == digest, (path, name)

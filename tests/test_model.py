@@ -1,5 +1,7 @@
 """Model construction, training oracles, and serialization round trips."""
 
+import base64
+import hashlib
 import json
 
 import numpy as np
@@ -39,8 +41,8 @@ def test_parameter_count():
                 + (3 * 6 + 6) + (6 * 6 + 6) * 2 + 12 * 3  # decoder stack + BN
                 + (6 * 5 + 5)                             # final projection
                 + (3 * 1 + 1))                            # classifier
-    assert model.num_parameters() == expected
-    assert sum(p.size for p in model.parameters()) == expected
+    assert model.params.size == model.grads.size == expected
+    assert model.state.size == expected + 2 * 6 * 6  # 6 BNs: mean + var
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -57,8 +59,8 @@ def test_pretrain_loss_gradient_check(seed):
         return model.pretrain_loss_and_grads(values, mask, keep, noise)[0]
 
     loss()
-    analytic = [g.copy() for g in model.gradients()]
-    assert nn.grad_check(loss, model.parameters(), analytic) < 1e-4
+    analytic = [model.grads.copy()]
+    assert nn.grad_check(loss, [model.params], analytic) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -75,8 +77,8 @@ def test_finetune_loss_gradient_check(seed):
         return model.finetune_loss_and_grads(values, mask, labels, noise)[0]
 
     loss()
-    analytic = [g.copy() for g in model.gradients()]
-    assert nn.grad_check(loss, model.parameters(), analytic) < 1e-4
+    analytic = [model.grads.copy()]
+    assert nn.grad_check(loss, [model.params], analytic) < 1e-4
 
 
 def separable_data(n=120, d=5, seed=0):
@@ -135,6 +137,37 @@ def trained_ensemble(seed=0, n_members=3):
                           n_members=n_members), (x, mask, y)
 
 
+def state_bytes(model):
+    """A member's parameters, then its BatchNorm running statistics, in
+    `_stacks()` order, as little-endian float64 bytes."""
+    layers = model._stacks()
+    arrays = [p for layer in layers for p in layer.params()]
+    arrays += [s for layer in layers if isinstance(layer, nn.BatchNorm)
+               for s in (layer.running_mean, layer.running_var)]
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                    for a in arrays)
+
+
+# Digests of the seed-5 ensemble after a save/load round trip. Any change to
+# the float arithmetic of initialization, training, serialization or scoring
+# changes them; a change that does so on purpose re-baselines them and says
+# why.
+GOLDEN_STATE_SHA256 = (
+    "f92026bb3d39a4b9e1bd90be5cc104f682d5ef4f2658c6a275f23ead124c7d8c")
+GOLDEN_SCORES_SHA256 = (
+    "f83740c965fd4c8b83d11751f6e047c8bfb0c86d998239aec4157217532f6f86")
+
+
+def test_golden_weights_and_scores(tmp_path):
+    ens, (x, mask, _) = trained_ensemble(seed=5)
+    save_model(ens, tmp_path / "model.json")
+    loaded, _ = load_model(tmp_path / "model.json")
+    state = b"".join(state_bytes(m) for m in loaded.members)
+    assert hashlib.sha256(state).hexdigest() == GOLDEN_STATE_SHA256
+    scores = np.ascontiguousarray(loaded.predict_batch(x, mask), dtype="<f8")
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == GOLDEN_SCORES_SHA256
+
+
 def test_ensemble_prediction_shape_and_range():
     ens, (x, mask, _) = trained_ensemble()
     scores = ens.predict_batch(x, mask)
@@ -175,10 +208,74 @@ def test_load_detects_corruption(tmp_path):
     path = tmp_path / "model.json"
     save_model(ens, path)
     doc = json.loads(path.read_text())
-    doc["payload"]["members"][0]["tensors"][0]["weight"][0][0] += 1.0
+    raw = bytearray(base64.b64decode(doc["payload"]["members"][0]))
+    raw[0] ^= 1
+    doc["payload"]["members"][0] = base64.b64encode(raw).decode()
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelIOError):
         load_model(path)
+
+
+def test_member_blob_is_the_state_in_stacks_order(tmp_path):
+    ens, _ = trained_ensemble(seed=7)
+    save_model(ens, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    for blob, member in zip(doc["payload"]["members"], ens.members):
+        assert base64.b64decode(blob) == state_bytes(member)
+        assert state_bytes(member) == member.state.tobytes()
+
+
+class SerializesOnce(dict):
+    """A mapping whose second serialization fails, as a write can fail part
+    of the way through the file."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def items(self):
+        self.calls += 1
+        if self.calls > 1:
+            raise OSError("write failed")
+        return super().items()
+
+
+@pytest.mark.parametrize("extras, error", [
+    ({"x": object()}, TypeError),
+    ({"x": SerializesOnce({"a": 1})}, OSError),
+])
+def test_failed_save_leaves_existing_model_intact(tmp_path, extras, error):
+    ens, _ = trained_ensemble(seed=8)
+    path = tmp_path / "model.json"
+    save_model(ens, path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        save_model(ens, path, extras=extras)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_eval_scores_skip_logvar_head():
+    ens, (x, mask, _) = trained_ensemble(seed=5)
+    model = ens.members[0]
+
+    def reference(values, mask):
+        h = np.concatenate([values, mask], axis=-1)
+        for layer in model.encoder:
+            h = layer.forward(h, False)
+        mu = model.mu_head.forward(h, False)
+        model.logvar_head.forward(h, False)
+        return nn.sigmoid(model.classifier.forward(mu, False)[..., 0])
+
+    expected = reference(x, mask)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("logvar_head ran in eval scoring")
+
+    model.logvar_head.forward = fail
+    assert np.array_equal(model.predict_scores(x, mask), expected)
+    assert np.array_equal(model.predict_scores(x[:2][None], mask[:2][None]),
+                          expected[None, :2])
 
 
 def test_config_validation():

@@ -10,6 +10,24 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+# Plain-numpy oracles for the layers and losses under test.
+
+def leaky_relu(x, slope: float = 0.2):
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 0, x, slope * x)
+
+
+def relu(x):
+    return leaky_relu(x, 0.0)
+
+
+def bce(p, y) -> float:
+    """Binary cross entropy on probabilities (clipped for finiteness)."""
+    p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
+    y = np.asarray(y, dtype=np.float64)
+    return float(np.mean(-(y * np.log(p) + (1 - y) * np.log1p(-p))))
+
+
 def test_linear_forward_matches_manual():
     rng = _rng(0)
     layer = nn.Linear(4, 3, rng)
@@ -95,9 +113,8 @@ def test_batchnorm_rejects_single_row_training():
 
 def test_activations():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    np.testing.assert_allclose(nn.leaky_relu(x),
-                               np.where(x > 0, x, 0.2 * x))
-    np.testing.assert_allclose(nn.relu(x), np.maximum(x, 0.0))
+    np.testing.assert_allclose(nn.LeakyReLU(0.2).forward(x), leaky_relu(x))
+    np.testing.assert_allclose(nn.ReLU().forward(x), relu(x))
     assert nn.sigmoid(np.array([0.0]))[0] == 0.5
     # Stability at extreme logits: finite and correctly saturated.
     big = nn.sigmoid(np.array([1000.0, -1000.0]))
@@ -147,7 +164,7 @@ def test_bce_with_logits_matches_plain_bce_and_grad():
     logits = rng.normal(size=12) * 3
     y = (rng.random(12) < 0.5).astype(float)
     loss, grad = nn.bce_with_logits(logits, y)
-    assert loss == pytest.approx(nn.bce(nn.sigmoid(logits), y), rel=1e-10)
+    assert loss == pytest.approx(bce(nn.sigmoid(logits), y), rel=1e-10)
 
     def f():
         return nn.bce_with_logits(logits, y)[0]
@@ -172,13 +189,59 @@ def test_reparameterize_deterministic_given_noise():
 
 def test_adam_minimizes_quadratic():
     p = np.array([5.0, -3.0])
-    opt = nn.Adam([p], lr=0.1)
+    opt = nn.Adam(p, lr=0.1)
     for _ in range(500):
-        opt.step([2 * p])
+        opt.step(2 * p)
     assert np.abs(p).max() < 1e-3
+
+
+def adam_per_tensor(params, grads_per_step, lr, beta1=0.9, beta2=0.999,
+                    eps=1e-8):
+    """Reference Adam stepping each tensor of a list on its own."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, 1):
+        bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for p, g, mt, vt in zip(params, grads, m, v):
+            mt *= beta1
+            mt += (1 - beta1) * g
+            vt *= beta2
+            vt += (1 - beta2) * g * g
+            p -= lr * (mt / bc1) / (np.sqrt(vt / bc2) + eps)
+
+
+def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
+    rng = _rng(9)
+    shapes = [(4, 3), (4,), (1, 4), (1,)]
+    tensors = [rng.normal(size=s) for s in shapes]
+    steps = [[rng.normal(size=s) * 10.0**rng.integers(-6, 3) for s in shapes]
+             for _ in range(25)]
+    flat = np.concatenate([t.ravel() for t in tensors])
+    opt = nn.Adam(flat, lr=3e-3)
+    for grads in steps:
+        opt.step(np.concatenate([g.ravel() for g in grads]))
+    adam_per_tensor(tensors, steps, lr=3e-3)
+    assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors]))
+
+
+def test_adam_rejects_gradient_of_another_shape():
+    opt = nn.Adam(np.zeros(3))
+    with pytest.raises(nn.ShapeError):
+        opt.step(np.zeros(4))
+
+
+def test_pack_makes_layer_arrays_views_of_one_buffer():
+    layer = nn.Linear(3, 2, _rng(10))
+    weight, bias = layer.weight.copy(), layer.bias.copy()
+    buf = nn.pack([(layer, "weight"), (layer, "bias")])
+    assert np.array_equal(buf, np.concatenate([weight.ravel(), bias]))
+    assert layer.weight.shape == (2, 3)
+    buf[:] = 0.0
+    assert not layer.weight.any() and not layer.bias.any()
 
 
 def test_check_finite_raises():
     layer = nn.Linear(2, 2, _rng(8))
     with pytest.raises(nn.NumericsError):
         layer.forward(np.array([[np.nan, 0.0]]))
+
