@@ -5,4 +5,75 @@ explanations, and comorbidity analysis, driven by a calibrated synthetic
 EHR cohort generator.
 """
 
+import dataclasses
+import json
+import types
+import typing
+
 __version__ = "0.1.0"
+
+# The error boundary: files from outside the program are read through the
+# helpers below, whose errors are LabriskErrors naming the file and field.
+
+
+class LabriskError(ValueError):
+    """Malformed input from outside the program; the CLI exits 3 on it."""
+
+
+def read_json(path):
+    """The parsed JSON file at `path`, or LabriskError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise LabriskError(f"{path}: cannot read JSON ({e})") from None
+
+
+def decode_fields(doc, where: str, error: type, decoders: dict,
+                  optional=()) -> dict:
+    """{name: decoders[name](doc[name])} over the JSON object `doc`, absent
+    `optional` names left out; `error` names `where` and the bad field."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: not a JSON object ({type(doc).__name__})")
+    out = {}
+    for name, decode in decoders.items():
+        if name not in doc and name not in optional:
+            raise error(f"{where}: missing field {name!r}")
+        try:
+            if name in doc:
+                out[name] = decode(doc[name])
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise error(f"{where}: field {name!r}: {e!r}") from None
+    return out
+
+
+def _as_field(hint, value):
+    """`value` for a field annotated `hint` (a list becomes a tuple or set)."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return value if value is None else _as_field(args[0], value)
+    accepts = {float: (int, float), tuple: (list, tuple),
+               frozenset: (list, frozenset)}.get(origin, origin)
+    if (not isinstance(value, accepts)
+            or (isinstance(value, bool) and origin is not bool)
+            or (origin is tuple and ... not in args  # tuple[float, float]
+                and len(value) != len(args))):
+        raise TypeError(f"expected {origin.__name__}, got {value!r}")
+    if origin is dict:
+        return {k: _as_field(args[1], v) for k, v in value.items()}
+    return origin(value) if origin in (tuple, frozenset) else value
+
+
+def config_from_json(cls, doc, where: str, error: type = LabriskError):
+    """Dataclass `cls` from the JSON object `doc`; `error` names `where` and
+    an unknown key, a missing required key or a value of the wrong type."""
+    hints = typing.get_type_hints(cls)
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in hints:
+            raise error(f"{where}: unknown key {key!r}")
+    fields = dataclasses.fields(cls)
+    return cls(**decode_fields(
+        doc, where, error,
+        {f.name: lambda v, h=hints[f.name]: _as_field(h, v) for f in fields},
+        [f.name for f in fields if f.default is not dataclasses.MISSING
+         or f.default_factory is not dataclasses.MISSING]))

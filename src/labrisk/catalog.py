@@ -9,9 +9,10 @@ feature-vector indices everywhere downstream.
 from __future__ import annotations
 
 import datetime
-import json
 import math
 from dataclasses import dataclass, field, replace
+
+from . import LabriskError, decode_fields, read_json
 
 PANELS = ("CMP", "CBC", "demographic")
 RISK_DIRECTIONS = ("high_is_risk", "low_is_risk", "unsigned")
@@ -25,11 +26,11 @@ LOG_MARKERS = frozenset({
 })
 
 
-class CatalogError(ValueError):
+class CatalogError(LabriskError):
     """Malformed or inconsistent marker catalog."""
 
 
-class RecordError(ValueError):
+class RecordError(LabriskError):
     """Malformed encounter record."""
 
 
@@ -167,22 +168,17 @@ def marker_to_dict(m: MarkerDef) -> dict:
     }
 
 
-def marker_from_dict(d: dict) -> MarkerDef:
-    try:
-        rr = d["reference_range"]
-        return MarkerDef(
-            id=d["id"],
-            display_name=d["display_name"],
-            unit=d["unit"],
-            panel=d["panel"],
-            reference_range=tuple(rr) if rr is not None else None,
-            log_transform=bool(d["log_transform"]),
-            risk_direction=d["risk_direction"],
-            class_distributions={k: (float(v[0]), float(v[1]))
-                                 for k, v in d["class_distributions"].items()},
-        )
-    except KeyError as e:
-        raise CatalogError(f"marker entry missing field {e}") from None
+_MARKER_FIELDS = {
+    "id": str, "display_name": str, "unit": str, "panel": str,
+    "reference_range": lambda rr: tuple(rr) if rr is not None else None,
+    "log_transform": bool, "risk_direction": str,
+    "class_distributions": lambda cd: {k: (float(v[0]), float(v[1]))
+                                       for k, v in cd.items()},
+}
+
+
+def marker_from_dict(d: dict, where: str = "marker") -> MarkerDef:
+    return MarkerDef(**decode_fields(d, where, CatalogError, _MARKER_FIELDS))
 
 
 def catalog_to_dict(catalog: MarkerCatalog) -> dict:
@@ -192,28 +188,18 @@ def catalog_to_dict(catalog: MarkerCatalog) -> dict:
     }
 
 
-def catalog_from_dict(d: dict) -> MarkerCatalog:
-    if "markers" not in d:
-        raise CatalogError("catalog document has no 'markers' field")
+def catalog_from_dict(d: dict, where: str = "catalog") -> MarkerCatalog:
+    if not isinstance(d, dict) or not isinstance(d.get("markers"), list):
+        raise CatalogError(f"{where}: expected an object with a 'markers' list")
     return MarkerCatalog(
-        entries=tuple(marker_from_dict(m) for m in d["markers"]),
-        version=str(d.get("version", "unversioned")),
-    )
+        entries=tuple(marker_from_dict(m, f"{where}: markers[{i}]")
+                      for i, m in enumerate(d["markers"])),
+        version=str(d.get("version", "unversioned")))
 
 
 def load_marker_catalog(path) -> MarkerCatalog:
     """Load and validate a marker catalog from a JSON document."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CatalogError(f"{path}: not valid JSON ({e})") from None
-    return catalog_from_dict(doc)
-
-
-def save_marker_catalog(catalog: MarkerCatalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(catalog_to_dict(catalog), f, indent=1)
+    return catalog_from_dict(read_json(path), str(path))
 
 
 def record_to_dict(r: EncounterRecord) -> dict:
@@ -229,18 +215,17 @@ def record_to_dict(r: EncounterRecord) -> dict:
     }
 
 
-def record_from_dict(d: dict) -> EncounterRecord:
-    try:
-        return EncounterRecord(
-            patient_id=d["patient_id"],
-            encounter_id=d["encounter_id"],
-            date=datetime.date.fromisoformat(d["date"]),
-            age_years=float(d["age_years"]),
-            sex=d["sex"],
-            measurements={k: float(v) for k, v in d["measurements"].items()},
-            codes=[ClaimCode(c["code"], c["system"],
-                             datetime.date.fromisoformat(c["date"]))
-                   for c in d.get("codes", [])],
-        )
-    except KeyError as e:
-        raise RecordError(f"record missing field {e}") from None
+RECORD_FIELDS = {
+    "patient_id": str, "encounter_id": str,
+    "date": datetime.date.fromisoformat, "age_years": float, "sex": str,
+    "measurements": lambda m: {k: float(v) for k, v in m.items()},
+    "codes": lambda codes: [ClaimCode(str(c["code"]), c["system"],
+                                      datetime.date.fromisoformat(c["date"]))
+                            for c in codes],
+}
+
+
+def record_from_dict(d: dict, where: str = "record") -> EncounterRecord:
+    """Decode one encounter; RecordError names `where` and a bad field."""
+    return EncounterRecord(**decode_fields(d, where, RecordError,
+                                           RECORD_FIELDS, ("codes",)))

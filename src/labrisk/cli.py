@@ -11,27 +11,23 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
+from . import LabriskError, config_from_json, decode_fields
 from . import comorbid as comorbid_mod
-from . import defaults, ioutil, likelihood, metrics, svg
-from .catalog import (CatalogError, RecordError, load_marker_catalog,
-                      record_from_dict, save_marker_catalog)
-from .cohort import CohortError, CohortSpec, SplitParams, run_cohort_pipeline
-from .explain import (ExplainError, NormalizedLrFn, ShapConfig,
-                      cohort_summary, draw_background, shap_provenance,
-                      waterfall)
-from .model import (ModelError, ModelIOError, RiskModelConfig, load_model,
-                    save_model, train_ensemble)
-from .preprocess import (NormalizationParams, PreprocessError,
-                         complete_derived, fit_normalization, vectorize,
-                         vectorize_many)
-from .synth import SynthConfig, SynthError, synthesize_cohort
+from . import defaults, ioutil, likelihood, metrics, read_json, svg
+from .catalog import catalog_to_dict, load_marker_catalog, record_from_dict
+from .cohort import CohortSpec, SplitParams, run_cohort_pipeline
+from .explain import (NormalizedLrFn, ShapConfig, cohort_summary,
+                      draw_background, shap_provenance, waterfall)
+from .model import (ModelIOError, RiskModelConfig, load_model, save_model,
+                    train_ensemble)
+from .preprocess import (NormalizationParams, complete_derived,
+                         fit_normalization, vectorize, vectorize_many)
+from .synth import SynthConfig, synthesize_cohort
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME = 0, 2, 3, 4
 
@@ -42,21 +38,24 @@ DEFAULT_SINGLE_MARKERS = {
 }
 
 
-class ConfigError(ValueError):
+SECTIONS = ("paths", "synth", "cohort", "prepare", "train", "predict", "lr",
+            "explain", "comorbid")
+
+
+class ConfigError(LabriskError):
     pass
 
 
 def load_run_config(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    cfg = read_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: not a JSON object ({type(cfg).__name__})")
+    for name in SECTIONS:
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"{path}: {name} must be a JSON object")
     cfg.setdefault("paths", {})
     cfg.setdefault("master_seed", 0)
     cfg.setdefault("cancer_type", "liver")
-    if cfg["cancer_type"] not in defaults.DIAGNOSIS_ICD_PREFIXES:
-        raise ConfigError(f"unknown cancer_type {cfg['cancer_type']!r}")
     return cfg
 
 
@@ -73,6 +72,13 @@ def _path(cfg, key, default_name) -> str:
     return p
 
 
+def _input(cfg, key, default_name, stage) -> str:
+    path = _path(cfg, key, default_name)
+    if not os.path.exists(path):
+        raise ConfigError(f"{path} not found; run '{stage}' first")
+    return path
+
+
 def _catalog(cfg):
     path = cfg["paths"].get("catalog")
     if path:
@@ -81,12 +87,8 @@ def _catalog(cfg):
 
 
 def _load_labeled(cfg):
-    path = _path(cfg, "labeled", "labeled.jsonl")
-    if not os.path.exists(path):
-        raise ConfigError(
-            f"{path} not found; run the 'cohort' stage first")
-    records, extras = ioutil.read_records_jsonl(path)
-    return records, extras
+    return ioutil.read_records_jsonl(
+        _input(cfg, "labeled", "labeled.jsonl", "cohort"))
 
 
 def _split_rows(records, extras, split):
@@ -100,27 +102,23 @@ def _split_rows(records, extras, split):
 
 
 def _load_norm(cfg) -> NormalizationParams:
-    path = _path(cfg, "normalization", "normalization.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"{path} not found; run 'prepare' first")
-    with open(path, encoding="utf-8") as f:
-        return NormalizationParams.from_dict(json.load(f))
+    path = _input(cfg, "normalization", "normalization.json", "prepare")
+    return NormalizationParams.from_dict(read_json(path), path)
 
 
 # --- stages -------------------------------------------------------------------
 
 def cmd_synth(cfg, args) -> int:
     catalog = _catalog(cfg)
-    synth_cfg = dict(cfg.get("synth", {}))
-    synth_cfg.setdefault("seed", cfg["master_seed"])
-    synth_cfg.setdefault("n_per_class", {"no_cancer": 2000,
-                                         cfg["cancer_type"]: 200})
-    config = SynthConfig(**synth_cfg)
+    config = config_from_json(SynthConfig, {
+        "seed": cfg["master_seed"],
+        "n_per_class": {"no_cancer": 2000, cfg["cancer_type"]: 200},
+        **cfg.get("synth", {})}, f"{args.config}: synth")
     records = synthesize_cohort(catalog, config)
     out = _path(cfg, "cohort", "cohort.jsonl")
     ioutil.write_records_jsonl(out, records)
     catalog_out = os.path.join(_out_dir(cfg), "catalog.json")
-    save_marker_catalog(catalog, catalog_out)
+    ioutil.atomic_write_json(catalog_out, catalog_to_dict(catalog))
     ioutil.write_manifest(os.path.join(_out_dir(cfg), "synth_manifest.json"),
                           "synth", cfg, [], [out, catalog_out])
     print(f"synth: wrote {len(records)} encounters to {out}")
@@ -128,16 +126,13 @@ def cmd_synth(cfg, args) -> int:
 
 
 def cmd_cohort(cfg, args) -> int:
-    src = _path(cfg, "cohort", "cohort.jsonl")
-    if not os.path.exists(src):
-        raise ConfigError(f"{src} not found; run 'synth' first")
+    src = _input(cfg, "cohort", "cohort.jsonl", "synth")
     records, _ = ioutil.read_records_jsonl(src)
     ccfg = dict(cfg.get("cohort", {}))
     split_seed = ccfg.pop("split_seed", cfg["master_seed"])
     enrich = ccfg.pop("enrich", True)
-    if "age_range" in ccfg:
-        ccfg["age_range"] = tuple(ccfg["age_range"])
-    spec = CohortSpec.for_cancer(cfg["cancer_type"], **ccfg)
+    spec = CohortSpec.for_cancer(cfg["cancer_type"], ccfg,
+                                 f"{args.config}: cohort")
     labeled, flow = run_cohort_pipeline(
         records, spec, SplitParams(seed=split_seed),
         enrich_unscreened_controls=enrich)
@@ -183,17 +178,17 @@ def cmd_prepare(cfg, args) -> int:
 def cmd_train(cfg, args) -> int:
     catalog = _catalog(cfg)
     params = _load_norm(cfg)
+    tcfg = dict(cfg.get("train", {}))
+    n_members = tcfg.pop("n_members", 10)
+    subsample = tcfg.pop("subsample", 0.8)
+    config = config_from_json(RiskModelConfig, {
+        "seed": cfg["master_seed"], **tcfg,
+        "n_features": len(params.feature_order)}, f"{args.config}: train")
     records, extras = _load_labeled(cfg)
     dev, labels, pids = _split_rows(records, extras, "development")
     if not dev:
         raise ConfigError("no development encounters")
     values, mask = vectorize_many(dev, params)
-    tcfg = dict(cfg.get("train", {}))
-    n_members = tcfg.pop("n_members", 10)
-    subsample = tcfg.pop("subsample", 0.8)
-    tcfg.setdefault("seed", cfg["master_seed"])
-    tcfg["n_features"] = values.shape[1]
-    config = RiskModelConfig(**tcfg)
     ensemble = train_ensemble(values, mask, labels, pids, params, config,
                               n_members=n_members, subsample=subsample,
                               catalog_version=catalog.version)
@@ -227,21 +222,14 @@ def cmd_train(cfg, args) -> int:
 
 
 def _model_extra(extras: dict, path, key: str, fields: tuple) -> dict:
-    """extras[key] of a model file, checked to hold every field."""
-    entry = extras.get(key) if isinstance(extras, dict) else None
-    if not isinstance(entry, dict):
-        raise ModelIOError(f"{path}: model file has no extras.{key}")
-    for name in fields:
-        if name not in entry:
-            raise ModelIOError(
-                f"{path}: model file has no extras.{key}.{name}")
-    return entry
+    """The given fields of extras[key] of a model file."""
+    return decode_fields(extras.get(key) if isinstance(extras, dict) else None,
+                         f"{path}: extras.{key}", ModelIOError,
+                         dict.fromkeys(fields, lambda v: v))
 
 
 def _load_model_and_dev(cfg):
-    path = _path(cfg, "model", "model.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"{path} not found; run 'train' first")
+    path = _input(cfg, "model", "model.json", "train")
     ensemble, extras = load_model(path)
     ds = _model_extra(extras, path, "dev_scores",
                       ("scores", "labels", "encounter_ids"))
@@ -255,14 +243,11 @@ def cmd_predict(cfg, args) -> int:
         raise ConfigError("predict requires --patient <encounter json>")
     ensemble, dev, _ = _load_model_and_dev(cfg)
     params = ensemble.normalization
-    with open(args.patient, encoding="utf-8") as f:
-        record = record_from_dict(json.load(f))
-    known = set(params.feature_order)
-    for mid in record.measurements:
-        if mid not in known:
-            raise ConfigError(
-                f"patient file has unknown marker {mid!r} "
-                "(not in the model's catalog)")
+    record = record_from_dict(read_json(args.patient), args.patient)
+    unknown = sorted(set(record.measurements) - set(params.feature_order))
+    if unknown:
+        raise ConfigError(f"{args.patient}: measurements has markers not in "
+                          f"the model's catalog: {unknown}")
     vec = vectorize(complete_derived(record), params)
     assessment = ensemble.predict(vec.values, vec.mask)
     report = likelihood.build_report(
@@ -407,8 +392,7 @@ def cmd_explain(cfg, args) -> int:
     out_dir = _out_dir(cfg)
     outputs = []
     if args.patient:
-        with open(args.patient, encoding="utf-8") as f:
-            record = record_from_dict(json.load(f))
+        record = record_from_dict(read_json(args.patient), args.patient)
         vec = vectorize(complete_derived(record), params)
         wf = waterfall(fn, vec.values, vec.mask, bg_v, bg_m,
                        list(params.feature_order), shap_cfg)
@@ -611,14 +595,11 @@ def main(argv=None) -> int:
             cfg["master_seed"] = args.seed
         if args.cancer_type:
             cfg["cancer_type"] = args.cancer_type
-            if cfg["cancer_type"] not in defaults.DIAGNOSIS_ICD_PREFIXES:
-                raise ConfigError(
-                    f"unknown cancer_type {cfg['cancer_type']!r}")
+        if not isinstance(cfg["cancer_type"], str) \
+                or cfg["cancer_type"] not in defaults.DIAGNOSIS_ICD_PREFIXES:
+            raise ConfigError(f"unknown cancer_type {cfg['cancer_type']!r}")
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, CatalogError, RecordError, SynthError,
-            CohortError, comorbid_mod.PhecodeError, PreprocessError,
-            ModelError, ModelIOError, ExplainError,
-            likelihood.LikelihoodError, TypeError) as e:
+    except LabriskError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -10,14 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
+from . import LabriskError, config_from_json, defaults
 from .catalog import EncounterRecord
 from .preprocess import complete_derived
 
 WINDOW_DAYS = 365  # "12 months" (label horizon and lookback)
 
 
-class CohortError(ValueError):
+class CohortError(LabriskError):
     pass
 
 
@@ -43,7 +43,8 @@ class CohortSpec:
             raise CohortError("age_range must be increasing")
 
     @classmethod
-    def for_cancer(cls, cancer_type: str, **overrides) -> "CohortSpec":
+    def for_cancer(cls, cancer_type: str, overrides: dict | None = None,
+                   where: str = "cohort") -> "CohortSpec":
         if cancer_type not in defaults.DIAGNOSIS_ICD_PREFIXES:
             raise CohortError(f"unknown cancer type {cancer_type!r}")
         kwargs = dict(
@@ -56,8 +57,8 @@ class CohortSpec:
                 defaults.DIAGNOSTIC_PROCEDURE_CODES[cancer_type]),
             diagnosis_icd_prefixes=defaults.DIAGNOSIS_ICD_PREFIXES[cancer_type],
         )
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return config_from_json(cls, {**kwargs, **(overrides or {})}, where,
+                                CohortError)
 
 
 @dataclass
@@ -169,8 +170,7 @@ def exclude_acute_infection(encounters: list[LabeledEncounter],
             c.code.startswith(p)
             for c in patient_codes(recs)
             for p in spec.infection_codes
-            if abs((c.date - e.record.date).days) <= window.days
-            and c.code.startswith(p))
+            if abs((c.date - e.record.date).days) <= window.days)
         if not hit:
             kept.append(e)
     return kept

@@ -12,10 +12,11 @@ import datetime
 import math
 from dataclasses import dataclass, field
 
+from . import LabriskError
 from .catalog import ClaimCode
 
 
-class PhecodeError(ValueError):
+class PhecodeError(LabriskError):
     pass
 
 
@@ -47,23 +48,27 @@ def load_phecode_map(path) -> PhecodeMap:
     icd10_prefix <TAB> phecode [<TAB> label]."""
     mapping: dict[str, str] = {}
     labels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise PhecodeError(f"{path}:{lineno}: expected at least "
-                                   "two tab-separated columns")
-            prefix, phecode = parts[0].strip(), parts[1].strip()
-            if prefix in mapping and mapping[prefix] != phecode:
-                raise PhecodeError(
-                    f"{path}:{lineno}: prefix {prefix!r} maps to both "
-                    f"{mapping[prefix]!r} and {phecode!r}")
-            mapping[prefix] = phecode
-            if len(parts) >= 3:
-                labels[phecode] = parts[2].strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
+        raise PhecodeError(f"{path}: cannot read ({e})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise PhecodeError(f"{path}:{lineno}: expected at least "
+                               "two tab-separated columns")
+        prefix, phecode = parts[0].strip(), parts[1].strip()
+        if prefix in mapping and mapping[prefix] != phecode:
+            raise PhecodeError(
+                f"{path}:{lineno}: prefix {prefix!r} maps to both "
+                f"{mapping[prefix]!r} and {phecode!r}")
+        mapping[prefix] = phecode
+        if len(parts) >= 3:
+            labels[phecode] = parts[2].strip()
     return PhecodeMap(prefix_to_phecode=mapping, labels=labels)
 
 

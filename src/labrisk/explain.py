@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import LabriskError
 # similar_cohort stays reachable as explain.similar_cohort, the name under
 # which perfbench/spans.py wraps it.
 from .likelihood import ScoredCohort, lr_from_counts, similar_cohort  # noqa: F401
 from .model import RiskEnsemble, score_summary
 
 
-class ExplainError(ValueError):
+class ExplainError(LabriskError):
     pass
 
 

@@ -11,7 +11,8 @@ import tempfile
 
 import numpy as np
 
-from .catalog import EncounterRecord, record_from_dict, record_to_dict
+from .catalog import (RECORD_FIELDS, EncounterRecord, RecordError,
+                      record_from_dict, record_to_dict)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -46,18 +47,19 @@ def write_records_jsonl(path, records: list[EncounterRecord],
 
 def read_records_jsonl(path) -> tuple[list[EncounterRecord], list[dict]]:
     """Returns (records, extras) where extras holds any non-record fields
-    (label, split, ...) per line."""
-    record_keys = {"patient_id", "encounter_id", "date", "age_years", "sex",
-                   "measurements", "codes"}
+    (label, split, ...) per line; RecordError names path:line of a bad one."""
     records, extras = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            d = json.loads(line)
-            records.append(record_from_dict(d))
-            extras.append({k: v for k, v in d.items() if k not in record_keys})
+            try:
+                d = json.loads(line)
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+                raise RecordError(f"{path}:{lineno}: {e}") from None
+            records.append(record_from_dict(d, f"{path}:{lineno}"))
+            extras.append({k: v for k, v in d.items()
+                           if k not in RECORD_FIELDS})
     return records, extras
 
 

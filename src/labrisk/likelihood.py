@@ -14,12 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import LabriskError
 from .catalog import EncounterRecord, MarkerCatalog
 from .model import RiskAssessment
 from .preprocess import NormalizationParams, normalize_value
 
 
-class LikelihoodError(ValueError):
+class LikelihoodError(LabriskError):
     pass
 
 
@@ -220,30 +221,20 @@ class LRCurve:
 def lr_curve(cohort: ScoredCohort, thresholds=None) -> LRCurve:
     """LR(t) for subgroups {score >= t}. LR at the all-inclusive threshold is
     exactly 1; the curve is truncated when a subgroup becomes empty."""
-    if thresholds is None:
-        thresholds = np.linspace(0.0, 1.0, 101)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    n_all = len(cohort)
-    pos_all = cohort.n_pos
-    ts, lrs, n_ab, np_ab, corr = [], [], [], [], []
-    truncated_at = None
-    for t in thresholds:
-        sel = cohort.scores >= t
-        n_sub = int(sel.sum())
-        if n_sub == 0:
-            truncated_at = float(t)
-            break
-        pos_sub = int(cohort.labels[sel].sum())
-        lr, corrected = lr_from_counts(pos_sub, n_sub, pos_all, n_all)
-        ts.append(float(t))
-        lrs.append(lr)
-        n_ab.append(n_sub)
-        np_ab.append(pos_sub)
-        corr.append(corrected)
-    return LRCurve(thresholds=np.array(ts), lr=np.array(lrs),
-                   n_above=np.array(n_ab), n_pos_above=np.array(np_ab),
-                   corrected=np.array(corr, dtype=bool),
-                   truncated_at=truncated_at)
+    thresholds = np.array(np.linspace(0.0, 1.0, 101) if thresholds is None
+                          else thresholds, dtype=np.float64)
+    _, s, cum_pos = cohort._sorted
+    start = np.searchsorted(s, thresholds, side="left")  # s[start:] >= t
+    stop = np.append(np.flatnonzero(start == s.size), thresholds.size)[0]
+    n_above = s.size - start[:stop]
+    n_pos_above = cum_pos[-1] - cum_pos[start[:stop]]
+    lr, corrected = (lr_from_counts(n_pos_above, n_above, cohort.n_pos,
+                                    len(cohort)) if stop
+                     else (np.empty(0), np.empty(0, dtype=bool)))
+    return LRCurve(thresholds=thresholds[:stop], lr=lr, n_above=n_above,
+                   n_pos_above=n_pos_above, corrected=corrected,
+                   truncated_at=(float(thresholds[stop])
+                                 if stop < thresholds.size else None))
 
 
 # --- baselines ---------------------------------------------------------------

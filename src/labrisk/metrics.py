@@ -1,4 +1,4 @@
-"""ROC/AUC, precision-recall, average precision, and subgroup evaluation.
+"""ROC/AUC, precision-recall and average precision.
 
 Thresholds sweep the distinct scores in descending order with ties grouped;
 AUC is the trapezoidal integral (equivalent to the half-credit rank
@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class MetricsError(ValueError):
-    pass
+from . import LabriskError
 
 
-class SubgroupTooSmall(ValueError):
+class MetricsError(LabriskError):
     pass
 
 
@@ -89,29 +87,3 @@ def pr_curve(scores, labels) -> PrCurve:
     precision = cum_tp / (cum_tp + cum_fp)
     ap = average_precision(scores, labels)
     return PrCurve(recall=recall, precision=precision, ap=ap)
-
-
-def evaluate_subgroup(scores, labels, member_mask, floor: int = 50):
-    """Metrics restricted to a subgroup. Refuses subgroups below the floor
-    in either class (the base prevalence is reported alongside because it
-    differs per subgroup)."""
-    from .likelihood import ScoredCohort, lr_curve
-
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    member_mask = np.asarray(member_mask, dtype=bool)
-    s, y = scores[member_mask], labels[member_mask]
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos < floor or n_neg < floor:
-        raise SubgroupTooSmall(
-            f"subgroup has {n_pos} positives / {n_neg} controls; "
-            f"need at least {floor} of each")
-    cohort = ScoredCohort.from_arrays(s, y)
-    return {
-        "roc": roc(s, y),
-        "pr": pr_curve(s, y),
-        "lr": lr_curve(cohort),
-        "prevalence": n_pos / (n_pos + n_neg),
-        "n": int(member_mask.sum()),
-    }

@@ -22,17 +22,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import ioutil, nn
+from . import LabriskError, config_from_json, ioutil, nn, read_json
 from .preprocess import NormalizationParams
 
 MODEL_FORMAT = "labrisk-ensemble-v2"
 
 
-class ModelError(ValueError):
+class ModelError(LabriskError):
     pass
 
 
-class ModelIOError(ValueError):
+class ModelIOError(LabriskError):
     pass
 
 
@@ -53,6 +53,9 @@ class RiskModelConfig:
     ci_scale: float = 1.0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ModelError(f"{name} must be a number, got {value!r}")
         if self.n_features <= 0 or self.hidden_width <= 0 or self.latent_dim <= 0:
             raise ModelError("network dimensions must be positive")
         if not 0.0 <= self.mask_fraction < 1.0:
@@ -295,6 +298,10 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
                    catalog_version: str = "unversioned") -> RiskEnsemble:
     """Train an ensemble of independently seeded models, each on a
     label-stratified subsample of patients."""
+    if type(n_members) is not int or n_members < 1 \
+            or type(subsample) not in (int, float) or not 0 < subsample <= 1:
+        raise ModelError("n_members must be an integer >= 1 and subsample in "
+                         f"(0, 1], got {n_members!r} and {subsample!r}")
     patients = {}
     for i, pid in enumerate(patient_ids):
         patients.setdefault(pid, []).append(i)
@@ -367,24 +374,30 @@ def _member_from_blob(blob, config: RiskModelConfig, where: str) -> RiskModel:
 
 
 def ensemble_from_dict(doc: dict, source: str) -> tuple[RiskEnsemble, dict]:
-    if "payload" not in doc or "checksum" not in doc:
+    if not isinstance(doc, dict) or not {"payload", "checksum"} <= doc.keys():
         raise ModelIOError(f"{source}: not a model file "
                            "(missing payload/checksum)")
     payload = doc["payload"]
     if _checksum(payload) != doc["checksum"]:
         raise ModelIOError(f"{source}: checksum mismatch (corrupt file)")
-    if payload.get("format") != MODEL_FORMAT:
-        raise ModelIOError(f"{source}: unsupported model format "
-                           f"{payload.get('format')!r} in payload.format")
-    config = RiskModelConfig(**payload["config"])
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ModelIOError(f"{source}: unsupported model format {fmt!r} in "
+                           "payload.format")
+    config = config_from_json(RiskModelConfig, payload.get("config"),
+                              f"{source}: payload.config", ModelIOError)
+    members = payload.get("members")
+    if not isinstance(members, list) or not members:
+        raise ModelIOError(f"{source}: payload.members is empty or not a list")
     ensemble = RiskEnsemble(
         members=[_member_from_blob(blob, config,
                                    f"{source}: payload.members[{i}]")
-                 for i, blob in enumerate(payload["members"])],
-        normalization=NormalizationParams.from_dict(payload["normalization"]),
+                 for i, blob in enumerate(members)],
+        normalization=NormalizationParams.from_dict(
+            payload.get("normalization"), f"{source}: payload.normalization"),
         config=config,
-        catalog_version=payload["catalog_version"],
-        member_subsets=payload["member_subsets"],
+        **{k: payload[k] for k in ("catalog_version", "member_subsets")
+           if k in payload},
     )
     return ensemble, payload.get("extras", {})
 
@@ -395,9 +408,4 @@ def save_model(ensemble: RiskEnsemble, path, extras: dict | None = None) -> None
 
 
 def load_model(path) -> tuple[RiskEnsemble, dict]:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ModelIOError(f"{path}: truncated or invalid ({e})") from None
-    return ensemble_from_dict(doc, str(path))
+    return ensemble_from_dict(read_json(path), str(path))

@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import LabriskError, decode_fields
 from .catalog import EncounterRecord, MarkerCatalog
 
 
-class PreprocessError(ValueError):
+class PreprocessError(LabriskError):
     pass
 
 
@@ -86,17 +87,20 @@ class NormalizationParams:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationParams":
-        return cls(
-            median={k: float(v) for k, v in d["median"].items()},
-            iqd={k: float(v) for k, v in d["iqd"].items()},
-            log_transform={k: bool(v) for k, v in d["log_transform"].items()},
-            detection_limit={k: float(v)
-                             for k, v in d["detection_limit"].items()},
-            feature_order=tuple(d["feature_order"]),
-            fitted_on=d.get("fitted_on", "development"),
-            scale_demographics=bool(d.get("scale_demographics", True)),
-        )
+    def from_dict(cls, d: dict,
+                  where: str = "normalization") -> "NormalizationParams":
+        return cls(**decode_fields(d, where, PreprocessError, _FIELDS,
+                                   ("fitted_on", "scale_demographics")))
+
+
+def _floats(d: dict) -> dict[str, float]:
+    return {k: float(v) for k, v in d.items()}
+
+
+_FIELDS = {"median": _floats, "iqd": _floats, "detection_limit": _floats,
+           "log_transform": lambda d: {k: bool(v) for k, v in d.items()},
+           "feature_order": tuple, "fitted_on": str,
+           "scale_demographics": bool}
 
 
 def _feature_value(record: EncounterRecord, feature: str) -> float | None:

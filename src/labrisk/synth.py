@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
+from . import LabriskError, defaults
 from .catalog import CANCER_CLASSES, ClaimCode, EncounterRecord, MarkerCatalog
 
 
-class SynthError(ValueError):
+class SynthError(LabriskError):
     """Invalid synthesis configuration or unsatisfiable request."""
 
 

@@ -4,6 +4,7 @@ criterion. Criteria 5-7 share a module-scoped planted-signal pipeline run."""
 import itertools
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -366,5 +367,6 @@ def test_criterion_8_cohort_logic_property_suite():
     """The binding property tests live in test_cohort.py; this runs them as
     one gate so the acceptance log carries a single line for the criterion."""
     rc = pytest.main(["-q", "--no-header", "-p", "no:cacheprovider",
-                      "tests/test_cohort.py"])
+                      os.path.join(os.path.dirname(__file__),
+                                   "test_cohort.py")])
     assert rc == 0

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from labrisk import defaults
+from labrisk import LabriskError, config_from_json, defaults
 from labrisk.catalog import (CatalogError, ClaimCode, EncounterRecord,
                              MarkerCatalog, MarkerDef, RecordError,
                              catalog_from_dict, catalog_to_dict,
@@ -202,3 +202,24 @@ def test_synth_config_validation():
         SynthConfig(n_per_class={"nope": 10}).validate()
     with pytest.raises(SynthError):
         SynthConfig(n_per_class={"no_cancer": -5}).validate()
+
+
+@pytest.mark.parametrize("synth, named", [
+    ({"panel_dropout": True}, "panel_dropout"),  # a bool is not a number
+    ({"n_per_class": {"no_cancer": "x"}}, "n_per_class"),
+    ({"missingness": [0.2]}, "missingness"),
+    ({"class_missingness_bias": {"liver": None}}, "class_missingness_bias"),
+    ({"bogus": 1}, "bogus"),
+    ([], "synth"),
+])
+def test_synth_config_from_json_names_the_bad_key(synth, named):
+    with pytest.raises(LabriskError, match=named):
+        config_from_json(SynthConfig, synth if isinstance(synth, list) else
+                         {"n_per_class": {"no_cancer": 10}, **synth},
+                         "run.json: synth")
+
+
+def test_synth_config_from_json_keeps_valid_values():
+    doc = {"n_per_class": {"no_cancer": 10, "liver": 2},
+           "class_missingness_bias": None, "screening_prob": 1, "seed": 3}
+    assert config_from_json(SynthConfig, doc, "synth") == SynthConfig(**doc)

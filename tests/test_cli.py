@@ -1,18 +1,26 @@
 """End-to-end CLI pipeline on a small cohort, plus error-path exit codes."""
 
 import base64
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labrisk import cli, ioutil, likelihood
-from labrisk.catalog import record_to_dict
+from labrisk import cli, defaults, ioutil, likelihood, nn
+from labrisk.catalog import load_marker_catalog, record_to_dict
+from labrisk.cohort import CohortSpec
 from labrisk.explain import (NormalizedLrFn, ShapConfig, normalize_lr,
                              shap_values)
-from labrisk.model import RiskAssessment, load_model
+from labrisk.model import RiskAssessment, RiskModelConfig, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
+from labrisk.synth import SynthConfig
 
 from test_likelihood import similar_oracle
 
@@ -139,20 +147,27 @@ def test_explain_too_few_markers_is_validation_error(run, tmp_path, capsys):
     assert "observed markers" in capsys.readouterr().err
 
 
-def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
-                           rechecksum=True):
-    """Apply `edit` to the payload of the run's model.json, give it a
-    matching checksum unless `rechecksum` is false, and check that every
-    command exits 3 naming the file and the field, without a traceback."""
-    _, out = run
+def _rechecksummed_model(out, path, edit, rechecksum=True):
+    """Write the run's model.json to `path` with `edit` applied to its
+    payload and, unless `rechecksum` is false, a matching checksum."""
     doc = json.loads((out / "model.json").read_text())
     edit(doc["payload"])
     if rechecksum:
         canonical = json.dumps(doc["payload"], sort_keys=True,
                                separators=(",", ":"))
         doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
+                           rechecksum=True):
+    """Apply `edit` to the payload of the run's model.json, give it a
+    matching checksum unless `rechecksum` is false, and check that every
+    command exits 3 naming the file and the field, without a traceback."""
+    _, out = run
+    model = _rechecksummed_model(out, tmp_path / "model.json", edit,
+                                 rechecksum)
     config = {"paths": {"output_dir": str(tmp_path / "o"),
                         "model": str(model)},
               "master_seed": 99, "cancer_type": "liver"}
@@ -306,6 +321,304 @@ def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
     cfg.write_text(json.dumps(config))
     assert cli.main(["comorbid", "--config", str(cfg)]) == 3
     assert f"{pmap}:3:" in capsys.readouterr().err
+
+
+def _validation_doc(out):
+    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    return record_to_dict(next(r for r, e in zip(records, extras)
+                               if e["split"] == "validation"))
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _config(tmp, paths=None, **sections):
+    """A run config whose outputs go to tmp/o; returns its path."""
+    config = {"paths": {"output_dir": str(tmp / "o"), **(paths or {})},
+              "master_seed": 99, "cancer_type": "liver", **sections}
+    return _write(tmp / "c.json", json.dumps(config))
+
+
+def _patient_case(make_text):
+    def case(run, tmp):
+        _, out = run
+        patient = tmp / "patient.json"
+        text = make_text(_validation_doc(out))
+        if text is not None:
+            patient.write_text(text)
+        cfg = _config(tmp, {"model": str(out / "model.json")})
+        return ["predict", "--config", cfg, "--patient", str(patient)], \
+            [str(patient)]
+    return case
+
+
+def _edited(doc, **fields):
+    return json.dumps(dict(doc, **fields))
+
+
+def _bad_labeled_line(run, tmp):
+    _, out = run
+    lines = (out / "labeled.jsonl").read_text().splitlines()[:5]
+    lines[2] = lines[2][:-7]  # cut short: line 3 is not JSON
+    labeled = _write(tmp / "labeled.jsonl", "\n".join(lines) + "\n")
+    return (["prepare", "--config", _config(tmp, {"labeled": labeled})],
+            [f"{labeled}:3"])
+
+
+def _unknown_model_config_key(run, tmp):
+    _, out = run
+    model = _rechecksummed_model(
+        out, tmp / "model.json",
+        lambda p: p["config"].update(bogus=1))
+    cfg = _config(tmp, {"model": str(model)})
+    patient = _write(tmp / "patient.json", json.dumps(_validation_doc(out)))
+    return (["predict", "--config", cfg, "--patient", patient],
+            [str(model), "payload.config", "bogus"])
+
+
+def _section_case(command, section, body, inputs=()):
+    def case(run, tmp):
+        _, out = run
+        cfg = _config(tmp, {k: str(out / v) for k, v in inputs},
+                      **{section: body})
+        return [command, "--config", cfg], [cfg, section, *body]
+    return case
+
+
+MALFORMED_INPUTS = {
+    "patient-not-json": _patient_case(lambda doc: "{not json"),
+    "patient-missing": _patient_case(lambda doc: None),
+    "patient-bad-date": _patient_case(
+        lambda doc: _edited(doc, date="2020-13-45")),
+    "patient-measurements-list": _patient_case(
+        lambda doc: _edited(doc, measurements=[1, 2])),
+    "patient-top-level-list": _patient_case(lambda doc: json.dumps([doc])),
+    "config-missing": lambda run, tmp: (
+        ["synth", "--config", str(tmp / "absent.json")],
+        [str(tmp / "absent.json")]),
+    "config-top-level-list": lambda run, tmp: (
+        ["synth", "--config", _write(tmp / "c.json", "[1, 2]")],
+        [str(tmp / "c.json")]),
+    "config-n-per-class-string": lambda run, tmp: (
+        ["synth", "--config", _config(tmp, synth={"n_per_class": "x"})],
+        [str(tmp / "c.json"), "synth", "n_per_class"]),
+    "config-catalog-missing": lambda run, tmp: (
+        ["synth", "--config",
+         _config(tmp, {"catalog": str(tmp / "absent-catalog.json")})],
+        [str(tmp / "absent-catalog.json")]),
+    "config-unknown-synth-key": _section_case("synth", "synth", {"bogus": 1}),
+    "config-unknown-train-key": _section_case(
+        "train", "train", {"bogus": 1},
+        [("normalization", "normalization.json"),
+         ("labeled", "labeled.jsonl")]),
+    "config-unknown-cohort-key": _section_case(
+        "cohort", "cohort", {"bogus": 1}, [("cohort", "cohort.jsonl")]),
+    "normalization-empty": lambda run, tmp: (
+        ["train", "--config",
+         _config(tmp, {"normalization": _write(tmp / "norm.json", "{}"),
+                       "labeled": str(run[1] / "labeled.jsonl")})],
+        [str(tmp / "norm.json"), "median"]),
+    "labeled-bad-line": _bad_labeled_line,
+    "model-unknown-config-key": _unknown_model_config_key,
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_3_naming_file_and_field(run, tmp_path, capsys,
+                                                       case):
+    argv, named = MALFORMED_INPUTS[case](run, tmp_path)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for text in named:
+        assert text in err, (text, err)
+
+
+@pytest.mark.parametrize("error", [nn.ShapeError("bad shape"),
+                                   nn.NumericsError("non-finite"),
+                                   TypeError("a bug")])
+def test_internal_faults_exit_4(monkeypatch, tmp_path, capsys, error):
+    def fail(cfg, args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "synth", fail)
+    assert cli.main(["synth", "--config", _config(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
+def test_synth_catalog_round_trips_with_cohort_mode(run):
+    _, out = run
+    assert load_marker_catalog(out / "catalog.json") == \
+        defaults.default_catalog()
+    assert os.stat(out / "catalog.json").st_mode == \
+        os.stat(out / "cohort.jsonl").st_mode
+
+
+# --- fuzzing: malformed inputs exit 0 or 3, never 4 ----------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+                | st.floats(allow_nan=False) | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
+NOT_OBJECTS = JSON_SCALARS | st.lists(JSON_VALUES, max_size=2)
+NOT_NUMBERS = (st.none() | st.booleans() | st.text(max_size=4)
+               | st.lists(JSON_VALUES, max_size=2)
+               | st.dictionaries(st.text(max_size=3), JSON_VALUES,
+                                 max_size=2))
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _exit_code(argv):
+    """cli.main's exit code; it must be 0 or 3 and print no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@st.composite
+def patient_texts(draw, doc):
+    doc = json.loads(json.dumps(doc))
+    doc["codes"] = [{"code": "K74.60", "system": "ICD10",
+                     "date": "2020-01-01"}] + doc["codes"]
+    kind = draw(st.sampled_from(["truncate", "drop", "top", "measurement",
+                                 "code"]))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "top":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    elif kind == "measurement":
+        doc["measurements"][draw(st.sampled_from(
+            sorted(doc["measurements"])))] = draw(NOT_NUMBERS)
+    else:
+        doc["codes"][draw(st.integers(0, len(doc["codes"]) - 1))] = \
+            draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_patient_file_never_exits_4(run, fuzz_dir, data):
+    _, out = run
+    patient = fuzz_dir / "patient.json"
+    patient.write_text(data.draw(patient_texts(_validation_doc(out))))
+    cfg = _config(fuzz_dir, {"model": str(out / "model.json")})
+    _exit_code(["predict", "--config", cfg, "--patient", str(patient)])
+
+
+@st.composite
+def model_edits(draw, payload):
+    """(kind, edit of the payload or None, byte index to truncate or flip)."""
+    kind = draw(st.sampled_from(["truncate", "flip", "drop", "drop-config",
+                                 "unknown-config", "config-type"]))
+    if kind in ("truncate", "flip"):
+        return kind, None, draw(st.integers(0, 10**9))
+    config = payload["config"]
+    if kind == "drop":
+        key = draw(st.sampled_from(sorted(payload)))
+        return kind, lambda p: p.pop(key), None
+    key = draw(st.sampled_from(sorted(config)))
+    if kind == "drop-config":
+        return kind, lambda p: p["config"].pop(key), None
+    if kind == "unknown-config":
+        key = draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k not in config))
+        return kind, lambda p: p["config"].update({key: 1}), None
+    value = draw(NOT_NUMBERS)
+    return kind, lambda p: p["config"].update({key: value}), None
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_model_file_never_exits_4(run, fuzz_dir, data):
+    _, out = run
+    payload = json.loads((out / "model.json").read_text())["payload"]
+    kind, edit, at = data.draw(model_edits(payload))
+    model = fuzz_dir / "model.json"
+    if edit is not None:
+        _rechecksummed_model(out, model, edit)
+    else:
+        raw = bytearray((out / "model.json").read_bytes())
+        if kind == "truncate":
+            raw = raw[:at % len(raw)]
+        else:
+            raw[at % len(raw)] ^= data.draw(st.integers(1, 255))
+        model.write_bytes(bytes(raw))
+    cfg = _config(fuzz_dir, {"model": str(model)})
+    patient = _write(fuzz_dir / "patient.json",
+                     json.dumps(_validation_doc(out)))
+    _exit_code(["predict", "--config", cfg, "--patient", patient])
+
+
+@settings(max_examples=15, deadline=None)
+@given(raw=st.binary(max_size=60) | st.text(alphabet="C2K7.0\t\n# x",
+                                            max_size=60).map(str.encode))
+def test_fuzzed_phecode_map_never_exits_4(run, fuzz_dir, raw):
+    _, out = run
+    pmap = fuzz_dir / "phecodes.tsv"
+    pmap.write_bytes(raw)
+    cfg = _config(fuzz_dir, {"labeled": str(out / "labeled.jsonl"),
+                             "phecode_map": str(pmap)})
+    _exit_code(["comorbid", "--config", cfg])
+
+
+TRAIN_SECTION = {"hidden_width": 8, "latent_dim": 4, "w_recon": 1.0,
+                 "w_kl": 0.1, "w_cls": 1.0, "pretrain_epochs": 1,
+                 "finetune_epochs": 1, "batch_size": 64,
+                 "mask_fraction": 0.25, "lr": 1e-3, "seed": 1,
+                 "ci_scale": 1.0, "n_members": 1, "subsample": 0.8}
+KNOWN_SECTION_KEYS = {f.name for cls in (SynthConfig, CohortSpec,
+                                          RiskModelConfig)
+                      for f in dataclasses.fields(cls)} | {
+    "n_members", "subsample", "split_seed", "enrich"}
+SECTION_COMMANDS = {"paths": "synth", "synth": "synth", "cohort": "cohort",
+                    "prepare": "prepare", "train": "train",
+                    "predict": "predict", "lr": "lr", "explain": "explain",
+                    "comorbid": "comorbid"}
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_run_config_never_exits_4(run, fuzz_dir, data):
+    _, out = run
+    inputs = {k: str(out / v) for k, v in [
+        ("cohort", "cohort.jsonl"), ("labeled", "labeled.jsonl"),
+        ("normalization", "normalization.json"), ("model", "model.json")]}
+    config = {"paths": {"output_dir": str(fuzz_dir / "o"), **inputs},
+              "master_seed": 99, "cancer_type": "liver",
+              "train": dict(TRAIN_SECTION)}
+    kind = data.draw(st.sampled_from(["top", "section", "unknown", "train"]))
+    command = "train"
+    if kind == "top":
+        config = data.draw(NOT_OBJECTS)
+    elif kind == "section":
+        section = data.draw(st.sampled_from(sorted(SECTION_COMMANDS)))
+        command = SECTION_COMMANDS[section]
+        config[section] = data.draw(NOT_OBJECTS)
+    elif kind == "unknown":
+        command = data.draw(st.sampled_from(["synth", "train", "cohort"]))
+        key = data.draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k not in KNOWN_SECTION_KEYS))
+        config.setdefault(command, {})[key] = 1
+    else:
+        config["train"][data.draw(st.sampled_from(sorted(TRAIN_SECTION)))] \
+            = data.draw(NOT_NUMBERS)
+    cfg = _write(fuzz_dir / "c.json", json.dumps(config))
+    assert _exit_code([command, "--config", cfg]) == 3
 
 
 def test_train_log_carries_member_index(run):

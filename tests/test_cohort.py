@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from labrisk import defaults
 from labrisk.catalog import ClaimCode, EncounterRecord
-from labrisk.cohort import (WINDOW_DAYS, CohortSpec, SplitParams,
+from labrisk.cohort import (WINDOW_DAYS, CohortError, CohortSpec, SplitParams,
                             assign_label, exclude_acute_infection,
                             filter_encounters, group_by_patient,
                             marker_count, qualifies_as_control,
@@ -35,6 +35,18 @@ def code(c, day, system="ICD10"):
 
 
 # --- labeling -----------------------------------------------------------------
+
+def test_for_cancer_overrides_are_checked_json():
+    spec = CohortSpec.for_cancer("liver", {"age_range": [50, 80],
+                                           "min_markers": 10})
+    assert spec.age_range == (50, 80) and spec.min_markers == 10
+    assert spec.screening_codes == SPEC.screening_codes
+    for overrides, named in (({"age_range": [50]}, "age_range"),
+                             ({"min_markers": True}, "min_markers"),
+                             ({"bogus": 1}, "bogus")):
+        with pytest.raises(CohortError, match=named):
+            CohortSpec.for_cancer("liver", overrides)
+
 
 def test_label_requires_confirmation_after_first_dx():
     # Diagnosis alone: not a confirmed case.

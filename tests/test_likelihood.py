@@ -83,6 +83,70 @@ def test_lr_curve_matches_manual_counts():
     assert curve.lr[1] == pytest.approx(lr, abs=1e-12)
 
 
+def lr_curve_oracle(cohort, thresholds=None):
+    """Oracle: the threshold-at-a-time loop lr_curve replaced."""
+    if thresholds is None:
+        thresholds = np.linspace(0.0, 1.0, 101)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n_all = len(cohort)
+    pos_all = cohort.n_pos
+    ts, lrs, n_ab, np_ab, corr = [], [], [], [], []
+    truncated_at = None
+    for t in thresholds:
+        sel = cohort.scores >= t
+        n_sub = int(sel.sum())
+        if n_sub == 0:
+            truncated_at = float(t)
+            break
+        pos_sub = int(cohort.labels[sel].sum())
+        lr, corrected = likelihood.lr_from_counts(pos_sub, n_sub, pos_all,
+                                                  n_all)
+        ts.append(float(t))
+        lrs.append(lr)
+        n_ab.append(n_sub)
+        np_ab.append(pos_sub)
+        corr.append(corrected)
+    return likelihood.LRCurve(
+        thresholds=np.array(ts), lr=np.array(lrs), n_above=np.array(n_ab),
+        n_pos_above=np.array(np_ab), corrected=np.array(corr, dtype=bool),
+        truncated_at=truncated_at)
+
+
+@st.composite
+def lr_curve_cases(draw):
+    # Scores from a small pool tie often; thresholds include every score,
+    # values above the maximum and come in any order.
+    scores = draw(st.lists(st.sampled_from(SCORE_POOL) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                           max_size=len(scores)))
+    labels[0], labels[1] = 0, 1  # both classes
+    point = (st.sampled_from(scores) | st.sampled_from(SCORE_POOL)
+             | st.floats(-0.5, 1.5))
+    thresholds = draw(st.none() | st.lists(point, max_size=30))
+    return np.array(scores), np.array(labels), thresholds
+
+
+@settings(max_examples=400, deadline=None)
+@given(lr_curve_cases())
+def test_lr_curve_matches_threshold_loop(case):
+    scores, labels, thresholds = case
+    cohort = likelihood.ScoredCohort.from_arrays(scores, labels)
+    got = likelihood.lr_curve(cohort, thresholds)
+    want = lr_curve_oracle(cohort, thresholds)
+    for name in ("thresholds", "lr", "n_above", "n_pos_above", "corrected"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.tobytes() == b.tobytes(), name
+        assert a.size == 0 or a.dtype == b.dtype, name
+    assert got.truncated_at == want.truncated_at
+
+
+def test_lr_curve_of_one_class_cohort_truncated_at_once():
+    cohort = likelihood.ScoredCohort.from_arrays([0.2, 0.3], [1, 1])
+    curve = likelihood.lr_curve(cohort, [0.5, 0.1])
+    assert curve.truncated_at == 0.5 and curve.lr.size == 0
+
+
 def test_permutation_null_lr_band():
     """With labels shuffled, LR(t) stays inside the simulated 95% band."""
     rng = np.random.default_rng(2)

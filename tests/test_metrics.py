@@ -98,19 +98,6 @@ def test_single_class_rejected():
         metrics.average_precision(np.array([0.1, 0.2]), np.array([0.0, 0.0]))
 
 
-def test_subgroup_floor():
-    rng = np.random.default_rng(5)
-    scores = rng.random(300)
-    labels = (rng.random(300) < 0.5).astype(float)
-    member = np.ones(300, dtype=bool)
-    result = metrics.evaluate_subgroup(scores, labels, member)
-    assert result["n"] == 300
-    small = np.zeros(300, dtype=bool)
-    small[:60] = True  # fewer than 50 of one class inside
-    with pytest.raises(metrics.SubgroupTooSmall):
-        metrics.evaluate_subgroup(scores, labels, small)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_auc_invariant_under_monotone_transform(seed):
