@@ -65,15 +65,24 @@ def _as_field(hint, value):
 
 
 def config_from_json(cls, doc, where: str, error: type = LabriskError):
-    """Dataclass `cls` from the JSON object `doc`; `error` names `where` and
-    an unknown key, a missing required key or a value of the wrong type."""
+    """Dataclass `cls` from the JSON object `doc`, checked by its `validate`
+    if it has one; `error` names `where` and an unknown key, a missing
+    required key or a value of the wrong type, and any LabriskError of
+    construction or validation is prefixed with `where`."""
     hints = typing.get_type_hints(cls)
     for key in doc if isinstance(doc, dict) else ():
         if key not in hints:
             raise error(f"{where}: unknown key {key!r}")
     fields = dataclasses.fields(cls)
-    return cls(**decode_fields(
+    kwargs = decode_fields(
         doc, where, error,
         {f.name: lambda v, h=hints[f.name]: _as_field(h, v) for f in fields},
         [f.name for f in fields if f.default is not dataclasses.MISSING
-         or f.default_factory is not dataclasses.MISSING]))
+         or f.default_factory is not dataclasses.MISSING])
+    try:
+        obj = cls(**kwargs)
+        if hasattr(obj, "validate"):
+            obj.validate()
+    except LabriskError as e:
+        raise type(e)(f"{where}: {e}") from None
+    return obj

@@ -135,18 +135,24 @@ class EncounterRecord:
     measurements: dict[str, float]
     codes: list[ClaimCode] = field(default_factory=list)
 
-    def validate(self, catalog: MarkerCatalog | None = None) -> None:
+    def validate(self, known: set[str] | None = None,
+                 where: str | None = None) -> None:
+        """Sex, age range, finite measurements and, given the `known` marker
+        ids, no unknown marker; RecordError names `where` (default: the
+        encounter id)."""
+        where = where or self.encounter_id
         if self.sex not in ("male", "female"):
-            raise RecordError(f"{self.encounter_id}: bad sex {self.sex!r}")
+            raise RecordError(f"{where}: bad sex {self.sex!r}")
         if not (0 <= self.age_years <= 130):
             raise RecordError(
-                f"{self.encounter_id}: age {self.age_years} out of [0, 130]")
+                f"{where}: age_years {self.age_years} out of [0, 130]")
         for mid, v in self.measurements.items():
             if not math.isfinite(v):
-                raise RecordError(f"{self.encounter_id}: non-finite {mid}")
-            if catalog is not None and mid not in catalog:
-                raise RecordError(
-                    f"{self.encounter_id}: unknown marker {mid!r}")
+                raise RecordError(f"{where}: measurement {mid!r} is {v}")
+        if known is not None and not known.issuperset(self.measurements):
+            raise RecordError(
+                f"{where}: measurements has markers not in the model's "
+                f"catalog: {sorted(set(self.measurements) - known)}")
 
     def with_measurements(self, measurements: dict[str, float]) -> "EncounterRecord":
         return replace(self, measurements=measurements)

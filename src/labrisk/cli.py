@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import os
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -56,77 +58,163 @@ def load_run_config(path) -> dict:
     cfg.setdefault("paths", {})
     cfg.setdefault("master_seed", 0)
     cfg.setdefault("cancer_type", "liver")
+    cohort = cfg.get("cohort", {})
+    typed = [(f"paths.{k}", v, str) for k, v in cfg["paths"].items()]
+    typed.append(("master_seed", cfg["master_seed"], int))
+    typed += [(f"cohort.{k}", cohort[k], kind) for k, kind in
+              (("split_seed", int), ("enrich", bool)) if k in cohort]
+    for field, value, kind in typed:
+        # bool is an int subtype, so a bool passes only where one is asked.
+        if not isinstance(value, kind) or \
+                isinstance(value, bool) != (kind is bool):
+            raise ConfigError(f"{path}: {field} must be a JSON "
+                              f"{kind.__name__}, got {value!r}")
     return cfg
 
 
-def _out_dir(cfg) -> str:
-    d = cfg["paths"].get("output_dir", "labrisk_run")
-    os.makedirs(d, exist_ok=True)
-    return d
+class Stage:
+    """The files one command reads and writes. A command resolves every path
+    through its Stage, which records it; cli.main writes the manifest from
+    that record once the command has succeeded."""
+
+    def __init__(self, paths: dict):
+        self.paths = paths
+        self.dir = paths.get("output_dir") or "labrisk_run"
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+        self.details: dict = {}  # stage-specific manifest fields
+
+    def read(self, path: str) -> str:
+        """`path`, a file from outside the pipeline that the command reads."""
+        self.inputs.append(path)
+        return path
+
+    def optional(self, key: str) -> str | None:
+        """paths.<key>, an outside file the command reads, or None if unset."""
+        path = self.paths.get(key)
+        return self.read(path) if path else None
+
+    def input(self, name: str, key: str | None = None,
+              made_by: str | None = None) -> str | None:
+        """paths.<key> (default: `name` in the output directory), which the
+        command reads. If it does not exist: ConfigError naming the stage
+        `made_by` that writes it, or None when no stage is named."""
+        path = self.paths.get(key) or os.path.join(self.dir, name)
+        if not os.path.exists(path):
+            if made_by is None:
+                return None
+            raise ConfigError(f"{path} not found; run '{made_by}' first")
+        return self.read(path)
+
+    def output(self, name: str, key: str | None = None) -> str:
+        """paths.<key> (default: `name` in the output directory, which is
+        created), which the command writes."""
+        path = self.paths.get(key) or self.place(name)
+        self.outputs.append(path)
+        return path
+
+    def place(self, name: str) -> str:
+        """`name` in the output directory, its directory created."""
+        path = os.path.join(self.dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
 
 
-def _path(cfg, key, default_name) -> str:
-    p = cfg["paths"].get(key)
-    if p is None:
-        p = os.path.join(_out_dir(cfg), default_name)
-    return p
+def _catalog(stage):
+    path = stage.optional("catalog")
+    return load_marker_catalog(path) if path else defaults.default_catalog()
 
 
-def _input(cfg, key, default_name, stage) -> str:
-    path = _path(cfg, key, default_name)
-    if not os.path.exists(path):
-        raise ConfigError(f"{path} not found; run '{stage}' first")
-    return path
-
-
-def _catalog(cfg):
-    path = cfg["paths"].get("catalog")
-    if path:
-        return load_marker_catalog(path)
-    return defaults.default_catalog()
-
-
-def _load_labeled(cfg):
+def _labeled(stage):
     return ioutil.read_records_jsonl(
-        _input(cfg, "labeled", "labeled.jsonl", "cohort"))
+        stage.input("labeled.jsonl", "labeled", "cohort"))
 
 
-def _split_rows(records, extras, split):
+def _split(labeled, split, params=None):
+    """The `split` encounters of labeled.jsonl with derived markers
+    completed: (records, labels, patient ids, values, mask), values and mask
+    vectorized with `params` or None without."""
     recs, labels, pids = [], [], []
-    for r, e in zip(records, extras):
+    for r, e in zip(*labeled):
         if e.get("split") == split:
             recs.append(complete_derived(r))
             labels.append(1 if e.get("label") else 0)
             pids.append(r.patient_id)
-    return recs, np.array(labels), pids
+    if not recs:
+        raise ConfigError(f"no {split} encounters; check the cohort stage")
+    values, mask = (None, None) if params is None \
+        else vectorize_many(recs, params)
+    return recs, np.array(labels), pids, values, mask
 
 
-def _load_norm(cfg) -> NormalizationParams:
-    path = _input(cfg, "normalization", "normalization.json", "prepare")
-    return NormalizationParams.from_dict(read_json(path), path)
+# The model file's `extras` blocks: their fields, and what they are read as.
+MODEL_EXTRAS = {
+    "dev_scores": (("scores", "labels", "encounter_ids"),
+                   likelihood.ScoredCohort.from_arrays),
+    "background": (("values", "mask"),
+                   lambda values, mask: (np.array(values), np.array(mask))),
+}
+
+
+def _load_model(stage, *keys):
+    """The ensemble in model.json, then each `extras` block named in `keys`
+    as MODEL_EXTRAS reads it; ModelIOError names a missing field."""
+    path = stage.input("model.json", "model", "train")
+    ensemble, extras = load_model(path)
+    blocks = []
+    for key in keys:
+        fields, read = MODEL_EXTRAS[key]
+        block = decode_fields(
+            extras.get(key) if isinstance(extras, dict) else None,
+            f"{path}: extras.{key}", ModelIOError,
+            dict.fromkeys(fields, lambda v: v))
+        blocks.append(read(*block.values()))
+    return ensemble, *blocks
+
+
+def _patient(stage, path, params):
+    """The --patient encounter and its feature vector. The record is checked
+    (sex, age, finite measurements, markers the model knows), and every
+    error names the file."""
+    record = record_from_dict(read_json(stage.read(path)), path)
+    record.validate(set(params.feature_order), path)
+    return record, vectorize(complete_derived(record), params)
+
+
+def _validation_scores(stage, ensemble):
+    """Validation labels and per-member scores."""
+    _, labels, _, values, mask = _split(_labeled(stage), "validation",
+                                        ensemble.normalization)
+    return labels, ensemble.predict_batch(values, mask)
+
+
+def _curves(scores, labels):
+    """ROC and PR curves of `scores`, and the metrics.json summary."""
+    roc_curve = metrics.roc(scores, labels)
+    pr = metrics.pr_curve(scores, labels)
+    return roc_curve, pr, {"auc": roc_curve.auc, "ap": pr.ap,
+                           "n_validation": int(labels.size),
+                           "prevalence": float(labels.mean())}
 
 
 # --- stages -------------------------------------------------------------------
 
-def cmd_synth(cfg, args) -> int:
-    catalog = _catalog(cfg)
+def cmd_synth(cfg, args, stage) -> None:
+    catalog = _catalog(stage)
     config = config_from_json(SynthConfig, {
         "seed": cfg["master_seed"],
         "n_per_class": {"no_cancer": 2000, cfg["cancer_type"]: 200},
         **cfg.get("synth", {})}, f"{args.config}: synth")
     records = synthesize_cohort(catalog, config)
-    out = _path(cfg, "cohort", "cohort.jsonl")
+    out = stage.output("cohort.jsonl", "cohort")
     ioutil.write_records_jsonl(out, records)
-    catalog_out = os.path.join(_out_dir(cfg), "catalog.json")
-    ioutil.atomic_write_json(catalog_out, catalog_to_dict(catalog))
-    ioutil.write_manifest(os.path.join(_out_dir(cfg), "synth_manifest.json"),
-                          "synth", cfg, [], [out, catalog_out])
+    ioutil.atomic_write_json(stage.output("catalog.json"),
+                             catalog_to_dict(catalog))
     print(f"synth: wrote {len(records)} encounters to {out}")
-    return EXIT_OK
 
 
-def cmd_cohort(cfg, args) -> int:
-    src = _input(cfg, "cohort", "cohort.jsonl", "synth")
+def cmd_cohort(cfg, args, stage) -> None:
+    src = stage.input("cohort.jsonl", "cohort", "synth")
     records, _ = ioutil.read_records_jsonl(src)
     ccfg = dict(cfg.get("cohort", {}))
     split_seed = ccfg.pop("split_seed", cfg["master_seed"])
@@ -136,7 +224,7 @@ def cmd_cohort(cfg, args) -> int:
     labeled, flow = run_cohort_pipeline(
         records, spec, SplitParams(seed=split_seed),
         enrich_unscreened_controls=enrich)
-    out = _path(cfg, "labeled", "labeled.jsonl")
+    out = stage.output("labeled.jsonl", "labeled")
     extras = [{"label": e.label, "split": e.split,
                "cancer_type": e.cancer_type,
                "diagnosis_date": (e.diagnosis_date.isoformat()
@@ -144,51 +232,38 @@ def cmd_cohort(cfg, args) -> int:
                "split_fallback": e.split_fallback}
               for e in labeled]
     ioutil.write_records_jsonl(out, [e.record for e in labeled], extras)
-    consort = os.path.join(_out_dir(cfg), "consort.tsv")
     ioutil.write_table(
-        consort,
+        stage.output("consort.tsv"),
         ["stage", "n_patients", "n_encounters", "n_positive_patients"],
         [[s.stage, s.n_patients, s.n_encounters, s.n_positive_patients]
          for s in flow])
-    ioutil.write_manifest(os.path.join(_out_dir(cfg), "cohort_manifest.json"),
-                          "cohort", cfg, [src], [out, consort])
     print(f"cohort: {len(labeled)} labeled encounters "
           f"({sum(1 for e in labeled if e.label)} positive) -> {out}")
-    return EXIT_OK
 
 
-def cmd_prepare(cfg, args) -> int:
-    catalog = _catalog(cfg)
-    records, extras = _load_labeled(cfg)
-    dev, _, _ = _split_rows(records, extras, "development")
-    if not dev:
-        raise ConfigError("no development encounters; check the cohort stage")
+def cmd_prepare(cfg, args, stage) -> None:
+    catalog = _catalog(stage)
+    dev = _split(_labeled(stage), "development")[0]
     params = fit_normalization(dev, catalog,
                                cfg.get("prepare", {}).get(
                                    "scale_demographics", True))
-    out = _path(cfg, "normalization", "normalization.json")
+    out = stage.output("normalization.json", "normalization")
     ioutil.atomic_write_json(out, params.to_dict())
-    ioutil.write_manifest(os.path.join(_out_dir(cfg), "prepare_manifest.json"),
-                          "prepare", cfg,
-                          [_path(cfg, "labeled", "labeled.jsonl")], [out])
     print(f"prepare: normalization fitted on {len(dev)} encounters -> {out}")
-    return EXIT_OK
 
 
-def cmd_train(cfg, args) -> int:
-    catalog = _catalog(cfg)
-    params = _load_norm(cfg)
+def cmd_train(cfg, args, stage) -> None:
+    catalog = _catalog(stage)
+    norm = stage.input("normalization.json", "normalization", "prepare")
+    params = NormalizationParams.from_dict(read_json(norm), norm)
     tcfg = dict(cfg.get("train", {}))
     n_members = tcfg.pop("n_members", 10)
     subsample = tcfg.pop("subsample", 0.8)
     config = config_from_json(RiskModelConfig, {
         "seed": cfg["master_seed"], **tcfg,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
-    records, extras = _load_labeled(cfg)
-    dev, labels, pids = _split_rows(records, extras, "development")
-    if not dev:
-        raise ConfigError("no development encounters")
-    values, mask = vectorize_many(dev, params)
+    dev, labels, pids, values, mask = _split(_labeled(stage), "development",
+                                             params)
     ensemble = train_ensemble(values, mask, labels, pids, params, config,
                               n_members=n_members, subsample=subsample,
                               catalog_version=catalog.version)
@@ -206,132 +281,73 @@ def cmd_train(cfg, args) -> int:
         },
         "background": {"values": bg_v.tolist(), "mask": bg_m.tolist()},
     }
-    out = _path(cfg, "model", "model.json")
+    out = stage.output("model.json", "model")
     save_model(ensemble, out, extras_payload)
-    log = os.path.join(_out_dir(cfg), "train_log.tsv")
-    ioutil.write_table(log, ["member", "stage", "epoch", "loss"],
+    ioutil.write_table(stage.output("train_log.tsv"),
+                       ["member", "stage", "epoch", "loss"],
                        [[h["member"], h["stage"], h["epoch"], h["loss"]]
                         for h in ensemble.history])
-    ioutil.write_manifest(os.path.join(_out_dir(cfg), "train_manifest.json"),
-                          "train", cfg,
-                          [_path(cfg, "labeled", "labeled.jsonl")],
-                          [out, log])
     print(f"train: {n_members}-member ensemble on {values.shape[0]} "
           f"encounters -> {out}")
-    return EXIT_OK
 
 
-def _model_extra(extras: dict, path, key: str, fields: tuple) -> dict:
-    """The given fields of extras[key] of a model file."""
-    return decode_fields(extras.get(key) if isinstance(extras, dict) else None,
-                         f"{path}: extras.{key}", ModelIOError,
-                         dict.fromkeys(fields, lambda v: v))
-
-
-def _load_model_and_dev(cfg):
-    path = _input(cfg, "model", "model.json", "train")
-    ensemble, extras = load_model(path)
-    ds = _model_extra(extras, path, "dev_scores",
-                      ("scores", "labels", "encounter_ids"))
-    dev = likelihood.ScoredCohort.from_arrays(
-        ds["scores"], ds["labels"], ds["encounter_ids"])
-    return ensemble, dev, extras
-
-
-def cmd_predict(cfg, args) -> int:
+def cmd_predict(cfg, args, stage) -> None:
     if not args.patient:
         raise ConfigError("predict requires --patient <encounter json>")
-    ensemble, dev, _ = _load_model_and_dev(cfg)
-    params = ensemble.normalization
-    record = record_from_dict(read_json(args.patient), args.patient)
-    unknown = sorted(set(record.measurements) - set(params.feature_order))
-    if unknown:
-        raise ConfigError(f"{args.patient}: measurements has markers not in "
-                          f"the model's catalog: {unknown}")
-    vec = vectorize(complete_derived(record), params)
+    ensemble, dev = _load_model(stage, "dev_scores")
+    record, vec = _patient(stage, args.patient, ensemble.normalization)
     assessment = ensemble.predict(vec.values, vec.mask)
     report = likelihood.build_report(
         record.patient_id, cfg["cancer_type"], assessment, dev,
         min_n=cfg.get("predict", {}).get("min_n", 50))
-    out = os.path.join(_out_dir(cfg), "report.json")
-    ioutil.atomic_write_json(out, report.to_dict())
-    txt = os.path.join(_out_dir(cfg), "report.txt")
-    ioutil.atomic_write_text(txt, report.to_text() + "\n")
-    ioutil.write_manifest(os.path.join(_out_dir(cfg), "predict_manifest.json"),
-                          "predict", cfg, [args.patient], [out, txt])
+    ioutil.atomic_write_json(stage.output("report.json"), report.to_dict())
+    ioutil.atomic_write_text(stage.output("report.txt"),
+                             report.to_text() + "\n")
     print(report.to_text())
-    return EXIT_OK
 
 
-def _validation_scores(cfg, ensemble):
-    params = ensemble.normalization
-    records, extras = _load_labeled(cfg)
-    val, labels, _ = _split_rows(records, extras, "validation")
-    if not val:
-        raise ConfigError("no validation encounters")
-    values, mask = vectorize_many(val, params)
-    member_scores = ensemble.predict_batch(values, mask)
-    return val, values, mask, labels, member_scores
-
-
-def cmd_evaluate(cfg, args) -> int:
-    ensemble, dev, _ = _load_model_and_dev(cfg)
-    val, values, mask, labels, member_scores = _validation_scores(cfg, ensemble)
+def cmd_evaluate(cfg, args, stage) -> None:
+    ensemble = _load_model(stage)[0]
+    labels, member_scores = _validation_scores(stage, ensemble)
     scores = member_scores.mean(axis=1)
-    out_dir = _out_dir(cfg)
-    roc_curve = metrics.roc(scores, labels)
-    pr = metrics.pr_curve(scores, labels)
+    roc_curve, pr, summary = _curves(scores, labels)
     cohort = likelihood.ScoredCohort.from_arrays(scores, labels)
     lrc = likelihood.lr_curve(cohort)
-    roc_path = os.path.join(out_dir, "roc.csv")
-    ioutil.atomic_write_text(roc_path, "fpr,tpr\n" + "".join(
+    ioutil.atomic_write_text(stage.output("roc.csv"), "fpr,tpr\n" + "".join(
         f"{f:.10g},{t:.10g}\n" for f, t in zip(roc_curve.fpr, roc_curve.tpr)))
-    pr_path = os.path.join(out_dir, "pr.csv")
-    ioutil.atomic_write_text(pr_path, "recall,precision\n" + "".join(
-        f"{r:.10g},{p:.10g}\n" for r, p in zip(pr.recall, pr.precision)))
-    lr_path = os.path.join(out_dir, "lr_curve.csv")
     ioutil.atomic_write_text(
-        lr_path, "threshold,lr,n_above,n_pos_above,corrected\n" + "".join(
+        stage.output("pr.csv"), "recall,precision\n" + "".join(
+            f"{r:.10g},{p:.10g}\n" for r, p in zip(pr.recall, pr.precision)))
+    ioutil.atomic_write_text(
+        stage.output("lr_curve.csv"),
+        "threshold,lr,n_above,n_pos_above,corrected\n" + "".join(
             f"{t:.10g},{l:.10g},{n},{p},{int(c)}\n"
             for t, l, n, p, c in zip(lrc.thresholds, lrc.lr, lrc.n_above,
                                      lrc.n_pos_above, lrc.corrected)))
-    summary = {"auc": roc_curve.auc, "ap": pr.ap,
-               "n_validation": int(labels.size),
-               "prevalence": float(labels.mean())}
-    summary_path = os.path.join(out_dir, "metrics.json")
-    ioutil.atomic_write_json(summary_path, summary)
+    ioutil.atomic_write_json(stage.output("metrics.json"), summary)
     if args.svg:
-        svg.svg_line_plot(os.path.join(out_dir, "roc.svg"),
+        svg.svg_line_plot(stage.output("roc.svg"),
                           [(f"AUC={roc_curve.auc:.3f}",
                             roc_curve.fpr.tolist(), roc_curve.tpr.tolist())],
                           "ROC", "false positive rate", "true positive rate")
-        svg.svg_line_plot(os.path.join(out_dir, "pr.svg"),
+        svg.svg_line_plot(stage.output("pr.svg"),
                           [(f"AP={pr.ap:.3f}", pr.recall.tolist(),
                             pr.precision.tolist())],
                           "Precision-recall", "recall", "precision")
-    ioutil.write_manifest(os.path.join(out_dir, "evaluate_manifest.json"),
-                          "evaluate", cfg,
-                          [_path(cfg, "model", "model.json")],
-                          [roc_path, pr_path, lr_path, summary_path])
     print(f"evaluate: AUC={roc_curve.auc:.4f} AP={pr.ap:.4f} "
           f"on {labels.size} validation encounters")
-    return EXIT_OK
 
 
-def cmd_lr(cfg, args) -> int:
+def cmd_lr(cfg, args, stage) -> None:
     """LR-vs-threshold curves for the model and the baselines."""
-    catalog = _catalog(cfg)
-    ensemble, dev, _ = _load_model_and_dev(cfg)
+    catalog = _catalog(stage)
+    ensemble = _load_model(stage)[0]
     params = ensemble.normalization
-    records, extras = _load_labeled(cfg)
-    val, labels, _ = _split_rows(records, extras, "validation")
-    dev_recs, _, _ = _split_rows(records, extras, "development")
-    if not val:
-        raise ConfigError("no validation encounters")
-    values, mask = vectorize_many(val, params)
+    labeled = _labeled(stage)
+    val, labels, _, values, mask = _split(labeled, "validation", params)
+    dev_recs = _split(labeled, "development")[0]
     scores = ensemble.predict_batch(values, mask).mean(axis=1)
 
-    out_dir = _out_dir(cfg)
     rows = []
     curves = {}
 
@@ -359,56 +375,44 @@ def cmd_lr(cfg, args) -> int:
                 and any(not y for _, y in pairs):
             add(f"marker:{mid}", [s for s, _ in pairs],
                 np.array([y for _, y in pairs]))
-    out = os.path.join(out_dir, "lr_baselines.csv")
+    out = stage.output("lr_baselines.csv")
     ioutil.atomic_write_text(out, "series,threshold,lr\n" + "".join(
         f"{n},{t:.10g},{l:.10g}\n" for n, t, l in rows))
     if args.svg:
         svg.svg_line_plot(
-            os.path.join(out_dir, "lr_baselines.svg"),
+            stage.output("lr_baselines.svg"),
             [(name, c.thresholds.tolist(), c.lr.tolist())
              for name, c in curves.items()],
             "Likelihood ratio vs risk threshold", "risk threshold", "LR")
-    ioutil.write_manifest(os.path.join(out_dir, "lr_manifest.json"),
-                          "lr", cfg, [_path(cfg, "model", "model.json")],
-                          [out])
     print(f"lr: wrote {len(curves)} LR curves -> {out}")
-    return EXIT_OK
 
 
-def cmd_explain(cfg, args) -> int:
-    ensemble, dev, extras = _load_model_and_dev(cfg)
+def cmd_explain(cfg, args, stage) -> None:
+    ensemble, dev, (bg_v, bg_m) = _load_model(stage, "dev_scores",
+                                              "background")
     params = ensemble.normalization
     ecfg = cfg.get("explain", {})
     shap_cfg = ShapConfig(
         n_permutations=ecfg.get("n_permutations", 100),
         seed=cfg["master_seed"],
         top_k_summary=ecfg.get("top_k", 15))
-    bg = _model_extra(extras, _path(cfg, "model", "model.json"),
-                      "background", ("values", "mask"))
-    bg_v = np.array(bg["values"])
-    bg_m = np.array(bg["mask"])
     fn = NormalizedLrFn(ensemble, dev,
                         min_n=cfg.get("predict", {}).get("min_n", 50))
-    out_dir = _out_dir(cfg)
-    outputs = []
     if args.patient:
-        record = record_from_dict(read_json(args.patient), args.patient)
-        vec = vectorize(complete_derived(record), params)
+        record, vec = _patient(stage, args.patient, params)
         wf = waterfall(fn, vec.values, vec.mask, bg_v, bg_m,
                        list(params.feature_order), shap_cfg)
-        out = os.path.join(out_dir, "waterfall.json")
+        out = stage.output("waterfall.json")
         ioutil.atomic_write_json(out, {
             "patient_id": record.patient_id,
             "base_value": wf.base_value, "fx": wf.fx,
             "items": [{"feature": i.feature, "phi": i.phi,
                        "normalized_value": i.normalized_value}
                       for i in wf.items]})
-        outputs.append(out)
         results = [wf.result]
         print(f"explain: waterfall for {record.patient_id} -> {out}")
     else:
-        records, rec_extras = _load_labeled(cfg)
-        val, labels, _ = _split_rows(records, rec_extras, "validation")
+        val = _split(_labeled(stage), "validation")[0]
         n = min(ecfg.get("n_samples", 40), len(val))
         if n < shap_cfg.min_summary_samples:
             raise ConfigError("too few validation encounters to summarize")
@@ -417,35 +421,28 @@ def cmd_explain(cfg, args) -> int:
         values, mask = vectorize_many([val[i] for i in idx], params)
         summary = cohort_summary(fn, values, mask, bg_v, bg_m,
                                  list(params.feature_order), shap_cfg)
-        out = os.path.join(out_dir, "shap_summary.json")
+        out = stage.output("shap_summary.json")
         ioutil.atomic_write_json(out, {
             "top_features": summary.top_features(),
             "mean_abs_phi": np.abs(summary.phi).mean(axis=0).tolist(),
             "feature_names": summary.feature_names,
             "n_samples": int(n)})
-        beeswarm = os.path.join(out_dir, "shap_beeswarm.tsv")
         rows = []
         for fi in summary.ranking[:summary.top_k]:
             for si in range(summary.phi.shape[0]):
                 rows.append([summary.feature_names[fi],
                              float(summary.phi[si, fi]),
                              float(summary.feature_values[si, fi])])
-        ioutil.write_table(beeswarm, ["feature", "phi", "normalized_value"],
-                           rows)
-        outputs += [out, beeswarm]
+        ioutil.write_table(stage.output("shap_beeswarm.tsv"),
+                           ["feature", "phi", "normalized_value"], rows)
         results = summary.results
         print(f"explain: top features {summary.top_features()[:5]} -> {out}")
-    ioutil.write_manifest(os.path.join(out_dir, "explain_manifest.json"),
-                          "explain", cfg,
-                          [_path(cfg, "model", "model.json")], outputs,
-                          {"shapley": shap_provenance(results,
-                                                      shap_cfg.seed)})
-    return EXIT_OK
+    stage.details["shapley"] = shap_provenance(results, shap_cfg.seed)
 
 
-def cmd_comorbid(cfg, args) -> int:
-    records, extras = _load_labeled(cfg)
-    map_path = cfg["paths"].get("phecode_map")
+def cmd_comorbid(cfg, args, stage) -> None:
+    records, extras = _labeled(stage)
+    map_path = stage.optional("phecode_map")
     pmap = (comorbid_mod.load_phecode_map(map_path) if map_path
             else comorbid_mod.default_phecode_map())
     by_pid: dict[str, dict] = {}
@@ -468,8 +465,7 @@ def cmd_comorbid(cfg, args) -> int:
                                                 pmap)
     ranked = comorbid_mod.rank_comorbidities(
         rows, min_each=cfg.get("comorbid", {}).get("min_each", 50))
-    out_dir = _out_dir(cfg)
-    table = os.path.join(out_dir, "comorbidity.tsv")
+    table = stage.output("comorbidity.tsv")
     ioutil.write_table(
         table,
         ["phecode", "label", "n_cancer_with", "n_control_with", "odds_ratio",
@@ -477,26 +473,21 @@ def cmd_comorbid(cfg, args) -> int:
         [[r.phecode, r.label, r.n_cancer_with, r.n_control_with,
           r.odds_ratio, r.p_value, r.neg_log10_p, r.cancer_prevalence,
           r.control_prevalence] for r in ranked])
-    js = os.path.join(out_dir, "comorbidity.json")
-    ioutil.atomic_write_json(js, {
+    ioutil.atomic_write_json(stage.output("comorbidity.json"), {
         "ranked": [r.__dict__ for r in ranked],
         "n_cancer_patients": len(cancer_sets),
         "n_control_patients": len(control_sets),
         "unmapped_codes": unmapped})
-    ioutil.write_manifest(os.path.join(out_dir, "comorbid_manifest.json"),
-                          "comorbid", cfg,
-                          [_path(cfg, "labeled", "labeled.jsonl")],
-                          [table, js])
     print(f"comorbid: {len(ranked)} ranked comorbidities -> {table}")
-    return EXIT_OK
 
 
-def cmd_report(cfg, args) -> int:
+def cmd_report(cfg, args, stage) -> None:
     """Assemble curve tables plus ensemble LR ribbons into one bundle."""
-    ensemble, dev, _ = _load_model_and_dev(cfg)
-    val, values, mask, labels, member_scores = _validation_scores(cfg, ensemble)
-    out_dir = os.path.join(_out_dir(cfg), "report")
-    os.makedirs(out_dir, exist_ok=True)
+    def bundled(name):
+        return stage.output(os.path.join("report", name))
+
+    ensemble = _load_model(stage)[0]
+    labels, member_scores = _validation_scores(stage, ensemble)
     thresholds = np.linspace(0.0, 1.0, 101)
     member_curves = []
     for j in range(member_scores.shape[1]):
@@ -505,33 +496,24 @@ def cmd_report(cfg, args) -> int:
         member_curves.append(likelihood.lr_curve(cohort, thresholds))
     n_common = min(c.lr.size for c in member_curves)
     stack = np.vstack([c.lr[:n_common] for c in member_curves])
-    ribbon = os.path.join(out_dir, "lr_ribbon.csv")
     ioutil.atomic_write_text(
-        ribbon, "threshold,lr_mean,lr_std,lr_min,lr_max\n" + "".join(
+        bundled("lr_ribbon.csv"),
+        "threshold,lr_mean,lr_std,lr_min,lr_max\n" + "".join(
             f"{thresholds[i]:.10g},{stack[:, i].mean():.10g},"
             f"{stack[:, i].std():.10g},{stack[:, i].min():.10g},"
             f"{stack[:, i].max():.10g}\n" for i in range(n_common)))
-    scores = member_scores.mean(axis=1)
-    roc_curve = metrics.roc(scores, labels)
-    pr = metrics.pr_curve(scores, labels)
-    index = {
-        "auc": roc_curve.auc,
-        "ap": pr.ap,
-        "n_validation": int(labels.size),
-        "prevalence": float(labels.mean()),
-        "files": ["lr_ribbon.csv"],
-    }
+    index = {**_curves(member_scores.mean(axis=1), labels)[2],
+             "files": ["lr_ribbon.csv"]}
     for name in ("roc.csv", "pr.csv", "lr_curve.csv", "lr_baselines.csv",
                  "shap_summary.json", "comorbidity.tsv"):
-        src = os.path.join(_out_dir(cfg), name)
-        if os.path.exists(src):
+        src = stage.input(name)
+        if src is not None:
             with open(src, encoding="utf-8") as f:
-                ioutil.atomic_write_text(os.path.join(out_dir, name),
-                                         f.read())
+                ioutil.atomic_write_text(bundled(name), f.read())
             index["files"].append(name)
     if args.svg:
         svg.svg_line_plot(
-            os.path.join(out_dir, "lr_ribbon.svg"),
+            bundled("lr_ribbon.svg"),
             [("mean", thresholds[:n_common].tolist(),
               stack.mean(axis=0).tolist()),
              ("min", thresholds[:n_common].tolist(),
@@ -540,13 +522,10 @@ def cmd_report(cfg, args) -> int:
               stack.max(axis=0).tolist())],
             "Ensemble LR ribbon", "risk threshold", "LR")
         index["files"].append("lr_ribbon.svg")
-    ioutil.atomic_write_json(os.path.join(out_dir, "report.json"), index)
-    ioutil.write_manifest(os.path.join(out_dir, "report_manifest.json"),
-                          "report", cfg,
-                          [_path(cfg, "model", "model.json")],
-                          [os.path.join(out_dir, f) for f in index["files"]])
-    print(f"report: bundle with {len(index['files'])} files -> {out_dir}")
-    return EXIT_OK
+    out = bundled("report.json")
+    ioutil.atomic_write_json(out, index)
+    print(f"report: bundle with {len(index['files'])} files -> "
+          f"{os.path.dirname(out)}")
 
 
 COMMANDS = {
@@ -598,7 +577,21 @@ def main(argv=None) -> int:
         if not isinstance(cfg["cancer_type"], str) \
                 or cfg["cancer_type"] not in defaults.DIAGNOSIS_ICD_PREFIXES:
             raise ConfigError(f"unknown cancer_type {cfg['cancer_type']!r}")
-        return COMMANDS[args.command](cfg, args)
+        stage = Stage(cfg["paths"])
+        start = time.perf_counter()
+        COMMANDS[args.command](cfg, args, stage)
+        wall_s = time.perf_counter() - start
+        # report keeps its whole bundle, manifest included, in report/.
+        ioutil.write_manifest(
+            stage.place(os.path.join(
+                "report" if args.command == "report" else "",
+                f"{args.command}_manifest.json")),
+            args.command, cfg, stage.inputs, stage.outputs,
+            {"wall_s": wall_s,
+             "peak_rss_mb":
+                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+             **stage.details})
+        return EXIT_OK
     except LabriskError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -87,24 +87,23 @@ def sha256_of_file(path) -> str:
 
 def write_manifest(path, command: str, config: dict,
                    inputs: list[str], outputs: list[str],
-                   details: dict | None = None) -> None:
+                   details: dict) -> None:
     """Run manifest with the sha256 of every input and output file;
-    `details` adds stage-specific top-level fields."""
+    `details` adds top-level fields (run time, stage-specific ones)."""
     from . import __version__
-    paths = sorted({os.fspath(p) for p in [*inputs, *outputs]})
     manifest = {
         "command": command,
         "config": config,
         "config_sha256": sha256_of_text(
             json.dumps(config, sort_keys=True, separators=(",", ":"))),
-        "inputs": sorted(os.fspath(p) for p in inputs),
-        "outputs": sorted(os.fspath(p) for p in outputs),
-        "sha256": {p: sha256_of_file(p) for p in paths},
+        "inputs": sorted(set(inputs)),
+        "outputs": sorted(set(outputs)),
+        "sha256": {p: sha256_of_file(p) for p in sorted({*inputs, *outputs})},
         "versions": {
             "labrisk": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        **(details or {}),
+        **details,
     }
     atomic_write_json(path, manifest)

@@ -64,20 +64,12 @@ def roc(scores, labels) -> RocCurve:
 
 
 def average_precision(scores, labels) -> float:
-    """AP = sum over descending-score thresholds of
-    (recall_i - recall_{i-1}) * precision_i, ties grouped."""
-    labels = np.asarray(labels)
-    n_pos = int(np.sum(labels == 1))
-    if n_pos == 0:
-        raise MetricsError("average_precision requires at least one positive")
-    _, cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
-    recall = cum_tp / n_pos
-    precision = cum_tp / (cum_tp + cum_fp)
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev) * precision))
+    return pr_curve(scores, labels).ap
 
 
 def pr_curve(scores, labels) -> PrCurve:
+    """Precision and recall at descending-score thresholds, ties grouped;
+    AP = sum over them of (recall_i - recall_{i-1}) * precision_i."""
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0:
@@ -85,5 +77,6 @@ def pr_curve(scores, labels) -> PrCurve:
     _, cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
     recall = cum_tp / n_pos
     precision = cum_tp / (cum_tp + cum_fp)
-    ap = average_precision(scores, labels)
+    prev = np.concatenate([[0.0], recall[:-1]])
+    ap = float(np.sum((recall - prev) * precision))
     return PrCurve(recall=recall, precision=precision, ap=ap)

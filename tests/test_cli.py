@@ -6,7 +6,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -341,7 +344,7 @@ def _config(tmp, paths=None, **sections):
     return _write(tmp / "c.json", json.dumps(config))
 
 
-def _patient_case(make_text):
+def _patient_case(make_text, command, named=()):
     def case(run, tmp):
         _, out = run
         patient = tmp / "patient.json"
@@ -349,13 +352,35 @@ def _patient_case(make_text):
         if text is not None:
             patient.write_text(text)
         cfg = _config(tmp, {"model": str(out / "model.json")})
-        return ["predict", "--config", cfg, "--patient", str(patient)], \
-            [str(patient)]
+        return [command, "--config", cfg, "--patient", str(patient)], \
+            [str(patient), *named]
     return case
 
 
 def _edited(doc, **fields):
     return json.dumps(dict(doc, **fields))
+
+
+def _measured(doc, **measurements):
+    return _edited(doc, measurements={**doc["measurements"], **measurements})
+
+
+# Patient file texts from a valid document, and what the error must name
+# besides the file. Each is run under predict and explain --patient.
+PATIENT_TEXTS = {
+    "not-json": (lambda doc: "{not json", ()),
+    "missing": (lambda doc: None, ()),
+    "bad-date": (lambda doc: _edited(doc, date="2020-13-45"), ()),
+    "measurements-list": (lambda doc: _edited(doc, measurements=[1, 2]), ()),
+    "top-level-list": (lambda doc: json.dumps([doc]), ()),
+    "sex-number": (lambda doc: _edited(doc, sex=5), ("sex",)),
+    "age-out-of-range": (lambda doc: _edited(doc, age_years=1e300),
+                         ("age_years",)),
+    "unknown-marker": (lambda doc: _measured(doc, mystery_marker=1.0),
+                       ("mystery_marker",)),
+    "nan-measurement": (lambda doc: _measured(doc, albumin="nan"),
+                        ("albumin",)),
+}
 
 
 def _bad_labeled_line(run, tmp):
@@ -388,13 +413,10 @@ def _section_case(command, section, body, inputs=()):
 
 
 MALFORMED_INPUTS = {
-    "patient-not-json": _patient_case(lambda doc: "{not json"),
-    "patient-missing": _patient_case(lambda doc: None),
-    "patient-bad-date": _patient_case(
-        lambda doc: _edited(doc, date="2020-13-45")),
-    "patient-measurements-list": _patient_case(
-        lambda doc: _edited(doc, measurements=[1, 2])),
-    "patient-top-level-list": _patient_case(lambda doc: json.dumps([doc])),
+    **{f"{prefix}-{name}": _patient_case(make_text, command, named)
+       for prefix, command in (("patient", "predict"),
+                               ("explain-patient", "explain"))
+       for name, (make_text, named) in PATIENT_TEXTS.items()},
     "config-missing": lambda run, tmp: (
         ["synth", "--config", str(tmp / "absent.json")],
         [str(tmp / "absent.json")]),
@@ -422,6 +444,23 @@ MALFORMED_INPUTS = {
         [str(tmp / "norm.json"), "median"]),
     "labeled-bad-line": _bad_labeled_line,
     "model-unknown-config-key": _unknown_model_config_key,
+    "config-path-not-string": lambda run, tmp: (
+        ["synth", "--config", _config(tmp, {"output_dir": 5})],
+        [str(tmp / "c.json"), "paths.output_dir"]),
+    "config-master-seed-bool": lambda run, tmp: (
+        ["synth", "--config", _config(tmp, master_seed=True)],
+        [str(tmp / "c.json"), "master_seed"]),
+    "config-master-seed-string": lambda run, tmp: (
+        ["synth", "--config", _config(tmp, master_seed="7")],
+        [str(tmp / "c.json"), "master_seed"]),
+    "config-split-seed-float": _section_case(
+        "cohort", "cohort", {"split_seed": 1.5}, [("cohort", "cohort.jsonl")]),
+    "config-enrich-int": _section_case(
+        "cohort", "cohort", {"enrich": 1}, [("cohort", "cohort.jsonl")]),
+    "config-train-batch-size-1": _section_case(
+        "train", "train", {"batch_size": 1},
+        [("normalization", "normalization.json"),
+         ("labeled", "labeled.jsonl")]),
 }
 
 
@@ -440,7 +479,7 @@ def test_malformed_input_exits_3_naming_file_and_field(run, tmp_path, capsys,
                                    nn.NumericsError("non-finite"),
                                    TypeError("a bug")])
 def test_internal_faults_exit_4(monkeypatch, tmp_path, capsys, error):
-    def fail(cfg, args):
+    def fail(cfg, args, stage):
         raise error
 
     monkeypatch.setitem(cli.COMMANDS, "synth", fail)
@@ -641,3 +680,140 @@ def test_manifest_checksums_match_files(run):
         assert set(manifest["sha256"]) == files, path
         for name, digest in manifest["sha256"].items():
             assert ioutil.sha256_of_file(name) == digest, (path, name)
+
+
+def test_manifests_record_wall_time_and_peak_rss(run):
+    _, out = run
+    manifests = sorted(out.glob("**/*_manifest.json"))
+    assert len(manifests) >= 4
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        for field in ("wall_s", "peak_rss_mb"):
+            value = manifest[field]
+            assert isinstance(value, float) and math.isfinite(value) \
+                and value > 0, (path, field, value)
+
+
+# --- manifest completeness: checked against what the process did --------------
+
+class FileAudit:
+    """An audit hook that, while `on`, records the files opened for reading
+    and the files renamed into place (os.replace raises os.rename)."""
+
+    def __init__(self):
+        self.on = False
+        self.read, self.renamed = [], []
+        sys.addaudithook(self.hook)
+
+    def hook(self, event, args):
+        if not self.on:
+            return
+        if event == "open" and isinstance(args[0], str) \
+                and args[2] & os.O_ACCMODE == os.O_RDONLY:
+            self.read.append(args[0])
+        elif event == "os.rename":
+            self.renamed.append(args[1])
+
+    def _switched(self, fn, on):
+        def call(*args, **kwargs):
+            was, self.on = self.on, on
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.on = was
+        return call
+
+    def run(self, argv):
+        """cli.main(argv) with the hook on while the command runs, but not
+        while main reads the config or a manifest is written; returns (exit
+        code and stderr, files read, files renamed into place)."""
+        self.read, self.renamed = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(cli.COMMANDS, argv[0],
+                       self._switched(cli.COMMANDS[argv[0]], True))
+            mp.setattr(ioutil, "write_manifest",
+                       self._switched(ioutil.write_manifest, False))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        return (code, err.getvalue()), self.read, self.renamed
+
+
+# (id, command, extra flags, config): the test_cli run's commands, the plot
+# flag, and the optional outside files.
+AUDITED_RUNS = [
+    ("synth", "synth", [], "plain"),
+    ("cohort", "cohort", [], "plain"),
+    ("prepare", "prepare", [], "plain"),
+    ("train", "train", [], "plain"),
+    ("evaluate", "evaluate", [], "plain"),
+    ("lr", "lr", [], "plain"),
+    ("comorbid", "comorbid", [], "plain"),
+    ("predict", "predict", ["--patient"], "plain"),
+    ("explain-patient", "explain", ["--patient"], "plain"),
+    ("explain-summary", "explain", [], "plain"),
+    ("report", "report", [], "plain"),
+    ("evaluate-svg", "evaluate", ["--svg"], "plain"),
+    ("lr-svg", "lr", ["--svg"], "plain"),
+    ("report-svg", "report", ["--svg"], "plain"),
+    ("synth-catalog", "synth", [], "catalog"),
+    ("prepare-catalog", "prepare", [], "catalog"),
+    ("train-catalog", "train", [], "catalog"),
+    ("lr-catalog", "lr", [], "catalog"),
+    ("comorbid-phecode-map", "comorbid", [], "phecode_map"),
+]
+
+
+@pytest.fixture(scope="module")
+def audited(run, tmp_path_factory):
+    """Each of AUDITED_RUNS, in order, in a fresh output directory under the
+    audit: {id: ((exit code, stderr), manifest, files read, files
+    renamed)}."""
+    cfg_path, run_out = run
+    base = tmp_path_factory.mktemp("audit")
+    out = base / "out"
+    patient = _write(base / "patient.json",
+                     json.dumps(_validation_doc(run_out)))
+    shutil.copy(run_out / "catalog.json", base / "catalog.json")
+    (base / "phecodes.tsv").write_text("C22\t155\nK70\t317\n")
+    config = json.loads(cfg_path.read_text())
+    configs = {}
+    for name, paths in (("plain", {}),
+                        ("catalog", {"catalog": str(base / "catalog.json")}),
+                        ("phecode_map",
+                         {"phecode_map": str(base / "phecodes.tsv")})):
+        config["paths"] = {"output_dir": str(out), **paths}
+        configs[name] = _write(base / f"config-{name}.json",
+                               json.dumps(config))
+    audit = FileAudit()
+    results = {}
+    for run_id, command, flags, config_name in AUDITED_RUNS:
+        argv = [command, "--config", configs[config_name], *flags]
+        if "--patient" in flags:
+            argv.append(patient)
+        code, read, renamed = audit.run(argv)
+        manifest = out / ("report" if command == "report" else "") \
+            / f"{command}_manifest.json"
+        results[run_id] = (code, json.loads(manifest.read_text()), read,
+                           renamed)
+    return results
+
+
+@pytest.mark.parametrize("run_id", [r[0] for r in AUDITED_RUNS])
+def test_manifest_lists_every_file_read_and_written(audited, tmp_path_factory,
+                                                    run_id):
+    code, manifest, read, renamed = audited[run_id]
+    assert code == (0, ""), run_id
+    root = os.path.realpath(tmp_path_factory.getbasetemp())
+
+    def under_root(paths):
+        return {p for p in map(os.path.realpath, paths)
+                if p.startswith(root + os.sep)}
+
+    assert set(map(os.path.realpath, manifest["inputs"])) == \
+        under_root(read), run_id
+    assert set(map(os.path.realpath, manifest["outputs"])) == \
+        under_root(renamed), run_id
+    assert set(manifest["inputs"]) | set(manifest["outputs"]) == \
+        set(manifest["sha256"])
