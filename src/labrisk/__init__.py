@@ -42,41 +42,61 @@ def decode_fields(doc, where: str, error: type, decoders: dict,
         try:
             if name in doc:
                 out[name] = decode(doc[name])
+        except LabriskError:
+            raise  # the decoder's own error, which names the field
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise error(f"{where}: field {name!r}: {e!r}") from None
     return out
 
 
-def _as_field(hint, value):
-    """`value` for a field annotated `hint` (a list becomes a tuple or set)."""
+def _as_field(hint, value, where: str, error: type):
+    """`value` for a field annotated `hint`, or `error` naming `where` (an
+    item as `where[i]` or `where.key`): a list becomes a tuple or set, and
+    an object for a dataclass hint that dataclass."""
+    if dataclasses.is_dataclass(hint):
+        return config_from_json(hint, value, where, error)
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is types.UnionType:  # X | None
-        return value if value is None else _as_field(args[0], value)
+        return value if value is None else _as_field(args[0], value, where,
+                                                     error)
     accepts = {float: (int, float), tuple: (list, tuple),
                frozenset: (list, frozenset)}.get(origin, origin)
     if (not isinstance(value, accepts)
             or (isinstance(value, bool) and origin is not bool)
             or (origin is tuple and ... not in args  # tuple[float, float]
                 and len(value) != len(args))):
-        raise TypeError(f"expected {origin.__name__}, got {value!r}")
-    if origin is dict:
-        return {k: _as_field(args[1], v) for k, v in value.items()}
-    return origin(value) if origin in (tuple, frozenset) else value
+        raise error(f"{where}: expected {origin.__name__}, got {value!r}")
+    if origin is dict and args:
+        return {k: _as_field(args[1], v, f"{where}.{k}", error)
+                for k, v in value.items()}
+    if origin in (tuple, frozenset) and args:
+        hints = (args if origin is tuple and ... not in args
+                 else args[:1] * len(value))
+        return origin(_as_field(h, v, f"{where}[{i}]", error)
+                      for i, (h, v) in enumerate(zip(hints, value)))
+    return value
 
 
 def config_from_json(cls, doc, where: str, error: type = LabriskError):
     """Dataclass `cls` from the JSON object `doc`, checked by its `validate`
-    if it has one; `error` names `where` and an unknown key, a missing
-    required key or a value of the wrong type, and any LabriskError of
-    construction or validation is prefixed with `where`."""
+    if it has one. A dataclass-typed field is decoded from the object of its
+    name; a field with `rest` metadata takes the keys `cls` does not declare.
+    `error` names `where` and an unknown key, a missing key or a value of
+    the wrong type; any LabriskError of construction is prefixed likewise."""
     hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        if f.metadata.get("rest") and isinstance(doc, dict):
+            own = hints.keys() - {f.name}
+            doc = {**{k: doc[k] for k in doc if k in own},
+                   f.name: {k: doc[k] for k in doc if k not in own}}
     for key in doc if isinstance(doc, dict) else ():
         if key not in hints:
             raise error(f"{where}: unknown key {key!r}")
-    fields = dataclasses.fields(cls)
     kwargs = decode_fields(
         doc, where, error,
-        {f.name: lambda v, h=hints[f.name]: _as_field(h, v) for f in fields},
+        {f.name: lambda v, n=f.name: _as_field(hints[n], v, f"{where}: {n}",
+                                               error) for f in fields},
         [f.name for f in fields if f.default is not dataclasses.MISSING
          or f.default_factory is not dataclasses.MISSING])
     try:

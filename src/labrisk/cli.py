@@ -15,6 +15,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,36 +41,110 @@ DEFAULT_SINGLE_MARKERS = {
 }
 
 
-SECTIONS = ("paths", "synth", "cohort", "prepare", "train", "predict", "lr",
-            "explain", "comorbid")
-
-
 class ConfigError(LabriskError):
     pass
 
 
-def load_run_config(path) -> dict:
-    cfg = read_json(path)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: not a JSON object ({type(cfg).__name__})")
-    for name in SECTIONS:
-        if not isinstance(cfg.get(name, {}), dict):
-            raise ConfigError(f"{path}: {name} must be a JSON object")
-    cfg.setdefault("paths", {})
-    cfg.setdefault("master_seed", 0)
-    cfg.setdefault("cancer_type", "liver")
-    cohort = cfg.get("cohort", {})
-    typed = [(f"paths.{k}", v, str) for k, v in cfg["paths"].items()]
-    typed.append(("master_seed", cfg["master_seed"], int))
-    typed += [(f"cohort.{k}", cohort[k], kind) for k, kind in
-              (("split_seed", int), ("enrich", bool)) if k in cohort]
-    for field, value, kind in typed:
-        # bool is an int subtype, so a bool passes only where one is asked.
-        if not isinstance(value, kind) or \
-                isinstance(value, bool) != (kind is bool):
-            raise ConfigError(f"{path}: {field} must be a JSON "
-                              f"{kind.__name__}, got {value!r}")
-    return cfg
+# The run configuration. The synth and cohort sections and the train model
+# settings are decoded by their stage, because their defaults depend on
+# master_seed, cancer_type or the feature count.
+
+@dataclass
+class SplitConfig:
+    """cohort: the split keys, and the CohortSpec keys in `spec`."""
+    split_seed: int | None = None  # None: master_seed
+    enrich: bool = True
+    spec: dict = field(default_factory=dict, metadata={"rest": True})
+
+
+@dataclass
+class PrepareConfig:
+    scale_demographics: bool = True
+
+
+@dataclass
+class EnsembleConfig:
+    """train: the ensemble keys, and the RiskModelConfig keys in `model`."""
+    n_members: int = 10
+    subsample: float = 0.8
+    model: dict = field(default_factory=dict, metadata={"rest": True})
+
+    def validate(self) -> None:
+        if self.n_members < 1:
+            raise ConfigError(f"n_members must be >= 1, got {self.n_members}")
+        if not 0 < self.subsample <= 1:
+            raise ConfigError(f"subsample must be in (0, 1], "
+                              f"got {self.subsample}")
+
+
+@dataclass
+class PredictConfig:
+    min_n: int = 50  # smallest similar-score cohort
+
+    def validate(self) -> None:
+        if self.min_n < 1:
+            raise ConfigError(f"min_n must be >= 1, got {self.min_n}")
+
+
+@dataclass
+class LrConfig:
+    single_markers: tuple[str, ...] | None = None  # None: per cancer type
+
+
+@dataclass
+class ExplainConfig:
+    n_samples: int = 40
+    n_permutations: int = 100
+    background_size: int = 256
+    top_k: int = ShapConfig.top_k_summary
+
+    def validate(self) -> None:
+        if self.n_samples < ShapConfig.min_summary_samples:
+            raise ConfigError(
+                f"n_samples must be at least {ShapConfig.min_summary_samples}"
+                f", got {self.n_samples}")
+        if self.background_size < 1:
+            raise ConfigError(
+                f"background_size must be >= 1, got {self.background_size}")
+
+
+@dataclass
+class ComorbidConfig:
+    min_each: int = 50
+
+
+@dataclass
+class RunConfig:
+    paths: dict[str, str] = field(default_factory=dict)
+    master_seed: int = 0
+    cancer_type: str = "liver"
+    synth: dict = field(default_factory=dict)
+    cohort: SplitConfig = field(default_factory=SplitConfig)
+    prepare: PrepareConfig = field(default_factory=PrepareConfig)
+    train: EnsembleConfig = field(default_factory=EnsembleConfig)
+    predict: PredictConfig = field(default_factory=PredictConfig)
+    lr: LrConfig = field(default_factory=LrConfig)
+    explain: ExplainConfig = field(default_factory=ExplainConfig)
+    comorbid: ComorbidConfig = field(default_factory=ComorbidConfig)
+
+    def validate(self) -> None:
+        if self.cancer_type not in defaults.DIAGNOSIS_ICD_PREFIXES:
+            raise ConfigError(f"unknown cancer_type {self.cancer_type!r}")
+
+
+def load_run_config(path, args) -> tuple[dict, RunConfig]:
+    """The config file at `path` with the --output-dir, --seed and
+    --cancer-type flags applied: its JSON, for the manifest, and RunConfig."""
+    doc = read_json(path)
+    if isinstance(doc, dict):
+        if args.output_dir and isinstance(doc.get("paths", {}), dict):
+            doc["paths"] = {**doc.get("paths", {}),
+                            "output_dir": args.output_dir}
+        if args.seed is not None:
+            doc["master_seed"] = args.seed
+        if args.cancer_type:
+            doc["cancer_type"] = args.cancer_type
+    return doc, config_from_json(RunConfig, doc, path, ConfigError)
 
 
 class Stage:
@@ -202,9 +277,9 @@ def _curves(scores, labels):
 def cmd_synth(cfg, args, stage) -> None:
     catalog = _catalog(stage)
     config = config_from_json(SynthConfig, {
-        "seed": cfg["master_seed"],
-        "n_per_class": {"no_cancer": 2000, cfg["cancer_type"]: 200},
-        **cfg.get("synth", {})}, f"{args.config}: synth")
+        "seed": cfg.master_seed,
+        "n_per_class": {"no_cancer": 2000, cfg.cancer_type: 200},
+        **cfg.synth}, f"{args.config}: synth")
     records = synthesize_cohort(catalog, config)
     out = stage.output("cohort.jsonl", "cohort")
     ioutil.write_records_jsonl(out, records)
@@ -216,14 +291,14 @@ def cmd_synth(cfg, args, stage) -> None:
 def cmd_cohort(cfg, args, stage) -> None:
     src = stage.input("cohort.jsonl", "cohort", "synth")
     records, _ = ioutil.read_records_jsonl(src)
-    ccfg = dict(cfg.get("cohort", {}))
-    split_seed = ccfg.pop("split_seed", cfg["master_seed"])
-    enrich = ccfg.pop("enrich", True)
-    spec = CohortSpec.for_cancer(cfg["cancer_type"], ccfg,
+    split = cfg.cohort
+    spec = CohortSpec.for_cancer(cfg.cancer_type, split.spec,
                                  f"{args.config}: cohort")
     labeled, flow = run_cohort_pipeline(
-        records, spec, SplitParams(seed=split_seed),
-        enrich_unscreened_controls=enrich)
+        records, spec, SplitParams(seed=cfg.master_seed
+                                   if split.split_seed is None
+                                   else split.split_seed),
+        enrich_unscreened_controls=split.enrich)
     out = stage.output("labeled.jsonl", "labeled")
     extras = [{"label": e.label, "split": e.split,
                "cancer_type": e.cancer_type,
@@ -245,8 +320,7 @@ def cmd_prepare(cfg, args, stage) -> None:
     catalog = _catalog(stage)
     dev = _split(_labeled(stage), "development")[0]
     params = fit_normalization(dev, catalog,
-                               cfg.get("prepare", {}).get(
-                                   "scale_demographics", True))
+                               cfg.prepare.scale_demographics)
     out = stage.output("normalization.json", "normalization")
     ioutil.atomic_write_json(out, params.to_dict())
     print(f"prepare: normalization fitted on {len(dev)} encounters -> {out}")
@@ -256,23 +330,19 @@ def cmd_train(cfg, args, stage) -> None:
     catalog = _catalog(stage)
     norm = stage.input("normalization.json", "normalization", "prepare")
     params = NormalizationParams.from_dict(read_json(norm), norm)
-    tcfg = dict(cfg.get("train", {}))
-    n_members = tcfg.pop("n_members", 10)
-    subsample = tcfg.pop("subsample", 0.8)
     config = config_from_json(RiskModelConfig, {
-        "seed": cfg["master_seed"], **tcfg,
+        "seed": cfg.master_seed, **cfg.train.model,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
     dev, labels, pids, values, mask = _split(_labeled(stage), "development",
                                              params)
     ensemble = train_ensemble(values, mask, labels, pids, params, config,
-                              n_members=n_members, subsample=subsample,
+                              n_members=cfg.train.n_members,
+                              subsample=cfg.train.subsample,
                               catalog_version=catalog.version)
     # Self-contained report support: dev scores + explanation background.
     dev_scores = ensemble.predict_batch(values, mask).mean(axis=1)
     bg_v, bg_m = draw_background(values, mask, labels,
-                                 cfg.get("explain", {}).get(
-                                     "background_size", 256),
-                                 cfg["master_seed"])
+                                 cfg.explain.background_size, cfg.master_seed)
     extras_payload = {
         "dev_scores": {
             "encounter_ids": [r.encounter_id for r in dev],
@@ -287,7 +357,7 @@ def cmd_train(cfg, args, stage) -> None:
                        ["member", "stage", "epoch", "loss"],
                        [[h["member"], h["stage"], h["epoch"], h["loss"]]
                         for h in ensemble.history])
-    print(f"train: {n_members}-member ensemble on {values.shape[0]} "
+    print(f"train: {cfg.train.n_members}-member ensemble on {values.shape[0]} "
           f"encounters -> {out}")
 
 
@@ -298,8 +368,8 @@ def cmd_predict(cfg, args, stage) -> None:
     record, vec = _patient(stage, args.patient, ensemble.normalization)
     assessment = ensemble.predict(vec.values, vec.mask)
     report = likelihood.build_report(
-        record.patient_id, cfg["cancer_type"], assessment, dev,
-        min_n=cfg.get("predict", {}).get("min_n", 50))
+        record.patient_id, cfg.cancer_type, assessment, dev,
+        min_n=cfg.predict.min_n)
     ioutil.atomic_write_json(stage.output("report.json"), report.to_dict())
     ioutil.atomic_write_text(stage.output("report.txt"),
                              report.to_text() + "\n")
@@ -341,6 +411,13 @@ def cmd_evaluate(cfg, args, stage) -> None:
 def cmd_lr(cfg, args, stage) -> None:
     """LR-vs-threshold curves for the model and the baselines."""
     catalog = _catalog(stage)
+    markers = cfg.lr.single_markers
+    if markers is None:
+        markers = DEFAULT_SINGLE_MARKERS[cfg.cancer_type]
+    unknown = set(markers) - {m.id for m in catalog.lab_markers}
+    if unknown:
+        raise ConfigError(f"{args.config}: lr: single_markers: {sorted(unknown)}"
+                          " are not lab markers of the catalog")
     ensemble = _load_model(stage)[0]
     params = ensemble.normalization
     labeled = _labeled(stage)
@@ -363,8 +440,6 @@ def cmd_lr(cfg, args, stage) -> None:
     add("oor", oor, labels)
     add("age", np.array([likelihood.age_score(r.age_years) for r in val]),
         labels)
-    markers = cfg.get("lr", {}).get(
-        "single_markers", DEFAULT_SINGLE_MARKERS[cfg["cancer_type"]])
     for mid in markers:
         scaler = likelihood.SingleMarkerScaler.fit(dev_recs, mid, catalog,
                                                    params)
@@ -391,13 +466,10 @@ def cmd_explain(cfg, args, stage) -> None:
     ensemble, dev, (bg_v, bg_m) = _load_model(stage, "dev_scores",
                                               "background")
     params = ensemble.normalization
-    ecfg = cfg.get("explain", {})
-    shap_cfg = ShapConfig(
-        n_permutations=ecfg.get("n_permutations", 100),
-        seed=cfg["master_seed"],
-        top_k_summary=ecfg.get("top_k", 15))
-    fn = NormalizedLrFn(ensemble, dev,
-                        min_n=cfg.get("predict", {}).get("min_n", 50))
+    shap_cfg = ShapConfig(n_permutations=cfg.explain.n_permutations,
+                          seed=cfg.master_seed,
+                          top_k_summary=cfg.explain.top_k)
+    fn = NormalizedLrFn(ensemble, dev, min_n=cfg.predict.min_n)
     if args.patient:
         record, vec = _patient(stage, args.patient, params)
         wf = waterfall(fn, vec.values, vec.mask, bg_v, bg_m,
@@ -413,10 +485,8 @@ def cmd_explain(cfg, args, stage) -> None:
         print(f"explain: waterfall for {record.patient_id} -> {out}")
     else:
         val = _split(_labeled(stage), "validation")[0]
-        n = min(ecfg.get("n_samples", 40), len(val))
-        if n < shap_cfg.min_summary_samples:
-            raise ConfigError("too few validation encounters to summarize")
-        rng = np.random.default_rng(cfg["master_seed"])
+        n = min(cfg.explain.n_samples, len(val))
+        rng = np.random.default_rng(cfg.master_seed)
         idx = np.sort(rng.choice(len(val), size=n, replace=False))
         values, mask = vectorize_many([val[i] for i in idx], params)
         summary = cohort_summary(fn, values, mask, bg_v, bg_m,
@@ -464,7 +534,7 @@ def cmd_comorbid(cfg, args, stage) -> None:
     rows = comorbid_mod.build_comorbidity_table(cancer_sets, control_sets,
                                                 pmap)
     ranked = comorbid_mod.rank_comorbidities(
-        rows, min_each=cfg.get("comorbid", {}).get("min_each", 50))
+        rows, min_each=cfg.comorbid.min_each)
     table = stage.output("comorbidity.tsv")
     ioutil.write_table(
         table,
@@ -567,17 +637,8 @@ def main(argv=None) -> int:
     try:
         if not args.config:
             raise ConfigError("--config (or LABRISK_CONFIG) is required")
-        cfg = load_run_config(args.config)
-        if args.output_dir:
-            cfg["paths"]["output_dir"] = args.output_dir
-        if args.seed is not None:
-            cfg["master_seed"] = args.seed
-        if args.cancer_type:
-            cfg["cancer_type"] = args.cancer_type
-        if not isinstance(cfg["cancer_type"], str) \
-                or cfg["cancer_type"] not in defaults.DIAGNOSIS_ICD_PREFIXES:
-            raise ConfigError(f"unknown cancer_type {cfg['cancer_type']!r}")
-        stage = Stage(cfg["paths"])
+        doc, cfg = load_run_config(args.config, args)
+        stage = Stage(cfg.paths)
         start = time.perf_counter()
         COMMANDS[args.command](cfg, args, stage)
         wall_s = time.perf_counter() - start
@@ -586,7 +647,7 @@ def main(argv=None) -> int:
             stage.place(os.path.join(
                 "report" if args.command == "report" else "",
                 f"{args.command}_manifest.json")),
-            args.command, cfg, stage.inputs, stage.outputs,
+            args.command, doc, stage.inputs, stage.outputs,
             {"wall_s": wall_s,
              "peak_rss_mb":
                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

@@ -100,22 +100,25 @@ def _matches_dx(code: str, prefixes) -> bool:
     return any(code.startswith(p) for p in prefixes)
 
 
+def _dx_codes(records: list[EncounterRecord], spec: CohortSpec) -> list:
+    """The patient's ICD-10 codes with a cancer-diagnosis prefix."""
+    return [c for c in patient_codes(records) if c.system == "ICD10"
+            and _matches_dx(c.code, spec.diagnosis_icd_prefixes)]
+
+
 def assign_label(records: list[EncounterRecord],
                  spec: CohortSpec) -> tuple[bool, datetime.date | None]:
     """Label is positive iff a diagnosis-prefixed ICD-10 code exists and,
     when confirmation is required, at least one additional qualifying code
     (therapy, diagnostic procedure, or another diagnosis code) occurs
     strictly after the first diagnosis date."""
-    codes = patient_codes(records)
-    dx_dates = [c.date for c in codes
-                if c.system == "ICD10"
-                and _matches_dx(c.code, spec.diagnosis_icd_prefixes)]
-    if not dx_dates:
+    dx = _dx_codes(records, spec)
+    if not dx:
         return False, None
-    first = min(dx_dates)
+    first = min(c.date for c in dx)
     if not spec.confirmation_required:
         return True, first
-    for c in codes:
+    for c in patient_codes(records):
         if c.date <= first:
             continue
         if (c.code in spec.therapy_codes or c.code in spec.diagnostic_codes
@@ -210,23 +213,22 @@ def split_dev_val(encounters: list[LabeledEncounter],
     frac = dev_n / (dev_n + val_n)
     fallback_pool = []
     assignments: dict[str, tuple[str, bool]] = {}
+
+    def assign(pids: list[str], fallback: bool) -> None:
+        order = rng.permutation(len(pids))
+        n_dev = int(round(frac * len(pids)))
+        for rank, i in enumerate(order):
+            split = "development" if rank < n_dev else "validation"
+            assignments[pids[i]] = (split, fallback)
+
     for key in sorted(strata, key=repr):
         pids = sorted(strata[key])
         if len(pids) < 3:
             fallback_pool.extend(pids)
-            continue
-        order = rng.permutation(len(pids))
-        n_dev = int(round(frac * len(pids)))
-        for rank, i in enumerate(order):
-            split = "development" if rank < n_dev else "validation"
-            assignments[pids[i]] = (split, False)
+        else:
+            assign(pids, False)
     if fallback_pool:
-        pids = sorted(fallback_pool)
-        order = rng.permutation(len(pids))
-        n_dev = int(round(frac * len(pids)))
-        for rank, i in enumerate(order):
-            split = "development" if rank < n_dev else "validation"
-            assignments[pids[i]] = (split, True)
+        assign(sorted(fallback_pool), True)
 
     for e in encounters:
         split, flagged = assignments[e.record.patient_id]
@@ -239,9 +241,7 @@ def qualifies_as_control(records: list[EncounterRecord],
                          spec: CohortSpec) -> bool:
     """No cancer-diagnosis ICD code at any time (history or within the
     12-month label horizon of any encounter)."""
-    return not any(
-        c.system == "ICD10" and _matches_dx(c.code, spec.diagnosis_icd_prefixes)
-        for c in patient_codes(records))
+    return not _dx_codes(records, spec)
 
 
 def enrich_controls(encounters: list[LabeledEncounter],
@@ -256,25 +256,17 @@ def enrich_controls(encounters: list[LabeledEncounter],
         if pid in existing:
             continue
         recs = extra_by_patient[pid]
-        label, dx_date = assign_label(recs, spec)
         if qualifies_as_control(recs, spec):
             added.extend(filter_encounters(recs, False, None, spec))
-        elif not label and dx_date is None:
+        elif not assign_label(recs, spec)[0]:
             # Patient has an unconfirmed diagnosis trail or screening-less
             # cancer codes; usable for development only.
-            has_dx = any(
-                c.system == "ICD10"
-                and _matches_dx(c.code, spec.diagnosis_icd_prefixes)
-                for c in patient_codes(recs))
-            if has_dx:
-                first = min(c.date for c in patient_codes(recs)
-                            if c.system == "ICD10"
-                            and _matches_dx(c.code, spec.diagnosis_icd_prefixes))
-                dev_only = filter_encounters(recs, True, first, spec)
-                for e in dev_only:
-                    e.split = "development"
-                    e.split_fallback = True
-                encounters = encounters + dev_only
+            first = min(c.date for c in _dx_codes(recs, spec))
+            dev_only = filter_encounters(recs, True, first, spec)
+            for e in dev_only:
+                e.split = "development"
+                e.split_fallback = True
+            encounters = encounters + dev_only
     if added:
         added = split_dev_val(added, split_params)
         encounters = encounters + added

@@ -194,7 +194,7 @@ def build_comorbidity_table(cancer_phecodes: list[set[str]],
 
 
 def rank_comorbidities(rows: list[ComorbidityRow],
-                       min_each: int = 50) -> list[ComorbidityRow]:
+                       min_each: int) -> list[ComorbidityRow]:
     """Phecodes with at least min_each carriers in both cohorts, ranked
     ascending by p-value."""
     eligible = [r for r in rows

@@ -7,8 +7,8 @@ do not dominate. A feature "absent from a coalition" has its value and its
 mask bit replaced from a background draw, so missingness itself is
 expressible to the model.
 
-Exact subset enumeration is used when the number of active features is
-small; otherwise permutation sampling with antithetic pairs.
+Exact subset enumeration is used when the number of features is small;
+otherwise permutation sampling with antithetic pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import LabriskError
 # which perfbench/spans.py wraps it.
 from .likelihood import ScoredCohort, lr_from_counts, similar_cohort  # noqa: F401
 from .model import RiskEnsemble, score_summary
+from .nn import sigmoid
 
 
 class ExplainError(LabriskError):
@@ -31,12 +32,7 @@ class ExplainError(LabriskError):
 
 def normalize_lr(lr) -> float | np.ndarray:
     """Logistic squashing of a likelihood ratio: 1/(1+exp(-(lr-5)/0.5))."""
-    x = (np.asarray(lr, dtype=np.float64) - 5.0) / 0.5
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid((np.asarray(lr, dtype=np.float64) - 5.0) / 0.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -51,7 +47,7 @@ class NormalizedLrFn:
     """
 
     def __init__(self, ensemble: RiskEnsemble, dev: ScoredCohort,
-                 min_n: int = 50):
+                 min_n: int):
         self.ensemble = ensemble
         self.dev = dev
         self.min_n = min_n
@@ -66,9 +62,8 @@ class NormalizedLrFn:
 
 @dataclass
 class ShapConfig:
-    max_exact: int = 12  # enumerate exactly up to this many active features
+    max_exact: int = 12  # enumerate exactly up to this many features
     n_permutations: int = 200  # antithetic pairs count as two
-    background_size: int = 256
     seed: int = 0
     min_waterfall_markers: int = 24
     top_k_summary: int = 15
@@ -85,10 +80,6 @@ class ShapResult:
     n_samples: int
     seed: int
     ci99: np.ndarray | None = None  # per-feature 99% MC half-width
-
-    @property
-    def efficiency_residual(self) -> float:
-        return float(self.fx - (self.base_value + self.phi.sum()))
 
 
 def shap_provenance(results: list[ShapResult], seed: int) -> dict:
@@ -111,14 +102,13 @@ def _compose(values, mask, coalition, bg_values, bg_mask):
     return v, m
 
 
-def _shap_exact(fn, values, mask, bg_v, bg_m, active, seed) -> ShapResult:
-    d = active.size
+def _shap_exact(fn, values, mask, bg_v, bg_m, seed) -> ShapResult:
+    d = values.size
     n_sub = 1 << d
-    # Coalition s holds active feature j when bit j of s is set.
+    # Coalition s holds feature j when bit j of s is set.
     subsets = np.arange(n_sub)
     bits = (subsets[:, None] >> np.arange(d)) & 1
-    coalitions = np.zeros((n_sub, values.size), dtype=bool)
-    coalitions[:, active] = bits.astype(bool)
+    coalitions = bits.astype(bool)
     # Value of every coalition, averaged over the background set; one call
     # per coalition keeps the batch at the background size.
     v_of = np.array([np.mean(fn(*_compose(values, mask, c, bg_v, bg_m)))
@@ -127,21 +117,21 @@ def _shap_exact(fn, values, mask, bg_v, bg_m, active, seed) -> ShapResult:
     fact = [math.factorial(i) for i in range(d + 1)]
     weight = np.array([fact[k] * fact[d - k - 1] / fact[d] for k in range(d)])
     size = bits.sum(axis=1)
-    phi = np.zeros(values.size)
+    phi = np.zeros(d)
     for j in range(d):
         without = subsets[bits[:, j] == 0]
         terms = weight[size[without]] * (v_of[without | 1 << j] - v_of[without])
         # Summed in subset order, left to right, like a scalar loop.
-        phi[active[j]] = np.cumsum(terms)[-1]
+        phi[j] = np.cumsum(terms)[-1]
     return ShapResult(phi=phi, base_value=float(v_of[0]),
                       fx=float(v_of[n_sub - 1]),
                       method="exact_enumeration", n_samples=n_sub, seed=seed)
 
 
-def _shap_sampling(fn, values, mask, bg_v, bg_m, active,
-                   n_permutations, seed) -> ShapResult:
+def _shap_sampling(fn, values, mask, bg_v, bg_m, n_permutations,
+                   seed) -> ShapResult:
     rng = np.random.default_rng(seed)
-    d = active.size
+    d = values.size
     n_bg = bg_v.shape[0]
     n_pairs = max(1, n_permutations // 2)
     perms = np.empty((n_pairs, d), dtype=np.intp)
@@ -151,18 +141,18 @@ def _shap_sampling(fn, values, mask, bg_v, bg_m, active,
         draws[pair] = rng.integers(n_bg)
     # Walk 2i follows permutation i, walk 2i + 1 its reverse (antithetic).
     n_walks = 2 * n_pairs
-    added = active[np.stack([perms, perms[:, ::-1]], axis=1).reshape(
-        n_walks, d)]  # feature added at each step of each walk
+    # added[w, t]: the feature added at step t + 1 of walk w.
+    added = np.stack([perms, perms[:, ::-1]], axis=1).reshape(n_walks, d)
     b = np.repeat(draws, 2)
     walk = np.arange(n_walks)[:, None]
     # step[w, f]: the step of walk w that adds feature f (never: d + 1).
-    step = np.full((n_walks, values.size), d + 1)
+    step = np.full((n_walks, d), d + 1)
     step[walk, added] = np.arange(1, d + 1)
     coalitions = step[:, None, :] <= np.arange(d + 1)[:, None]
     walk_v, walk_m = _compose(values, mask, coalitions,
                               bg_v[b, None, :], bg_m[b, None, :])
     f = fn(walk_v, walk_m)  # (walks, d + 1)
-    contribs = np.zeros((n_walks, values.size))
+    contribs = np.zeros((n_walks, d))
     contribs[walk, added] = f[:, 1:] - f[:, :-1]
     phi = contribs.mean(axis=0)
     se = contribs.std(axis=0, ddof=1) / math.sqrt(n_walks)
@@ -194,10 +184,9 @@ def shap_values(fn, values: np.ndarray, mask: np.ndarray,
     bg_mask = np.atleast_2d(np.asarray(bg_mask, dtype=np.float64))
     if bg_values.shape[0] == 0:
         raise ExplainError("empty background set")
-    active = np.arange(values.size)
-    if active.size <= config.max_exact:
-        return _shap_exact(fn, values, mask, bg_values, bg_mask, active, seed)
-    return _shap_sampling(fn, values, mask, bg_values, bg_mask, active,
+    if values.size <= config.max_exact:
+        return _shap_exact(fn, values, mask, bg_values, bg_mask, seed)
+    return _shap_sampling(fn, values, mask, bg_values, bg_mask,
                           config.n_permutations, seed)
 
 

@@ -104,7 +104,7 @@ class ScoredCohort:
         return order, self.scores[order], cum_pos
 
     def similar_counts(self, mean, lo, hi,
-                       min_n: int = 50) -> tuple[np.ndarray, np.ndarray]:
+                       min_n: int) -> tuple[np.ndarray, np.ndarray]:
         """(n_pos, n) of the similar-score cohort of every (mean, lo, hi),
         as similar_cohort defines it; the arguments broadcast together."""
         mean, lo, hi = np.broadcast_arrays(
@@ -197,7 +197,7 @@ def _ranges(row: np.ndarray, start: np.ndarray,
 
 
 def similar_cohort(dev: ScoredCohort, assessment: RiskAssessment,
-                   min_n: int = 50) -> ScoredCohort:
+                   min_n: int) -> ScoredCohort:
     """Development entries with scores inside the assessment CI, expanded to
     the min_n nearest neighbors by |score - mean| (ties to the lower index)
     when too few fall inside."""
@@ -352,7 +352,7 @@ class LRReport:
 
 def build_report(patient_id: str, cancer_type: str,
                  assessment: RiskAssessment, dev: ScoredCohort,
-                 min_n: int = 50) -> LRReport:
+                 min_n: int) -> LRReport:
     similar = similar_cohort(dev, assessment, min_n=min_n)
     pos_sub, n_sub = similar.n_pos, len(similar)
     lr, corrected = lr_from_counts(pos_sub, n_sub, dev.n_pos, len(dev))

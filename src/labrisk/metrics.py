@@ -63,10 +63,6 @@ def roc(scores, labels) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
-def average_precision(scores, labels) -> float:
-    return pr_curve(scores, labels).ap
-
-
 def pr_curve(scores, labels) -> PrCurve:
     """Precision and recall at descending-score thresholds, ties grouped;
     AP = sum over them of (recall_i - recall_{i-1}) * precision_i."""

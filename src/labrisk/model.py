@@ -53,9 +53,6 @@ class RiskModelConfig:
     ci_scale: float = 1.0
 
     def validate(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ModelError(f"{name} must be a number, got {value!r}")
         if self.n_features <= 0 or self.hidden_width <= 0 or self.latent_dim <= 0:
             raise ModelError("network dimensions must be positive")
         if not 0.0 <= self.mask_fraction < 1.0:
@@ -298,10 +295,6 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
                    catalog_version: str = "unversioned") -> RiskEnsemble:
     """Train an ensemble of independently seeded models, each on a
     label-stratified subsample of patients."""
-    if type(n_members) is not int or n_members < 1 \
-            or type(subsample) not in (int, float) or not 0 < subsample <= 1:
-        raise ModelError("n_members must be an integer >= 1 and subsample in "
-                         f"(0, 1], got {n_members!r} and {subsample!r}")
     patients = {}
     for i, pid in enumerate(patient_ids):
         patients.setdefault(pid, []).append(i)

@@ -1,9 +1,9 @@
 """Minimal deterministic neural-network core.
 
-Dense layers, batch normalization, activations, VAE losses, Adam, and a
-central-finite-difference gradient checker. Everything is float64 and
-operates on plain numpy arrays; each layer caches its last forward inputs
-for the matching backward call. No hidden global state.
+Dense layers, batch normalization, activations, VAE losses and Adam.
+Everything is float64 and operates on plain numpy arrays; each layer caches
+its last forward inputs for the matching backward call. No hidden global
+state.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ class Layer:
 
     param_names: tuple[str, ...] = ()
     stat_names: tuple[str, ...] = ()
-
-    def params(self):
-        return [getattr(self, n) for n in self.param_names]
-
-    def grads(self):
-        return [getattr(self, "d" + n) for n in self.param_names]
 
 
 def pack(slots: list[tuple[object, str]]) -> np.ndarray:
@@ -246,36 +240,3 @@ class Adam:
         self.params -= (self.lr * (self.m / bc1)
                         / (np.sqrt(self.v / bc2) + self.eps))
 
-
-def finite_difference_gradient(f, params: list[np.ndarray],
-                               step: float = 1e-5) -> list[np.ndarray]:
-    """Central differences of a scalar function of a parameter list."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f()
-            flat[i] = orig - step
-            lo = f()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * step)
-        grads.append(g)
-    return grads
-
-
-def grad_check(f, params: list[np.ndarray], analytic: list[np.ndarray],
-               step: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central finite
-    differences of f() taken over the given parameter arrays."""
-    numeric = finite_difference_gradient(f, params, step)
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        # The 1e-6 floor keeps central-difference truncation noise (~1e-11
-        # absolute) from dominating entries whose true gradient is zero.
-        denom = np.maximum(np.abs(a) + np.abs(n), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst

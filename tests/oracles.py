@@ -1,0 +1,60 @@
+"""Reference helpers the tests check labrisk against: layer parameter
+lists, central-difference gradient checks, average precision and the
+Shapley efficiency residual."""
+
+import numpy as np
+
+from labrisk import metrics
+
+
+def params(layer):
+    """The layer's trainable arrays, in `param_names` order."""
+    return [getattr(layer, n) for n in layer.param_names]
+
+
+def grads(layer):
+    """The gradients of `params(layer)` (the gradient of `x` is `dx`)."""
+    return [getattr(layer, "d" + n) for n in layer.param_names]
+
+
+def finite_difference_gradient(f, arrays: list[np.ndarray],
+                               step: float = 1e-5) -> list[np.ndarray]:
+    """Central differences of a scalar function of a parameter list."""
+    out = []
+    for p in arrays:
+        g = np.zeros_like(p)
+        flat = p.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f()
+            flat[i] = orig - step
+            lo = f()
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2 * step)
+        out.append(g)
+    return out
+
+
+def grad_check(f, arrays: list[np.ndarray], analytic: list[np.ndarray],
+               step: float = 1e-5) -> float:
+    """Max relative error between analytic gradients and central finite
+    differences of f() taken over the given parameter arrays."""
+    numeric = finite_difference_gradient(f, arrays, step)
+    worst = 0.0
+    for a, n in zip(analytic, numeric):
+        # The 1e-6 floor keeps central-difference truncation noise (~1e-11
+        # absolute) from dominating entries whose true gradient is zero.
+        denom = np.maximum(np.abs(a) + np.abs(n), 1e-6)
+        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+    return worst
+
+
+def average_precision(scores, labels) -> float:
+    return metrics.pr_curve(scores, labels).ap
+
+
+def efficiency_residual(result) -> float:
+    """fx minus the base value and the attributions of a ShapResult."""
+    return float(result.fx - (result.base_value + result.phi.sum()))

@@ -403,13 +403,22 @@ def _unknown_model_config_key(run, tmp):
             [str(model), "payload.config", "bogus"])
 
 
-def _section_case(command, section, body, inputs=()):
+def _section_case(command, section, body, inputs=(), patient=False):
+    """`command` on a config whose `section` is `body`, reading `inputs`
+    (paths key, file of the run) and, if `patient`, a valid --patient."""
     def case(run, tmp):
         _, out = run
         cfg = _config(tmp, {k: str(out / v) for k, v in inputs},
                       **{section: body})
-        return [command, "--config", cfg], [cfg, section, *body]
+        flags = ["--patient", _write(tmp / "patient.json", json.dumps(
+            _validation_doc(out)))] if patient else []
+        return [command, "--config", cfg, *flags], [cfg, section, *body]
     return case
+
+
+TRAIN_INPUTS = [("normalization", "normalization.json"),
+                ("labeled", "labeled.jsonl")]
+SCORE_INPUTS = [("model", "model.json"), ("labeled", "labeled.jsonl")]
 
 
 MALFORMED_INPUTS = {
@@ -461,6 +470,40 @@ MALFORMED_INPUTS = {
         "train", "train", {"batch_size": 1},
         [("normalization", "normalization.json"),
          ("labeled", "labeled.jsonl")]),
+    # One row per section key that was read unchecked or checked without
+    # naming the config file and section.
+    "config-explain-n-samples-string": _section_case(
+        "explain", "explain", {"n_samples": "x"}, SCORE_INPUTS),
+    "config-explain-n-samples-too-few": _section_case(
+        "explain", "explain", {"n_samples": 3}, SCORE_INPUTS),
+    "config-explain-n-permutations-string": _section_case(
+        "explain", "explain", {"n_permutations": "x"}, SCORE_INPUTS, True),
+    "config-explain-top-k-string": _section_case(
+        "explain", "explain", {"top_k": "x"}, SCORE_INPUTS),
+    "config-explain-background-size-0": _section_case(
+        "train", "explain", {"background_size": 0}, TRAIN_INPUTS),
+    "config-explain-background-size-string": _section_case(
+        "train", "explain", {"background_size": "x"}, TRAIN_INPUTS),
+    "config-predict-min-n-string": _section_case(
+        "predict", "predict", {"min_n": "x"}, SCORE_INPUTS, True),
+    "config-predict-min-n-0": _section_case(
+        "explain", "predict", {"min_n": 0}, SCORE_INPUTS, True),
+    "config-comorbid-min-each-string": _section_case(
+        "comorbid", "comorbid", {"min_each": "x"}, SCORE_INPUTS),
+    "config-lr-single-markers-unknown": _section_case(
+        "lr", "lr", {"single_markers": ["bogus"]}, SCORE_INPUTS),
+    "config-lr-single-markers-string": _section_case(
+        "lr", "lr", {"single_markers": "rdw"}, SCORE_INPUTS),
+    "config-prepare-scale-demographics-string": _section_case(
+        "prepare", "prepare", {"scale_demographics": "no"}, SCORE_INPUTS),
+    "config-unknown-prepare-key": _section_case(
+        "prepare", "prepare", {"bogus": 1}, SCORE_INPUTS),
+    "config-unknown-predict-key": _section_case(
+        "predict", "predict", {"bogus": 1}, SCORE_INPUTS, True),
+    "config-train-n-members-0": _section_case(
+        "train", "train", {"n_members": 0}, TRAIN_INPUTS),
+    "config-train-subsample-string": _section_case(
+        "train", "train", {"subsample": "x"}, TRAIN_INPUTS),
 }
 
 
@@ -621,9 +664,33 @@ TRAIN_SECTION = {"hidden_width": 8, "latent_dim": 4, "w_recon": 1.0,
                  "mask_fraction": 0.25, "lr": 1e-3, "seed": 1,
                  "ci_scale": 1.0, "n_members": 1, "subsample": 0.8}
 KNOWN_SECTION_KEYS = {f.name for cls in (SynthConfig, CohortSpec,
-                                          RiskModelConfig)
+                                          RiskModelConfig, cli.PrepareConfig,
+                                          cli.PredictConfig, cli.LrConfig,
+                                          cli.ExplainConfig,
+                                          cli.ComorbidConfig)
                       for f in dataclasses.fields(cls)} | {
     "n_members", "subsample", "split_seed", "enrich"}
+LAB_MARKERS = {m.id for m in defaults.default_catalog().lab_markers}
+NOT_INTS = NOT_NUMBERS | st.floats(allow_nan=False)
+NOT_BOOLS = JSON_VALUES.filter(lambda v: not isinstance(v, bool))
+# Values of the wrong type for each typed key of the sections read by
+# commands (the train model keys are drawn from TRAIN_SECTION).
+WRONG_TYPED = {
+    ("cohort", "split_seed"): NOT_INTS.filter(lambda v: v is not None),
+    ("cohort", "enrich"): NOT_BOOLS,
+    ("prepare", "scale_demographics"): NOT_BOOLS,
+    ("train", "n_members"): NOT_INTS,
+    ("train", "subsample"): NOT_NUMBERS,
+    ("predict", "min_n"): NOT_INTS,
+    ("lr", "single_markers"):
+        JSON_SCALARS.filter(lambda v: v is not None)
+        | st.lists(JSON_VALUES, min_size=1, max_size=2).filter(
+            lambda v: not all(isinstance(x, str) and x in LAB_MARKERS
+                              for x in v)),
+    **{("explain", key): NOT_INTS for key in (
+        "n_samples", "n_permutations", "background_size", "top_k")},
+    ("comorbid", "min_each"): NOT_INTS,
+}
 SECTION_COMMANDS = {"paths": "synth", "synth": "synth", "cohort": "cohort",
                     "prepare": "prepare", "train": "train",
                     "predict": "predict", "lr": "lr", "explain": "explain",
@@ -640,7 +707,8 @@ def test_fuzzed_run_config_never_exits_4(run, fuzz_dir, data):
     config = {"paths": {"output_dir": str(fuzz_dir / "o"), **inputs},
               "master_seed": 99, "cancer_type": "liver",
               "train": dict(TRAIN_SECTION)}
-    kind = data.draw(st.sampled_from(["top", "section", "unknown", "train"]))
+    kind = data.draw(st.sampled_from(["top", "section", "unknown", "train",
+                                      "typed"]))
     command = "train"
     if kind == "top":
         config = data.draw(NOT_OBJECTS)
@@ -649,15 +717,25 @@ def test_fuzzed_run_config_never_exits_4(run, fuzz_dir, data):
         command = SECTION_COMMANDS[section]
         config[section] = data.draw(NOT_OBJECTS)
     elif kind == "unknown":
-        command = data.draw(st.sampled_from(["synth", "train", "cohort"]))
+        section = data.draw(st.sampled_from(sorted(
+            SECTION_COMMANDS.keys() - {"paths"})))
+        command = SECTION_COMMANDS[section]
         key = data.draw(st.text(min_size=1, max_size=8).filter(
             lambda k: k not in KNOWN_SECTION_KEYS))
-        config.setdefault(command, {})[key] = 1
-    else:
+        config.setdefault(section, {})[key] = 1
+    elif kind == "train":
         config["train"][data.draw(st.sampled_from(sorted(TRAIN_SECTION)))] \
             = data.draw(NOT_NUMBERS)
+    else:
+        section, key = data.draw(st.sampled_from(sorted(WRONG_TYPED)))
+        command = SECTION_COMMANDS[section]
+        config.setdefault(section, {})[key] = data.draw(
+            WRONG_TYPED[section, key])
     cfg = _write(fuzz_dir / "c.json", json.dumps(config))
-    assert _exit_code([command, "--config", cfg]) == 3
+    # predict gets a valid patient, so only the config can be at fault.
+    flags = ["--patient", _write(fuzz_dir / "patient.json", json.dumps(
+        _validation_doc(out)))] if command == "predict" else []
+    assert _exit_code([command, "--config", cfg, *flags]) == 3
 
 
 def test_train_log_carries_member_index(run):

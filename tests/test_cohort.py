@@ -42,6 +42,8 @@ def test_for_cancer_overrides_are_checked_json():
     assert spec.age_range == (50, 80) and spec.min_markers == 10
     assert spec.screening_codes == SPEC.screening_codes
     for overrides, named in (({"age_range": [50]}, "age_range"),
+                             ({"age_range": [50, "x"]}, r"age_range\[1\]"),
+                             ({"screening_codes": [1]}, "screening_codes"),
                              ({"min_markers": True}, "min_markers"),
                              ({"bogus": 1}, "bogus")):
         with pytest.raises(CohortError, match=named):

@@ -287,7 +287,7 @@ def test_build_report_round_trip():
     dev = cohort_from(rng, n=500)
     assessment = RiskAssessment(per_member_scores=[0.7, 0.75, 0.72],
                                 mean=0.72, std=0.02, ci=(0.70, 0.74))
-    report = likelihood.build_report("p9", "liver", assessment, dev)
+    report = likelihood.build_report("p9", "liver", assessment, dev, min_n=50)
     d = report.to_dict()
     assert d["patient_id"] == "p9"
     assert d["likelihood_ratio"] == pytest.approx(

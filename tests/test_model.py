@@ -13,6 +13,8 @@ from labrisk.model import (ModelError, ModelIOError, RiskAssessment,
                            pretrain, save_model, train_ensemble)
 from labrisk.preprocess import NormalizationParams
 
+from oracles import grad_check, params
+
 
 def tiny_config(d=5, **kw):
     base = dict(n_features=d, hidden_width=6, latent_dim=3,
@@ -60,7 +62,7 @@ def test_pretrain_loss_gradient_check(seed):
 
     loss()
     analytic = [model.grads.copy()]
-    assert nn.grad_check(loss, [model.params], analytic) < 1e-4
+    assert grad_check(loss, [model.params], analytic) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -78,7 +80,7 @@ def test_finetune_loss_gradient_check(seed):
 
     loss()
     analytic = [model.grads.copy()]
-    assert nn.grad_check(loss, [model.params], analytic) < 1e-4
+    assert grad_check(loss, [model.params], analytic) < 1e-4
 
 
 def separable_data(n=120, d=5, seed=0):
@@ -141,7 +143,7 @@ def state_bytes(model):
     """A member's parameters, then its BatchNorm running statistics, in
     `_stacks()` order, as little-endian float64 bytes."""
     layers = model._stacks()
-    arrays = [p for layer in layers for p in layer.params()]
+    arrays = [p for layer in layers for p in params(layer)]
     arrays += [s for layer in layers if isinstance(layer, nn.BatchNorm)
                for s in (layer.running_mean, layer.running_var)]
     return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()

@@ -5,6 +5,8 @@ import pytest
 
 from labrisk import nn
 
+from oracles import grad_check, grads, params
+
 
 def _rng(seed):
     return np.random.default_rng(seed)
@@ -47,7 +49,7 @@ def test_linear_grad_check(seed):
 
     layer.forward(x)
     layer.backward(w)
-    err = nn.grad_check(loss, layer.params(), layer.grads())
+    err = grad_check(loss, params(layer), grads(layer))
     assert err < 1e-6
 
 
@@ -63,7 +65,7 @@ def test_batchnorm_grad_check(seed):
 
     layer.forward(x.copy(), train=True)
     layer.backward(w)
-    err = nn.grad_check(loss, layer.params(), layer.grads())
+    err = grad_check(loss, params(layer), grads(layer))
     assert err < 1e-6
 
 
@@ -135,7 +137,7 @@ def test_masked_mse_grad_zero_where_masked():
     def f():
         return nn.masked_mse(recon, target, mask)[0]
 
-    assert nn.grad_check(f, [recon], [grad]) < 1e-6
+    assert grad_check(f, [recon], [grad]) < 1e-6
 
 
 def test_kl_divergence_grad_check():
@@ -148,7 +150,7 @@ def test_kl_divergence_grad_check():
     def f():
         return nn.kl_divergence(mu, logvar)[0]
 
-    assert nn.grad_check(f, [mu, logvar], [dmu, dlv]) < 1e-6
+    assert grad_check(f, [mu, logvar], [dmu, dlv]) < 1e-6
 
 
 def test_kl_zero_at_standard_normal():
@@ -169,7 +171,7 @@ def test_bce_with_logits_matches_plain_bce_and_grad():
     def f():
         return nn.bce_with_logits(logits, y)[0]
 
-    assert nn.grad_check(f, [logits], [grad]) < 1e-6
+    assert grad_check(f, [logits], [grad]) < 1e-6
 
 
 def test_bce_with_logits_stable_at_extremes():
