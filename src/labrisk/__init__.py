@@ -20,13 +20,26 @@ class LabriskError(ValueError):
     """Malformed input from outside the program; the CLI exits 3 on it."""
 
 
+def read_bytes(path, error: type = LabriskError) -> bytes:
+    """The bytes of the file at `path`, or `error` naming the path."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise error(f"{path}: cannot read ({e})") from None
+
+
 def read_json(path):
     """The parsed JSON file at `path`, or LabriskError naming the path."""
+    return parse_json(read_bytes(path), path)
+
+
+def parse_json(data: bytes, where, error: type = LabriskError):
+    """The UTF-8 JSON document `data`, or `error` naming `where`."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise LabriskError(f"{path}: cannot read JSON ({e})") from None
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{where}: cannot read JSON ({e})") from None
 
 
 def decode_fields(doc, where: str, error: type, decoders: dict,

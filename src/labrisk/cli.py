@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import LabriskError, config_from_json, decode_fields
+from . import LabriskError, config_from_json
 from . import comorbid as comorbid_mod
 from . import defaults, ioutil, likelihood, metrics, read_json, svg
 from .catalog import catalog_to_dict, load_marker_catalog, record_from_dict
 from .cohort import CohortSpec, SplitParams, run_cohort_pipeline
 from .explain import (NormalizedLrFn, ShapConfig, cohort_summary,
                       draw_background, shap_provenance, waterfall)
-from .model import (ModelIOError, RiskModelConfig, load_model, save_model,
-                    train_ensemble)
+from .model import RiskModelConfig, load_model, save_model, train_ensemble
 from .preprocess import (NormalizationParams, complete_derived,
                          fit_normalization, vectorize, vectorize_many)
 from .synth import SynthConfig, synthesize_cohort
@@ -200,9 +199,33 @@ def _catalog(stage):
     return load_marker_catalog(path) if path else defaults.default_catalog()
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _split_name(value) -> str:
+    if value not in ("development", "validation", "unassigned"):
+        raise ValueError(f"unknown split {value!r}")
+    return value
+
+
+def _date_or_none(value) -> datetime.date | None:
+    return None if value is None else datetime.date.fromisoformat(value)
+
+
+# The labeled.jsonl fields that commands read, beyond the record's own.
+LABELED_FIELDS = {
+    "label": _flag,
+    "split": _split_name,
+    "diagnosis_date": _date_or_none,
+}
+
+
 def _labeled(stage):
     return ioutil.read_records_jsonl(
-        stage.input("labeled.jsonl", "labeled", "cohort"))
+        stage.input("labeled.jsonl", "labeled", "cohort"), LABELED_FIELDS)
 
 
 def _split(labeled, split, params=None):
@@ -211,9 +234,9 @@ def _split(labeled, split, params=None):
     vectorized with `params` or None without."""
     recs, labels, pids = [], [], []
     for r, e in zip(*labeled):
-        if e.get("split") == split:
+        if e["split"] == split:
             recs.append(complete_derived(r))
-            labels.append(1 if e.get("label") else 0)
+            labels.append(int(e["label"]))
             pids.append(r.patient_id)
     if not recs:
         raise ConfigError(f"no {split} encounters; check the cohort stage")
@@ -222,29 +245,8 @@ def _split(labeled, split, params=None):
     return recs, np.array(labels), pids, values, mask
 
 
-# The model file's `extras` blocks: their fields, and what they are read as.
-MODEL_EXTRAS = {
-    "dev_scores": (("scores", "labels", "encounter_ids"),
-                   likelihood.ScoredCohort.from_arrays),
-    "background": (("values", "mask"),
-                   lambda values, mask: (np.array(values), np.array(mask))),
-}
-
-
-def _load_model(stage, *keys):
-    """The ensemble in model.json, then each `extras` block named in `keys`
-    as MODEL_EXTRAS reads it; ModelIOError names a missing field."""
-    path = stage.input("model.json", "model", "train")
-    ensemble, extras = load_model(path)
-    blocks = []
-    for key in keys:
-        fields, read = MODEL_EXTRAS[key]
-        block = decode_fields(
-            extras.get(key) if isinstance(extras, dict) else None,
-            f"{path}: extras.{key}", ModelIOError,
-            dict.fromkeys(fields, lambda v: v))
-        blocks.append(read(*block.values()))
-    return ensemble, *blocks
+def _load_model(stage):
+    return load_model(stage.input("model.json", "model", "train"))
 
 
 def _patient(stage, path, params):
@@ -300,13 +302,13 @@ def cmd_cohort(cfg, args, stage) -> None:
                                    else split.split_seed),
         enrich_unscreened_controls=split.enrich)
     out = stage.output("labeled.jsonl", "labeled")
-    extras = [{"label": e.label, "split": e.split,
+    fields = [{"label": e.label, "split": e.split,
                "cancer_type": e.cancer_type,
                "diagnosis_date": (e.diagnosis_date.isoformat()
                                   if e.diagnosis_date else None),
                "split_fallback": e.split_fallback}
               for e in labeled]
-    ioutil.write_records_jsonl(out, [e.record for e in labeled], extras)
+    ioutil.write_records_jsonl(out, [e.record for e in labeled], fields)
     ioutil.write_table(
         stage.output("consort.tsv"),
         ["stage", "n_patients", "n_encounters", "n_positive_patients"],
@@ -333,26 +335,19 @@ def cmd_train(cfg, args, stage) -> None:
     config = config_from_json(RiskModelConfig, {
         "seed": cfg.master_seed, **cfg.train.model,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
-    dev, labels, pids, values, mask = _split(_labeled(stage), "development",
-                                             params)
+    _, labels, pids, values, mask = _split(_labeled(stage), "development",
+                                           params)
     ensemble = train_ensemble(values, mask, labels, pids, params, config,
                               n_members=cfg.train.n_members,
                               subsample=cfg.train.subsample,
                               catalog_version=catalog.version)
     # Self-contained report support: dev scores + explanation background.
-    dev_scores = ensemble.predict_batch(values, mask).mean(axis=1)
-    bg_v, bg_m = draw_background(values, mask, labels,
-                                 cfg.explain.background_size, cfg.master_seed)
-    extras_payload = {
-        "dev_scores": {
-            "encounter_ids": [r.encounter_id for r in dev],
-            "scores": dev_scores.tolist(),
-            "labels": labels.tolist(),
-        },
-        "background": {"values": bg_v.tolist(), "mask": bg_m.tolist()},
-    }
+    ensemble.dev_scores = ensemble.predict_batch(values, mask).mean(axis=1)
+    ensemble.dev_labels = labels
+    ensemble.background_values, ensemble.background_mask = draw_background(
+        values, mask, labels, cfg.explain.background_size, cfg.master_seed)
     out = stage.output("model.json", "model")
-    save_model(ensemble, out, extras_payload)
+    save_model(ensemble, out)
     ioutil.write_table(stage.output("train_log.tsv"),
                        ["member", "stage", "epoch", "loss"],
                        [[h["member"], h["stage"], h["epoch"], h["loss"]]
@@ -364,7 +359,9 @@ def cmd_train(cfg, args, stage) -> None:
 def cmd_predict(cfg, args, stage) -> None:
     if not args.patient:
         raise ConfigError("predict requires --patient <encounter json>")
-    ensemble, dev = _load_model(stage, "dev_scores")
+    ensemble = _load_model(stage)
+    dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
+                                              ensemble.dev_labels)
     record, vec = _patient(stage, args.patient, ensemble.normalization)
     assessment = ensemble.predict(vec.values, vec.mask)
     report = likelihood.build_report(
@@ -377,7 +374,7 @@ def cmd_predict(cfg, args, stage) -> None:
 
 
 def cmd_evaluate(cfg, args, stage) -> None:
-    ensemble = _load_model(stage)[0]
+    ensemble = _load_model(stage)
     labels, member_scores = _validation_scores(stage, ensemble)
     scores = member_scores.mean(axis=1)
     roc_curve, pr, summary = _curves(scores, labels)
@@ -418,7 +415,7 @@ def cmd_lr(cfg, args, stage) -> None:
     if unknown:
         raise ConfigError(f"{args.config}: lr: single_markers: {sorted(unknown)}"
                           " are not lab markers of the catalog")
-    ensemble = _load_model(stage)[0]
+    ensemble = _load_model(stage)
     params = ensemble.normalization
     labeled = _labeled(stage)
     val, labels, _, values, mask = _split(labeled, "validation", params)
@@ -463,13 +460,14 @@ def cmd_lr(cfg, args, stage) -> None:
 
 
 def cmd_explain(cfg, args, stage) -> None:
-    ensemble, dev, (bg_v, bg_m) = _load_model(stage, "dev_scores",
-                                              "background")
+    ensemble = _load_model(stage)
     params = ensemble.normalization
+    bg_v, bg_m = ensemble.background_values, ensemble.background_mask
     shap_cfg = ShapConfig(n_permutations=cfg.explain.n_permutations,
                           seed=cfg.master_seed,
                           top_k_summary=cfg.explain.top_k)
-    fn = NormalizedLrFn(ensemble, dev, min_n=cfg.predict.min_n)
+    fn = NormalizedLrFn(ensemble, likelihood.ScoredCohort.from_arrays(
+        ensemble.dev_scores, ensemble.dev_labels), min_n=cfg.predict.min_n)
     if args.patient:
         record, vec = _patient(stage, args.patient, params)
         wf = waterfall(fn, vec.values, vec.mask, bg_v, bg_m,
@@ -511,19 +509,19 @@ def cmd_explain(cfg, args, stage) -> None:
 
 
 def cmd_comorbid(cfg, args, stage) -> None:
-    records, extras = _labeled(stage)
+    records, rows = _labeled(stage)
     map_path = stage.optional("phecode_map")
     pmap = (comorbid_mod.load_phecode_map(map_path) if map_path
             else comorbid_mod.default_phecode_map())
     by_pid: dict[str, dict] = {}
-    for r, e in zip(records, extras):
+    for r, e in zip(records, rows):
         entry = by_pid.setdefault(r.patient_id, {
             "codes": [], "label": False, "dx": None})
         entry["codes"].extend(r.codes)
-        if e.get("label"):
+        if e["label"]:
             entry["label"] = True
-            if e.get("diagnosis_date"):
-                entry["dx"] = datetime.date.fromisoformat(e["diagnosis_date"])
+            if e["diagnosis_date"]:
+                entry["dx"] = e["diagnosis_date"]
     cancer_sets, control_sets = [], []
     unmapped = 0
     for entry in by_pid.values():
@@ -556,7 +554,7 @@ def cmd_report(cfg, args, stage) -> None:
     def bundled(name):
         return stage.output(os.path.join("report", name))
 
-    ensemble = _load_model(stage)[0]
+    ensemble = _load_model(stage)
     labels, member_scores = _validation_scores(stage, ensemble)
     thresholds = np.linspace(0.0, 1.0, 101)
     member_curves = []

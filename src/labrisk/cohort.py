@@ -47,6 +47,9 @@ class CohortSpec:
                    where: str = "cohort") -> "CohortSpec":
         if cancer_type not in defaults.DIAGNOSIS_ICD_PREFIXES:
             raise CohortError(f"unknown cancer type {cancer_type!r}")
+        if "cancer_type" in (overrides or {}):
+            raise CohortError(f"{where}: cancer_type: set by the run's "
+                              "cancer_type, not by an override")
         kwargs = dict(
             cancer_type=cancer_type,
             screening_codes=frozenset(

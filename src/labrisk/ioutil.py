@@ -11,6 +11,7 @@ import tempfile
 
 import numpy as np
 
+from . import decode_fields
 from .catalog import (RECORD_FIELDS, EncounterRecord, RecordError,
                       record_from_dict, record_to_dict)
 
@@ -45,9 +46,11 @@ def write_records_jsonl(path, records: list[EncounterRecord],
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_records_jsonl(path) -> tuple[list[EncounterRecord], list[dict]]:
+def read_records_jsonl(path, fields: dict | None = None
+                       ) -> tuple[list[EncounterRecord], list[dict]]:
     """Returns (records, extras) where extras holds any non-record fields
-    (label, split, ...) per line; RecordError names path:line of a bad one."""
+    (label, split, ...) per line, each of `fields` required and decoded by
+    its decoder there; RecordError names path:line of a bad one."""
     records, extras = [], []
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
@@ -60,6 +63,9 @@ def read_records_jsonl(path) -> tuple[list[EncounterRecord], list[dict]]:
             records.append(record_from_dict(d, f"{path}:{lineno}"))
             extras.append({k: v for k, v in d.items()
                            if k not in RECORD_FIELDS})
+            if fields:
+                extras[-1].update(decode_fields(d, f"{path}:{lineno}",
+                                                RecordError, fields))
     return records, extras
 
 

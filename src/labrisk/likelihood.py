@@ -64,18 +64,19 @@ class ScoredCohort:
     labels: np.ndarray
 
     @classmethod
-    def from_arrays(cls, scores, labels, patient_ids=None) -> "ScoredCohort":
+    def from_arrays(cls, scores, labels) -> "ScoredCohort":
+        """The cohort of `scores` and their `labels`; patient_ids are the
+        entries' indices."""
         scores = np.asarray(scores, dtype=np.float64)
         labels = np.asarray(labels).astype(np.int64)
-        if patient_ids is None:
-            patient_ids = [str(i) for i in range(scores.size)]
-        if not (len(patient_ids) == scores.size == labels.size):
+        if scores.size != labels.size:
             raise LikelihoodError("scored cohort length mismatch")
         if scores.size == 0:
             raise LikelihoodError("empty scored cohort")
         if not np.isfinite(scores).all():
             raise LikelihoodError("scored cohort has non-finite scores")
-        return cls(patient_ids=list(patient_ids), scores=scores, labels=labels)
+        return cls(patient_ids=[str(i) for i in range(scores.size)],
+                   scores=scores, labels=labels)
 
     def __len__(self) -> int:
         return self.scores.size

@@ -18,14 +18,16 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import LabriskError, config_from_json, ioutil, nn, read_json
+from . import (LabriskError, config_from_json, ioutil, nn, parse_json,
+               read_bytes)
 from .preprocess import NormalizationParams
 
-MODEL_FORMAT = "labrisk-ensemble-v2"
+MODEL_FORMAT = "labrisk-ensemble-v3"
 
 
 class ModelError(LabriskError):
@@ -270,6 +272,14 @@ class RiskEnsemble:
     catalog_version: str = "unversioned"
     member_subsets: list[dict] = field(default_factory=list)
     history: list[dict] = field(default_factory=list)
+    # The development cohort's mean ensemble scores and 0/1 labels, which
+    # per-patient LRs are read from, and the explanation background rows.
+    dev_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
+    dev_labels: np.ndarray = field(default_factory=lambda: np.empty(0))
+    background_values: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0)))
+    background_mask: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0)))
 
     def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode scores of every member: (..., n_features) rows give
@@ -330,75 +340,108 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
 
 
 # --- serialization -----------------------------------------------------------
-# Each member is one base64 blob of its little-endian float64 `state`; the
-# layout follows from `config`, so the blob carries no shapes or names.
+# model.json is a header line {"format", "sha256"}, the sha256 covering the
+# bytes after that line exactly as written, then the payload: one JSON object
+# in which every array is one base64 blob of little-endian float64. The blobs
+# carry no shapes or names; their layout follows from `config`.
 
-def _checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+@dataclass
+class _Payload:
+    config: RiskModelConfig
+    normalization: dict
+    catalog_version: str
+    member_subsets: list[dict]
+    states: str  # (members, state size): each member's RiskModel.state
+    dev_scores: str  # (n_dev,)
+    dev_labels: str  # (n_dev,), 0 or 1
+    background_values: str  # (n_background, n_features)
+    background_mask: str  # (n_background, n_features), 0 or 1
 
 
-def ensemble_to_dict(ensemble: RiskEnsemble, extras: dict | None = None) -> dict:
-    payload = {
-        "format": MODEL_FORMAT,
+def _blob(array) -> str:
+    return base64.b64encode(
+        np.ascontiguousarray(array, dtype="<f8").tobytes()).decode()
+
+
+def _array(blob: str, where: str, shape: tuple, binary: bool = False):
+    """The blob as a finite array of `shape`, a leading None standing for
+    any positive row count, holding only 0 and 1 if `binary`; ModelIOError
+    names `where`."""
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except ValueError as e:
+        raise ModelIOError(f"{where} is not base64 ({e})") from None
+    row_bytes = 8 * math.prod(shape[1:])
+    rows = len(raw) // row_bytes if shape[0] is None else shape[0]
+    if rows < 1 or len(raw) != rows * row_bytes:
+        raise ModelIOError(f"{where} holds {len(raw)} bytes, not "
+                           f"{shape[0] or 'a positive number of'} rows of "
+                           f"{row_bytes} bytes")
+    array = np.frombuffer(raw, dtype="<f8").reshape(rows, *shape[1:])
+    if not np.isfinite(array).all():
+        raise ModelIOError(f"{where} holds non-finite values")
+    if binary and not ((array == 0) | (array == 1)).all():
+        raise ModelIOError(f"{where} holds values other than 0 and 1")
+    return array
+
+
+def save_model(ensemble: RiskEnsemble, path) -> None:
+    payload = json.dumps({
         "config": asdict(ensemble.config),
         "normalization": ensemble.normalization.to_dict(),
         "catalog_version": ensemble.catalog_version,
         "member_subsets": ensemble.member_subsets,
-        "members": [base64.b64encode(m.state.astype("<f8").tobytes()).decode()
-                    for m in ensemble.members],
-    }
-    if extras:
-        payload["extras"] = extras
-    return {"payload": payload, "checksum": _checksum(payload)}
+        "states": _blob([m.state for m in ensemble.members]),
+        **{name: _blob(getattr(ensemble, name)) for name in (
+            "dev_scores", "dev_labels", "background_values",
+            "background_mask")},
+    })
+    header = json.dumps({"format": MODEL_FORMAT, "sha256": hashlib.sha256(
+        payload.encode()).hexdigest()})
+    ioutil.atomic_write_text(path, f"{header}\n{payload}")
 
 
-def _member_from_blob(blob, config: RiskModelConfig, where: str) -> RiskModel:
-    try:
-        raw = base64.b64decode(blob, validate=True)
-    except (TypeError, ValueError) as e:
-        raise ModelIOError(f"{where} is not base64 ({e})") from None
-    model = RiskModel(config, None)
-    if len(raw) != model.state.nbytes:
-        raise ModelIOError(f"{where} holds {len(raw)} bytes, expected "
-                           f"{model.state.nbytes}")
-    model.state[...] = np.frombuffer(raw, dtype="<f8")
-    return model
-
-
-def ensemble_from_dict(doc: dict, source: str) -> tuple[RiskEnsemble, dict]:
-    if not isinstance(doc, dict) or not {"payload", "checksum"} <= doc.keys():
-        raise ModelIOError(f"{source}: not a model file "
-                           "(missing payload/checksum)")
-    payload = doc["payload"]
-    if _checksum(payload) != doc["checksum"]:
-        raise ModelIOError(f"{source}: checksum mismatch (corrupt file)")
-    fmt = payload.get("format") if isinstance(payload, dict) else None
+def load_model(path) -> RiskEnsemble:
+    """The ensemble in the model file at `path`; ModelIOError names the file
+    and the field at fault."""
+    head, _, body = read_bytes(path, ModelIOError).partition(b"\n")
+    header = parse_json(head, f"{path}: header line", ModelIOError)
+    fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != MODEL_FORMAT:
-        raise ModelIOError(f"{source}: unsupported model format {fmt!r} in "
-                           "payload.format")
-    config = config_from_json(RiskModelConfig, payload.get("config"),
-                              f"{source}: payload.config", ModelIOError)
-    members = payload.get("members")
-    if not isinstance(members, list) or not members:
-        raise ModelIOError(f"{source}: payload.members is empty or not a list")
-    ensemble = RiskEnsemble(
-        members=[_member_from_blob(blob, config,
-                                   f"{source}: payload.members[{i}]")
-                 for i, blob in enumerate(members)],
-        normalization=NormalizationParams.from_dict(
-            payload.get("normalization"), f"{source}: payload.normalization"),
-        config=config,
-        **{k: payload[k] for k in ("catalog_version", "member_subsets")
-           if k in payload},
-    )
-    return ensemble, payload.get("extras", {})
-
-
-def save_model(ensemble: RiskEnsemble, path, extras: dict | None = None) -> None:
-    ioutil.atomic_write_text(path, json.dumps(ensemble_to_dict(ensemble,
-                                                               extras)))
-
-
-def load_model(path) -> tuple[RiskEnsemble, dict]:
-    return ensemble_from_dict(read_json(path), str(path))
+        raise ModelIOError(f"{path}: format: unsupported model format "
+                           f"{fmt!r}, expected {MODEL_FORMAT!r}; older model "
+                           "files must be retrained")
+    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+        raise ModelIOError(f"{path}: sha256: checksum mismatch "
+                           "(corrupt file)")
+    doc = config_from_json(_Payload, parse_json(body, path, ModelIOError),
+                           str(path), ModelIOError)
+    normalization = NormalizationParams.from_dict(
+        doc.normalization, f"{path}: normalization")
+    if len(normalization.feature_order) != doc.config.n_features:
+        raise ModelIOError(
+            f"{path}: normalization.feature_order has "
+            f"{len(normalization.feature_order)} features, config.n_features "
+            f"is {doc.config.n_features}")
+    members = [RiskModel(doc.config, None)]
+    states = _array(doc.states, f"{path}: states",
+                    (None, members[0].state.size))
+    members += [RiskModel(doc.config, None) for _ in states[1:]]
+    for member, state in zip(members, states):
+        member.state[...] = state
+    dev_scores = _array(doc.dev_scores, f"{path}: dev_scores", (None,))
+    if not ((dev_scores >= 0) & (dev_scores <= 1)).all():
+        raise ModelIOError(f"{path}: dev_scores holds values outside [0, 1]")
+    background_values = _array(doc.background_values,
+                               f"{path}: background_values",
+                               (None, doc.config.n_features))
+    return RiskEnsemble(
+        members=members, normalization=normalization, config=doc.config,
+        catalog_version=doc.catalog_version,
+        member_subsets=doc.member_subsets, dev_scores=dev_scores,
+        dev_labels=_array(doc.dev_labels, f"{path}: dev_labels",
+                          dev_scores.shape, binary=True),
+        background_values=background_values,
+        background_mask=_array(doc.background_mask,
+                               f"{path}: background_mask",
+                               background_values.shape, binary=True))

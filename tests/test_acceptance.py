@@ -304,7 +304,7 @@ def planted(tmp_path_factory):
 
 
 def _validation_data(out):
-    ensemble, extras = load_model(out / "model.json")
+    ensemble = load_model(out / "model.json")
     records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
     val = [complete_derived(r) for r, e in zip(records, rec_extras)
            if e["split"] == "validation"]

@@ -150,24 +150,32 @@ def test_explain_too_few_markers_is_validation_error(run, tmp_path, capsys):
     assert "observed markers" in capsys.readouterr().err
 
 
+def _model_document(out):
+    """The header line and the payload of the run's model.json."""
+    head, payload = (out / "model.json").read_text().split("\n", 1)
+    return json.loads(head), json.loads(payload)
+
+
 def _rechecksummed_model(out, path, edit, rechecksum=True):
-    """Write the run's model.json to `path` with `edit` applied to its
-    payload and, unless `rechecksum` is false, a matching checksum."""
-    doc = json.loads((out / "model.json").read_text())
-    edit(doc["payload"])
+    """Write the run's model.json to `path` with `edit(header, payload)`
+    applied and, unless `rechecksum` is false, the header's sha256 set to
+    that of the edited payload. An edit that returns text writes that
+    text instead."""
+    header, payload = _model_document(out)
+    text = edit(header, payload)
+    body = json.dumps(payload)
     if rechecksum:
-        canonical = json.dumps(doc["payload"], sort_keys=True,
-                               separators=(",", ":"))
-        doc["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-    path.write_text(json.dumps(doc))
+        header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(json.dumps(header) + "\n" + body if text is None
+                    else text)
     return path
 
 
 def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
                            rechecksum=True):
-    """Apply `edit` to the payload of the run's model.json, give it a
-    matching checksum unless `rechecksum` is false, and check that every
-    command exits 3 naming the file and the field, without a traceback."""
+    """Apply `edit` to the run's model.json, give it a matching checksum
+    unless `rechecksum` is false, and check that every command exits 3
+    naming the file and the field, without a traceback."""
     _, out = run
     model = _rechecksummed_model(out, tmp_path / "model.json", edit,
                                  rechecksum)
@@ -185,19 +193,13 @@ def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("drop, commands, field", [
-    ("extras", ("predict", "explain"), "extras.dev_scores"),
-    ("background", ("explain",), "extras.background"),
-])
-def test_model_without_extras_is_validation_error(run, tmp_path, capsys,
-                                                  drop, commands, field):
-    def edit(payload):
-        if drop == "extras":
-            del payload["extras"]
-        else:
-            del payload["extras"][drop]
-
-    _assert_model_rejected(run, tmp_path, capsys, edit, commands, field)
+def _reblob(key, change):
+    """An edit that replaces the `key` blob by change(its float64 values)."""
+    def edit(header, payload):
+        values = np.frombuffer(base64.b64decode(payload[key]), dtype="<f8")
+        payload[key] = base64.b64encode(
+            np.asarray(change(values), dtype="<f8").tobytes()).decode()
+    return edit
 
 
 def _flip_bit(blob):
@@ -206,19 +208,48 @@ def _flip_bit(blob):
     return base64.b64encode(raw).decode()
 
 
+def _v2_file(header, payload):
+    return json.dumps({"payload": dict(payload, format="labrisk-ensemble-v2"),
+                       "checksum": "0" * 64})
+
+
 @pytest.mark.parametrize("edit, rechecksum, field", [
-    (lambda p: p.update(format="labrisk-ensemble-v1"), True,
-     "payload.format"),
-    (lambda p: p["members"].__setitem__(1, p["members"][1][:-8]), True,
-     "payload.members[1] holds"),
-    (lambda p: p["members"].__setitem__(0, "not*base64"), True,
-     "payload.members[0] is not base64"),
-    (lambda p: p["members"].__setitem__(1, 17), True,
-     "payload.members[1] is not base64"),
-    (lambda p: p["members"].__setitem__(0, _flip_bit(p["members"][0])),
-     False, "checksum"),
+    (lambda h, p: h.update(format="labrisk-ensemble-v1"), True, "format"),
+    (lambda h, p: p.update(states=p["states"][:-8]), True, "states holds"),
+    (lambda h, p: p.update(states="not*base64"), True,
+     "states is not base64"),
+    (lambda h, p: p.update(states=17), True, "states: expected str"),
+    (lambda h, p: p.update(states=_flip_bit(p["states"])), False, "sha256"),
+    (_v2_file, True, "format"),
+    (_reblob("dev_labels", lambda a: np.r_[7.0, a[1:]]), True,
+     "dev_labels holds values other than 0 and 1"),
+    (lambda h, p: p.update(dev_scores=[0.5, "0.5"]), True,
+     "dev_scores: expected str"),
+    (_reblob("dev_scores", lambda a: np.r_[np.nan, a[1:]]), True,
+     "dev_scores holds non-finite values"),
+    (_reblob("dev_scores", lambda a: a + 7), True,
+     "dev_scores holds values outside [0, 1]"),
+    (_reblob("background_values", lambda a: a[:-1]), True,
+     "background_values holds"),
+    (_reblob("background_values", lambda a: a.reshape(-1, 34)[:, :33]), True,
+     "background_values holds"),
+    (_reblob("background_mask", lambda a: a * 0.5), True,
+     "background_mask holds values other than 0 and 1"),
+    (_reblob("dev_labels", lambda a: a[:-1]), True, "dev_labels holds"),
+    (lambda h, p: p.update(catalog_version=5), True,
+     "catalog_version: expected str"),
+    (lambda h, p: p.update(member_subsets="zz"), True,
+     "member_subsets: expected list"),
+    (lambda h, p: p.__delitem__("dev_scores"), True,
+     "missing field 'dev_scores'"),
+    (lambda h, p: p.__delitem__("background_mask"), True,
+     "missing field 'background_mask'"),
 ], ids=["v1-format", "truncated-blob", "not-base64", "not-a-string",
-        "bit-flip"])
+        "bit-flip", "v2-file", "label-7", "string-score", "nan-score",
+        "score-out-of-range", "ragged-background", "narrow-background",
+        "mask-not-binary", "short-labels", "catalog-version-number",
+        "member-subsets-string", "missing-dev-scores",
+        "missing-background-mask"])
 def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
                                             rechecksum, field):
     _assert_model_rejected(run, tmp_path, capsys, edit,
@@ -244,11 +275,10 @@ def reference_value_fn(ensemble, dev, values, mask, min_n):
 
 def test_stacked_value_function_is_bit_exact(run):
     _, out = run
-    ensemble, extras = load_model(out / "model.json")
-    ds = extras["dev_scores"]
-    dev = likelihood.ScoredCohort.from_arrays(ds["scores"], ds["labels"])
-    bg_v = np.array(extras["background"]["values"])
-    bg_m = np.array(extras["background"]["mask"])
+    ensemble = load_model(out / "model.json")
+    dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
+                                              ensemble.dev_labels)
+    bg_v, bg_m = ensemble.background_values, ensemble.background_mask
     records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
     val = [complete_derived(r) for r, e in zip(records, rec_extras)
            if e["split"] == "validation"][:3]
@@ -396,11 +426,11 @@ def _unknown_model_config_key(run, tmp):
     _, out = run
     model = _rechecksummed_model(
         out, tmp / "model.json",
-        lambda p: p["config"].update(bogus=1))
+        lambda h, p: p["config"].update(bogus=1))
     cfg = _config(tmp, {"model": str(model)})
     patient = _write(tmp / "patient.json", json.dumps(_validation_doc(out)))
     return (["predict", "--config", cfg, "--patient", patient],
-            [str(model), "payload.config", "bogus"])
+            [str(model), "config", "bogus"])
 
 
 def _section_case(command, section, body, inputs=(), patient=False):
@@ -446,6 +476,11 @@ MALFORMED_INPUTS = {
          ("labeled", "labeled.jsonl")]),
     "config-unknown-cohort-key": _section_case(
         "cohort", "cohort", {"bogus": 1}, [("cohort", "cohort.jsonl")]),
+    # The run's top-level cancer_type is the only one: a cohort override
+    # would relabel encounters chosen by another cancer's diagnosis codes.
+    "config-cohort-cancer-type": _section_case(
+        "cohort", "cohort", {"cancer_type": "lung"},
+        [("cohort", "cohort.jsonl")]),
     "normalization-empty": lambda run, tmp: (
         ["train", "--config",
          _config(tmp, {"normalization": _write(tmp / "norm.json", "{}"),
@@ -516,6 +551,29 @@ def test_malformed_input_exits_3_naming_file_and_field(run, tmp_path, capsys,
     assert "Traceback" not in err
     for text in named:
         assert text in err, (text, err)
+
+
+# The commands that read labeled.jsonl.
+LABELED_COMMANDS = ("prepare", "train", "evaluate", "lr", "explain",
+                    "comorbid", "report")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", 1), ("split", "test"), ("diagnosis_date", "bogus")])
+def test_malformed_labeled_field_exits_3(run, tmp_path, capsys, field,
+                                         value):
+    _, out = run
+    lines = (out / "labeled.jsonl").read_text().splitlines()
+    lines[2] = json.dumps(dict(json.loads(lines[2]), **{field: value}))
+    labeled = _write(tmp_path / "labeled.jsonl", "\n".join(lines) + "\n")
+    cfg = _config(tmp_path, {"labeled": labeled,
+                             "normalization": str(out / "normalization.json"),
+                             "model": str(out / "model.json")})
+    for command in LABELED_COMMANDS:
+        assert cli.main([command, "--config", cfg]) == 3, command
+        err = capsys.readouterr().err
+        assert f"{labeled}:3" in err and repr(field) in err, (command, err)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("error", [nn.ShapeError("bad shape"),
@@ -602,34 +660,65 @@ def test_fuzzed_patient_file_never_exits_4(run, fuzz_dir, data):
     _exit_code(["predict", "--config", cfg, "--patient", str(patient)])
 
 
+BLOBS = ("states", "dev_scores", "dev_labels", "background_values",
+         "background_mask")
+
+
+@st.composite
+def blob_edits(draw):
+    """A re-checksummed edit of one array blob: its bytes cut or extended,
+    one value replaced, or the string replaced by another JSON value. A
+    state takes only non-finite values, as finite weights may legitimately
+    overflow in the network."""
+    key = draw(st.sampled_from(BLOBS))
+    how = draw(st.sampled_from(["cut", "extend", "value", "json"]))
+    if how == "json":
+        value = draw(JSON_VALUES)
+        return lambda h, p: p.update({key: value})
+    if how == "value":
+        new = draw(st.sampled_from([math.nan, math.inf, -math.inf])
+                   if key == "states" else st.floats())
+        at = draw(st.integers(0, 10**6))
+        return _reblob(key, lambda a: np.r_[a[:at % a.size], new,
+                                            a[at % a.size + 1:]])
+    n = draw(st.integers(1, 16))
+    raw_edit = ((lambda raw: raw[:-n]) if how == "cut"
+                else (lambda raw: raw + bytes(n)))
+    return lambda h, p: p.update({key: base64.b64encode(
+        raw_edit(base64.b64decode(p[key]))).decode()})
+
+
 @st.composite
 def model_edits(draw, payload):
-    """(kind, edit of the payload or None, byte index to truncate or flip)."""
-    kind = draw(st.sampled_from(["truncate", "flip", "drop", "drop-config",
-                                 "unknown-config", "config-type"]))
-    if kind in ("truncate", "flip"):
+    """(kind, edit of the header and payload or None, byte index to
+    truncate or flip)."""
+    kind = draw(st.sampled_from(["truncate", "flip", "flip-header", "drop",
+                                 "drop-config", "unknown-config",
+                                 "config-type", "blob"]))
+    if kind in ("truncate", "flip", "flip-header"):
         return kind, None, draw(st.integers(0, 10**9))
+    if kind == "blob":
+        return kind, draw(blob_edits()), None
     config = payload["config"]
     if kind == "drop":
         key = draw(st.sampled_from(sorted(payload)))
-        return kind, lambda p: p.pop(key), None
+        return kind, lambda h, p: p.__delitem__(key), None
     key = draw(st.sampled_from(sorted(config)))
     if kind == "drop-config":
-        return kind, lambda p: p["config"].pop(key), None
+        return kind, lambda h, p: p["config"].__delitem__(key), None
     if kind == "unknown-config":
         key = draw(st.text(min_size=1, max_size=8).filter(
             lambda k: k not in config))
-        return kind, lambda p: p["config"].update({key: 1}), None
+        return kind, lambda h, p: p["config"].update({key: 1}), None
     value = draw(NOT_NUMBERS)
-    return kind, lambda p: p["config"].update({key: value}), None
+    return kind, lambda h, p: p["config"].update({key: value}), None
 
 
 @FUZZ
 @given(data=st.data())
 def test_fuzzed_model_file_never_exits_4(run, fuzz_dir, data):
     _, out = run
-    payload = json.loads((out / "model.json").read_text())["payload"]
-    kind, edit, at = data.draw(model_edits(payload))
+    kind, edit, at = data.draw(model_edits(_model_document(out)[1]))
     model = fuzz_dir / "model.json"
     if edit is not None:
         _rechecksummed_model(out, model, edit)
@@ -638,7 +727,8 @@ def test_fuzzed_model_file_never_exits_4(run, fuzz_dir, data):
         if kind == "truncate":
             raw = raw[:at % len(raw)]
         else:
-            raw[at % len(raw)] ^= data.draw(st.integers(1, 255))
+            end = raw.index(b"\n") + 1 if kind == "flip-header" else len(raw)
+            raw[at % end] ^= data.draw(st.integers(1, 255))
         model.write_bytes(bytes(raw))
     cfg = _config(fuzz_dir, {"model": str(model)})
     patient = _write(fuzz_dir / "patient.json",

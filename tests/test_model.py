@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -132,11 +133,23 @@ def test_risk_assessment_clamps_ci():
 
 
 def trained_ensemble(seed=0, n_members=3):
+    """An ensemble with its development scores and a background set, as the
+    train command leaves it, and its training data."""
     x, mask, y = separable_data(n=90, seed=seed)
     pids = [f"p{i // 3}" for i in range(90)]  # 3 encounters per patient
     cfg = tiny_config(d=5, pretrain_epochs=2, finetune_epochs=4, seed=seed)
-    return train_ensemble(x, mask, y, pids, dummy_params(5), cfg,
-                          n_members=n_members), (x, mask, y)
+    ens = train_ensemble(x, mask, y, pids, dummy_params(5), cfg,
+                         n_members=n_members)
+    ens.dev_scores = ens.predict_batch(x, mask).mean(axis=1)
+    ens.dev_labels = y
+    ens.background_values, ens.background_mask = x[::9], mask[::9]
+    return ens, (x, mask, y)
+
+
+def model_document(path):
+    """(header, payload) of a model file."""
+    head, payload = path.read_text().split("\n", 1)
+    return json.loads(head), json.loads(payload)
 
 
 def state_bytes(model):
@@ -163,7 +176,7 @@ GOLDEN_SCORES_SHA256 = (
 def test_golden_weights_and_scores(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=5)
     save_model(ens, tmp_path / "model.json")
-    loaded, _ = load_model(tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
     state = b"".join(state_bytes(m) for m in loaded.members)
     assert hashlib.sha256(state).hexdigest() == GOLDEN_STATE_SHA256
     scores = np.ascontiguousarray(loaded.predict_batch(x, mask), dtype="<f8")
@@ -186,73 +199,99 @@ def test_ensemble_members_differ():
     assert not np.allclose(scores[:, 0], scores[:, 1])
 
 
-def test_train_ensemble_deterministic():
-    from labrisk.model import ensemble_to_dict
-    e1, _ = trained_ensemble(seed=5)
-    e2, _ = trained_ensemble(seed=5)
-    d1 = ensemble_to_dict(e1)
-    d2 = ensemble_to_dict(e2)
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+def test_train_ensemble_deterministic(tmp_path):
+    for name in ("a.json", "b.json"):
+        save_model(trained_ensemble(seed=5)[0], tmp_path / name)
+    assert (tmp_path / "a.json").read_bytes() == \
+        (tmp_path / "b.json").read_bytes()
 
 
 def test_save_load_round_trip(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=7)
     path = tmp_path / "model.json"
-    save_model(ens, path, extras={"note": [1, 2, 3]})
-    loaded, extras = load_model(path)
-    assert extras["note"] == [1, 2, 3]
+    save_model(ens, path)
+    loaded = load_model(path)
     np.testing.assert_array_equal(loaded.predict_batch(x, mask),
                                   ens.predict_batch(x, mask))
+    for name in ("dev_scores", "dev_labels", "background_values",
+                 "background_mask"):
+        assert np.array_equal(getattr(loaded, name), getattr(ens, name))
+        assert getattr(loaded, name).dtype == np.float64
+    assert (loaded.catalog_version, loaded.member_subsets) == \
+        (ens.catalog_version, ens.member_subsets)
 
 
 def test_load_detects_corruption(tmp_path):
     ens, _ = trained_ensemble(seed=8)
     path = tmp_path / "model.json"
     save_model(ens, path)
-    doc = json.loads(path.read_text())
-    raw = bytearray(base64.b64decode(doc["payload"]["members"][0]))
+    head, payload = model_document(path)
+    raw = bytearray(base64.b64decode(payload["states"]))
     raw[0] ^= 1
-    doc["payload"]["members"][0] = base64.b64encode(raw).decode()
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelIOError):
+    payload["states"] = base64.b64encode(raw).decode()
+    path.write_text(json.dumps(head) + "\n" + json.dumps(payload))
+    with pytest.raises(ModelIOError, match="sha256"):
         load_model(path)
+
+
+def test_header_checksums_the_payload_bytes_as_written(tmp_path):
+    ens, _ = trained_ensemble(seed=7)
+    path = tmp_path / "model.json"
+    save_model(ens, path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    assert json.loads(head) == {"format": "labrisk-ensemble-v3",
+                                "sha256": hashlib.sha256(payload).hexdigest()}
 
 
 def test_member_blob_is_the_state_in_stacks_order(tmp_path):
     ens, _ = trained_ensemble(seed=7)
     save_model(ens, tmp_path / "model.json")
-    doc = json.loads((tmp_path / "model.json").read_text())
-    for blob, member in zip(doc["payload"]["members"], ens.members):
-        assert base64.b64decode(blob) == state_bytes(member)
+    states = base64.b64decode(model_document(tmp_path / "model.json")[1][
+        "states"])
+    assert states == b"".join(state_bytes(m) for m in ens.members)
+    for member in ens.members:
         assert state_bytes(member) == member.state.tobytes()
 
 
-class SerializesOnce(dict):
-    """A mapping whose second serialization fails, as a write can fail part
-    of the way through the file."""
+def _fail_partway(monkeypatch, ens):
+    """Make the model file's write fail after its first bytes."""
+    real_fdopen = os.fdopen
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.calls = 0
+    class Failing:
+        def __init__(self, f):
+            self.f = f
 
-    def items(self):
-        self.calls += 1
-        if self.calls > 1:
-            raise OSError("write failed")
-        return super().items()
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:100])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fdopen",
+                        lambda *a, **kw: Failing(real_fdopen(*a, **kw)))
 
 
-@pytest.mark.parametrize("extras, error", [
-    ({"x": object()}, TypeError),
-    ({"x": SerializesOnce({"a": 1})}, OSError),
-])
-def test_failed_save_leaves_existing_model_intact(tmp_path, extras, error):
+def _unencodable(monkeypatch, ens):
+    ens.catalog_version = object()
+
+
+@pytest.mark.parametrize("fail, error", [
+    (_fail_partway, OSError), (_unencodable, TypeError),
+], ids=["write-fails-partway", "unencodable-payload"])
+def test_failed_save_leaves_existing_model_intact(tmp_path, monkeypatch,
+                                                  fail, error):
     ens, _ = trained_ensemble(seed=8)
     path = tmp_path / "model.json"
     save_model(ens, path)
     before = path.read_bytes()
+    fail(monkeypatch, ens)
     with pytest.raises(error):
-        save_model(ens, path, extras=extras)
+        save_model(ens, path)
+    monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
