@@ -59,14 +59,13 @@ def lr_from_counts(pos_sub, n_sub, pos_all: int, n_all: int):
 
 @dataclass
 class ScoredCohort:
-    patient_ids: list[str]
+    index: np.ndarray  # int64: each entry's index in the original cohort
     scores: np.ndarray
     labels: np.ndarray
 
     @classmethod
     def from_arrays(cls, scores, labels) -> "ScoredCohort":
-        """The cohort of `scores` and their `labels`; patient_ids are the
-        entries' indices."""
+        """The cohort of `scores` and their `labels`, indexed 0..n-1."""
         scores = np.asarray(scores, dtype=np.float64)
         labels = np.asarray(labels).astype(np.int64)
         if scores.size != labels.size:
@@ -75,7 +74,7 @@ class ScoredCohort:
             raise LikelihoodError("empty scored cohort")
         if not np.isfinite(scores).all():
             raise LikelihoodError("scored cohort has non-finite scores")
-        return cls(patient_ids=[str(i) for i in range(scores.size)],
+        return cls(index=np.arange(scores.size, dtype=np.int64),
                    scores=scores, labels=labels)
 
     def __len__(self) -> int:
@@ -91,9 +90,8 @@ class ScoredCohort:
 
     def subset(self, idx) -> "ScoredCohort":
         idx = np.asarray(idx)
-        return ScoredCohort(
-            patient_ids=[self.patient_ids[i] for i in idx],
-            scores=self.scores[idx], labels=self.labels[idx])
+        return ScoredCohort(index=self.index[idx], scores=self.scores[idx],
+                            labels=self.labels[idx])
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -131,8 +131,11 @@ class RiskModel:
     def predict_scores(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode risk scores in [0, 1] (mu path, running batch stats):
         (..., d) rows give (...) scores. logvar_head is not run."""
-        h = np.concatenate([np.atleast_2d(values), np.atleast_2d(mask)],
-                           axis=-1)
+        return self._scores(np.concatenate(
+            [np.atleast_2d(values), np.atleast_2d(mask)], axis=-1))
+
+    def _scores(self, h: np.ndarray) -> np.ndarray:
+        """predict_scores of the rows `h`, values then mask."""
         for layer in self.encoder + [self.mu_head, self.classifier]:
             h = layer.forward(h, False)
         return nn.sigmoid(h[..., 0])
@@ -280,18 +283,27 @@ class RiskEnsemble:
         default_factory=lambda: np.empty((0, 0)))
     background_mask: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0)))
+    # The model file the ensemble was loaded from; None if trained here.
+    source: str | None = None
 
     def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode scores of every member: (..., n_features) rows give
-        (..., n_members); a single 1-D row gives (1, n_members)."""
+        (..., n_members); a single 1-D row gives (1, n_members). Weights
+        loaded from a file that overflow raise ModelIOError naming it."""
         values = np.atleast_2d(values)
         mask = np.atleast_2d(mask)
         if values.shape[-1] != self.config.n_features:
             raise ModelError(
                 f"expected {self.config.n_features} features, "
                 f"got {values.shape[-1]}")
-        return np.stack(
-            [m.predict_scores(values, mask) for m in self.members], axis=-1)
+        h = np.concatenate([values, mask], axis=-1)
+        try:
+            return np.stack([m._scores(h) for m in self.members], axis=-1)
+        except nn.NumericsError as e:
+            if self.source is None:
+                raise
+            raise ModelIOError(f"{self.source}: states: the stored weights "
+                               f"give {e}") from None
 
     def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
         scores = self.predict_batch(values, mask)[0]
@@ -444,4 +456,5 @@ def load_model(path) -> RiskEnsemble:
         background_values=background_values,
         background_mask=_array(doc.background_mask,
                                f"{path}: background_mask",
-                               background_values.shape, binary=True))
+                               background_values.shape, binary=True),
+        source=str(path))

@@ -74,7 +74,9 @@ class Linear(Layer):
                 f"linear expects (..., {self.weight.shape[1]}), got {x.shape}")
         if train:
             self._x = x
-        return _check_finite(x @ self.weight.T + self.bias, "linear forward")
+        y = x @ self.weight.T
+        y += self.bias
+        return _check_finite(y, "linear forward")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
@@ -102,23 +104,29 @@ class BatchNorm(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """The arithmetic of `gamma * (x - mean) / sqrt(var + eps) + beta`
+        with `x.var`'s population variance, in fewer passes."""
         if train:
-            if x.shape[0] < 2:
+            n = x.shape[0]
+            if n < 2:
                 raise ShapeError("batchnorm train mode needs batch size >= 2")
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat = x - mean
+            var = (xhat * xhat).sum(axis=0) / n  # what x.var(axis=0) computes
             self.running_mean[...] = ((1 - self.momentum) * self.running_mean
                                       + self.momentum * mean)
             self.running_var[...] = ((1 - self.momentum) * self.running_var
                                      + self.momentum * var)
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat *= inv_std
+            self._cache = (xhat, inv_std, n)
+            y = xhat * self.gamma
         else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
-        if train:
-            self._cache = (xhat, inv_std, x.shape[0])
-        return _check_finite(self.gamma * xhat + self.beta, "batchnorm forward")
+            y = x - self.running_mean
+            y *= 1.0 / np.sqrt(self.running_var + self.eps)
+            y *= self.gamma
+        y += self.beta
+        return _check_finite(y, "batchnorm forward")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, n = self._cache
@@ -130,17 +138,23 @@ class BatchNorm(Layer):
 
 
 class LeakyReLU(Layer):
+    """x where x > 0, else slope * x, as one multiplication by a factor of
+    1.0 or slope: no data-dependent branch, and the same bits for every
+    input, signed zeros, infinities and quiet NaNs included."""
+
     def __init__(self, slope: float = 0.2):
         self.slope = slope
-        self._x = None
+        self._factor = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        factor = np.maximum(x > 0, self.slope)
         if train:
-            self._x = x
-        return np.where(x > 0, x, self.slope * x)
+            self._factor = factor
+            return x * factor
+        return np.multiply(x, factor, out=factor)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._x > 0, dy, self.slope * dy)
+        return dy * self._factor
 
 
 class ReLU(LeakyReLU):

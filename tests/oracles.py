@@ -1,6 +1,7 @@
 """Reference helpers the tests check labrisk against: layer parameter
-lists, central-difference gradient checks, average precision and the
-Shapley efficiency residual."""
+lists, the plain-numpy expressions the layer kernels must match bit for bit,
+central-difference gradient checks, average precision and the Shapley
+efficiency residual."""
 
 import numpy as np
 
@@ -15,6 +16,40 @@ def params(layer):
 def grads(layer):
     """The gradients of `params(layer)` (the gradient of `x` is `dx`)."""
     return [getattr(layer, "d" + n) for n in layer.param_names]
+
+
+# The layer kernels as plain numpy expressions. nn computes the same float
+# operations in fewer passes; these are the bytes it must reproduce.
+
+def leaky_relu(x, slope: float = 0.2):
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 0, x, slope * x)
+
+
+def leaky_relu_backward(x, dy, slope: float = 0.2):
+    return np.where(x > 0, dy, slope * dy)
+
+
+def linear(x, weight, bias):
+    return x @ weight.T + bias
+
+
+def batchnorm(x, layer, train: bool):
+    """(output, xhat, inv_std, running_mean, running_var) of a BatchNorm
+    forward from the layer's current state, which is left unchanged."""
+    if train:
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        running_mean = ((1 - layer.momentum) * layer.running_mean
+                        + layer.momentum * mean)
+        running_var = ((1 - layer.momentum) * layer.running_var
+                       + layer.momentum * var)
+    else:
+        mean, var = layer.running_mean, layer.running_var
+        running_mean, running_var = mean, var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (x - mean) * inv_std
+    return (layer.gamma * xhat + layer.beta, xhat, inv_std, running_mean,
+            running_var)
 
 
 def finite_difference_gradient(f, arrays: list[np.ndarray],

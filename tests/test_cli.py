@@ -244,12 +244,14 @@ def _v2_file(header, payload):
      "missing field 'dev_scores'"),
     (lambda h, p: p.__delitem__("background_mask"), True,
      "missing field 'background_mask'"),
+    (_reblob("states", lambda a: np.full_like(a, 1e300)), True,
+     "states: the stored weights give non-finite values"),
 ], ids=["v1-format", "truncated-blob", "not-base64", "not-a-string",
         "bit-flip", "v2-file", "label-7", "string-score", "nan-score",
         "score-out-of-range", "ragged-background", "narrow-background",
         "mask-not-binary", "short-labels", "catalog-version-number",
         "member-subsets-string", "missing-dev-scores",
-        "missing-background-mask"])
+        "missing-background-mask", "extreme-states"])
 def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
                                             rechecksum, field):
     _assert_model_rejected(run, tmp_path, capsys, edit,
@@ -667,20 +669,22 @@ BLOBS = ("states", "dev_scores", "dev_labels", "background_values",
 @st.composite
 def blob_edits(draw):
     """A re-checksummed edit of one array blob: its bytes cut or extended,
-    one value replaced, or the string replaced by another JSON value. A
-    state takes only non-finite values, as finite weights may legitimately
-    overflow in the network."""
+    one value replaced, every value set to one finite value (extreme ones
+    included), or the string replaced by another JSON value."""
     key = draw(st.sampled_from(BLOBS))
-    how = draw(st.sampled_from(["cut", "extend", "value", "json"]))
+    how = draw(st.sampled_from(["cut", "extend", "value", "fill", "json"]))
     if how == "json":
         value = draw(JSON_VALUES)
         return lambda h, p: p.update({key: value})
     if how == "value":
-        new = draw(st.sampled_from([math.nan, math.inf, -math.inf])
-                   if key == "states" else st.floats())
+        new = draw(st.floats())
         at = draw(st.integers(0, 10**6))
         return _reblob(key, lambda a: np.r_[a[:at % a.size], new,
                                             a[at % a.size + 1:]])
+    if how == "fill":
+        new = draw(st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([1e300, -1e300, 1e154, 1e-300]))
+        return _reblob(key, lambda a: np.full_like(a, new))
     n = draw(st.integers(1, 16))
     raw_edit = ((lambda raw: raw[:-n]) if how == "cut"
                 else (lambda raw: raw + bytes(n)))

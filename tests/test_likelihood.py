@@ -220,7 +220,7 @@ def test_similar_cohort_matches_brute_force_oracle(case):
         assert (n_pos[i], n[i]) == (labels[members].sum(), members.size)
         got = likelihood.similar_cohort(
             dev, RiskAssessment([m], m, 0.0, (a, b)), min_n)
-        assert [int(p) for p in got.patient_ids] == members.tolist()
+        assert got.index.tolist() == members.tolist()
 
 
 def test_lr_from_counts_arrays_match_scalars():

@@ -4,6 +4,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,18 @@ def test_load_detects_corruption(tmp_path):
     path.write_text(json.dumps(head) + "\n" + json.dumps(payload))
     with pytest.raises(ModelIOError, match="sha256"):
         load_model(path)
+
+
+def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
+    ens, (x, mask, _) = trained_ensemble(seed=8)
+    for member in ens.members:
+        member.state[...] = 1e300
+    with pytest.raises(nn.NumericsError):  # a runtime fault: exit 4
+        ens.predict_batch(x, mask)
+    path = tmp_path / "model.json"
+    save_model(ens, path)
+    with pytest.raises(ModelIOError, match=re.escape(f"{path}: states: ")):
+        load_model(path).predict_batch(x, mask)
 
 
 def test_header_checksums_the_payload_bytes_as_written(tmp_path):

@@ -1,26 +1,21 @@
 """Gradient and numerics checks for the hand-written network layers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from labrisk import nn
 
-from oracles import grad_check, grads, params
+import oracles
+from oracles import grad_check, grads, leaky_relu, params
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
-
-
-# Plain-numpy oracles for the layers and losses under test.
-
-def leaky_relu(x, slope: float = 0.2):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x, slope * x)
-
-
-def relu(x):
-    return leaky_relu(x, 0.0)
 
 
 def bce(p, y) -> float:
@@ -116,7 +111,7 @@ def test_batchnorm_rejects_single_row_training():
 def test_activations():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(nn.LeakyReLU(0.2).forward(x), leaky_relu(x))
-    np.testing.assert_allclose(nn.ReLU().forward(x), relu(x))
+    np.testing.assert_allclose(nn.ReLU().forward(x), leaky_relu(x, 0.0))
     assert nn.sigmoid(np.array([0.0]))[0] == 0.5
     # Stability at extreme logits: finite and correctly saturated.
     big = nn.sigmoid(np.array([1000.0, -1000.0]))
@@ -247,3 +242,92 @@ def test_check_finite_raises():
     with pytest.raises(nn.NumericsError):
         layer.forward(np.array([[np.nan, 0.0]]))
 
+
+
+# The layer kernels give the bytes of the plain expressions in oracles.py.
+# Shapes are a training batch (n, w) and an explanation stack
+# (walks, d + 1, w). NaNs are quiet, as float arithmetic produces them.
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf,
+           -math.inf, math.nan, -math.nan]
+SHAPES = st.one_of(hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                    max_side=9),
+                   hnp.array_shapes(min_dims=3, max_dims=3, min_side=1,
+                                    max_side=6))
+
+
+def _arrays(shape, elements):
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+ANY_FLOAT = st.floats(allow_nan=False) | st.sampled_from(SPECIAL)
+FINITE = (st.floats(-1e3, 1e3) | st.sampled_from(SPECIAL[:6])
+          | st.floats(-1e-300, 1e-300))
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), slope=st.sampled_from([0.2, 0.0]))
+def test_activation_kernels_match_where_oracle_bytes(data, slope):
+    shape = data.draw(SHAPES)
+    x = data.draw(_arrays(shape, ANY_FLOAT))
+    dy = data.draw(_arrays(shape, ANY_FLOAT))
+    layer = nn.LeakyReLU(slope)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        assert _same_bytes(layer.forward(x, train=False),
+                           oracles.leaky_relu(x, slope))
+        assert _same_bytes(layer.forward(x, train=True),
+                           oracles.leaky_relu(x, slope))
+        assert _same_bytes(layer.backward(dy),
+                           oracles.leaky_relu_backward(x, dy, slope))
+
+
+@st.composite
+def batchnorm_cases(draw, train):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                  max_side=9) if train else SHAPES)
+    w = shape[-1]
+    layer = nn.BatchNorm(w, momentum=draw(st.sampled_from([0.1, 0.3])))
+    layer.gamma[...] = draw(_arrays(w, st.floats(-4, 4)))
+    layer.beta[...] = draw(_arrays(w, st.floats(-4, 4)))
+    layer.running_mean[...] = draw(_arrays(w, st.floats(-4, 4)))
+    layer.running_var[...] = draw(_arrays(w, st.floats(0, 16)))
+    return layer, draw(_arrays(shape, FINITE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batchnorm_cases(train=True))
+def test_batchnorm_train_forward_matches_var_oracle_bytes(case):
+    layer, x = case
+    y, xhat, inv_std, running_mean, running_var = oracles.batchnorm(
+        x, layer, True)
+    assert _same_bytes(layer.forward(x, train=True), y)
+    got_xhat, got_inv_std, n = layer._cache
+    assert (_same_bytes(got_xhat, xhat) and _same_bytes(got_inv_std, inv_std)
+            and n == x.shape[0])
+    assert _same_bytes(layer.running_mean, running_mean)
+    assert _same_bytes(layer.running_var, running_var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batchnorm_cases(train=False))
+def test_batchnorm_eval_forward_matches_oracle_bytes(case):
+    layer, x = case
+    y = oracles.batchnorm(x, layer, False)[0]
+    assert _same_bytes(layer.forward(x, train=False), y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_linear_forward_matches_oracle_bytes(data):
+    shape = data.draw(SHAPES)
+    layer = nn.Linear(shape[-1], data.draw(st.integers(1, 9)),
+                      np.random.default_rng(data.draw(st.integers(0, 99))))
+    layer.bias[...] = data.draw(_arrays(layer.bias.shape, st.floats(-4, 4)))
+    x = data.draw(_arrays(shape, FINITE))
+    assert _same_bytes(layer.forward(x, train=False),
+                       oracles.linear(x, layer.weight, layer.bias))
