@@ -6,6 +6,7 @@ EHR cohort generator.
 """
 
 import dataclasses
+import functools
 import json
 import types
 import typing
@@ -20,13 +21,13 @@ class LabriskError(ValueError):
     """Malformed input from outside the program; the CLI exits 3 on it."""
 
 
-def read_bytes(path, error: type = LabriskError) -> bytes:
-    """The bytes of the file at `path`, or `error` naming the path."""
+def read_bytes(path) -> bytes:
+    """The bytes of the file at `path`, or LabriskError naming the path."""
     try:
         with open(path, "rb") as f:
             return f.read()
     except OSError as e:
-        raise error(f"{path}: cannot read ({e})") from None
+        raise LabriskError(f"{path}: cannot read ({e})") from None
 
 
 def read_json(path):
@@ -34,69 +35,76 @@ def read_json(path):
     return parse_json(read_bytes(path), path)
 
 
-def parse_json(data: bytes, where, error: type = LabriskError):
-    """The UTF-8 JSON document `data`, or `error` naming `where`."""
+def parse_json(data: bytes, where):
+    """The UTF-8 JSON document `data`, or LabriskError naming `where`."""
     try:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise error(f"{where}: cannot read JSON ({e})") from None
+        raise LabriskError(f"{where}: cannot read JSON ({e})") from None
 
 
-def decode_fields(doc, where: str, error: type, decoders: dict,
-                  optional=()) -> dict:
+def decode_fields(doc, where: str, decoders: dict, optional=()) -> dict:
     """{name: decoders[name](doc[name])} over the JSON object `doc`, absent
-    `optional` names left out; `error` names `where` and the bad field."""
+    `optional` names left out; LabriskError names `where` and the bad
+    field."""
     if not isinstance(doc, dict):
-        raise error(f"{where}: not a JSON object ({type(doc).__name__})")
+        raise LabriskError(
+            f"{where}: not a JSON object ({type(doc).__name__})")
     out = {}
     for name, decode in decoders.items():
         if name not in doc and name not in optional:
-            raise error(f"{where}: missing field {name!r}")
+            raise LabriskError(f"{where}: missing field {name!r}")
         try:
             if name in doc:
                 out[name] = decode(doc[name])
         except LabriskError:
             raise  # the decoder's own error, which names the field
         except (KeyError, TypeError, ValueError, AttributeError) as e:
-            raise error(f"{where}: field {name!r}: {e!r}") from None
+            raise LabriskError(f"{where}: field {name!r}: {e!r}") from None
     return out
 
 
-def _as_field(hint, value, where: str, error: type):
-    """`value` for a field annotated `hint`, or `error` naming `where` (an
-    item as `where[i]` or `where.key`): a list becomes a tuple or set, and
-    an object for a dataclass hint that dataclass."""
+def _as_field(hint, value, where: str):
+    """`value` for a field annotated `hint`, or LabriskError naming `where`
+    (an item as `where[i]` or `where.key`): a number becomes a float for a
+    float hint, a list a tuple or set, and an object for a dataclass hint
+    that dataclass."""
     if dataclasses.is_dataclass(hint):
-        return config_from_json(hint, value, where, error)
+        return config_from_json(hint, value, where)
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is types.UnionType:  # X | None
-        return value if value is None else _as_field(args[0], value, where,
-                                                     error)
+        return value if value is None else _as_field(args[0], value, where)
     accepts = {float: (int, float), tuple: (list, tuple),
                frozenset: (list, frozenset)}.get(origin, origin)
     if (not isinstance(value, accepts)
             or (isinstance(value, bool) and origin is not bool)
             or (origin is tuple and ... not in args  # tuple[float, float]
                 and len(value) != len(args))):
-        raise error(f"{where}: expected {origin.__name__}, got {value!r}")
+        raise LabriskError(
+            f"{where}: expected {origin.__name__}, got {value!r}")
     if origin is dict and args:
-        return {k: _as_field(args[1], v, f"{where}.{k}", error)
+        return {k: _as_field(args[1], v, f"{where}.{k}")
                 for k, v in value.items()}
     if origin in (tuple, frozenset) and args:
         hints = (args if origin is tuple and ... not in args
                  else args[:1] * len(value))
-        return origin(_as_field(h, v, f"{where}[{i}]", error)
+        return origin(_as_field(h, v, f"{where}[{i}]")
                       for i, (h, v) in enumerate(zip(hints, value)))
-    return value
+    return float(value) if origin is float else value
 
 
-def config_from_json(cls, doc, where: str, error: type = LabriskError):
+# A dataclass's annotations are strings (PEP 563): evaluate them once.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def config_from_json(cls, doc, where: str):
     """Dataclass `cls` from the JSON object `doc`, checked by its `validate`
     if it has one. A dataclass-typed field is decoded from the object of its
     name; a field with `rest` metadata takes the keys `cls` does not declare.
-    `error` names `where` and an unknown key, a missing key or a value of
-    the wrong type; any LabriskError of construction is prefixed likewise."""
-    hints = typing.get_type_hints(cls)
+    LabriskError names `where` and an unknown key, a missing key or a value
+    of the wrong type; any LabriskError of construction is prefixed
+    likewise."""
+    hints = _type_hints(cls)
     fields = dataclasses.fields(cls)
     for f in fields:
         if f.metadata.get("rest") and isinstance(doc, dict):
@@ -105,11 +113,11 @@ def config_from_json(cls, doc, where: str, error: type = LabriskError):
                    f.name: {k: doc[k] for k in doc if k not in own}}
     for key in doc if isinstance(doc, dict) else ():
         if key not in hints:
-            raise error(f"{where}: unknown key {key!r}")
+            raise LabriskError(f"{where}: unknown key {key!r}")
     kwargs = decode_fields(
-        doc, where, error,
-        {f.name: lambda v, n=f.name: _as_field(hints[n], v, f"{where}: {n}",
-                                               error) for f in fields},
+        doc, where,
+        {f.name: lambda v, n=f.name: _as_field(hints[n], v, f"{where}: {n}")
+         for f in fields},
         [f.name for f in fields if f.default is not dataclasses.MISSING
          or f.default_factory is not dataclasses.MISSING])
     try:
@@ -117,5 +125,5 @@ def config_from_json(cls, doc, where: str, error: type = LabriskError):
         if hasattr(obj, "validate"):
             obj.validate()
     except LabriskError as e:
-        raise type(e)(f"{where}: {e}") from None
+        raise LabriskError(f"{where}: {e}") from None
     return obj

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
-from . import LabriskError, decode_fields, read_json
+from . import LabriskError, config_from_json, decode_fields, read_json
 
 PANELS = ("CMP", "CBC", "demographic")
 RISK_DIRECTIONS = ("high_is_risk", "low_is_risk", "unsigned")
@@ -24,14 +24,6 @@ LOG_MARKERS = frozenset({
     "alt", "alp", "ast", "bilirubin", "creatinine", "rdw", "glucose",
     "wbc", "lymphocytes", "neutrophils", "bun",
 })
-
-
-class CatalogError(LabriskError):
-    """Malformed or inconsistent marker catalog."""
-
-
-class RecordError(LabriskError):
-    """Malformed encounter record."""
 
 
 @dataclass(frozen=True)
@@ -47,26 +39,26 @@ class MarkerDef:
 
     def validate(self) -> None:
         if not self.id:
-            raise CatalogError("marker id must be non-empty")
+            raise LabriskError("marker id must be non-empty")
         if self.panel not in PANELS:
-            raise CatalogError(f"{self.id}: unknown panel {self.panel!r}")
+            raise LabriskError(f"{self.id}: unknown panel {self.panel!r}")
         if self.risk_direction not in RISK_DIRECTIONS:
-            raise CatalogError(
+            raise LabriskError(
                 f"{self.id}: unknown risk_direction {self.risk_direction!r}")
         if self.reference_range is not None:
             lo, hi = self.reference_range
             if not (lo < hi):
-                raise CatalogError(
+                raise LabriskError(
                     f"{self.id}: inverted reference range ({lo}, {hi})")
         if self.panel != "demographic":
             missing = [c for c in REQUIRED_CLASSES
                        if c not in self.class_distributions]
             if missing:
-                raise CatalogError(
+                raise LabriskError(
                     f"{self.id}: missing class distributions for {missing}")
         for cls, (mean, sd) in self.class_distributions.items():
             if not (math.isfinite(mean) and math.isfinite(sd)) or sd < 0:
-                raise CatalogError(
+                raise LabriskError(
                     f"{self.id}: bad distribution for class {cls!r}")
 
 
@@ -80,7 +72,7 @@ class MarkerCatalog:
         for m in self.entries:
             m.validate()
             if m.id in seen:
-                raise CatalogError(f"duplicate marker id {m.id!r}")
+                raise LabriskError(f"duplicate marker id {m.id!r}")
             seen.add(m.id)
 
     def __iter__(self):
@@ -120,9 +112,9 @@ class ClaimCode:
 
     def __post_init__(self) -> None:
         if not self.code:
-            raise RecordError("claim code must be non-empty")
+            raise LabriskError("claim code must be non-empty")
         if self.system not in ("ICD10", "CPT"):
-            raise RecordError(f"unknown code system {self.system!r}")
+            raise LabriskError(f"unknown code system {self.system!r}")
 
 
 @dataclass
@@ -138,19 +130,19 @@ class EncounterRecord:
     def validate(self, known: set[str] | None = None,
                  where: str | None = None) -> None:
         """Sex, age range, finite measurements and, given the `known` marker
-        ids, no unknown marker; RecordError names `where` (default: the
+        ids, no unknown marker; LabriskError names `where` (default: the
         encounter id)."""
         where = where or self.encounter_id
         if self.sex not in ("male", "female"):
-            raise RecordError(f"{where}: bad sex {self.sex!r}")
+            raise LabriskError(f"{where}: bad sex {self.sex!r}")
         if not (0 <= self.age_years <= 130):
-            raise RecordError(
+            raise LabriskError(
                 f"{where}: age_years {self.age_years} out of [0, 130]")
         for mid, v in self.measurements.items():
             if not math.isfinite(v):
-                raise RecordError(f"{where}: measurement {mid!r} is {v}")
+                raise LabriskError(f"{where}: measurement {mid!r} is {v}")
         if known is not None and not known.issuperset(self.measurements):
-            raise RecordError(
+            raise LabriskError(
                 f"{where}: measurements has markers not in the model's "
                 f"catalog: {sorted(set(self.measurements) - known)}")
 
@@ -160,45 +152,19 @@ class EncounterRecord:
 
 # --- serialization -----------------------------------------------------------
 
-def marker_to_dict(m: MarkerDef) -> dict:
-    return {
-        "id": m.id,
-        "display_name": m.display_name,
-        "unit": m.unit,
-        "panel": m.panel,
-        "reference_range": list(m.reference_range) if m.reference_range else None,
-        "log_transform": m.log_transform,
-        "risk_direction": m.risk_direction,
-        "class_distributions": {k: list(v)
-                                for k, v in m.class_distributions.items()},
-    }
-
-
-_MARKER_FIELDS = {
-    "id": str, "display_name": str, "unit": str, "panel": str,
-    "reference_range": lambda rr: tuple(rr) if rr is not None else None,
-    "log_transform": bool, "risk_direction": str,
-    "class_distributions": lambda cd: {k: (float(v[0]), float(v[1]))
-                                       for k, v in cd.items()},
-}
-
-
-def marker_from_dict(d: dict, where: str = "marker") -> MarkerDef:
-    return MarkerDef(**decode_fields(d, where, CatalogError, _MARKER_FIELDS))
-
-
 def catalog_to_dict(catalog: MarkerCatalog) -> dict:
     return {
         "version": catalog.version,
-        "markers": [marker_to_dict(m) for m in catalog.entries],
+        "markers": [asdict(m) for m in catalog.entries],
     }
 
 
 def catalog_from_dict(d: dict, where: str = "catalog") -> MarkerCatalog:
     if not isinstance(d, dict) or not isinstance(d.get("markers"), list):
-        raise CatalogError(f"{where}: expected an object with a 'markers' list")
+        raise LabriskError(
+            f"{where}: expected an object with a 'markers' list")
     return MarkerCatalog(
-        entries=tuple(marker_from_dict(m, f"{where}: markers[{i}]")
+        entries=tuple(config_from_json(MarkerDef, m, f"{where}: markers[{i}]")
                       for i, m in enumerate(d["markers"])),
         version=str(d.get("version", "unversioned")))
 
@@ -232,6 +198,6 @@ RECORD_FIELDS = {
 
 
 def record_from_dict(d: dict, where: str = "record") -> EncounterRecord:
-    """Decode one encounter; RecordError names `where` and a bad field."""
-    return EncounterRecord(**decode_fields(d, where, RecordError,
-                                           RECORD_FIELDS, ("codes",)))
+    """Decode one encounter; LabriskError names `where` and a bad field."""
+    return EncounterRecord(**decode_fields(d, where, RECORD_FIELDS,
+                                           ("codes",)))

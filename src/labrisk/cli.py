@@ -15,11 +15,11 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import LabriskError, config_from_json
+from . import LabriskError, config_from_json, read_bytes
 from . import comorbid as comorbid_mod
 from . import defaults, ioutil, likelihood, metrics, read_json, svg
 from .catalog import catalog_to_dict, load_marker_catalog, record_from_dict
@@ -38,10 +38,6 @@ DEFAULT_SINGLE_MARKERS = {
     "liver": ["platelets", "alp", "ast", "albumin", "total_protein"],
     "lung": ["rdw", "hemoglobin", "lymphocytes_pct", "alt", "calcium"],
 }
-
-
-class ConfigError(LabriskError):
-    pass
 
 
 # The run configuration. The synth and cohort sections and the train model
@@ -70,10 +66,10 @@ class EnsembleConfig:
 
     def validate(self) -> None:
         if self.n_members < 1:
-            raise ConfigError(f"n_members must be >= 1, got {self.n_members}")
+            raise LabriskError(f"n_members must be >= 1, got {self.n_members}")
         if not 0 < self.subsample <= 1:
-            raise ConfigError(f"subsample must be in (0, 1], "
-                              f"got {self.subsample}")
+            raise LabriskError(f"subsample must be in (0, 1], "
+                               f"got {self.subsample}")
 
 
 @dataclass
@@ -82,7 +78,7 @@ class PredictConfig:
 
     def validate(self) -> None:
         if self.min_n < 1:
-            raise ConfigError(f"min_n must be >= 1, got {self.min_n}")
+            raise LabriskError(f"min_n must be >= 1, got {self.min_n}")
 
 
 @dataclass
@@ -99,11 +95,11 @@ class ExplainConfig:
 
     def validate(self) -> None:
         if self.n_samples < ShapConfig.min_summary_samples:
-            raise ConfigError(
+            raise LabriskError(
                 f"n_samples must be at least {ShapConfig.min_summary_samples}"
                 f", got {self.n_samples}")
         if self.background_size < 1:
-            raise ConfigError(
+            raise LabriskError(
                 f"background_size must be >= 1, got {self.background_size}")
 
 
@@ -128,7 +124,7 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.cancer_type not in defaults.DIAGNOSIS_ICD_PREFIXES:
-            raise ConfigError(f"unknown cancer_type {self.cancer_type!r}")
+            raise LabriskError(f"unknown cancer_type {self.cancer_type!r}")
 
 
 def load_run_config(path, args) -> tuple[dict, RunConfig]:
@@ -143,7 +139,7 @@ def load_run_config(path, args) -> tuple[dict, RunConfig]:
             doc["master_seed"] = args.seed
         if args.cancer_type:
             doc["cancer_type"] = args.cancer_type
-    return doc, config_from_json(RunConfig, doc, path, ConfigError)
+    return doc, config_from_json(RunConfig, doc, path)
 
 
 class Stage:
@@ -171,13 +167,13 @@ class Stage:
     def input(self, name: str, key: str | None = None,
               made_by: str | None = None) -> str | None:
         """paths.<key> (default: `name` in the output directory), which the
-        command reads. If it does not exist: ConfigError naming the stage
+        command reads. If it does not exist: LabriskError naming the stage
         `made_by` that writes it, or None when no stage is named."""
         path = self.paths.get(key) or os.path.join(self.dir, name)
         if not os.path.exists(path):
             if made_by is None:
                 return None
-            raise ConfigError(f"{path} not found; run '{made_by}' first")
+            raise LabriskError(f"{path} not found; run '{made_by}' first")
         return self.read(path)
 
     def output(self, name: str, key: str | None = None) -> str:
@@ -239,7 +235,7 @@ def _split(labeled, split, params=None):
             labels.append(int(e["label"]))
             pids.append(r.patient_id)
     if not recs:
-        raise ConfigError(f"no {split} encounters; check the cohort stage")
+        raise LabriskError(f"no {split} encounters; check the cohort stage")
     values, mask = (None, None) if params is None \
         else vectorize_many(recs, params)
     return recs, np.array(labels), pids, values, mask
@@ -324,14 +320,14 @@ def cmd_prepare(cfg, args, stage) -> None:
     params = fit_normalization(dev, catalog,
                                cfg.prepare.scale_demographics)
     out = stage.output("normalization.json", "normalization")
-    ioutil.atomic_write_json(out, params.to_dict())
+    ioutil.atomic_write_json(out, asdict(params))
     print(f"prepare: normalization fitted on {len(dev)} encounters -> {out}")
 
 
 def cmd_train(cfg, args, stage) -> None:
     catalog = _catalog(stage)
     norm = stage.input("normalization.json", "normalization", "prepare")
-    params = NormalizationParams.from_dict(read_json(norm), norm)
+    params = config_from_json(NormalizationParams, read_json(norm), norm)
     config = config_from_json(RiskModelConfig, {
         "seed": cfg.master_seed, **cfg.train.model,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
@@ -358,7 +354,7 @@ def cmd_train(cfg, args, stage) -> None:
 
 def cmd_predict(cfg, args, stage) -> None:
     if not args.patient:
-        raise ConfigError("predict requires --patient <encounter json>")
+        raise LabriskError("predict requires --patient <encounter json>")
     ensemble = _load_model(stage)
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
@@ -413,8 +409,9 @@ def cmd_lr(cfg, args, stage) -> None:
         markers = DEFAULT_SINGLE_MARKERS[cfg.cancer_type]
     unknown = set(markers) - {m.id for m in catalog.lab_markers}
     if unknown:
-        raise ConfigError(f"{args.config}: lr: single_markers: {sorted(unknown)}"
-                          " are not lab markers of the catalog")
+        raise LabriskError(f"{args.config}: lr: single_markers: "
+                           f"{sorted(unknown)} are not lab markers of the "
+                           "catalog")
     ensemble = _load_model(stage)
     params = ensemble.normalization
     labeled = _labeled(stage)
@@ -576,8 +573,8 @@ def cmd_report(cfg, args, stage) -> None:
                  "shap_summary.json", "comorbidity.tsv"):
         src = stage.input(name)
         if src is not None:
-            with open(src, encoding="utf-8") as f:
-                ioutil.atomic_write_text(bundled(name), f.read())
+            ioutil.atomic_write_text(bundled(name),
+                                     read_bytes(src).decode("utf-8"))
             index["files"].append(name)
     if args.svg:
         svg.svg_line_plot(
@@ -634,7 +631,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if not args.config:
-            raise ConfigError("--config (or LABRISK_CONFIG) is required")
+            raise LabriskError("--config (or LABRISK_CONFIG) is required")
         doc, cfg = load_run_config(args.config, args)
         stage = Stage(cfg.paths)
         start = time.perf_counter()

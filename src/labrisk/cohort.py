@@ -6,7 +6,7 @@ development/validation split at patient level."""
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,6 @@ from .catalog import EncounterRecord
 from .preprocess import complete_derived
 
 WINDOW_DAYS = 365  # "12 months" (label horizon and lookback)
-
-
-class CohortError(LabriskError):
-    pass
 
 
 @dataclass
@@ -38,18 +34,18 @@ class CohortSpec:
 
     def __post_init__(self):
         if self.min_markers < 1:
-            raise CohortError("min_markers must be >= 1")
+            raise LabriskError("min_markers must be >= 1")
         if not self.age_range[0] < self.age_range[1]:
-            raise CohortError("age_range must be increasing")
+            raise LabriskError("age_range must be increasing")
 
     @classmethod
     def for_cancer(cls, cancer_type: str, overrides: dict | None = None,
                    where: str = "cohort") -> "CohortSpec":
         if cancer_type not in defaults.DIAGNOSIS_ICD_PREFIXES:
-            raise CohortError(f"unknown cancer type {cancer_type!r}")
+            raise LabriskError(f"unknown cancer type {cancer_type!r}")
         if "cancer_type" in (overrides or {}):
-            raise CohortError(f"{where}: cancer_type: set by the run's "
-                              "cancer_type, not by an override")
+            raise LabriskError(f"{where}: cancer_type: set by the run's "
+                               "cancer_type, not by an override")
         kwargs = dict(
             cancer_type=cancer_type,
             screening_codes=frozenset(
@@ -60,8 +56,7 @@ class CohortSpec:
                 defaults.DIAGNOSTIC_PROCEDURE_CODES[cancer_type]),
             diagnosis_icd_prefixes=defaults.DIAGNOSIS_ICD_PREFIXES[cancer_type],
         )
-        return config_from_json(cls, {**kwargs, **(overrides or {})}, where,
-                                CohortError)
+        return config_from_json(cls, {**kwargs, **(overrides or {})}, where)
 
 
 @dataclass
@@ -190,7 +185,7 @@ class SplitParams:
 
     def __post_init__(self):
         if min(self.ratio) <= 0:
-            raise CohortError("split ratio components must be positive")
+            raise LabriskError("split ratio components must be positive")
 
 
 def split_dev_val(encounters: list[LabeledEncounter],

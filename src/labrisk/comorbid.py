@@ -16,10 +16,6 @@ from . import LabriskError
 from .catalog import ClaimCode
 
 
-class PhecodeError(LabriskError):
-    pass
-
-
 @dataclass
 class PhecodeMap:
     prefix_to_phecode: dict[str, str]
@@ -28,7 +24,7 @@ class PhecodeMap:
     def __post_init__(self):
         for prefix in self.prefix_to_phecode:
             if not prefix:
-                raise PhecodeError("empty ICD-10 prefix in mapping")
+                raise LabriskError("empty ICD-10 prefix in mapping")
 
     def match(self, code: str) -> str | None:
         """Longest-prefix phecode for an ICD-10 code, or None."""
@@ -52,18 +48,18 @@ def load_phecode_map(path) -> PhecodeMap:
         with open(path, encoding="utf-8") as f:
             lines = f.read().split("\n")
     except (OSError, UnicodeDecodeError) as e:
-        raise PhecodeError(f"{path}: cannot read ({e})") from None
+        raise LabriskError(f"{path}: cannot read ({e})") from None
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise PhecodeError(f"{path}:{lineno}: expected at least "
+            raise LabriskError(f"{path}:{lineno}: expected at least "
                                "two tab-separated columns")
         prefix, phecode = parts[0].strip(), parts[1].strip()
         if prefix in mapping and mapping[prefix] != phecode:
-            raise PhecodeError(
+            raise LabriskError(
                 f"{path}:{lineno}: prefix {prefix!r} maps to both "
                 f"{mapping[prefix]!r} and {phecode!r}")
         mapping[prefix] = phecode
@@ -172,7 +168,7 @@ def build_comorbidity_table(cancer_phecodes: list[set[str]],
     n_cancer = len(cancer_phecodes)
     n_control = len(control_phecodes)
     if n_cancer == 0 or n_control == 0:
-        raise PhecodeError("both cohorts must be non-empty")
+        raise LabriskError("both cohorts must be non-empty")
     seen = sorted(set().union(*cancer_phecodes, *control_phecodes, set()))
     rows = []
     for phecode in seen:

@@ -26,10 +26,6 @@ from .model import RiskEnsemble, score_summary
 from .nn import sigmoid
 
 
-class ExplainError(LabriskError):
-    pass
-
-
 def normalize_lr(lr) -> float | np.ndarray:
     """Logistic squashing of a likelihood ratio: 1/(1+exp(-(lr-5)/0.5))."""
     out = sigmoid((np.asarray(lr, dtype=np.float64) - 5.0) / 0.5)
@@ -183,7 +179,7 @@ def shap_values(fn, values: np.ndarray, mask: np.ndarray,
     bg_values = np.atleast_2d(np.asarray(bg_values, dtype=np.float64))
     bg_mask = np.atleast_2d(np.asarray(bg_mask, dtype=np.float64))
     if bg_values.shape[0] == 0:
-        raise ExplainError("empty background set")
+        raise LabriskError("empty background set")
     if values.size <= config.max_exact:
         return _shap_exact(fn, values, mask, bg_values, bg_mask, seed)
     return _shap_sampling(fn, values, mask, bg_values, bg_mask,
@@ -197,7 +193,7 @@ def draw_background(dev_values: np.ndarray, dev_mask: np.ndarray,
     rng = np.random.default_rng(seed)
     n = dev_values.shape[0]
     if n == 0:
-        raise ExplainError("empty development set for background")
+        raise LabriskError("empty development set for background")
     size = min(size, n)
     pos = np.flatnonzero(dev_labels == 1)
     neg = np.flatnonzero(dev_labels == 0)
@@ -234,7 +230,7 @@ def cohort_summary(fn, values: np.ndarray, mask: np.ndarray,
     config = config or ShapConfig()
     n = values.shape[0]
     if n < config.min_summary_samples:
-        raise ExplainError(
+        raise LabriskError(
             f"need at least {config.min_summary_samples} samples, got {n}")
     # Sample-index-derived seeds keep results schedule-independent.
     results = [shap_values(fn, values[i], mask[i], bg_values, bg_mask,
@@ -272,7 +268,7 @@ def waterfall(fn, values: np.ndarray, mask: np.ndarray,
     config = config or ShapConfig()
     observed = int(np.asarray(mask).sum())
     if observed < config.min_waterfall_markers:
-        raise ExplainError(
+        raise LabriskError(
             f"waterfall requires >= {config.min_waterfall_markers} observed "
             f"markers, sample has {observed}")
     res = shap_values(fn, values, mask, bg_values, bg_mask, config)

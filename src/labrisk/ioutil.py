@@ -11,9 +11,8 @@ import tempfile
 
 import numpy as np
 
-from . import decode_fields
-from .catalog import (RECORD_FIELDS, EncounterRecord, RecordError,
-                      record_from_dict, record_to_dict)
+from . import LabriskError, decode_fields
+from .catalog import EncounterRecord, record_from_dict, record_to_dict
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -48,24 +47,26 @@ def write_records_jsonl(path, records: list[EncounterRecord],
 
 def read_records_jsonl(path, fields: dict | None = None
                        ) -> tuple[list[EncounterRecord], list[dict]]:
-    """Returns (records, extras) where extras holds any non-record fields
-    (label, split, ...) per line, each of `fields` required and decoded by
-    its decoder there; RecordError names path:line of a bad one."""
+    """Returns (records, extras): the encounter of each line and its
+    `fields` (label, split, ...), each required and decoded by its decoder
+    ({} without `fields`). LabriskError names the path if it cannot be
+    opened, and path:line of a bad line. Lines are read one at a time."""
     records, extras = [], []
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise LabriskError(f"{path}: cannot read ({e})") from None
+    with f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
                 d = json.loads(line)
             except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                raise RecordError(f"{path}:{lineno}: {e}") from None
+                raise LabriskError(f"{path}:{lineno}: {e}") from None
             records.append(record_from_dict(d, f"{path}:{lineno}"))
-            extras.append({k: v for k, v in d.items()
-                           if k not in RECORD_FIELDS})
-            if fields:
-                extras[-1].update(decode_fields(d, f"{path}:{lineno}",
-                                                RecordError, fields))
+            extras.append(decode_fields(d, f"{path}:{lineno}", fields)
+                          if fields else {})
     return records, extras
 
 

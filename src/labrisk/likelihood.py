@@ -20,13 +20,9 @@ from .model import RiskAssessment
 from .preprocess import NormalizationParams, normalize_value
 
 
-class LikelihoodError(LabriskError):
-    pass
-
-
 def odds(p: float) -> float:
     if not 0.0 <= p < 1.0:
-        raise LikelihoodError(f"odds needs p in [0, 1), got {p}")
+        raise LabriskError(f"odds needs p in [0, 1), got {p}")
     return p / (1.0 - p)
 
 
@@ -40,9 +36,9 @@ def lr_from_counts(pos_sub, n_sub, pos_all: int, n_all: int):
     pos_sub = np.asarray(pos_sub, dtype=np.int64)
     n_sub = np.asarray(n_sub, dtype=np.int64)
     if np.any(n_sub <= 0):
-        raise LikelihoodError("empty subgroup")
+        raise LabriskError("empty subgroup")
     if not 0 < pos_all < n_all:
-        raise LikelihoodError("cohort must contain both classes")
+        raise LabriskError("cohort must contain both classes")
     pre = odds(pos_all / n_all)
     neg_sub = n_sub - pos_sub
     corrected = (pos_sub == 0) | (neg_sub == 0)
@@ -69,11 +65,11 @@ class ScoredCohort:
         scores = np.asarray(scores, dtype=np.float64)
         labels = np.asarray(labels).astype(np.int64)
         if scores.size != labels.size:
-            raise LikelihoodError("scored cohort length mismatch")
+            raise LabriskError("scored cohort length mismatch")
         if scores.size == 0:
-            raise LikelihoodError("empty scored cohort")
+            raise LabriskError("empty scored cohort")
         if not np.isfinite(scores).all():
-            raise LikelihoodError("scored cohort has non-finite scores")
+            raise LabriskError("scored cohort has non-finite scores")
         return cls(index=np.arange(scores.size, dtype=np.int64),
                    scores=scores, labels=labels)
 
@@ -277,7 +273,7 @@ class SingleMarkerScaler:
                 vals.append(normalize_value(v, marker_id, params)
                             if marker.log_transform else v)
         if len(vals) < 2 or min(vals) == max(vals):
-            raise LikelihoodError(
+            raise LabriskError(
                 f"cannot fit single-marker scaler for {marker_id!r}")
         return cls(marker_id=marker_id, low=min(vals), high=max(vals),
                    flip=marker.risk_direction == "low_is_risk")

@@ -15,10 +15,6 @@ import numpy as np
 from . import LabriskError
 
 
-class MetricsError(LabriskError):
-    pass
-
-
 @dataclass
 class RocCurve:
     fpr: np.ndarray
@@ -37,7 +33,7 @@ def _tie_grouped_counts(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
-        raise MetricsError("scores/labels length mismatch")
+        raise LabriskError("scores/labels length mismatch")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order].astype(np.float64)
@@ -55,7 +51,7 @@ def roc(scores, labels) -> RocCurve:
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise MetricsError("roc requires both classes present")
+        raise LabriskError("roc requires both classes present")
     _, cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
@@ -69,7 +65,7 @@ def pr_curve(scores, labels) -> PrCurve:
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0:
-        raise MetricsError("pr_curve requires at least one positive")
+        raise LabriskError("pr_curve requires at least one positive")
     _, cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
     recall = cum_tp / n_pos
     precision = cum_tp / (cum_tp + cum_fp)

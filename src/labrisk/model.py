@@ -30,14 +30,6 @@ from .preprocess import NormalizationParams
 MODEL_FORMAT = "labrisk-ensemble-v3"
 
 
-class ModelError(LabriskError):
-    pass
-
-
-class ModelIOError(LabriskError):
-    pass
-
-
 @dataclass
 class RiskModelConfig:
     n_features: int
@@ -56,13 +48,13 @@ class RiskModelConfig:
 
     def validate(self) -> None:
         if self.n_features <= 0 or self.hidden_width <= 0 or self.latent_dim <= 0:
-            raise ModelError("network dimensions must be positive")
+            raise LabriskError("network dimensions must be positive")
         if not 0.0 <= self.mask_fraction < 1.0:
-            raise ModelError("mask_fraction must be in [0, 1)")
+            raise LabriskError("mask_fraction must be in [0, 1)")
         if min(self.w_recon, self.w_kl, self.w_cls) < 0:
-            raise ModelError("loss weights must be non-negative")
+            raise LabriskError("loss weights must be non-negative")
         if self.batch_size < 2:
-            raise ModelError("batch_size must be >= 2 (batchnorm)")
+            raise LabriskError("batch_size must be >= 2 (batchnorm)")
 
 
 class RiskModel:
@@ -128,14 +120,10 @@ class RiskModel:
         for layer in reversed(self.encoder):
             dh = layer.backward(dh)
 
-    def predict_scores(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Eval-mode risk scores in [0, 1] (mu path, running batch stats):
-        (..., d) rows give (...) scores. logvar_head is not run."""
-        return self._scores(np.concatenate(
-            [np.atleast_2d(values), np.atleast_2d(mask)], axis=-1))
-
     def _scores(self, h: np.ndarray) -> np.ndarray:
-        """predict_scores of the rows `h`, values then mask."""
+        """Eval-mode risk scores in [0, 1] (mu path, running batch stats) of
+        the (..., 2d) rows `h`, values then mask: (...) scores. logvar_head
+        is not run."""
         for layer in self.encoder + [self.mu_head, self.classifier]:
             h = layer.forward(h, False)
         return nn.sigmoid(h[..., 0])
@@ -206,7 +194,7 @@ def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
              rng: np.random.Generator) -> list[dict]:
     """Masked-imputation pretraining. Returns the per-epoch loss history."""
     if values.shape[0] == 0:
-        raise ModelError("empty training set")
+        raise LabriskError("empty training set")
     cfg = model.config
 
     def batch_loss(idx):
@@ -224,9 +212,9 @@ def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
              labels: np.ndarray, rng: np.random.Generator) -> list[dict]:
     """Fine-tune the full network with the combined loss."""
     if values.shape[0] == 0:
-        raise ModelError("empty training set")
+        raise LabriskError("empty training set")
     if len(np.unique(labels)) < 2:
-        raise ModelError("single-class training set; BCE is degenerate")
+        raise LabriskError("single-class training set; BCE is degenerate")
     cfg = model.config
 
     def batch_loss(idx):
@@ -289,11 +277,11 @@ class RiskEnsemble:
     def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode scores of every member: (..., n_features) rows give
         (..., n_members); a single 1-D row gives (1, n_members). Weights
-        loaded from a file that overflow raise ModelIOError naming it."""
+        loaded from a file that overflow raise LabriskError naming it."""
         values = np.atleast_2d(values)
         mask = np.atleast_2d(mask)
         if values.shape[-1] != self.config.n_features:
-            raise ModelError(
+            raise LabriskError(
                 f"expected {self.config.n_features} features, "
                 f"got {values.shape[-1]}")
         h = np.concatenate([values, mask], axis=-1)
@@ -302,7 +290,7 @@ class RiskEnsemble:
         except nn.NumericsError as e:
             if self.source is None:
                 raise
-            raise ModelIOError(f"{self.source}: states: the stored weights "
+            raise LabriskError(f"{self.source}: states: the stored weights "
                                f"give {e}") from None
 
     def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
@@ -336,7 +324,8 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
                 chosen += [group[i] for i in sorted(idx)]
         rows = np.array(sorted(i for p in chosen for i in patients[p]))
         if rows.size == 0 or labels[rows].max() == 0:
-            raise ModelError(f"member {member}: subsample lost all positives")
+            raise LabriskError(
+                f"member {member}: subsample lost all positives")
         model = RiskModel(config, rng)
         history += [
             dict(h, member=member)
@@ -360,7 +349,7 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
 @dataclass
 class _Payload:
     config: RiskModelConfig
-    normalization: dict
+    normalization: NormalizationParams
     catalog_version: str
     member_subsets: list[dict]
     states: str  # (members, state size): each member's RiskModel.state
@@ -377,30 +366,30 @@ def _blob(array) -> str:
 
 def _array(blob: str, where: str, shape: tuple, binary: bool = False):
     """The blob as a finite array of `shape`, a leading None standing for
-    any positive row count, holding only 0 and 1 if `binary`; ModelIOError
+    any positive row count, holding only 0 and 1 if `binary`; LabriskError
     names `where`."""
     try:
         raw = base64.b64decode(blob, validate=True)
     except ValueError as e:
-        raise ModelIOError(f"{where} is not base64 ({e})") from None
+        raise LabriskError(f"{where} is not base64 ({e})") from None
     row_bytes = 8 * math.prod(shape[1:])
     rows = len(raw) // row_bytes if shape[0] is None else shape[0]
     if rows < 1 or len(raw) != rows * row_bytes:
-        raise ModelIOError(f"{where} holds {len(raw)} bytes, not "
+        raise LabriskError(f"{where} holds {len(raw)} bytes, not "
                            f"{shape[0] or 'a positive number of'} rows of "
                            f"{row_bytes} bytes")
     array = np.frombuffer(raw, dtype="<f8").reshape(rows, *shape[1:])
     if not np.isfinite(array).all():
-        raise ModelIOError(f"{where} holds non-finite values")
+        raise LabriskError(f"{where} holds non-finite values")
     if binary and not ((array == 0) | (array == 1)).all():
-        raise ModelIOError(f"{where} holds values other than 0 and 1")
+        raise LabriskError(f"{where} holds values other than 0 and 1")
     return array
 
 
 def save_model(ensemble: RiskEnsemble, path) -> None:
     payload = json.dumps({
         "config": asdict(ensemble.config),
-        "normalization": ensemble.normalization.to_dict(),
+        "normalization": asdict(ensemble.normalization),
         "catalog_version": ensemble.catalog_version,
         "member_subsets": ensemble.member_subsets,
         "states": _blob([m.state for m in ensemble.members]),
@@ -414,27 +403,24 @@ def save_model(ensemble: RiskEnsemble, path) -> None:
 
 
 def load_model(path) -> RiskEnsemble:
-    """The ensemble in the model file at `path`; ModelIOError names the file
+    """The ensemble in the model file at `path`; LabriskError names the file
     and the field at fault."""
-    head, _, body = read_bytes(path, ModelIOError).partition(b"\n")
-    header = parse_json(head, f"{path}: header line", ModelIOError)
+    head, _, body = read_bytes(path).partition(b"\n")
+    header = parse_json(head, f"{path}: header line")
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != MODEL_FORMAT:
-        raise ModelIOError(f"{path}: format: unsupported model format "
+        raise LabriskError(f"{path}: format: unsupported model format "
                            f"{fmt!r}, expected {MODEL_FORMAT!r}; older model "
                            "files must be retrained")
     if header.get("sha256") != hashlib.sha256(body).hexdigest():
-        raise ModelIOError(f"{path}: sha256: checksum mismatch "
+        raise LabriskError(f"{path}: sha256: checksum mismatch "
                            "(corrupt file)")
-    doc = config_from_json(_Payload, parse_json(body, path, ModelIOError),
-                           str(path), ModelIOError)
-    normalization = NormalizationParams.from_dict(
-        doc.normalization, f"{path}: normalization")
-    if len(normalization.feature_order) != doc.config.n_features:
-        raise ModelIOError(
-            f"{path}: normalization.feature_order has "
-            f"{len(normalization.feature_order)} features, config.n_features "
-            f"is {doc.config.n_features}")
+    doc = config_from_json(_Payload, parse_json(body, path), str(path))
+    n_order = len(doc.normalization.feature_order)
+    if n_order != doc.config.n_features:
+        raise LabriskError(
+            f"{path}: normalization.feature_order has {n_order} features, "
+            f"config.n_features is {doc.config.n_features}")
     members = [RiskModel(doc.config, None)]
     states = _array(doc.states, f"{path}: states",
                     (None, members[0].state.size))
@@ -443,12 +429,12 @@ def load_model(path) -> RiskEnsemble:
         member.state[...] = state
     dev_scores = _array(doc.dev_scores, f"{path}: dev_scores", (None,))
     if not ((dev_scores >= 0) & (dev_scores <= 1)).all():
-        raise ModelIOError(f"{path}: dev_scores holds values outside [0, 1]")
+        raise LabriskError(f"{path}: dev_scores holds values outside [0, 1]")
     background_values = _array(doc.background_values,
                                f"{path}: background_values",
                                (None, doc.config.n_features))
     return RiskEnsemble(
-        members=members, normalization=normalization, config=doc.config,
+        members=members, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,
         member_subsets=doc.member_subsets, dev_scores=dev_scores,
         dev_labels=_array(doc.dev_labels, f"{path}: dev_labels",

@@ -4,16 +4,12 @@ median/IQD normalization fitted on the development split only."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import LabriskError, decode_fields
+from . import LabriskError
 from .catalog import EncounterRecord, MarkerCatalog
-
-
-class PreprocessError(LabriskError):
-    pass
 
 
 # Derived-marker relations completed when the inputs are reported.
@@ -50,10 +46,10 @@ def percentile(sorted_values, q: float) -> float:
     interpolates linearly between the two bracketing order statistics.
     """
     if not 0.0 <= q <= 1.0:
-        raise PreprocessError(f"quantile {q} out of [0, 1]")
+        raise LabriskError(f"quantile {q} out of [0, 1]")
     n = len(sorted_values)
     if n == 0:
-        raise PreprocessError("percentile of empty sequence")
+        raise LabriskError("percentile of empty sequence")
     pos = q * (n - 1)
     lo = int(math.floor(pos))
     hi = int(math.ceil(pos))
@@ -75,32 +71,27 @@ class NormalizationParams:
     fitted_on: str = "development"
     scale_demographics: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "iqd": self.iqd,
-            "log_transform": self.log_transform,
-            "detection_limit": self.detection_limit,
-            "feature_order": list(self.feature_order),
-            "fitted_on": self.fitted_on,
-            "scale_demographics": self.scale_demographics,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict,
-                  where: str = "normalization") -> "NormalizationParams":
-        return cls(**decode_fields(d, where, PreprocessError, _FIELDS,
-                                   ("fitted_on", "scale_demographics")))
-
-
-def _floats(d: dict) -> dict[str, float]:
-    return {k: float(v) for k, v in d.items()}
-
-
-_FIELDS = {"median": _floats, "iqd": _floats, "detection_limit": _floats,
-           "log_transform": lambda d: {k: bool(v) for k, v in d.items()},
-           "feature_order": tuple, "fitted_on": str,
-           "scale_demographics": bool}
+    def validate(self) -> None:
+        """Every feature has a finite median, a finite positive iqd and a
+        log_transform flag, and every log-flagged one a finite positive
+        detection_limit: what normalize_value reads."""
+        for feat in self.feature_order:
+            for name in ("median", "iqd", "log_transform"):
+                if feat not in getattr(self, name):
+                    raise LabriskError(f"{name}.{feat}: missing; every "
+                                       "feature_order entry needs one")
+            if not math.isfinite(self.median[feat]):
+                raise LabriskError(f"median.{feat}: not finite "
+                                   f"({self.median[feat]})")
+            if not (math.isfinite(self.iqd[feat]) and self.iqd[feat] > 0):
+                raise LabriskError(f"iqd.{feat}: must be finite and positive, "
+                                   f"got {self.iqd[feat]}")
+            limit = self.detection_limit.get(feat)
+            if self.log_transform[feat] and not (
+                    limit is not None and math.isfinite(limit) and limit > 0):
+                raise LabriskError(
+                    f"detection_limit.{feat}: a log-transformed feature "
+                    f"needs a finite positive detection limit, got {limit}")
 
 
 def _feature_value(record: EncounterRecord, feature: str) -> float | None:
@@ -117,7 +108,7 @@ def fit_normalization(dev_records: list[EncounterRecord],
     """Fit per-feature median and inter-quartile distance on development
     records. Log-flagged markers are moved to log10 scale first."""
     if not dev_records:
-        raise PreprocessError("development split is empty")
+        raise LabriskError("development split is empty")
     order = catalog.feature_order
     log_flags = {m.id: m.log_transform for m in catalog.lab_markers}
     log_flags["age"] = log_flags["sex"] = False
@@ -127,11 +118,11 @@ def fit_normalization(dev_records: list[EncounterRecord],
         raw = [v for r in dev_records
                if (v := _feature_value(r, feat)) is not None]
         if len(raw) < 2:
-            raise PreprocessError(f"marker {feat!r}: fewer than 2 observations")
+            raise LabriskError(f"marker {feat!r}: fewer than 2 observations")
         if log_flags[feat]:
             positive = [v for v in raw if v > 0]
             if not positive:
-                raise PreprocessError(f"marker {feat!r}: no positive values")
+                raise LabriskError(f"marker {feat!r}: no positive values")
             limit = 0.5 * min(positive)
             limits[feat] = limit
             vals = sorted(math.log10(max(v, limit)) for v in raw)
@@ -140,7 +131,7 @@ def fit_normalization(dev_records: list[EncounterRecord],
         med = percentile(vals, 0.5)
         spread = percentile(vals, 0.75) - percentile(vals, 0.25)
         if spread <= 0:
-            raise PreprocessError(
+            raise LabriskError(
                 f"marker {feat!r}: zero inter-quartile distance "
                 "(degenerate distribution)")
         median[feat] = med
@@ -164,11 +155,11 @@ class FeatureVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=np.float64)
         if self.values.shape != self.mask.shape:
-            raise PreprocessError("values/mask shape mismatch")
+            raise LabriskError("values/mask shape mismatch")
         if not np.isfinite(self.values).all():
-            raise PreprocessError("non-finite feature values")
+            raise LabriskError("non-finite feature values")
         if np.any((self.mask == 0) & (self.values != 0)):
-            raise PreprocessError("masked-out entries must be zero-filled")
+            raise LabriskError("masked-out entries must be zero-filled")
 
 
 def normalize_value(value: float, feature: str,

@@ -22,10 +22,6 @@ from . import LabriskError, defaults
 from .catalog import CANCER_CLASSES, ClaimCode, EncounterRecord, MarkerCatalog
 
 
-class SynthError(LabriskError):
-    """Invalid synthesis configuration or unsatisfiable request."""
-
-
 @dataclass
 class SynthConfig:
     n_per_class: dict[str, int]
@@ -48,20 +44,20 @@ class SynthConfig:
         known = {"no_cancer"} | set(defaults.DIAGNOSIS_ICD_PREFIXES)
         for cls, n in self.n_per_class.items():
             if cls not in known:
-                raise SynthError(f"unknown class {cls!r}")
+                raise LabriskError(f"unknown class {cls!r}")
             if n < 0:
-                raise SynthError(f"negative count for class {cls!r}")
+                raise LabriskError(f"negative count for class {cls!r}")
         for panel, p in self.missingness.items():
             if not 0.0 <= p <= 1.0:
-                raise SynthError(f"missingness[{panel}] out of [0,1]")
+                raise LabriskError(f"missingness[{panel}] out of [0,1]")
         for p, name in ((self.panel_dropout, "panel_dropout"),
                         (self.screening_prob, "screening_prob"),
                         (self.chronic_fraction, "chronic_fraction"),
                         (self.infection_fraction, "infection_fraction")):
             if not 0.0 <= p <= 1.0:
-                raise SynthError(f"{name} out of [0,1]")
+                raise LabriskError(f"{name} out of [0,1]")
         if self.visits_per_patient < 1:
-            raise SynthError("visits_per_patient must be >= 1")
+            raise LabriskError("visits_per_patient must be >= 1")
 
 
 # Latent-space couplings used by the copula. Values are correlations of the
@@ -140,7 +136,7 @@ def inject_claim_codes(record: EncounterRecord, cls: str,
     codes = list(record.codes)
     if cls in CANCER_CLASSES:
         if diagnosis_date is None:
-            raise SynthError("cancer class requires a diagnosis date")
+            raise LabriskError("cancer class requires a diagnosis date")
         pool = (defaults.SCREENING_PROCEDURE_CODES[cls]
                 + defaults.SCREENING_ENCOUNTER_CODES[cls]
                 + defaults.DIAGNOSTIC_PROCEDURE_CODES[cls])
@@ -185,12 +181,12 @@ def synthesize_cohort(catalog: MarkerCatalog,
     for cls in config.n_per_class:
         for m in lab:
             if cls not in m.class_distributions:
-                raise SynthError(
+                raise LabriskError(
                     f"class {cls!r} has no distribution for marker {m.id!r}")
         if cls != "no_cancer" and cls not in CANCER_CLASSES:
-            raise SynthError(f"unknown class {cls!r}")
+            raise LabriskError(f"unknown class {cls!r}")
         if "age" in catalog and cls not in catalog.get("age").class_distributions:
-            raise SynthError(f"class {cls!r} has no age distribution")
+            raise LabriskError(f"class {cls!r} has no age distribution")
 
     rng = np.random.default_rng(config.seed)
     corr = build_correlation(lab_ids)

@@ -305,7 +305,8 @@ def planted(tmp_path_factory):
 
 def _validation_data(out):
     ensemble = load_model(out / "model.json")
-    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                                    cli.LABELED_FIELDS)
     val = [complete_derived(r) for r, e in zip(records, rec_extras)
            if e["split"] == "validation"]
     labels = np.array([int(e["label"]) for e in rec_extras

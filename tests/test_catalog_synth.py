@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from labrisk import LabriskError, config_from_json, defaults
-from labrisk.catalog import (CatalogError, ClaimCode, EncounterRecord,
-                             MarkerCatalog, MarkerDef, RecordError,
-                             catalog_from_dict, catalog_to_dict,
+from labrisk.catalog import (ClaimCode, EncounterRecord, MarkerCatalog,
+                             MarkerDef, catalog_from_dict, catalog_to_dict,
                              record_from_dict, record_to_dict)
 from labrisk.synth import SynthConfig, build_correlation, synthesize_cohort
 
@@ -28,17 +27,17 @@ def marker(mid="albumin", **kw):
 
 
 def test_catalog_rejects_duplicate_ids():
-    with pytest.raises(CatalogError):
+    with pytest.raises(LabriskError, match="duplicate marker id"):
         MarkerCatalog(entries=(marker(), marker()), version="t")
 
 
 def test_marker_rejects_inverted_range():
-    with pytest.raises(CatalogError):
+    with pytest.raises(LabriskError, match="inverted reference range"):
         marker(reference_range=(5.5, 3.5)).validate()
 
 
 def test_marker_requires_all_classes():
-    with pytest.raises(CatalogError):
+    with pytest.raises(LabriskError, match="missing class distributions"):
         marker(class_distributions={"no_cancer": (4.5, 0.4)}).validate()
 
 
@@ -71,11 +70,11 @@ def test_record_round_trip():
 
 
 def test_record_validation():
-    with pytest.raises(RecordError):
+    with pytest.raises(LabriskError, match="age_years -1.0 out of"):
         EncounterRecord(patient_id="p1", encounter_id="e1",
                         date=datetime.date(2020, 1, 1), age_years=-1.0,
                         sex="male", measurements={"albumin": 4.0}).validate()
-    with pytest.raises(RecordError):
+    with pytest.raises(LabriskError, match="bad sex 'other'"):
         EncounterRecord(patient_id="p1", encounter_id="e1",
                         date=datetime.date(2020, 1, 1), age_years=60.0,
                         sex="other", measurements={"albumin": 4.0}).validate()
@@ -197,10 +196,9 @@ def test_marker_values_positive():
 
 
 def test_synth_config_validation():
-    from labrisk.synth import SynthError
-    with pytest.raises(SynthError):
+    with pytest.raises(LabriskError, match="unknown class 'nope'"):
         SynthConfig(n_per_class={"nope": 10}).validate()
-    with pytest.raises(SynthError):
+    with pytest.raises(LabriskError, match="negative count"):
         SynthConfig(n_per_class={"no_cancer": -5}).validate()
 
 

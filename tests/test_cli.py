@@ -80,7 +80,8 @@ def test_lr_baselines(run):
 
 def test_predict_and_explain_patient(run, tmp_path):
     cfg_path, out = run
-    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                                cli.LABELED_FIELDS)
     target = next(r for r, e in zip(records, extras)
                   if e["split"] == "validation")
     patient = tmp_path / "patient.json"
@@ -132,7 +133,8 @@ def test_predict_rejects_unknown_marker(run, tmp_path):
 
 
 def _patient_file(out, path, keep_markers=None):
-    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                                cli.LABELED_FIELDS)
     doc = record_to_dict(next(r for r, e in zip(records, extras)
                               if e["split"] == "validation"))
     if keep_markers is not None:
@@ -213,6 +215,23 @@ def _v2_file(header, payload):
                        "checksum": "0" * 64})
 
 
+# Edits of a normalization document, and the field.feature the error must
+# name. Each is run on normalization.json under train and on a model file's
+# copy under predict and explain.
+NORMALIZATION_EDITS = {
+    "log-flag-string": (lambda n: n["log_transform"].update(albumin="false"),
+                        "log_transform.albumin"),
+    "feature-order-string": (lambda n: n.update(feature_order="age"),
+                             "feature_order"),
+    "iqd-entry-missing": (lambda n: n["iqd"].__delitem__("albumin"),
+                          "iqd.albumin"),
+    "iqd-zero": (lambda n: n["iqd"].update(albumin=0.0), "iqd.albumin"),
+    "detection-limit-missing": (
+        lambda n: n["detection_limit"].__delitem__("alt"),
+        "detection_limit.alt"),
+}
+
+
 @pytest.mark.parametrize("edit, rechecksum, field", [
     (lambda h, p: h.update(format="labrisk-ensemble-v1"), True, "format"),
     (lambda h, p: p.update(states=p["states"][:-8]), True, "states holds"),
@@ -246,12 +265,16 @@ def _v2_file(header, payload):
      "missing field 'background_mask'"),
     (_reblob("states", lambda a: np.full_like(a, 1e300)), True,
      "states: the stored weights give non-finite values"),
+    *[(lambda h, p, edit=edit: edit(p["normalization"]), True,
+       f"normalization: {field}")
+      for edit, field in NORMALIZATION_EDITS.values()],
 ], ids=["v1-format", "truncated-blob", "not-base64", "not-a-string",
         "bit-flip", "v2-file", "label-7", "string-score", "nan-score",
         "score-out-of-range", "ragged-background", "narrow-background",
         "mask-not-binary", "short-labels", "catalog-version-number",
         "member-subsets-string", "missing-dev-scores",
-        "missing-background-mask", "extreme-states"])
+        "missing-background-mask", "extreme-states",
+        *[f"normalization-{name}" for name in NORMALIZATION_EDITS]])
 def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
                                             rechecksum, field):
     _assert_model_rejected(run, tmp_path, capsys, edit,
@@ -281,7 +304,8 @@ def test_stacked_value_function_is_bit_exact(run):
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
     bg_v, bg_m = ensemble.background_values, ensemble.background_mask
-    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                                    cli.LABELED_FIELDS)
     val = [complete_derived(r) for r, e in zip(records, rec_extras)
            if e["split"] == "validation"][:3]
     values, mask = vectorize_many(val, ensemble.normalization)
@@ -359,7 +383,8 @@ def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
 
 
 def _validation_doc(out):
-    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                                cli.LABELED_FIELDS)
     return record_to_dict(next(r for r, e in zip(records, extras)
                                if e["split"] == "validation"))
 
@@ -446,6 +471,51 @@ def _section_case(command, section, body, inputs=(), patient=False):
             _validation_doc(out)))] if patient else []
         return [command, "--config", cfg, *flags], [cfg, section, *body]
     return case
+
+
+def _normalization_case(edit, field):
+    """train on the run's normalization.json with `edit` applied."""
+    def case(run, tmp):
+        _, out = run
+        doc = json.loads((out / "normalization.json").read_text())
+        edit(doc)
+        norm = _write(tmp / "normalization.json", json.dumps(doc))
+        cfg = _config(tmp, {"normalization": norm,
+                            "labeled": str(out / "labeled.jsonl")})
+        return ["train", "--config", cfg], [f"{norm}: {field}"]
+    return case
+
+
+def _catalog_case(edit, field):
+    """synth on the run's catalog.json with `edit` applied to albumin's
+    entry, markers[i]."""
+    def case(run, tmp):
+        _, out = run
+        doc = json.loads((out / "catalog.json").read_text())
+        i = [m["id"] for m in doc["markers"]].index("albumin")
+        edit(doc["markers"][i])
+        catalog = _write(tmp / "catalog.json", json.dumps(doc))
+        return (["synth", "--config", _config(tmp, {"catalog": catalog})],
+                [f"{catalog}: markers[{i}]: {field}"])
+    return case
+
+
+def _directory_case(command, key):
+    """`command` with the pipeline file paths.<key> a directory."""
+    def case(run, tmp):
+        directory = tmp / "a-directory"
+        directory.mkdir()
+        return ([command, "--config", _config(tmp, {key: str(directory)})],
+                [f"{directory}: cannot read"])
+    return case
+
+
+def _report_bundled_directory(run, tmp):
+    """report with the roc.csv it bundles a directory."""
+    bundled = tmp / "o" / "roc.csv"
+    bundled.mkdir(parents=True)
+    cfg = _config(tmp, {k: str(run[1] / v) for k, v in SCORE_INPUTS})
+    return ["report", "--config", cfg], [f"{bundled}: cannot read"]
 
 
 TRAIN_INPUTS = [("normalization", "normalization.json"),
@@ -541,6 +611,17 @@ MALFORMED_INPUTS = {
         "train", "train", {"n_members": 0}, TRAIN_INPUTS),
     "config-train-subsample-string": _section_case(
         "train", "train", {"subsample": "x"}, TRAIN_INPUTS),
+    **{f"normalization-{name}": _normalization_case(edit, field)
+       for name, (edit, field) in NORMALIZATION_EDITS.items()},
+    "catalog-range-of-three": _catalog_case(
+        lambda m: m.update(reference_range=[3.5, 5.0, 6.0]),
+        "reference_range"),
+    "catalog-log-flag-string": _catalog_case(
+        lambda m: m.update(log_transform="false"), "log_transform"),
+    "cohort-directory": _directory_case("cohort", "cohort"),
+    "prepare-labeled-directory": _directory_case("prepare", "labeled"),
+    "comorbid-labeled-directory": _directory_case("comorbid", "labeled"),
+    "report-bundled-directory": _report_bundled_directory,
 }
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import defaults
+from labrisk import LabriskError, defaults
 from labrisk.catalog import ClaimCode, EncounterRecord
-from labrisk.cohort import (WINDOW_DAYS, CohortError, CohortSpec, SplitParams,
+from labrisk.cohort import (WINDOW_DAYS, CohortSpec, SplitParams,
                             assign_label, exclude_acute_infection,
                             filter_encounters, group_by_patient,
                             marker_count, qualifies_as_control,
@@ -46,7 +46,7 @@ def test_for_cancer_overrides_are_checked_json():
                              ({"screening_codes": [1]}, "screening_codes"),
                              ({"min_markers": True}, "min_markers"),
                              ({"bogus": 1}, "bogus")):
-        with pytest.raises(CohortError, match=named):
+        with pytest.raises(LabriskError, match=named):
             CohortSpec.for_cancer("liver", overrides)
 
 

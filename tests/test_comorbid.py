@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from labrisk import comorbid
+from labrisk import LabriskError, comorbid
 from labrisk.catalog import ClaimCode
 
 
@@ -141,7 +141,7 @@ def test_load_phecode_map_rejects_conflicts(tmp_path):
     path.write_text("icd_prefix\tphecode\tlabel\n"
                     "E11\t250.2\tdiabetes\n"
                     "E11\t999.9\tconflict\n")
-    with pytest.raises(comorbid.PhecodeError):
+    with pytest.raises(LabriskError, match="maps to both"):
         comorbid.load_phecode_map(path)
 
 

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from labrisk.explain import (ExplainError, ShapConfig, cohort_summary,
-                             draw_background, normalize_lr, shap_values,
-                             waterfall)
+from labrisk import LabriskError
+from labrisk.explain import (ShapConfig, cohort_summary, draw_background,
+                             normalize_lr, shap_values, waterfall)
 
 from oracles import efficiency_residual
 
@@ -178,7 +178,7 @@ def test_waterfall_requires_enough_markers():
     x[:10] = 0.0
     bg_v = rng.normal(size=(4, d))
     bg_m = np.ones((4, d))
-    with pytest.raises(ExplainError):
+    with pytest.raises(LabriskError, match="waterfall requires >= "):
         waterfall(fn, x, m, bg_v, bg_m, line_names(d), ShapConfig(seed=9))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import defaults, likelihood
+from labrisk import LabriskError, defaults, likelihood
 from labrisk.catalog import EncounterRecord
 from labrisk.model import RiskAssessment
 from labrisk.preprocess import NormalizationParams
@@ -231,7 +231,7 @@ def test_lr_from_counts_arrays_match_scalars():
         assert (lr[i], corrected[i]) == likelihood.lr_from_counts(
             int(pos[i]), int(n[i]), 2, 10)
     assert lr[3] == 1.0 and not corrected[3]  # the whole cohort
-    with pytest.raises(likelihood.LikelihoodError):
+    with pytest.raises(LabriskError, match="empty subgroup"):
         likelihood.lr_from_counts(np.array([1, 0]), np.array([2, 0]), 2, 10)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import metrics
+from labrisk import LabriskError, metrics
 
 from oracles import average_precision
 
@@ -94,9 +94,9 @@ def test_pr_curve_matches_average_precision():
 
 
 def test_single_class_rejected():
-    with pytest.raises(metrics.MetricsError):
+    with pytest.raises(LabriskError, match="roc requires both classes"):
         metrics.roc(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
-    with pytest.raises(metrics.MetricsError):
+    with pytest.raises(LabriskError, match="at least one positive"):
         average_precision(np.array([0.1, 0.2]), np.array([0.0, 0.0]))
 
 

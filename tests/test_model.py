@@ -9,10 +9,10 @@ import re
 import numpy as np
 import pytest
 
-from labrisk import nn
-from labrisk.model import (ModelError, ModelIOError, RiskAssessment,
-                           RiskModel, RiskModelConfig, finetune, load_model,
-                           pretrain, save_model, train_ensemble)
+from labrisk import LabriskError, nn
+from labrisk.model import (RiskAssessment, RiskEnsemble, RiskModel,
+                           RiskModelConfig, finetune, load_model, pretrain,
+                           save_model, train_ensemble)
 from labrisk.preprocess import NormalizationParams
 
 from oracles import grad_check, params
@@ -100,7 +100,9 @@ def test_finetune_separates_easy_classes():
     model = RiskModel(cfg, rng=rng)
     pretrain(model, x, mask, rng)
     finetune(model, x, mask, y, rng)
-    scores = model.predict_scores(x, mask)
+    ensemble = RiskEnsemble(members=[model], normalization=dummy_params(5),
+                            config=cfg)
+    scores = ensemble.predict_batch(x, mask)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
     from labrisk.metrics import roc
     assert roc(scores, y).auc > 0.95
@@ -121,7 +123,7 @@ def test_finetune_rejects_single_class():
     cfg = tiny_config(d=5)
     rng = np.random.default_rng(0)
     model = RiskModel(cfg, rng=rng)
-    with pytest.raises(ModelError):
+    with pytest.raises(LabriskError, match="single-class training set"):
         finetune(model, x, mask, np.zeros(20), rng)
 
 
@@ -231,7 +233,7 @@ def test_load_detects_corruption(tmp_path):
     raw[0] ^= 1
     payload["states"] = base64.b64encode(raw).decode()
     path.write_text(json.dumps(head) + "\n" + json.dumps(payload))
-    with pytest.raises(ModelIOError, match="sha256"):
+    with pytest.raises(LabriskError, match="sha256"):
         load_model(path)
 
 
@@ -243,7 +245,7 @@ def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
         ens.predict_batch(x, mask)
     path = tmp_path / "model.json"
     save_model(ens, path)
-    with pytest.raises(ModelIOError, match=re.escape(f"{path}: states: ")):
+    with pytest.raises(LabriskError, match=re.escape(f"{path}: states: ")):
         load_model(path).predict_batch(x, mask)
 
 
@@ -327,15 +329,16 @@ def test_eval_scores_skip_logvar_head():
         raise AssertionError("logvar_head ran in eval scoring")
 
     model.logvar_head.forward = fail
-    assert np.array_equal(model.predict_scores(x, mask), expected)
-    assert np.array_equal(model.predict_scores(x[:2][None], mask[:2][None]),
-                          expected[None, :2])
+    assert np.array_equal(ens.predict_batch(x, mask)[:, 0], expected)
+    assert np.array_equal(
+        ens.predict_batch(x[:2][None], mask[:2][None])[..., 0],
+        expected[None, :2])
 
 
 def test_config_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(LabriskError, match="dimensions must be positive"):
         tiny_config(d=0).validate()
-    with pytest.raises(ModelError):
+    with pytest.raises(LabriskError, match="mask_fraction must be in"):
         tiny_config(mask_fraction=1.0).validate()
-    with pytest.raises(ModelError):
+    with pytest.raises(LabriskError, match="batch_size must be >= 2"):
         tiny_config(batch_size=1).validate()

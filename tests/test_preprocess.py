@@ -1,5 +1,6 @@
 """Derived-marker completion, percentiles, and normalization."""
 
+import dataclasses
 import datetime
 import math
 
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import defaults
+from labrisk import LabriskError, config_from_json, defaults
 from labrisk.catalog import EncounterRecord
-from labrisk.preprocess import (NormalizationParams, PreprocessError,
-                                complete_derived, fit_normalization,
-                                normalize_value, percentile, vectorize,
-                                vectorize_many)
+from labrisk.preprocess import (NormalizationParams, complete_derived,
+                                fit_normalization, normalize_value,
+                                percentile, vectorize, vectorize_many)
 
 
 def _record(measurements, age=60.0, sex="female", pid="p1"):
@@ -55,9 +55,9 @@ def test_percentile_hand_oracle():
     assert percentile([1, 2, 3, 4], 0.25) == pytest.approx(1.75)
     assert percentile([1, 2, 3, 4], 0.75) == pytest.approx(3.25)
     assert percentile([5], 0.5) == 5.0
-    with pytest.raises(PreprocessError):
+    with pytest.raises(LabriskError, match="percentile of empty sequence"):
         percentile([], 0.5)
-    with pytest.raises(PreprocessError):
+    with pytest.raises(LabriskError, match=r"quantile 1.5 out of \[0, 1\]"):
         percentile([1.0], 1.5)
 
 
@@ -109,14 +109,15 @@ def test_fit_normalization_zero_iqd_names_marker():
     cat, recs = full_records(n=10)
     recs = [r.with_measurements({**r.measurements, "sodium": 140.0})
             for r in recs]
-    with pytest.raises(PreprocessError, match="sodium"):
+    with pytest.raises(LabriskError, match="sodium"):
         fit_normalization(recs, cat)
 
 
 def test_normalization_round_trip():
     cat, recs = full_records(n=30, seed=1)
     params = fit_normalization(recs, cat)
-    again = NormalizationParams.from_dict(params.to_dict())
+    again = config_from_json(NormalizationParams, dataclasses.asdict(params),
+                             "normalization")
     assert again == params
 
 
