@@ -127,11 +127,9 @@ class EncounterRecord:
     measurements: dict[str, float]
     codes: list[ClaimCode] = field(default_factory=list)
 
-    def validate(self, known: set[str] | None = None,
-                 where: str | None = None) -> None:
-        """Sex, age range, finite measurements and, given the `known` marker
-        ids, no unknown marker; LabriskError names `where` (default: the
-        encounter id)."""
+    def validate(self, where: str | None = None) -> None:
+        """Sex, age range and finite measurements; LabriskError names
+        `where` (default: the encounter id)."""
         where = where or self.encounter_id
         if self.sex not in ("male", "female"):
             raise LabriskError(f"{where}: bad sex {self.sex!r}")
@@ -141,10 +139,6 @@ class EncounterRecord:
         for mid, v in self.measurements.items():
             if not math.isfinite(v):
                 raise LabriskError(f"{where}: measurement {mid!r} is {v}")
-        if known is not None and not known.issuperset(self.measurements):
-            raise LabriskError(
-                f"{where}: measurements has markers not in the model's "
-                f"catalog: {sorted(set(self.measurements) - known)}")
 
     def with_measurements(self, measurements: dict[str, float]) -> "EncounterRecord":
         return replace(self, measurements=measurements)
@@ -198,6 +192,9 @@ RECORD_FIELDS = {
 
 
 def record_from_dict(d: dict, where: str = "record") -> EncounterRecord:
-    """Decode one encounter; LabriskError names `where` and a bad field."""
-    return EncounterRecord(**decode_fields(d, where, RECORD_FIELDS,
-                                           ("codes",)))
+    """Decode and validate one encounter; LabriskError names `where` and a
+    bad field."""
+    record = EncounterRecord(**decode_fields(d, where, RECORD_FIELDS,
+                                             ("codes",)))
+    record.validate(where)
+    return record

@@ -246,11 +246,14 @@ def _load_model(stage):
 
 
 def _patient(stage, path, params):
-    """The --patient encounter and its feature vector. The record is checked
-    (sex, age, finite measurements, markers the model knows), and every
-    error names the file."""
+    """The --patient encounter, decoded and checked like every record, and
+    its feature vector. LabriskError names the file and any marker the model
+    does not know."""
     record = record_from_dict(read_json(stage.read(path)), path)
-    record.validate(set(params.feature_order), path)
+    unknown = set(record.measurements) - set(params.feature_order)
+    if unknown:
+        raise LabriskError(f"{path}: measurements has markers not in the "
+                           f"model's catalog: {sorted(unknown)}")
     return record, vectorize(complete_derived(record), params)
 
 
@@ -278,7 +281,11 @@ def cmd_synth(cfg, args, stage) -> None:
         "seed": cfg.master_seed,
         "n_per_class": {"no_cancer": 2000, cfg.cancer_type: 200},
         **cfg.synth}, f"{args.config}: synth")
-    records = synthesize_cohort(catalog, config)
+    try:
+        records = synthesize_cohort(catalog, config)
+    except LabriskError as e:  # config_from_json checked the config
+        raise LabriskError(f"{stage.paths.get('catalog') or 'default catalog'}"
+                           f": {e}") from None
     out = stage.output("cohort.jsonl", "cohort")
     ioutil.write_records_jsonl(out, records)
     ioutil.atomic_write_json(stage.output("catalog.json"),
@@ -363,7 +370,7 @@ def cmd_predict(cfg, args, stage) -> None:
     report = likelihood.build_report(
         record.patient_id, cfg.cancer_type, assessment, dev,
         min_n=cfg.predict.min_n)
-    ioutil.atomic_write_json(stage.output("report.json"), report.to_dict())
+    ioutil.atomic_write_json(stage.output("report.json"), asdict(report))
     ioutil.atomic_write_text(stage.output("report.txt"),
                              report.to_text() + "\n")
     print(report.to_text())
@@ -376,17 +383,15 @@ def cmd_evaluate(cfg, args, stage) -> None:
     roc_curve, pr, summary = _curves(scores, labels)
     cohort = likelihood.ScoredCohort.from_arrays(scores, labels)
     lrc = likelihood.lr_curve(cohort)
-    ioutil.atomic_write_text(stage.output("roc.csv"), "fpr,tpr\n" + "".join(
-        f"{f:.10g},{t:.10g}\n" for f, t in zip(roc_curve.fpr, roc_curve.tpr)))
-    ioutil.atomic_write_text(
-        stage.output("pr.csv"), "recall,precision\n" + "".join(
-            f"{r:.10g},{p:.10g}\n" for r, p in zip(pr.recall, pr.precision)))
-    ioutil.atomic_write_text(
+    ioutil.write_table(stage.output("roc.csv"), ["fpr", "tpr"],
+                       zip(roc_curve.fpr, roc_curve.tpr))
+    ioutil.write_table(stage.output("pr.csv"), ["recall", "precision"],
+                       zip(pr.recall, pr.precision))
+    ioutil.write_table(
         stage.output("lr_curve.csv"),
-        "threshold,lr,n_above,n_pos_above,corrected\n" + "".join(
-            f"{t:.10g},{l:.10g},{n},{p},{int(c)}\n"
-            for t, l, n, p, c in zip(lrc.thresholds, lrc.lr, lrc.n_above,
-                                     lrc.n_pos_above, lrc.corrected)))
+        ["threshold", "lr", "n_above", "n_pos_above", "corrected"],
+        zip(lrc.thresholds, lrc.lr, lrc.n_above, lrc.n_pos_above,
+            lrc.corrected.astype(int)))
     ioutil.atomic_write_json(stage.output("metrics.json"), summary)
     if args.svg:
         svg.svg_line_plot(stage.output("roc.svg"),
@@ -445,8 +450,7 @@ def cmd_lr(cfg, args, stage) -> None:
             add(f"marker:{mid}", [s for s, _ in pairs],
                 np.array([y for _, y in pairs]))
     out = stage.output("lr_baselines.csv")
-    ioutil.atomic_write_text(out, "series,threshold,lr\n" + "".join(
-        f"{n},{t:.10g},{l:.10g}\n" for n, t, l in rows))
+    ioutil.write_table(out, ["series", "threshold", "lr"], rows)
     if args.svg:
         svg.svg_line_plot(
             stage.output("lr_baselines.svg"),
@@ -561,12 +565,11 @@ def cmd_report(cfg, args, stage) -> None:
         member_curves.append(likelihood.lr_curve(cohort, thresholds))
     n_common = min(c.lr.size for c in member_curves)
     stack = np.vstack([c.lr[:n_common] for c in member_curves])
-    ioutil.atomic_write_text(
+    ioutil.write_table(
         bundled("lr_ribbon.csv"),
-        "threshold,lr_mean,lr_std,lr_min,lr_max\n" + "".join(
-            f"{thresholds[i]:.10g},{stack[:, i].mean():.10g},"
-            f"{stack[:, i].std():.10g},{stack[:, i].min():.10g},"
-            f"{stack[:, i].max():.10g}\n" for i in range(n_common)))
+        ["threshold", "lr_mean", "lr_std", "lr_min", "lr_max"],
+        [[thresholds[i], stack[:, i].mean(), stack[:, i].std(),
+          stack[:, i].min(), stack[:, i].max()] for i in range(n_common)])
     index = {**_curves(member_scores.mean(axis=1), labels)[2],
              "files": ["lr_ribbon.csv"]}
     for name in ("roc.csv", "pr.csv", "lr_curve.csv", "lr_baselines.csv",

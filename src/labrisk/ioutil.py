@@ -70,11 +70,12 @@ def read_records_jsonl(path, fields: dict | None = None
     return records, extras
 
 
-def write_table(path, header: list[str], rows: list[list]) -> None:
-    """Tab-delimited text table."""
-    lines = ["\t".join(header)]
+def write_table(path, header: list[str], rows) -> None:
+    """Text table, comma-separated for a .csv path, tab-separated otherwise."""
+    sep = "," if os.fspath(path).endswith(".csv") else "\t"
+    lines = [sep.join(header)]
     for row in rows:
-        lines.append("\t".join(
+        lines.append(sep.join(
             format(v, ".10g") if isinstance(v, float) else str(v)
             for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -299,48 +299,34 @@ def age_score(age: float) -> float:
 
 @dataclass
 class LRReport:
+    """A per-patient report; its fields are the keys of report.json."""
     patient_id: str
     cancer_type: str
-    score: float
-    ci: tuple[float, float]
+    risk_score: float
+    risk_ci: tuple[float, float]
     similar_cohort_size: int
     pre_test_probability: float
     post_test_probability: float
     pre_test_odds: float
     post_test_odds: float
-    lr: float
-    corrected: bool
+    likelihood_ratio: float
+    continuity_corrected: bool
     per_member_scores: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "patient_id": self.patient_id,
-            "cancer_type": self.cancer_type,
-            "risk_score": self.score,
-            "risk_ci": list(self.ci),
-            "similar_cohort_size": self.similar_cohort_size,
-            "pre_test_probability": self.pre_test_probability,
-            "post_test_probability": self.post_test_probability,
-            "pre_test_odds": self.pre_test_odds,
-            "post_test_odds": self.post_test_odds,
-            "likelihood_ratio": self.lr,
-            "continuity_corrected": self.corrected,
-            "per_member_scores": self.per_member_scores,
-        }
 
     def to_text(self) -> str:
         lines = [
             f"Risk assessment for patient {self.patient_id} "
             f"({self.cancer_type} cancer, 12-month horizon)",
-            f"  Ensemble risk score : {self.score:.3f} "
-            f"(CI {self.ci[0]:.3f} - {self.ci[1]:.3f})",
+            f"  Ensemble risk score : {self.risk_score:.3f} "
+            f"(CI {self.risk_ci[0]:.3f} - {self.risk_ci[1]:.3f})",
             f"  Similar-score cohort: {self.similar_cohort_size} patients",
             f"  Pre-test probability : {self.pre_test_probability:.4f} "
             f"(odds {self.pre_test_odds:.4f})",
             f"  Post-test probability: {self.post_test_probability:.4f} "
             f"(odds {self.post_test_odds:.4f})",
-            f"  Likelihood ratio     : {self.lr:.2f}"
-            + ("  [continuity corrected]" if self.corrected else ""),
+            f"  Likelihood ratio     : {self.likelihood_ratio:.2f}"
+            + ("  [continuity corrected]" if self.continuity_corrected
+               else ""),
         ]
         return "\n".join(lines)
 
@@ -357,9 +343,9 @@ def build_report(patient_id: str, cancer_type: str,
                  else odds(post_p))
     return LRReport(
         patient_id=patient_id, cancer_type=cancer_type,
-        score=assessment.mean, ci=assessment.ci,
+        risk_score=assessment.mean, risk_ci=assessment.ci,
         similar_cohort_size=n_sub,
         pre_test_probability=pre_p, post_test_probability=post_p,
         pre_test_odds=odds(pre_p), post_test_odds=post_odds,
-        lr=lr, corrected=corrected,
+        likelihood_ratio=lr, continuity_corrected=corrected,
         per_member_scores=assessment.per_member_scores)

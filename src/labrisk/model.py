@@ -95,31 +95,6 @@ class RiskModel:
         return (self.encoder + [self.mu_head, self.logvar_head]
                 + self.decoder + [self.classifier])
 
-    # --- forward pieces (training mode) ---
-
-    def encode(self, values: np.ndarray, mask: np.ndarray):
-        h = np.concatenate([values, mask], axis=-1)
-        for layer in self.encoder:
-            h = layer.forward(h, True)
-        return self.mu_head.forward(h), self.logvar_head.forward(h)
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        h = z
-        for layer in self.decoder:
-            h = layer.forward(h, True)
-        return h
-
-    def _backward_decoder(self, drecon: np.ndarray) -> np.ndarray:
-        g = drecon
-        for layer in reversed(self.decoder):
-            g = layer.backward(g)
-        return g
-
-    def _backward_encoder(self, dmu: np.ndarray, dlogvar: np.ndarray) -> None:
-        dh = self.mu_head.backward(dmu) + self.logvar_head.backward(dlogvar)
-        for layer in reversed(self.encoder):
-            dh = layer.backward(dh)
-
     def _scores(self, h: np.ndarray) -> np.ndarray:
         """Eval-mode risk scores in [0, 1] (mu path, running batch stats) of
         the (..., 2d) rows `h`, values then mask: (...) scores. logvar_head
@@ -130,49 +105,60 @@ class RiskModel:
 
     # --- losses ---
 
+    def _loss_and_grads(self, seen, seen_mask, values, mask, labels, noise):
+        """One training pass, filling `grads`: the encoder reads `(seen,
+        seen_mask)`, the decoder reconstructs the observed `values`, and the
+        classifier's BCE on mu is added if `labels` are given (else its
+        gradients are zero). Returns (loss, component losses)."""
+        cfg = self.config
+        h = np.concatenate([seen, seen_mask], axis=-1)
+        for layer in self.encoder:
+            h = layer.forward(h, True)
+        mu, logvar = self.mu_head.forward(h), self.logvar_head.forward(h)
+        h = nn.reparameterize(mu, logvar, noise)
+        for layer in self.decoder:
+            h = layer.forward(h, True)
+        l_rec, drecon = nn.masked_mse(h, values, mask)
+        l_kl, dmu_kl, dlv_kl = nn.kl_divergence(mu, logvar)
+        loss = cfg.w_recon * l_rec + cfg.w_kl * l_kl
+        dz = cfg.w_recon * drecon
+        for layer in reversed(self.decoder):
+            dz = layer.backward(dz)
+        dmu = dz + cfg.w_kl * dmu_kl
+        if labels is None:
+            self.classifier.dweight[...] = 0.0
+            self.classifier.dbias[...] = 0.0
+            components = (l_rec, l_kl)
+        else:
+            logits = self.classifier.forward(mu)[:, 0]
+            l_cls, dlogits = nn.bce_with_logits(logits, labels)
+            loss = loss + cfg.w_cls * l_cls
+            dmu = dmu + self.classifier.backward(
+                (cfg.w_cls * dlogits)[:, None])
+            components = (l_rec, l_kl, l_cls)
+        dlogvar = dz * noise * 0.5 * np.exp(0.5 * logvar) + cfg.w_kl * dlv_kl
+        dh = self.mu_head.backward(dmu) + self.logvar_head.backward(dlogvar)
+        for layer in reversed(self.encoder):
+            dh = layer.backward(dh)
+        return loss, components
+
     def pretrain_loss_and_grads(self, values, mask, keep, noise):
         """Masked-imputation loss: encoder sees only `keep`-retained entries,
         reconstruction is scored on all originally-observed entries."""
-        cfg = self.config
-        mu, logvar = self.encode(values * keep, keep)
-        z = nn.reparameterize(mu, logvar, noise)
-        recon = self.decode(z)
-        l_rec, drecon = nn.masked_mse(recon, values, mask)
-        l_kl, dmu_kl, dlv_kl = nn.kl_divergence(mu, logvar)
-        loss = cfg.w_recon * l_rec + cfg.w_kl * l_kl
-        dz = self._backward_decoder(cfg.w_recon * drecon)
-        dmu = dz + cfg.w_kl * dmu_kl
-        dlogvar = dz * noise * 0.5 * np.exp(0.5 * logvar) + cfg.w_kl * dlv_kl
-        self._backward_encoder(dmu, dlogvar)
-        # Classifier gradients are identically zero during pretraining.
-        self.classifier.dweight[...] = 0.0
-        self.classifier.dbias[...] = 0.0
-        return loss, (l_rec, l_kl)
+        return self._loss_and_grads(values * keep, keep, values, mask, None,
+                                    noise)
 
     def finetune_loss_and_grads(self, values, mask, labels, noise):
         """Combined loss: reconstruction + KL + BCE(classifier(mu), label)."""
-        cfg = self.config
-        mu, logvar = self.encode(values, mask)
-        z = nn.reparameterize(mu, logvar, noise)
-        recon = self.decode(z)
-        l_rec, drecon = nn.masked_mse(recon, values, mask)
-        l_kl, dmu_kl, dlv_kl = nn.kl_divergence(mu, logvar)
-        logits = self.classifier.forward(mu)[:, 0]
-        l_cls, dlogits = nn.bce_with_logits(logits, labels)
-        loss = cfg.w_recon * l_rec + cfg.w_kl * l_kl + cfg.w_cls * l_cls
-        dz = self._backward_decoder(cfg.w_recon * drecon)
-        dmu_cls = self.classifier.backward(
-            (cfg.w_cls * dlogits)[:, None])
-        dmu = dz + cfg.w_kl * dmu_kl + dmu_cls
-        dlogvar = dz * noise * 0.5 * np.exp(0.5 * logvar) + cfg.w_kl * dlv_kl
-        self._backward_encoder(dmu, dlogvar)
-        return loss, (l_rec, l_kl, l_cls)
+        return self._loss_and_grads(values, mask, values, mask, labels, noise)
 
 
 def _fit(model: RiskModel, stage: str, epochs: int, n: int,
          rng: np.random.Generator, batch_loss) -> list[dict]:
     """Adam over `model.params` for `epochs` shuffled passes over n rows;
     batch_loss(idx) fills `model.grads` and returns the batch's loss."""
+    if n == 0:
+        raise LabriskError("empty training set")
     opt = nn.Adam(model.params, lr=model.config.lr)
     size = model.config.batch_size
     history = []
@@ -193,8 +179,6 @@ def _fit(model: RiskModel, stage: str, epochs: int, n: int,
 def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
              rng: np.random.Generator) -> list[dict]:
     """Masked-imputation pretraining. Returns the per-epoch loss history."""
-    if values.shape[0] == 0:
-        raise LabriskError("empty training set")
     cfg = model.config
 
     def batch_loss(idx):
@@ -211,8 +195,6 @@ def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
 def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
              labels: np.ndarray, rng: np.random.Generator) -> list[dict]:
     """Fine-tune the full network with the combined loss."""
-    if values.shape[0] == 0:
-        raise LabriskError("empty training set")
     if len(np.unique(labels)) < 2:
         raise LabriskError("single-class training set; BCE is degenerate")
     cfg = model.config

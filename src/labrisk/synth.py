@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import LabriskError, defaults
-from .catalog import CANCER_CLASSES, ClaimCode, EncounterRecord, MarkerCatalog
+from .catalog import (CANCER_CLASSES, ClaimCode, EncounterRecord,
+                      MarkerCatalog, MarkerDef)
 
 
 @dataclass
@@ -97,18 +98,25 @@ def build_correlation(lab_ids: tuple[str, ...]) -> np.ndarray:
     return c
 
 
-def _marginal(mean: float, sd: float, log_flagged: bool):
-    """Pick a marginal sampler: ('lognormal', mu, sigma) | ('normal', m, s).
+def _marginal(marker: MarkerDef, cls: str):
+    """Pick `marker`'s sampler for class `cls`: ('lognormal', mu, sigma) |
+    ('normal', m, s) | ('constant', m, 0).
 
     Log-flagged markers are log-normal by design. High-dispersion markers
     (mean < 3 sd) also use a moment-matched log-normal: a zero-truncated
     normal cannot reproduce their mean without bias, and lab values must be
     non-negative.
     """
+    mean, sd = marker.class_distributions[cls]
     if sd <= 0:
         return ("constant", mean, 0.0)
-    if (log_flagged or mean < 3.0 * sd) and mean > 0:
-        sigma2 = math.log(1.0 + (sd / mean) ** 2)
+    if (marker.log_transform or mean < 3.0 * sd) and mean > 0:
+        try:
+            sigma2 = math.log(1.0 + (sd / mean) ** 2)
+        except OverflowError:
+            raise LabriskError(
+                f"marker {marker.id!r}: class {cls!r}: distribution "
+                f"({mean}, {sd}) overflows a log-normal") from None
         mu = math.log(mean) - 0.5 * sigma2
         return ("lognormal", mu, math.sqrt(sigma2))
     return ("normal", mean, sd)
@@ -122,27 +130,26 @@ def _transform_column(z: np.ndarray, kind: str, p1: float, p2: float) -> np.ndar
     return np.full_like(z, p1)
 
 
-def inject_claim_codes(record: EncounterRecord, cls: str,
-                       diagnosis_date: datetime.date | None,
-                       rng: np.random.Generator,
-                       screening_prob: float = 0.6) -> EncounterRecord:
-    """Attach screening/diagnosis claim codes for the given cohort class.
+def _claim_codes(cls: str, date: datetime.date,
+                 diagnosis_date: datetime.date | None,
+                 rng: np.random.Generator,
+                 screening_prob: float) -> list[ClaimCode]:
+    """Screening/diagnosis claim codes of an encounter on `date` for the
+    given cohort class.
 
     Cancer classes receive one screening or diagnostic procedure code, the
     matching ICD-10 diagnosis code at the diagnosis date, and at least one
     post-diagnosis confirmation code. Controls receive screening codes only,
     probabilistically and independently per cancer type.
     """
-    codes = list(record.codes)
+    codes = []
     if cls in CANCER_CLASSES:
-        if diagnosis_date is None:
-            raise LabriskError("cancer class requires a diagnosis date")
         pool = (defaults.SCREENING_PROCEDURE_CODES[cls]
                 + defaults.SCREENING_ENCOUNTER_CODES[cls]
                 + defaults.DIAGNOSTIC_PROCEDURE_CODES[cls])
         proc = pool[int(rng.integers(len(pool)))]
         system = "ICD10" if proc.startswith("Z") else "CPT"
-        codes.append(ClaimCode(proc, system, record.date))
+        codes.append(ClaimCode(proc, system, date))
         icd = defaults.DIAGNOSIS_ICD_PREFIXES[cls]
         dx = icd[int(rng.integers(len(icd)))]
         codes.append(ClaimCode(dx, "ICD10", diagnosis_date))
@@ -160,12 +167,8 @@ def inject_claim_codes(record: EncounterRecord, cls: str,
                         + defaults.SCREENING_ENCOUNTER_CODES[cancer])
                 proc = pool[int(rng.integers(len(pool)))]
                 system = "ICD10" if proc.startswith("Z") else "CPT"
-                codes.append(ClaimCode(proc, system, record.date))
-    out = EncounterRecord(
-        patient_id=record.patient_id, encounter_id=record.encounter_id,
-        date=record.date, age_years=record.age_years, sex=record.sex,
-        measurements=dict(record.measurements), codes=codes)
-    return out
+                codes.append(ClaimCode(proc, system, date))
+    return codes
 
 
 def synthesize_cohort(catalog: MarkerCatalog,
@@ -178,15 +181,14 @@ def synthesize_cohort(catalog: MarkerCatalog,
     config.validate()
     lab = catalog.lab_markers
     lab_ids = catalog.lab_ids
+    for mid in ("age", "sex"):
+        if mid not in catalog:
+            raise LabriskError(f"no {mid!r} marker to draw the {mid} from")
     for cls in config.n_per_class:
-        for m in lab:
+        for m in (*lab, catalog.get("age"), catalog.get("sex")):
             if cls not in m.class_distributions:
                 raise LabriskError(
                     f"class {cls!r} has no distribution for marker {m.id!r}")
-        if cls != "no_cancer" and cls not in CANCER_CLASSES:
-            raise LabriskError(f"unknown class {cls!r}")
-        if "age" in catalog and cls not in catalog.get("age").class_distributions:
-            raise LabriskError(f"class {cls!r} has no age distribution")
 
     rng = np.random.default_rng(config.seed)
     corr = build_correlation(lab_ids)
@@ -202,8 +204,7 @@ def synthesize_cohort(catalog: MarkerCatalog,
             continue
         visits = config.visits_per_patient
         n_pat = math.ceil(n_enc / visits)
-        marginals = [_marginal(*m.class_distributions[cls], m.log_transform)
-                     for m in lab]
+        marginals = [_marginal(m, cls) for m in lab]
         age_mean, age_sd = catalog.get("age").class_distributions[cls]
         male_frac = catalog.get("sex").class_distributions[cls][0]
         miss = base_miss
@@ -217,6 +218,11 @@ def synthesize_cohort(catalog: MarkerCatalog,
         values = np.empty_like(z)
         for j, (kind, p1, p2) in enumerate(marginals):
             values[:, j] = _transform_column(z[:, j], kind, p1, p2)
+        infinite = ~np.isfinite(values).all(axis=0)
+        if infinite.any():
+            raise LabriskError(
+                f"marker {lab_ids[infinite.argmax()]!r}: class {cls!r}: "
+                "distribution draws values too large for a float")
 
         absent = rng.random((n_total, len(lab))) < miss
         for panel in ("CMP", "CBC"):
@@ -260,27 +266,25 @@ def synthesize_cohort(catalog: MarkerCatalog,
                 patient_records.append(rec)
 
             # Claims history lives on the first encounter of the patient.
-            patient_records[0] = inject_claim_codes(
-                patient_records[0], cls, diagnosis_date, rng,
-                config.screening_prob)
-            extra = list(patient_records[0].codes)
+            codes = _claim_codes(cls, dates[0], diagnosis_date, rng,
+                                 config.screening_prob)
             for code, prevs in config.comorbidity_prevalence.items():
                 if rng.random() < prevs.get(cls, 0.0):
                     back = int(rng.integers(30, 400))
-                    extra.append(ClaimCode(
+                    codes.append(ClaimCode(
                         code, "ICD10", t0 - datetime.timedelta(days=back)))
             if cls == "no_cancer" and rng.random() < config.chronic_fraction:
                 code = defaults.CHRONIC_DISEASE_CODES[
                     int(rng.integers(len(defaults.CHRONIC_DISEASE_CODES)))]
-                extra.append(ClaimCode(
+                codes.append(ClaimCode(
                     code, "ICD10",
                     t0 - datetime.timedelta(days=int(rng.integers(30, 400)))))
             if rng.random() < config.infection_fraction:
                 code = defaults.ACUTE_INFECTION_CODES[
                     int(rng.integers(len(defaults.ACUTE_INFECTION_CODES)))]
                 visit = int(rng.integers(visits))
-                extra.append(ClaimCode(code, "ICD10", dates[visit]))
-            patient_records[0].codes = extra
+                codes.append(ClaimCode(code, "ICD10", dates[visit]))
+            patient_records[0].codes = codes
 
             remaining = n_enc - emitted
             take = min(visits, remaining)

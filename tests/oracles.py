@@ -93,3 +93,32 @@ def average_precision(scores, labels) -> float:
 def efficiency_residual(result) -> float:
     """fx minus the base value and the attributions of a ShapResult."""
     return float(result.fx - (result.base_value + result.phi.sum()))
+
+
+# The CSV tables as the CLI wrote them with f-strings (roc.csv and pr.csv,
+# lr_curve.csv, lr_baselines.csv, report/lr_ribbon.csv); ioutil.write_table
+# must give the same bytes.
+
+def curve_csv(header, xs, ys):
+    """roc.csv ("fpr,tpr") and pr.csv ("recall,precision")."""
+    return header + "\n" + "".join(
+        f"{f:.10g},{t:.10g}\n" for f, t in zip(xs, ys))
+
+
+def lr_curve_csv(thresholds, lr, n_above, n_pos_above, corrected):
+    return "threshold,lr,n_above,n_pos_above,corrected\n" + "".join(
+        f"{t:.10g},{l:.10g},{n},{p},{int(c)}\n"
+        for t, l, n, p, c in zip(thresholds, lr, n_above, n_pos_above,
+                                 corrected))
+
+
+def lr_baselines_csv(rows):
+    return "series,threshold,lr\n" + "".join(
+        f"{n},{t:.10g},{l:.10g}\n" for n, t, l in rows)
+
+
+def lr_ribbon_csv(thresholds, stack):
+    return "threshold,lr_mean,lr_std,lr_min,lr_max\n" + "".join(
+        f"{thresholds[i]:.10g},{stack[:, i].mean():.10g},"
+        f"{stack[:, i].std():.10g},{stack[:, i].min():.10g},"
+        f"{stack[:, i].max():.10g}\n" for i in range(stack.shape[1]))

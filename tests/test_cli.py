@@ -25,6 +25,7 @@ from labrisk.model import RiskAssessment, RiskModelConfig, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
 from labrisk.synth import SynthConfig
 
+import oracles
 from test_likelihood import similar_oracle
 
 
@@ -500,6 +501,42 @@ def _catalog_case(edit, field):
     return case
 
 
+def _synth_catalog_case(edit, *named):
+    """synth on the run's catalog.json with `edit` applied to the document;
+    the error names the catalog file and `named`."""
+    def case(run, tmp):
+        _, out = run
+        doc = json.loads((out / "catalog.json").read_text())
+        edit(doc)
+        catalog = _write(tmp / "catalog.json", json.dumps(doc))
+        return (["synth", "--config", _config(tmp, {"catalog": catalog})],
+                [catalog, *named])
+    return case
+
+
+def _without_marker(mid):
+    def edit(doc):
+        doc["markers"] = [m for m in doc["markers"] if m["id"] != mid]
+    return edit
+
+
+def _no_cancer_distribution(mid, distribution):
+    def edit(doc):
+        marker = next(m for m in doc["markers"] if m["id"] == mid)
+        marker["class_distributions"]["no_cancer"] = distribution
+    return edit
+
+
+def _cohort_nan_measurement(run, tmp):
+    """cohort on the run's cohort.jsonl with line 3's albumin NaN."""
+    _, out = run
+    lines = (out / "cohort.jsonl").read_text().splitlines()
+    lines[2] = _measured(json.loads(lines[2]), albumin=math.nan)
+    cohort = _write(tmp / "cohort.jsonl", "\n".join(lines) + "\n")
+    return (["cohort", "--config", _config(tmp, {"cohort": cohort})],
+            [f"{cohort}:3", "'albumin'"])
+
+
 def _directory_case(command, key):
     """`command` with the pipeline file paths.<key> a directory."""
     def case(run, tmp):
@@ -618,6 +655,19 @@ MALFORMED_INPUTS = {
         "reference_range"),
     "catalog-log-flag-string": _catalog_case(
         lambda m: m.update(log_transform="false"), "log_transform"),
+    # synth needs age and sex markers, and distributions whose draws fit a
+    # float.
+    "synth-catalog-without-age": _synth_catalog_case(_without_marker("age"),
+                                                     "'age'"),
+    "synth-catalog-without-sex": _synth_catalog_case(_without_marker("sex"),
+                                                     "'sex'"),
+    "synth-catalog-overflowing-log-normal": _synth_catalog_case(
+        _no_cancer_distribution("alt", [5.0, 1e308]), "'alt'",
+        "'no_cancer'"),
+    "synth-catalog-infinite-draws": _synth_catalog_case(
+        _no_cancer_distribution("alt", [1e308, 1e308]), "'alt'",
+        "'no_cancer'"),
+    "cohort-nan-measurement": _cohort_nan_measurement,
     "cohort-directory": _directory_case("cohort", "cohort"),
     "prepare-labeled-directory": _directory_case("prepare", "labeled"),
     "comorbid-labeled-directory": _directory_case("comorbid", "labeled"),
@@ -641,10 +691,19 @@ LABELED_COMMANDS = ("prepare", "train", "evaluate", "lr", "explain",
                     "comorbid", "report")
 
 
+# What the error names besides file:line, where that is not repr(field).
+RECORD_CHECKS = {"measurements": "'albumin' is nan",
+                 "age_years": "age_years inf", "sex": "sex 'other'"}
+
+
 @pytest.mark.parametrize("field, value", [
-    ("label", 1), ("split", "test"), ("diagnosis_date", "bogus")])
+    ("label", 1), ("split", "test"), ("diagnosis_date", "bogus"),
+    pytest.param("measurements", {"albumin": math.nan},
+                 id="measurements-albumin-nan"),
+    ("age_years", math.inf), ("sex", "other")])
 def test_malformed_labeled_field_exits_3(run, tmp_path, capsys, field,
                                          value):
+    named = RECORD_CHECKS.get(field, repr(field))
     _, out = run
     lines = (out / "labeled.jsonl").read_text().splitlines()
     lines[2] = json.dumps(dict(json.loads(lines[2]), **{field: value}))
@@ -655,7 +714,7 @@ def test_malformed_labeled_field_exits_3(run, tmp_path, capsys, field,
     for command in LABELED_COMMANDS:
         assert cli.main([command, "--config", cfg]) == 3, command
         err = capsys.readouterr().err
-        assert f"{labeled}:3" in err and repr(field) in err, (command, err)
+        assert f"{labeled}:3" in err and named in err, (command, err)
         assert "Traceback" not in err
 
 
@@ -819,6 +878,44 @@ def test_fuzzed_model_file_never_exits_4(run, fuzz_dir, data):
     patient = _write(fuzz_dir / "patient.json",
                      json.dumps(_validation_doc(out)))
     _exit_code(["predict", "--config", cfg, "--patient", patient])
+
+
+FLOAT_CELLS = st.floats(width=64).map(np.float64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_write_table_gives_the_f_string_csv_bytes(fuzz_dir, data):
+    n = data.draw(st.integers(0, 5))
+
+    def column(cells):
+        return data.draw(st.lists(cells, min_size=n, max_size=n))
+
+    xs, ys = column(FLOAT_CELLS), column(FLOAT_CELLS)
+    n_above = column(st.integers(0, 2**62).map(np.int64))
+    n_pos_above = column(st.integers(0, 2**62))
+    corrected = np.array(column(st.booleans()), dtype=bool)
+    rows = [[name, float(x), float(y)] for name, x, y in zip(
+        column(st.text("abz:_", min_size=1)), xs, ys)]
+    stack = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        min_size=1, max_size=3)))
+    thresholds = np.linspace(0.0, 1.0, n)
+    path = fuzz_dir / "table.csv"
+    for header, cells, expected in [
+            (["fpr", "tpr"], zip(xs, ys),
+             oracles.curve_csv("fpr,tpr", xs, ys)),
+            (["threshold", "lr", "n_above", "n_pos_above", "corrected"],
+             zip(xs, ys, n_above, n_pos_above, corrected.astype(int)),
+             oracles.lr_curve_csv(xs, ys, n_above, n_pos_above, corrected)),
+            (["series", "threshold", "lr"], rows,
+             oracles.lr_baselines_csv(rows)),
+            (["threshold", "lr_mean", "lr_std", "lr_min", "lr_max"],
+             [[thresholds[i], stack[:, i].mean(), stack[:, i].std(),
+               stack[:, i].min(), stack[:, i].max()] for i in range(n)],
+             oracles.lr_ribbon_csv(thresholds, stack))]:
+        ioutil.write_table(path, header, cells)
+        assert path.read_text() == expected
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,7 @@
 """Likelihood-ratio arithmetic, subgroup curves, and baseline scores."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,7 +290,7 @@ def test_build_report_round_trip():
     assessment = RiskAssessment(per_member_scores=[0.7, 0.75, 0.72],
                                 mean=0.72, std=0.02, ci=(0.70, 0.74))
     report = likelihood.build_report("p9", "liver", assessment, dev, min_n=50)
-    d = report.to_dict()
+    d = asdict(report)
     assert d["patient_id"] == "p9"
     assert d["likelihood_ratio"] == pytest.approx(
         likelihood_ratio(d["post_test_probability"],

@@ -62,7 +62,12 @@ def test_pretrain_loss_gradient_check(seed):
     def loss():
         return model.pretrain_loss_and_grads(values, mask, keep, noise)[0]
 
-    loss()
+    total, (l_rec, l_kl) = model.pretrain_loss_and_grads(values, mask, keep,
+                                                         noise)
+    assert total == cfg.w_recon * l_rec + cfg.w_kl * l_kl
+    # Pretraining leaves the classifier untrained.
+    assert not model.classifier.dweight.any()
+    assert not model.classifier.dbias.any()
     analytic = [model.grads.copy()]
     assert grad_check(loss, [model.params], analytic) < 1e-4
 
@@ -80,7 +85,10 @@ def test_finetune_loss_gradient_check(seed):
     def loss():
         return model.finetune_loss_and_grads(values, mask, labels, noise)[0]
 
-    loss()
+    total, (l_rec, l_kl, l_cls) = model.finetune_loss_and_grads(
+        values, mask, labels, noise)
+    assert total == cfg.w_recon * l_rec + cfg.w_kl * l_kl + cfg.w_cls * l_cls
+    assert model.classifier.dweight.any()
     analytic = [model.grads.copy()]
     assert grad_check(loss, [model.params], analytic) < 1e-4
 
