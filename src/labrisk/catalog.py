@@ -68,12 +68,13 @@ class MarkerCatalog:
     version: str
 
     def __post_init__(self) -> None:
-        seen = set()
+        by_id = {}
         for m in self.entries:
             m.validate()
-            if m.id in seen:
+            if m.id in by_id:
                 raise LabriskError(f"duplicate marker id {m.id!r}")
-            seen.add(m.id)
+            by_id[m.id] = m
+        object.__setattr__(self, "_by_id", by_id)  # the dataclass is frozen
 
     def __iter__(self):
         return iter(self.entries)
@@ -82,13 +83,10 @@ class MarkerCatalog:
         return len(self.entries)
 
     def __contains__(self, marker_id: str) -> bool:
-        return any(m.id == marker_id for m in self.entries)
+        return marker_id in self._by_id
 
     def get(self, marker_id: str) -> MarkerDef:
-        for m in self.entries:
-            if m.id == marker_id:
-                return m
-        raise KeyError(marker_id)
+        return self._by_id[marker_id]
 
     @property
     def lab_markers(self) -> tuple[MarkerDef, ...]:

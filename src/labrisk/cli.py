@@ -51,6 +51,11 @@ class SplitConfig:
     enrich: bool = True
     spec: dict = field(default_factory=dict, metadata={"rest": True})
 
+    def validate(self) -> None:
+        if self.split_seed is not None and self.split_seed < 0:
+            raise LabriskError(
+                f"split_seed must be >= 0, got {self.split_seed}")
+
 
 @dataclass
 class PrepareConfig:
@@ -125,6 +130,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.cancer_type not in defaults.DIAGNOSIS_ICD_PREFIXES:
             raise LabriskError(f"unknown cancer_type {self.cancer_type!r}")
+        if self.master_seed < 0:
+            raise LabriskError(
+                f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def load_run_config(path, args) -> tuple[dict, RunConfig]:

@@ -15,6 +15,8 @@ from .catalog import EncounterRecord
 from .preprocess import complete_derived
 
 WINDOW_DAYS = 365  # "12 months" (label horizon and lookback)
+# The widest infection window: a century, wider than any patient's history.
+MAX_INFECTION_WINDOW_DAYS = 36500
 
 
 @dataclass
@@ -35,6 +37,11 @@ class CohortSpec:
     def __post_init__(self):
         if self.min_markers < 1:
             raise LabriskError("min_markers must be >= 1")
+        if not 0 <= self.infection_window_days <= MAX_INFECTION_WINDOW_DAYS:
+            raise LabriskError(
+                "infection_window_days must be in "
+                f"[0, {MAX_INFECTION_WINDOW_DAYS}], "
+                f"got {self.infection_window_days}")
         if not self.age_range[0] < self.age_range[1]:
             raise LabriskError("age_range must be increasing")
 

@@ -230,7 +230,6 @@ class RiskAssessment:
     @classmethod
     def from_scores(cls, scores: np.ndarray,
                     ci_scale: float = 1.0) -> "RiskAssessment":
-        scores = np.asarray(scores, dtype=np.float64)
         mean, std, lo, hi = score_summary(scores, ci_scale)
         return cls(per_member_scores=[float(s) for s in scores],
                    mean=float(mean), std=float(std),
@@ -239,7 +238,8 @@ class RiskAssessment:
 
 @dataclass
 class RiskEnsemble:
-    members: list[RiskModel]
+    # (members, state size): each member's RiskModel.state, in member order.
+    states: np.ndarray
     normalization: NormalizationParams
     config: RiskModelConfig
     catalog_version: str = "unversioned"
@@ -260,20 +260,27 @@ class RiskEnsemble:
         """Eval-mode scores of every member: (..., n_features) rows give
         (..., n_members); a single 1-D row gives (1, n_members). Weights
         loaded from a file that overflow raise LabriskError naming it."""
-        values = np.atleast_2d(values)
-        mask = np.atleast_2d(mask)
+        values, mask = np.atleast_2d(values, mask)
         if values.shape[-1] != self.config.n_features:
             raise LabriskError(
                 f"expected {self.config.n_features} features, "
                 f"got {values.shape[-1]}")
         h = np.concatenate([values, mask], axis=-1)
+        model = RiskModel(self.config, None)
+        scores = []
         try:
-            return np.stack([m._scores(h) for m in self.members], axis=-1)
+            # Each layer's finite check reports an overflow, so numpy's
+            # warning would only repeat it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for state in self.states:
+                    model.state[...] = state
+                    scores.append(model._scores(h))
         except nn.NumericsError as e:
             if self.source is None:
                 raise
             raise LabriskError(f"{self.source}: states: the stored weights "
                                f"give {e}") from None
+        return np.stack(scores, axis=-1)
 
     def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
         scores = self.predict_batch(values, mask)[0]
@@ -294,7 +301,7 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
     pos_p = [p for p in pids if labels[patients[p]].max() > 0]
     neg_p = [p for p in pids if labels[patients[p]].max() == 0]
 
-    members, subsets, history = [], [], []
+    states, subsets, history = [], [], []
     for member in range(n_members):
         ss = np.random.SeedSequence(config.seed, spawn_key=(member,))
         rng = np.random.default_rng(ss)
@@ -314,10 +321,10 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
             for h in (pretrain(model, values[rows], mask[rows], rng)
                       + finetune(model, values[rows], mask[rows],
                                  labels[rows], rng))]
-        members.append(model)
+        states.append(model.state)
         subsets.append({"member": member, "n_rows": int(rows.size),
                         "n_patients": len(chosen)})
-    return RiskEnsemble(members=members, normalization=normalization,
+    return RiskEnsemble(states=np.stack(states), normalization=normalization,
                         config=config, catalog_version=catalog_version,
                         member_subsets=subsets, history=history)
 
@@ -374,7 +381,7 @@ def save_model(ensemble: RiskEnsemble, path) -> None:
         "normalization": asdict(ensemble.normalization),
         "catalog_version": ensemble.catalog_version,
         "member_subsets": ensemble.member_subsets,
-        "states": _blob([m.state for m in ensemble.members]),
+        "states": _blob(ensemble.states),
         **{name: _blob(getattr(ensemble, name)) for name in (
             "dev_scores", "dev_labels", "background_values",
             "background_mask")},
@@ -403,12 +410,8 @@ def load_model(path) -> RiskEnsemble:
         raise LabriskError(
             f"{path}: normalization.feature_order has {n_order} features, "
             f"config.n_features is {doc.config.n_features}")
-    members = [RiskModel(doc.config, None)]
     states = _array(doc.states, f"{path}: states",
-                    (None, members[0].state.size))
-    members += [RiskModel(doc.config, None) for _ in states[1:]]
-    for member, state in zip(members, states):
-        member.state[...] = state
+                    (None, RiskModel(doc.config, None).state.size))
     dev_scores = _array(doc.dev_scores, f"{path}: dev_scores", (None,))
     if not ((dev_scores >= 0) & (dev_scores <= 1)).all():
         raise LabriskError(f"{path}: dev_scores holds values outside [0, 1]")
@@ -416,7 +419,7 @@ def load_model(path) -> RiskEnsemble:
                                f"{path}: background_values",
                                (None, doc.config.n_features))
     return RiskEnsemble(
-        members=members, normalization=doc.normalization, config=doc.config,
+        states=states, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,
         member_subsets=doc.member_subsets, dev_scores=dev_scores,
         dev_labels=_array(doc.dev_labels, f"{path}: dev_labels",

@@ -59,6 +59,16 @@ class SynthConfig:
                 raise LabriskError(f"{name} out of [0,1]")
         if self.visits_per_patient < 1:
             raise LabriskError("visits_per_patient must be >= 1")
+        if self.seed < 0:
+            raise LabriskError(f"seed must be >= 0, got {self.seed}")
+        try:
+            start = datetime.date.fromisoformat(self.start_date)
+        except ValueError as e:
+            raise LabriskError(f"start_date: {e}") from None
+        # Keeps every drawn date, before or after start, in date's range.
+        if not 1900 <= start.year <= 2100:
+            raise LabriskError(f"start_date must be in the years 1900 to "
+                               f"2100, got {self.start_date!r}")
 
 
 # Latent-space couplings used by the copula. Values are correlations of the
@@ -216,8 +226,9 @@ def synthesize_cohort(catalog: MarkerCatalog,
         n_total = n_pat * visits
         z = rng.standard_normal((n_total, len(lab))) @ chol.T
         values = np.empty_like(z)
-        for j, (kind, p1, p2) in enumerate(marginals):
-            values[:, j] = _transform_column(z[:, j], kind, p1, p2)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for j, (kind, p1, p2) in enumerate(marginals):
+                values[:, j] = _transform_column(z[:, j], kind, p1, p2)
         infinite = ~np.isfinite(values).all(axis=0)
         if infinite.any():
             raise LabriskError(

@@ -10,6 +10,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ def _rechecksummed_model(out, path, edit, rechecksum=True):
     return path
 
 
+@contextlib.contextmanager
+def no_runtime_warning():
+    """Fail if numpy warns inside the block: the finite checks report
+    overflows, and a warning would only print its text on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+
+
 def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
                            rechecksum=True):
     """Apply `edit` to the run's model.json, give it a matching checksum
@@ -189,8 +201,9 @@ def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
     cfg.write_text(json.dumps(config))
     patient = _patient_file(out, tmp_path / "patient.json")
     for command in commands:
-        assert cli.main([command, "--config", str(cfg),
-                         "--patient", str(patient)]) == 3, command
+        with no_runtime_warning():
+            assert cli.main([command, "--config", str(cfg),
+                             "--patient", str(patient)]) == 3, command
         err = capsys.readouterr().err
         assert str(model) in err and field in err, err
         assert "Traceback" not in err
@@ -648,6 +661,21 @@ MALFORMED_INPUTS = {
         "train", "train", {"n_members": 0}, TRAIN_INPUTS),
     "config-train-subsample-string": _section_case(
         "train", "train", {"subsample": "x"}, TRAIN_INPUTS),
+    # Right-typed values out of range.
+    "config-synth-start-date-garbage": _section_case(
+        "synth", "synth", {"start_date": "garbage"}),
+    "config-synth-start-date-year-9999": _section_case(
+        "synth", "synth", {"start_date": "9999-12-01"}),
+    "config-synth-seed-negative": _section_case(
+        "synth", "synth", {"seed": -1}),
+    "config-master-seed-negative": lambda run, tmp: (
+        ["synth", "--config", _config(tmp, master_seed=-1)],
+        [str(tmp / "c.json"), "master_seed"]),
+    "config-split-seed-negative": _section_case(
+        "cohort", "cohort", {"split_seed": -1}, [("cohort", "cohort.jsonl")]),
+    "config-infection-window-too-wide": _section_case(
+        "cohort", "cohort", {"infection_window_days": 1000000000},
+        [("cohort", "cohort.jsonl")]),
     **{f"normalization-{name}": _normalization_case(edit, field)
        for name, (edit, field) in NORMALIZATION_EDITS.items()},
     "catalog-range-of-three": _catalog_case(
@@ -679,7 +707,8 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_3_naming_file_and_field(run, tmp_path, capsys,
                                                        case):
     argv, named = MALFORMED_INPUTS[case](run, tmp_path)
-    assert cli.main(argv) == 3
+    with no_runtime_warning():
+        assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     for text in named:

@@ -108,8 +108,8 @@ def test_finetune_separates_easy_classes():
     model = RiskModel(cfg, rng=rng)
     pretrain(model, x, mask, rng)
     finetune(model, x, mask, y, rng)
-    ensemble = RiskEnsemble(members=[model], normalization=dummy_params(5),
-                            config=cfg)
+    ensemble = RiskEnsemble(states=model.state[None],
+                            normalization=dummy_params(5), config=cfg)
     scores = ensemble.predict_batch(x, mask)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
     from labrisk.metrics import roc
@@ -163,6 +163,13 @@ def model_document(path):
     return json.loads(head), json.loads(payload)
 
 
+def member_model(ens, member):
+    """An eval RiskModel holding row `member` of the ensemble's states."""
+    model = RiskModel(ens.config, None)
+    model.state[...] = ens.states[member]
+    return model
+
+
 def state_bytes(model):
     """A member's parameters, then its BatchNorm running statistics, in
     `_stacks()` order, as little-endian float64 bytes."""
@@ -188,7 +195,7 @@ def test_golden_weights_and_scores(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=5)
     save_model(ens, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
-    state = b"".join(state_bytes(m) for m in loaded.members)
+    state = np.ascontiguousarray(loaded.states, dtype="<f8").tobytes()
     assert hashlib.sha256(state).hexdigest() == GOLDEN_STATE_SHA256
     scores = np.ascontiguousarray(loaded.predict_batch(x, mask), dtype="<f8")
     assert hashlib.sha256(scores.tobytes()).hexdigest() == GOLDEN_SCORES_SHA256
@@ -247,8 +254,7 @@ def test_load_detects_corruption(tmp_path):
 
 def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=8)
-    for member in ens.members:
-        member.state[...] = 1e300
+    ens.states[...] = 1e300
     with pytest.raises(nn.NumericsError):  # a runtime fault: exit 4
         ens.predict_batch(x, mask)
     path = tmp_path / "model.json"
@@ -271,8 +277,9 @@ def test_member_blob_is_the_state_in_stacks_order(tmp_path):
     save_model(ens, tmp_path / "model.json")
     states = base64.b64decode(model_document(tmp_path / "model.json")[1][
         "states"])
-    assert states == b"".join(state_bytes(m) for m in ens.members)
-    for member in ens.members:
+    members = [member_model(ens, i) for i in range(len(ens.states))]
+    assert states == b"".join(state_bytes(m) for m in members)
+    for member in members:
         assert state_bytes(member) == member.state.tobytes()
 
 
@@ -319,9 +326,26 @@ def test_failed_save_leaves_existing_model_intact(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
-def test_eval_scores_skip_logvar_head():
+def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
+    ens, _ = trained_ensemble(seed=7)
+    save_model(ens, tmp_path / "model.json")
+    built = []
+    init = RiskModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RiskModel, "__init__", counted)
+    loaded = load_model(tmp_path / "model.json")
+    assert len(built) <= 1
+    assert loaded.states.dtype == np.float64
+    assert np.array_equal(loaded.states, ens.states)
+
+
+def test_eval_scores_skip_logvar_head(monkeypatch):
     ens, (x, mask, _) = trained_ensemble(seed=5)
-    model = ens.members[0]
+    model = member_model(ens, 0)
 
     def reference(values, mask):
         h = np.concatenate([values, mask], axis=-1)
@@ -332,15 +356,22 @@ def test_eval_scores_skip_logvar_head():
         return nn.sigmoid(model.classifier.forward(mu, False)[..., 0])
 
     expected = reference(x, mask)
+    calls = []
+    forward = nn.Linear.forward
 
-    def fail(*args, **kwargs):
-        raise AssertionError("logvar_head ran in eval scoring")
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return forward(self, *args, **kwargs)
 
-    model.logvar_head.forward = fail
+    # Per member: three encoder layers, the mu head and the classifier.
+    monkeypatch.setattr(nn.Linear, "forward", counted)
     assert np.array_equal(ens.predict_batch(x, mask)[:, 0], expected)
+    assert len(calls) == 5 * len(ens.states)
+    calls.clear()
     assert np.array_equal(
         ens.predict_batch(x[:2][None], mask[:2][None])[..., 0],
         expected[None, :2])
+    assert len(calls) == 5 * len(ens.states)
 
 
 def test_config_validation():
