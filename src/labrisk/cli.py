@@ -106,11 +106,20 @@ class ExplainConfig:
         if self.background_size < 1:
             raise LabriskError(
                 f"background_size must be >= 1, got {self.background_size}")
+        if self.n_permutations < 2:
+            raise LabriskError(
+                f"n_permutations must be >= 2, got {self.n_permutations}")
+        if self.top_k < 1:
+            raise LabriskError(f"top_k must be >= 1, got {self.top_k}")
 
 
 @dataclass
 class ComorbidConfig:
     min_each: int = 50
+
+    def validate(self) -> None:
+        if self.min_each < 0:
+            raise LabriskError(f"min_each must be >= 0, got {self.min_each}")
 
 
 @dataclass

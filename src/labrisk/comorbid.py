@@ -28,12 +28,11 @@ class PhecodeMap:
 
     def match(self, code: str) -> str | None:
         """Longest-prefix phecode for an ICD-10 code, or None."""
-        best = None
-        best_len = -1
-        for prefix, phecode in self.prefix_to_phecode.items():
-            if code.startswith(prefix) and len(prefix) > best_len:
-                best, best_len = phecode, len(prefix)
-        return best
+        for end in range(len(code), 0, -1):
+            phecode = self.prefix_to_phecode.get(code[:end])
+            if phecode is not None:
+                return phecode
+        return None
 
     def label(self, phecode: str) -> str:
         return self.labels.get(phecode, phecode)

@@ -51,10 +51,19 @@ class RiskModelConfig:
             raise LabriskError("network dimensions must be positive")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise LabriskError("mask_fraction must be in [0, 1)")
-        if min(self.w_recon, self.w_kl, self.w_cls) < 0:
-            raise LabriskError("loss weights must be non-negative")
+        if not all(w >= 0 for w in (self.w_recon, self.w_kl, self.w_cls)):
+            raise LabriskError("w_recon, w_kl and w_cls must be >= 0")
         if self.batch_size < 2:
             raise LabriskError("batch_size must be >= 2 (batchnorm)")
+        if self.pretrain_epochs < 0 or self.finetune_epochs < 1:
+            raise LabriskError(
+                "pretrain_epochs must be >= 0 and finetune_epochs >= 1")
+        if not 0 < self.lr < math.inf:
+            raise LabriskError("lr must be finite and > 0")
+        if not 0 <= self.ci_scale < math.inf:
+            raise LabriskError("ci_scale must be finite and >= 0")
+        if self.seed < 0:
+            raise LabriskError("seed must be >= 0")
 
 
 class RiskModel:
@@ -94,14 +103,6 @@ class RiskModel:
     def _stacks(self):
         return (self.encoder + [self.mu_head, self.logvar_head]
                 + self.decoder + [self.classifier])
-
-    def _scores(self, h: np.ndarray) -> np.ndarray:
-        """Eval-mode risk scores in [0, 1] (mu path, running batch stats) of
-        the (..., 2d) rows `h`, values then mask: (...) scores. logvar_head
-        is not run."""
-        for layer in self.encoder + [self.mu_head, self.classifier]:
-            h = layer.forward(h, False)
-        return nn.sigmoid(h[..., 0])
 
     # --- losses ---
 
@@ -162,17 +163,27 @@ def _fit(model: RiskModel, stage: str, epochs: int, n: int,
     opt = nn.Adam(model.params, lr=model.config.lr)
     size = model.config.batch_size
     history = []
-    for epoch in range(epochs):
-        total, count = 0.0, 0
-        order = rng.permutation(n)
-        for idx in (order[i:i + size] for i in range(0, n, size)):
-            if idx.size < 2:  # batchnorm train mode needs >= 2 rows
-                continue
-            total += batch_loss(idx) * idx.size
-            opt.step(model.grads)
-            count += idx.size
-        history.append({"stage": stage, "epoch": epoch,
-                        "loss": total / max(1, count)})
+    # The step's finite check reports an overflow, so numpy's warning would
+    # only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            total, count = 0.0, 0
+            order = rng.permutation(n)
+            for idx in (order[i:i + size] for i in range(0, n, size)):
+                if idx.size < 2:  # batchnorm train mode needs >= 2 rows
+                    continue
+                total += batch_loss(idx) * idx.size
+                opt.step(model.grads)
+                # `total` sums the batch losses (none is -inf, so a non-finite
+                # one stays visible), Adam's v covers every gradient and the
+                # state every parameter and BatchNorm running statistic.
+                if not (math.isfinite(total) and np.isfinite(opt.v).all()
+                        and np.isfinite(model.state).all()):
+                    raise nn.NumericsError(f"{stage} epoch {epoch}: non-finite"
+                                           " loss, Adam moments or state")
+                count += idx.size
+            history.append({"stage": stage, "epoch": epoch,
+                            "loss": total / max(1, count)})
     return history
 
 
@@ -242,6 +253,8 @@ class RiskEnsemble:
     states: np.ndarray
     normalization: NormalizationParams
     config: RiskModelConfig
+    # The one eval network that scoring loads each member's state into.
+    network: RiskModel
     catalog_version: str = "unversioned"
     member_subsets: list[dict] = field(default_factory=list)
     history: list[dict] = field(default_factory=list)
@@ -258,28 +271,31 @@ class RiskEnsemble:
 
     def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode scores of every member: (..., n_features) rows give
-        (..., n_members); a single 1-D row gives (1, n_members). Weights
-        loaded from a file that overflow raise LabriskError naming it."""
+        (..., n_members); a single 1-D row gives (1, n_members). Non-finite
+        logits raise NumericsError, or LabriskError if loaded from a file."""
         values, mask = np.atleast_2d(values, mask)
         if values.shape[-1] != self.config.n_features:
             raise LabriskError(
                 f"expected {self.config.n_features} features, "
                 f"got {values.shape[-1]}")
         h = np.concatenate([values, mask], axis=-1)
-        model = RiskModel(self.config, None)
-        scores = []
-        try:
-            # Each layer's finite check reports an overflow, so numpy's
-            # warning would only repeat it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for state in self.states:
-                    model.state[...] = state
-                    scores.append(model._scores(h))
-        except nn.NumericsError as e:
-            if self.source is None:
-                raise
-            raise LabriskError(f"{self.source}: states: the stored weights "
-                               f"give {e}") from None
+        net, scores = self.network, []
+        # The logits' finite check reports an overflow, so numpy's warning
+        # would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for member, state in enumerate(self.states):
+                net.state[...] = state
+                logits = h  # the mu path; logvar_head is not run
+                for layer in net.encoder + [net.mu_head, net.classifier]:
+                    logits = layer.forward(logits, False)
+                # Checked before the sigmoid, which maps +-inf to 0 or 1.
+                if not np.isfinite(logits).all():
+                    fault = f"non-finite values in member {member}'s logits"
+                    if self.source is None:
+                        raise nn.NumericsError(fault)
+                    raise LabriskError(f"{self.source}: states: the stored "
+                                       f"weights give {fault}")
+                scores.append(nn.sigmoid(logits[..., 0]))
         return np.stack(scores, axis=-1)
 
     def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
@@ -316,16 +332,20 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
             raise LabriskError(
                 f"member {member}: subsample lost all positives")
         model = RiskModel(config, rng)
-        history += [
-            dict(h, member=member)
-            for h in (pretrain(model, values[rows], mask[rows], rng)
-                      + finetune(model, values[rows], mask[rows],
-                                 labels[rows], rng))]
+        try:
+            history += [
+                dict(h, member=member)
+                for h in (pretrain(model, values[rows], mask[rows], rng)
+                          + finetune(model, values[rows], mask[rows],
+                                     labels[rows], rng))]
+        except nn.NumericsError as e:
+            raise nn.NumericsError(f"member {member}: {e}") from None
         states.append(model.state)
         subsets.append({"member": member, "n_rows": int(rows.size),
                         "n_patients": len(chosen)})
     return RiskEnsemble(states=np.stack(states), normalization=normalization,
-                        config=config, catalog_version=catalog_version,
+                        config=config, network=RiskModel(config, None),
+                        catalog_version=catalog_version,
                         member_subsets=subsets, history=history)
 
 
@@ -410,8 +430,8 @@ def load_model(path) -> RiskEnsemble:
         raise LabriskError(
             f"{path}: normalization.feature_order has {n_order} features, "
             f"config.n_features is {doc.config.n_features}")
-    states = _array(doc.states, f"{path}: states",
-                    (None, RiskModel(doc.config, None).state.size))
+    network = RiskModel(doc.config, None)
+    states = _array(doc.states, f"{path}: states", (None, network.state.size))
     dev_scores = _array(doc.dev_scores, f"{path}: dev_scores", (None,))
     if not ((dev_scores >= 0) & (dev_scores <= 1)).all():
         raise LabriskError(f"{path}: dev_scores holds values outside [0, 1]")
@@ -428,4 +448,4 @@ def load_model(path) -> RiskEnsemble:
         background_mask=_array(doc.background_mask,
                                f"{path}: background_mask",
                                background_values.shape, binary=True),
-        source=str(path))
+        source=str(path), network=network)

@@ -19,12 +19,6 @@ class NumericsError(FloatingPointError):
     pass
 
 
-def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise NumericsError(f"non-finite values in {where}")
-    return x
-
-
 class Layer:
     """Trainable arrays are named in `param_names` (the gradient of `x` is
     `dx`), other saved state in `stat_names`; all are written in place."""
@@ -76,7 +70,7 @@ class Linear(Layer):
             self._x = x
         y = x @ self.weight.T
         y += self.bias
-        return _check_finite(y, "linear forward")
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
@@ -126,7 +120,7 @@ class BatchNorm(Layer):
             y *= 1.0 / np.sqrt(self.running_var + self.eps)
             y *= self.gamma
         y += self.beta
-        return _check_finite(y, "batchnorm forward")
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, n = self._cache

@@ -57,8 +57,10 @@ class SynthConfig:
                         (self.infection_fraction, "infection_fraction")):
             if not 0.0 <= p <= 1.0:
                 raise LabriskError(f"{name} out of [0,1]")
-        if self.visits_per_patient < 1:
-            raise LabriskError("visits_per_patient must be >= 1")
+        # Visits are at most 119 days apart, so from any start date up to
+        # 2100 all of them stay inside date's range (about 24 000 would).
+        if not 1 <= self.visits_per_patient <= 1000:
+            raise LabriskError("visits_per_patient must be in [1, 1000]")
         if self.seed < 0:
             raise LabriskError(f"seed must be >= 0, got {self.seed}")
         try:

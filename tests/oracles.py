@@ -1,7 +1,7 @@
 """Reference helpers the tests check labrisk against: layer parameter
 lists, the plain-numpy expressions the layer kernels must match bit for bit,
-central-difference gradient checks, average precision and the Shapley
-efficiency residual."""
+central-difference gradient checks, average precision, the Shapley
+efficiency residual and the longest-prefix phecode scan."""
 
 import numpy as np
 
@@ -93,6 +93,16 @@ def average_precision(scores, labels) -> float:
 def efficiency_residual(result) -> float:
     """fx minus the base value and the attributions of a ShapResult."""
     return float(result.fx - (result.base_value + result.phi.sum()))
+
+
+def phecode_match(pmap, code):
+    """PhecodeMap.match as a scan of every prefix in the map, keeping the
+    longest that `code` starts with."""
+    best, best_len = None, -1
+    for prefix, phecode in pmap.prefix_to_phecode.items():
+        if code.startswith(prefix) and len(prefix) > best_len:
+            best, best_len = phecode, len(prefix)
+    return best
 
 
 # The CSV tables as the CLI wrote them with f-strings (roc.csv and pr.csv,

@@ -676,6 +676,27 @@ MALFORMED_INPUTS = {
     "config-infection-window-too-wide": _section_case(
         "cohort", "cohort", {"infection_window_days": 1000000000},
         [("cohort", "cohort.jsonl")]),
+    "config-train-seed-negative": _section_case(
+        "train", "train", {"seed": -1}, TRAIN_INPUTS),
+    "config-train-lr-negative": _section_case(
+        "train", "train", {"lr": -1}, TRAIN_INPUTS),
+    "config-train-pretrain-epochs-negative": _section_case(
+        "train", "train", {"pretrain_epochs": -1}, TRAIN_INPUTS),
+    "config-train-finetune-epochs-0": _section_case(
+        "train", "train", {"finetune_epochs": 0}, TRAIN_INPUTS),
+    "config-train-ci-scale-negative": _section_case(
+        "train", "train", {"ci_scale": -1}, TRAIN_INPUTS),
+    "config-train-w-kl-nan": _section_case(
+        "train", "train", {"w_kl": math.nan}, TRAIN_INPUTS),
+    "config-synth-visits-per-patient-too-many": _section_case(
+        "synth", "synth", {"visits_per_patient": 80000}),
+    **{f"config-explain-n-permutations-{n}": _section_case(
+        "explain", "explain", {"n_permutations": n}, SCORE_INPUTS)
+       for n in (0, 1, -4)},
+    "config-explain-top-k-negative": _section_case(
+        "explain", "explain", {"top_k": -1}, SCORE_INPUTS),
+    "config-comorbid-min-each-negative": _section_case(
+        "comorbid", "comorbid", {"min_each": -1}, SCORE_INPUTS),
     **{f"normalization-{name}": _normalization_case(edit, field)
        for name, (edit, field) in NORMALIZATION_EDITS.items()},
     "catalog-range-of-three": _catalog_case(
@@ -745,6 +766,19 @@ def test_malformed_labeled_field_exits_3(run, tmp_path, capsys, field,
         err = capsys.readouterr().err
         assert f"{labeled}:3" in err and named in err, (command, err)
         assert "Traceback" not in err
+
+
+def test_training_overflow_exits_4_naming_member_and_stage(run, tmp_path,
+                                                          capsys):
+    """w_cls 1e308 overflows Adam's second moment in the first finetune
+    step: the step's finite check reports it before numpy can warn."""
+    argv, _ = _section_case("train", "train", {"w_cls": 1e308},
+                            TRAIN_INPUTS)(run, tmp_path)
+    with no_runtime_warning():
+        assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "member 0: finetune epoch 0: " in err and "Adam moments" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("error", [nn.ShapeError("bad shape"),
@@ -992,6 +1026,24 @@ WRONG_TYPED = {
         "n_samples", "n_permutations", "background_size", "top_k")},
     ("comorbid", "min_each"): NOT_INTS,
 }
+# Right-typed values out of range for each key with a range check. No size
+# that allocates is drawn large: visits_per_patient stays below 10**5.
+BELOW_ZERO = st.integers(-10**9, -1)
+NOT_FINITE = st.sampled_from([math.nan, math.inf])
+OUT_OF_RANGE = {
+    ("train", "seed"): BELOW_ZERO,
+    ("train", "lr"): st.floats(max_value=0.0) | NOT_FINITE,
+    ("train", "pretrain_epochs"): BELOW_ZERO,
+    ("train", "finetune_epochs"): st.integers(-10**9, 0),
+    ("train", "ci_scale"): st.floats(max_value=-1e-300) | NOT_FINITE,
+    **{("train", key): st.floats(max_value=-1e-300) | st.just(math.nan)
+       for key in ("w_recon", "w_kl", "w_cls")},
+    ("synth", "visits_per_patient"): st.integers(-10**9, 0)
+    | st.integers(1001, 10**5),
+    ("explain", "n_permutations"): st.integers(-10**9, 1),
+    ("explain", "top_k"): st.integers(-10**9, 0),
+    ("comorbid", "min_each"): BELOW_ZERO,
+}
 SECTION_COMMANDS = {"paths": "synth", "synth": "synth", "cohort": "cohort",
                     "prepare": "prepare", "train": "train",
                     "predict": "predict", "lr": "lr", "explain": "explain",
@@ -1009,7 +1061,7 @@ def test_fuzzed_run_config_never_exits_4(run, fuzz_dir, data):
               "master_seed": 99, "cancer_type": "liver",
               "train": dict(TRAIN_SECTION)}
     kind = data.draw(st.sampled_from(["top", "section", "unknown", "train",
-                                      "typed"]))
+                                      "typed", "ranged"]))
     command = "train"
     if kind == "top":
         config = data.draw(NOT_OBJECTS)
@@ -1028,10 +1080,10 @@ def test_fuzzed_run_config_never_exits_4(run, fuzz_dir, data):
         config["train"][data.draw(st.sampled_from(sorted(TRAIN_SECTION)))] \
             = data.draw(NOT_NUMBERS)
     else:
-        section, key = data.draw(st.sampled_from(sorted(WRONG_TYPED)))
+        table = WRONG_TYPED if kind == "typed" else OUT_OF_RANGE
+        section, key = data.draw(st.sampled_from(sorted(table)))
         command = SECTION_COMMANDS[section]
-        config.setdefault(section, {})[key] = data.draw(
-            WRONG_TYPED[section, key])
+        config.setdefault(section, {})[key] = data.draw(table[section, key])
     cfg = _write(fuzz_dir / "c.json", json.dumps(config))
     # predict gets a valid patient, so only the config can be at fault.
     flags = ["--patient", _write(fuzz_dir / "patient.json", json.dumps(

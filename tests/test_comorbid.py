@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labrisk import LabriskError, comorbid
 from labrisk.catalog import ClaimCode
+
+import oracles
 
 
 def enumerate_fisher(a, b, c, d):
@@ -91,6 +95,20 @@ def test_phecode_longest_prefix_match():
     assert pmap.match("E11.21") == "250.22"  # longer prefix wins
     assert pmap.match("K74.60") == "571.5"
     assert pmap.match("C22.0") is None
+
+
+# Short codes over a small alphabet, so that prefixes of each other are common.
+CODES = st.text(alphabet="CEK27.", min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mapping=st.dictionaries(CODES, st.text("0123456789.", max_size=5),
+                               max_size=12),
+       codes=st.lists(CODES | st.just(""), min_size=1, max_size=8))
+def test_phecode_match_equals_the_prefix_scan_oracle(mapping, codes):
+    pmap = comorbid.PhecodeMap(prefix_to_phecode=mapping)
+    for code in codes + list(mapping):
+        assert pmap.match(code) == oracles.phecode_match(pmap, code)
 
 
 def test_map_patient_phecodes_censors_at_diagnosis():

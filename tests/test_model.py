@@ -1,8 +1,10 @@
 """Model construction, training oracles, and serialization round trips."""
 
 import base64
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from labrisk import LabriskError, nn
+from labrisk import model as model_module
 from labrisk.model import (RiskAssessment, RiskEnsemble, RiskModel,
                            RiskModelConfig, finetune, load_model, pretrain,
                            save_model, train_ensemble)
@@ -109,7 +112,8 @@ def test_finetune_separates_easy_classes():
     pretrain(model, x, mask, rng)
     finetune(model, x, mask, y, rng)
     ensemble = RiskEnsemble(states=model.state[None],
-                            normalization=dummy_params(5), config=cfg)
+                            normalization=dummy_params(5), config=cfg,
+                            network=RiskModel(cfg, None))
     scores = ensemble.predict_batch(x, mask)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
     from labrisk.metrics import roc
@@ -254,12 +258,15 @@ def test_load_detects_corruption(tmp_path):
 
 def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=8)
-    ens.states[...] = 1e300
-    with pytest.raises(nn.NumericsError):  # a runtime fault: exit 4
+    ens.states[1] = 1e300  # finite weights whose logits overflow
+    fault = "non-finite values in member 1's logits"
+    with pytest.raises(nn.NumericsError,  # a runtime fault: exit 4
+                       match=re.escape(fault)):
         ens.predict_batch(x, mask)
     path = tmp_path / "model.json"
     save_model(ens, path)
-    with pytest.raises(LabriskError, match=re.escape(f"{path}: states: ")):
+    with pytest.raises(LabriskError, match=re.escape(
+            f"{path}: states: the stored weights give {fault}")):
         load_model(path).predict_batch(x, mask)
 
 
@@ -327,7 +334,7 @@ def test_failed_save_leaves_existing_model_intact(tmp_path, monkeypatch,
 
 
 def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
-    ens, _ = trained_ensemble(seed=7)
+    ens, (x, mask, _) = trained_ensemble(seed=7)
     save_model(ens, tmp_path / "model.json")
     built = []
     init = RiskModel.__init__
@@ -338,9 +345,12 @@ def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
 
     monkeypatch.setattr(RiskModel, "__init__", counted)
     loaded = load_model(tmp_path / "model.json")
-    assert len(built) <= 1
     assert loaded.states.dtype == np.float64
     assert np.array_equal(loaded.states, ens.states)
+    # Scoring loads each member's state into the network the load built.
+    for _ in range(2):
+        loaded.predict_batch(x[:1], mask[:1])
+    assert len(built) == 1
 
 
 def test_eval_scores_skip_logvar_head(monkeypatch):
@@ -381,3 +391,99 @@ def test_config_validation():
         tiny_config(mask_fraction=1.0).validate()
     with pytest.raises(LabriskError, match="batch_size must be >= 2"):
         tiny_config(batch_size=1).validate()
+
+
+def array_slots(layers):
+    """(index in `layers`, attribute) of every parameter and BatchNorm
+    running statistic."""
+    return [(i, name) for i, layer in enumerate(layers)
+            for name in layer.param_names + layer.stat_names]
+
+
+def inject_during_training(monkeypatch, stage, layer, name, value,
+                           member=1, epoch=1):
+    """Make train_ensemble set the first entry of `_stacks()[layer].name`
+    to `value` before the first batch of `stage`'s `epoch` of `member`."""
+    fit, fits = model_module._fit, []
+
+    def injecting_fit(model, fit_stage, epochs, n, rng, batch_loss):
+        fits.append(fit_stage)  # members fit pretrain, then finetune
+        size = model.config.batch_size
+        per_epoch = sum(1 for i in range(0, n, size) if min(size, n - i) >= 2)
+        batches = []
+
+        def injecting_loss(idx):
+            if (len(fits) - 1) // 2 == member and fit_stage == stage \
+                    and len(batches) == epoch * per_epoch:
+                getattr(model._stacks()[layer], name).flat[0] = value
+            batches.append(idx)
+            return batch_loss(idx)
+        return fit(model, fit_stage, epochs, n, rng, injecting_loss)
+
+    monkeypatch.setattr(model_module, "_fit", injecting_fit)
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+@pytest.mark.parametrize("value", [math.nan, 1e300])
+def test_non_finite_training_names_member_stage_and_epoch(monkeypatch, stage,
+                                                          value):
+    """A NaN in any parameter or running statistic, or 1e300 in any weight,
+    is caught by the one check after the optimizer step it spoils."""
+    net = RiskModel(tiny_config(), None)
+    for layer, name in array_slots(net._stacks()):
+        target = net._stacks()[layer]
+        expected = f"member 1: {stage} epoch 1: "
+        if value == 1e300 and (name.startswith("running_") or name == "bias"
+                               and target is not net.decoder[-1]):
+            # Huge but finite values that stay finite: training never reads
+            # running statistics, the next BatchNorm subtracts a huge bias
+            # away, and the classifier's only shifts a logit whose loss grows
+            # linearly.
+            continue
+        if value == 1e300 and stage == "pretrain" and target is net.classifier:
+            # Pretraining leaves the classifier out; finetuning reads it.
+            expected = "member 1: finetune epoch 0: "
+        inject_during_training(monkeypatch, stage, layer, name, value)
+        with pytest.raises(nn.NumericsError, match=re.escape(expected)):
+            trained_ensemble(seed=3, n_members=2)
+        monkeypatch.undo()
+
+
+def scoring_layers(model):
+    """The layers eval scoring runs: the encoder, the mu head and the
+    classifier."""
+    return model.encoder + [model.mu_head, model.classifier]
+
+
+def with_member_value(ens, member, layer, name, value):
+    """A copy of `ens` with the first entry of the `name` array of scoring
+    layer `layer` of `member` set to `value`."""
+    net = RiskModel(ens.config, None)
+    net.state[...] = ens.states[member]
+    getattr(scoring_layers(net)[layer], name).flat[0] = value
+    states = ens.states.copy()
+    states[member] = net.state
+    return dataclasses.replace(ens, states=states)
+
+
+SCORING_LAYERS = scoring_layers(RiskModel(tiny_config(), None))
+
+
+@pytest.mark.parametrize("layer", [i for i, l in enumerate(SCORING_LAYERS)
+                                   if l.param_names])
+def test_non_finite_logits_name_the_member(tmp_path, layer):
+    """A NaN in any array of a scoring layer reaches the logits, which are
+    checked once per member: NumericsError (exit 4) for a trained ensemble.
+    A model file holding it is rejected as it loads (exit 3), naming the
+    file and `states`."""
+    ens, (x, mask, _) = trained_ensemble(seed=4)
+    path = tmp_path / "model.json"
+    layer_type = SCORING_LAYERS[layer]
+    for name in layer_type.param_names + layer_type.stat_names:
+        bad = with_member_value(ens, 1, layer, name, math.nan)
+        with pytest.raises(nn.NumericsError, match=re.escape(
+                "non-finite values in member 1's logits")):
+            bad.predict_batch(x, mask)
+        save_model(bad, path)
+        with pytest.raises(LabriskError, match=re.escape(f"{path}: states")):
+            load_model(path).predict_batch(x, mask)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from labrisk import nn
+from labrisk.model import RiskEnsemble, RiskModel, RiskModelConfig
 
 import oracles
 from oracles import grad_check, grads, leaky_relu, params
@@ -238,9 +239,38 @@ def test_pack_makes_layer_arrays_views_of_one_buffer():
 
 
 def test_check_finite_raises():
-    layer = nn.Linear(2, 2, _rng(8))
-    with pytest.raises(nn.NumericsError):
-        layer.forward(np.array([[np.nan, 0.0]]))
+    """The scoring check: a member whose weights give a NaN logit raises
+    NumericsError naming it, where the layers themselves check nothing."""
+    cfg = RiskModelConfig(n_features=2, hidden_width=3, latent_dim=2)
+    models = [RiskModel(cfg, _rng(8)) for _ in range(2)]
+    models[1].encoder[0].weight[0, 0] = np.nan
+    ensemble = RiskEnsemble(states=np.stack([m.state for m in models]),
+                            normalization=None, config=cfg,
+                            network=RiskModel(cfg, None))
+    with pytest.raises(nn.NumericsError, match="member 1's logits"):
+        ensemble.predict_batch(np.ones((3, 2)), np.ones((3, 2)))
+
+
+LAYERS = {"linear": lambda: nn.Linear(3, 3, _rng(11)),
+          "batchnorm": lambda: nn.BatchNorm(3),
+          "leaky-relu": lambda: nn.LeakyReLU(0.2), "relu": nn.ReLU}
+
+
+@pytest.mark.parametrize("make", LAYERS.values(), ids=LAYERS)
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_layers_pass_non_finite_values_on(make, train, bad):
+    """A non-finite activation comes out of every layer kind non-finite
+    (inf * 0 is NaN, and NaN propagates), so the one check on the loss or
+    the logits after the last layer sees a fault of any layer."""
+    x = _rng(12).normal(size=(4, 3))
+    x[1, 2] = bad
+    layer = make()
+    if isinstance(layer, nn.Linear):
+        layer.weight[:, 2] = 0.0  # inf * 0
+    with np.errstate(invalid="ignore"):
+        y = layer.forward(x, train)
+    assert not np.isfinite(y).all()
 
 
 
