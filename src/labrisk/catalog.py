@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import LabriskError, config_from_json, decode_fields, read_json
 
-PANELS = ("CMP", "CBC", "demographic")
+LAB_PANELS = ("CMP", "CBC")
+PANELS = (*LAB_PANELS, "demographic")
 RISK_DIRECTIONS = ("high_is_risk", "low_is_risk", "unsigned")
 REQUIRED_CLASSES = ("no_cancer", "colorectal", "liver", "lung")
 CANCER_CLASSES = ("colorectal", "liver", "lung")
@@ -64,23 +65,24 @@ class MarkerDef:
 
 @dataclass(frozen=True)
 class MarkerCatalog:
-    entries: tuple[MarkerDef, ...]
-    version: str
+    """A catalog; its fields are the keys of a catalog JSON document."""
+    markers: tuple[MarkerDef, ...]
+    version: str = "unversioned"
 
     def __post_init__(self) -> None:
         by_id = {}
-        for m in self.entries:
+        for m in self.markers:
             m.validate()
             if m.id in by_id:
-                raise LabriskError(f"duplicate marker id {m.id!r}")
+                raise LabriskError(f"markers: duplicate marker id {m.id!r}")
             by_id[m.id] = m
         object.__setattr__(self, "_by_id", by_id)  # the dataclass is frozen
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self.markers)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.markers)
 
     def __contains__(self, marker_id: str) -> bool:
         return marker_id in self._by_id
@@ -90,7 +92,7 @@ class MarkerCatalog:
 
     @property
     def lab_markers(self) -> tuple[MarkerDef, ...]:
-        return tuple(m for m in self.entries if m.panel != "demographic")
+        return tuple(m for m in self.markers if m.panel != "demographic")
 
     @property
     def lab_ids(self) -> tuple[str, ...]:
@@ -147,23 +149,13 @@ class EncounterRecord:
 def catalog_to_dict(catalog: MarkerCatalog) -> dict:
     return {
         "version": catalog.version,
-        "markers": [asdict(m) for m in catalog.entries],
+        "markers": [asdict(m) for m in catalog.markers],
     }
-
-
-def catalog_from_dict(d: dict, where: str = "catalog") -> MarkerCatalog:
-    if not isinstance(d, dict) or not isinstance(d.get("markers"), list):
-        raise LabriskError(
-            f"{where}: expected an object with a 'markers' list")
-    return MarkerCatalog(
-        entries=tuple(config_from_json(MarkerDef, m, f"{where}: markers[{i}]")
-                      for i, m in enumerate(d["markers"])),
-        version=str(d.get("version", "unversioned")))
 
 
 def load_marker_catalog(path) -> MarkerCatalog:
     """Load and validate a marker catalog from a JSON document."""
-    return catalog_from_dict(read_json(path), str(path))
+    return config_from_json(MarkerCatalog, read_json(path), str(path))
 
 
 def record_to_dict(r: EncounterRecord) -> dict:

@@ -23,21 +23,15 @@ from . import LabriskError, config_from_json, read_bytes
 from . import comorbid as comorbid_mod
 from . import defaults, ioutil, likelihood, metrics, read_json, svg
 from .catalog import catalog_to_dict, load_marker_catalog, record_from_dict
-from .cohort import CohortSpec, SplitParams, run_cohort_pipeline
-from .explain import (NormalizedLrFn, ShapConfig, cohort_summary,
-                      draw_background, shap_provenance, waterfall)
+from .cohort import CohortSpec, run_cohort_pipeline
+from .explain import (MIN_SUMMARY_SAMPLES, NormalizedLrFn, cohort_summary,
+                      shap_provenance, waterfall)
 from .model import RiskModelConfig, load_model, save_model, train_ensemble
 from .preprocess import (NormalizationParams, complete_derived,
                          fit_normalization, vectorize, vectorize_many)
 from .synth import SynthConfig, synthesize_cohort
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME = 0, 2, 3, 4
-
-DEFAULT_SINGLE_MARKERS = {
-    "colorectal": ["rdw", "hemoglobin", "mcv", "neutrophils", "mch"],
-    "liver": ["platelets", "alp", "ast", "albumin", "total_protein"],
-    "lung": ["rdw", "hemoglobin", "lymphocytes_pct", "alt", "calcium"],
-}
 
 
 # The run configuration. The synth and cohort sections and the train model
@@ -96,13 +90,12 @@ class ExplainConfig:
     n_samples: int = 40
     n_permutations: int = 100
     background_size: int = 256
-    top_k: int = ShapConfig.top_k_summary
+    top_k: int = 15
 
     def validate(self) -> None:
-        if self.n_samples < ShapConfig.min_summary_samples:
-            raise LabriskError(
-                f"n_samples must be at least {ShapConfig.min_summary_samples}"
-                f", got {self.n_samples}")
+        if self.n_samples < MIN_SUMMARY_SAMPLES:
+            raise LabriskError(f"n_samples must be at least "
+                               f"{MIN_SUMMARY_SAMPLES}, got {self.n_samples}")
         if self.background_size < 1:
             raise LabriskError(
                 f"background_size must be >= 1, got {self.background_size}")
@@ -316,11 +309,8 @@ def cmd_cohort(cfg, args, stage) -> None:
     split = cfg.cohort
     spec = CohortSpec.for_cancer(cfg.cancer_type, split.spec,
                                  f"{args.config}: cohort")
-    labeled, flow = run_cohort_pipeline(
-        records, spec, SplitParams(seed=cfg.master_seed
-                                   if split.split_seed is None
-                                   else split.split_seed),
-        enrich_unscreened_controls=split.enrich)
+    seed = cfg.master_seed if split.split_seed is None else split.split_seed
+    labeled, flow = run_cohort_pipeline(records, spec, seed, split.enrich)
     out = stage.output("labeled.jsonl", "labeled")
     fields = [{"label": e.label, "split": e.split,
                "cancer_type": e.cancer_type,
@@ -357,15 +347,11 @@ def cmd_train(cfg, args, stage) -> None:
         "n_features": len(params.feature_order)}, f"{args.config}: train")
     _, labels, pids, values, mask = _split(_labeled(stage), "development",
                                            params)
-    ensemble = train_ensemble(values, mask, labels, pids, params, config,
-                              n_members=cfg.train.n_members,
-                              subsample=cfg.train.subsample,
-                              catalog_version=catalog.version)
-    # Self-contained report support: dev scores + explanation background.
-    ensemble.dev_scores = ensemble.predict_batch(values, mask).mean(axis=1)
-    ensemble.dev_labels = labels
-    ensemble.background_values, ensemble.background_mask = draw_background(
-        values, mask, labels, cfg.explain.background_size, cfg.master_seed)
+    ensemble = train_ensemble(
+        values, mask, labels, pids, params, config,
+        n_members=cfg.train.n_members, subsample=cfg.train.subsample,
+        background_size=cfg.explain.background_size,
+        background_seed=cfg.master_seed, catalog_version=catalog.version)
     out = stage.output("model.json", "model")
     save_model(ensemble, out)
     ioutil.write_table(stage.output("train_log.tsv"),
@@ -428,7 +414,7 @@ def cmd_lr(cfg, args, stage) -> None:
     catalog = _catalog(stage)
     markers = cfg.lr.single_markers
     if markers is None:
-        markers = DEFAULT_SINGLE_MARKERS[cfg.cancer_type]
+        markers = defaults.SINGLE_MARKERS[cfg.cancer_type]
     unknown = set(markers) - {m.id for m in catalog.lab_markers}
     if unknown:
         raise LabriskError(f"{args.config}: lr: single_markers: "
@@ -481,15 +467,13 @@ def cmd_explain(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     params = ensemble.normalization
     bg_v, bg_m = ensemble.background_values, ensemble.background_mask
-    shap_cfg = ShapConfig(n_permutations=cfg.explain.n_permutations,
-                          seed=cfg.master_seed,
-                          top_k_summary=cfg.explain.top_k)
+    n_permutations, seed = cfg.explain.n_permutations, cfg.master_seed
     fn = NormalizedLrFn(ensemble, likelihood.ScoredCohort.from_arrays(
         ensemble.dev_scores, ensemble.dev_labels), min_n=cfg.predict.min_n)
     if args.patient:
         record, vec = _patient(stage, args.patient, params)
         wf = waterfall(fn, vec.values, vec.mask, bg_v, bg_m,
-                       list(params.feature_order), shap_cfg)
+                       list(params.feature_order), n_permutations, seed)
         out = stage.output("waterfall.json")
         ioutil.atomic_write_json(out, {
             "patient_id": record.patient_id,
@@ -502,11 +486,12 @@ def cmd_explain(cfg, args, stage) -> None:
     else:
         val = _split(_labeled(stage), "validation")[0]
         n = min(cfg.explain.n_samples, len(val))
-        rng = np.random.default_rng(cfg.master_seed)
+        rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(len(val), size=n, replace=False))
         values, mask = vectorize_many([val[i] for i in idx], params)
         summary = cohort_summary(fn, values, mask, bg_v, bg_m,
-                                 list(params.feature_order), shap_cfg)
+                                 list(params.feature_order), n_permutations,
+                                 seed, cfg.explain.top_k)
         out = stage.output("shap_summary.json")
         ioutil.atomic_write_json(out, {
             "top_features": summary.top_features(),
@@ -523,7 +508,7 @@ def cmd_explain(cfg, args, stage) -> None:
                            ["feature", "phi", "normalized_value"], rows)
         results = summary.results
         print(f"explain: top features {summary.top_features()[:5]} -> {out}")
-    stage.details["shapley"] = shap_provenance(results, shap_cfg.seed)
+    stage.details["shapley"] = shap_provenance(results, seed)
 
 
 def cmd_comorbid(cfg, args, stage) -> None:
@@ -574,13 +559,11 @@ def cmd_report(cfg, args, stage) -> None:
 
     ensemble = _load_model(stage)
     labels, member_scores = _validation_scores(stage, ensemble)
-    thresholds = np.linspace(0.0, 1.0, 101)
-    member_curves = []
-    for j in range(member_scores.shape[1]):
-        cohort = likelihood.ScoredCohort.from_arrays(member_scores[:, j],
-                                                     labels)
-        member_curves.append(likelihood.lr_curve(cohort, thresholds))
-    n_common = min(c.lr.size for c in member_curves)
+    member_curves = [likelihood.lr_curve(likelihood.ScoredCohort.from_arrays(
+        member_scores[:, j], labels)) for j in range(member_scores.shape[1])]
+    # Every curve is a prefix of one threshold grid; keep the shortest.
+    thresholds = min((c.thresholds for c in member_curves), key=len)
+    n_common = thresholds.size
     stack = np.vstack([c.lr[:n_common] for c in member_curves])
     ioutil.write_table(
         bundled("lr_ribbon.csv"),
@@ -599,12 +582,9 @@ def cmd_report(cfg, args, stage) -> None:
     if args.svg:
         svg.svg_line_plot(
             bundled("lr_ribbon.svg"),
-            [("mean", thresholds[:n_common].tolist(),
-              stack.mean(axis=0).tolist()),
-             ("min", thresholds[:n_common].tolist(),
-              stack.min(axis=0).tolist()),
-             ("max", thresholds[:n_common].tolist(),
-              stack.max(axis=0).tolist())],
+            [("mean", thresholds.tolist(), stack.mean(axis=0).tolist()),
+             ("min", thresholds.tolist(), stack.min(axis=0).tolist()),
+             ("max", thresholds.tolist(), stack.max(axis=0).tolist())],
             "Ensemble LR ribbon", "risk threshold", "LR")
         index["files"].append("lr_ribbon.svg")
     out = bundled("report.json")

@@ -15,6 +15,8 @@ from .catalog import EncounterRecord
 from .preprocess import complete_derived
 
 WINDOW_DAYS = 365  # "12 months" (label horizon and lookback)
+SPLIT_RATIO = (2, 1)  # development : validation patients
+AGE_BIN_YEARS = 5  # width of the split's age strata
 # The widest infection window: a century, wider than any patient's history.
 MAX_INFECTION_WINDOW_DAYS = 36500
 
@@ -184,37 +186,27 @@ def exclude_acute_infection(encounters: list[LabeledEncounter],
     return kept
 
 
-@dataclass
-class SplitParams:
-    ratio: tuple[int, int] = (2, 1)
-    age_bin_width_years: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.ratio) <= 0:
-            raise LabriskError("split ratio components must be positive")
-
-
 def split_dev_val(encounters: list[LabeledEncounter],
-                  params: SplitParams) -> list[LabeledEncounter]:
+                  seed: int) -> list[LabeledEncounter]:
     """Assign each patient (all their encounters together) to development or
-    validation, stratified by (age bin, sex, label). Strata with fewer than
-    3 patients fall back to a single global stratum and are flagged."""
+    validation in SPLIT_RATIO, stratified by (age bin, sex, label). Strata
+    with fewer than 3 patients fall back to a single global stratum and are
+    flagged."""
     by_pid: dict[str, list[LabeledEncounter]] = {}
     for e in encounters:
         by_pid.setdefault(e.record.patient_id, []).append(e)
 
     def stratum(es: list[LabeledEncounter]):
         first = min(es, key=lambda e: e.record.date)
-        age_bin = int(first.record.age_years // params.age_bin_width_years)
+        age_bin = int(first.record.age_years // AGE_BIN_YEARS)
         return (age_bin, first.record.sex, first.label)
 
     strata: dict[tuple, list[str]] = {}
     for pid, es in by_pid.items():
         strata.setdefault(stratum(es), []).append(pid)
 
-    rng = np.random.default_rng(params.seed)
-    dev_n, val_n = params.ratio
+    rng = np.random.default_rng(seed)
+    dev_n, val_n = SPLIT_RATIO
     frac = dev_n / (dev_n + val_n)
     fallback_pool = []
     assignments: dict[str, tuple[str, bool]] = {}
@@ -251,7 +243,7 @@ def qualifies_as_control(records: list[EncounterRecord],
 
 def enrich_controls(encounters: list[LabeledEncounter],
                     extra_by_patient: dict, spec: CohortSpec,
-                    split_params: SplitParams) -> list[LabeledEncounter]:
+                    seed: int) -> list[LabeledEncounter]:
     """Append qualifying extra control encounters (age/marker filters
     applied). Unconfirmed-screening cancer patients among the extras are
     added to the development split only."""
@@ -273,7 +265,7 @@ def enrich_controls(encounters: list[LabeledEncounter],
                 e.split_fallback = True
             encounters = encounters + dev_only
     if added:
-        added = split_dev_val(added, split_params)
+        added = split_dev_val(added, seed)
         encounters = encounters + added
     return encounters
 
@@ -295,10 +287,10 @@ def consort_row(stage: str, encounters: list[LabeledEncounter]) -> ConsortStage:
 
 
 def run_cohort_pipeline(records: list[EncounterRecord], spec: CohortSpec,
-                        split_params: SplitParams,
-                        enrich_unscreened_controls: bool = True
+                        seed: int, enrich: bool
                         ) -> tuple[list[LabeledEncounter], list[ConsortStage]]:
-    """Full consort flow over a raw record set. Returns the labeled, split
+    """Full consort flow over a raw record set, split with `seed` and, if
+    `enrich`, with unscreened controls added. Returns the labeled, split
     encounters and the per-stage count table."""
     by_patient = group_by_patient(records)
     screened = select_screening_population(by_patient, spec)
@@ -314,11 +306,11 @@ def run_cohort_pipeline(records: list[EncounterRecord], spec: CohortSpec,
     labeled = exclude_acute_infection(labeled, by_patient, spec)
     flow.append(consort_row("after_infection_exclusion", labeled))
 
-    labeled = split_dev_val(labeled, split_params)
+    labeled = split_dev_val(labeled, seed)
 
-    if enrich_unscreened_controls:
+    if enrich:
         extras = {pid: recs for pid, recs in by_patient.items()
                   if pid not in screened}
-        labeled = enrich_controls(labeled, extras, spec, split_params)
+        labeled = enrich_controls(labeled, extras, spec, seed)
     flow.append(consort_row("after_enrichment", labeled))
     return labeled, flow

@@ -9,10 +9,11 @@ odds ratios, then ranked by p-value subject to a minimum-carrier floor.
 from __future__ import annotations
 
 import datetime
+import io
 import math
 from dataclasses import dataclass, field
 
-from . import LabriskError
+from . import LabriskError, read_bytes
 from .catalog import ClaimCode
 
 
@@ -44,11 +45,11 @@ def load_phecode_map(path) -> PhecodeMap:
     mapping: dict[str, str] = {}
     labels: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
-    except (OSError, UnicodeDecodeError) as e:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as e:
         raise LabriskError(f"{path}: cannot read ({e})") from None
-    for lineno, line in enumerate(lines, 1):
+    # newline=None splits at \n, \r and \r\n, as reading in text mode does.
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

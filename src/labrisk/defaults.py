@@ -157,6 +157,13 @@ DIAGNOSIS_ICD_PREFIXES = {
     "lung": ("C34",),
 }
 
+# Single-marker LR baselines of the lr command, by cancer type.
+SINGLE_MARKERS = {
+    "colorectal": ("rdw", "hemoglobin", "mcv", "neutrophils", "mch"),
+    "liver": ("platelets", "alp", "ast", "albumin", "total_protein"),
+    "lung": ("rdw", "hemoglobin", "lymphocytes_pct", "alt", "calcium"),
+}
+
 # Post-diagnosis confirmation codes (chemotherapy / radiation / encounter for
 # antineoplastic therapy).
 CONFIRMATION_CODES = (
@@ -225,4 +232,4 @@ def default_catalog() -> MarkerCatalog:
         reference_range=None, log_transform=False, risk_direction="unsigned",
         class_distributions={k: (v, 0.0) for k, v in MALE_FRACTION.items()},
     ))
-    return MarkerCatalog(entries=tuple(entries), version=CATALOG_VERSION)
+    return MarkerCatalog(markers=tuple(entries), version=CATALOG_VERSION)

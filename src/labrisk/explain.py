@@ -25,6 +25,11 @@ from .likelihood import ScoredCohort, lr_from_counts, similar_cohort  # noqa: F4
 from .model import RiskEnsemble, score_summary
 from .nn import sigmoid
 
+MAX_EXACT = 12  # enumerate coalitions exactly up to this many features
+MIN_WATERFALL_MARKERS = 24  # observed markers a waterfall needs
+TOP_K_WATERFALL = 9  # waterfall items before the aggregated remainder
+MIN_SUMMARY_SAMPLES = 10  # samples a cohort summary needs
+
 
 def normalize_lr(lr) -> float | np.ndarray:
     """Logistic squashing of a likelihood ratio: 1/(1+exp(-(lr-5)/0.5))."""
@@ -54,17 +59,6 @@ class NormalizedLrFn:
         pos_sub, n_sub = self.dev.similar_counts(mean, lo, hi, self.min_n)
         lr, _ = lr_from_counts(pos_sub, n_sub, self.dev.n_pos, len(self.dev))
         return normalize_lr(lr)
-
-
-@dataclass
-class ShapConfig:
-    max_exact: int = 12  # enumerate exactly up to this many features
-    n_permutations: int = 200  # antithetic pairs count as two
-    seed: int = 0
-    min_waterfall_markers: int = 24
-    top_k_summary: int = 15
-    top_k_waterfall: int = 9
-    min_summary_samples: int = 10
 
 
 @dataclass
@@ -159,10 +153,10 @@ def _shap_sampling(fn, values, mask, bg_v, bg_m, n_permutations,
 
 def shap_values(fn, values: np.ndarray, mask: np.ndarray,
                 bg_values: np.ndarray, bg_mask: np.ndarray,
-                config: ShapConfig | None = None,
-                seed: int | None = None) -> ShapResult:
+                n_permutations: int, seed: int) -> ShapResult:
     """Per-feature Shapley attributions of fn at (values, mask) against a
-    background set. Deterministic per seed.
+    background set: exact up to MAX_EXACT features, else `n_permutations`
+    antithetic permutation walks. Deterministic per seed.
 
     fn maps (..., d) values and mask to (...) outputs, one per row, and must
     give a row the same value whatever its leading axes; NormalizedLrFn is
@@ -171,41 +165,16 @@ def shap_values(fn, values: np.ndarray, mask: np.ndarray,
     (n_samples, d + 1, d), where row t of a walk holds its first t
     features.
     """
-    config = config or ShapConfig()
-    if seed is None:
-        seed = config.seed
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     bg_values = np.atleast_2d(np.asarray(bg_values, dtype=np.float64))
     bg_mask = np.atleast_2d(np.asarray(bg_mask, dtype=np.float64))
     if bg_values.shape[0] == 0:
         raise LabriskError("empty background set")
-    if values.size <= config.max_exact:
+    if values.size <= MAX_EXACT:
         return _shap_exact(fn, values, mask, bg_values, bg_mask, seed)
     return _shap_sampling(fn, values, mask, bg_values, bg_mask,
-                          config.n_permutations, seed)
-
-
-def draw_background(dev_values: np.ndarray, dev_mask: np.ndarray,
-                    dev_labels: np.ndarray, size: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label-stratified background draw from the development cohort."""
-    rng = np.random.default_rng(seed)
-    n = dev_values.shape[0]
-    if n == 0:
-        raise LabriskError("empty development set for background")
-    size = min(size, n)
-    pos = np.flatnonzero(dev_labels == 1)
-    neg = np.flatnonzero(dev_labels == 0)
-    n_pos = min(len(pos), max(1, round(size * len(pos) / n))) if len(pos) else 0
-    n_neg = size - n_pos
-    idx = []
-    if n_pos:
-        idx.append(rng.choice(pos, size=n_pos, replace=False))
-    if n_neg:
-        idx.append(rng.choice(neg, size=min(n_neg, len(neg)), replace=False))
-    idx = np.sort(np.concatenate(idx))
-    return dev_values[idx], dev_mask[idx]
+                          n_permutations, seed)
 
 
 @dataclass
@@ -223,25 +192,24 @@ class CohortShapSummary:
 
 def cohort_summary(fn, values: np.ndarray, mask: np.ndarray,
                    bg_values: np.ndarray, bg_mask: np.ndarray,
-                   feature_names: list[str],
-                   config: ShapConfig | None = None) -> CohortShapSummary:
+                   feature_names: list[str], n_permutations: int, seed: int,
+                   top_k: int) -> CohortShapSummary:
     """Per-sample attributions, ranked by mean |phi| for a beeswarm-style
     top-k summary."""
-    config = config or ShapConfig()
     n = values.shape[0]
-    if n < config.min_summary_samples:
+    if n < MIN_SUMMARY_SAMPLES:
         raise LabriskError(
-            f"need at least {config.min_summary_samples} samples, got {n}")
+            f"need at least {MIN_SUMMARY_SAMPLES} samples, got {n}")
     # Sample-index-derived seeds keep results schedule-independent.
     results = [shap_values(fn, values[i], mask[i], bg_values, bg_mask,
-                           config, seed=config.seed * 1_000_003 + i)
+                           n_permutations, seed * 1_000_003 + i)
                for i in range(n)]
     phis = np.array([res.phi for res in results])
     mean_abs = np.abs(phis).mean(axis=0)
     ranking = list(np.lexsort((np.arange(mean_abs.size), -mean_abs)))
     return CohortShapSummary(feature_names=list(feature_names), phi=phis,
                              feature_values=values, ranking=ranking,
-                             top_k=config.top_k_summary, results=results)
+                             top_k=top_k, results=results)
 
 
 @dataclass
@@ -261,20 +229,20 @@ class Waterfall:
 
 def waterfall(fn, values: np.ndarray, mask: np.ndarray,
               bg_values: np.ndarray, bg_mask: np.ndarray,
-              feature_names: list[str],
-              config: ShapConfig | None = None) -> Waterfall:
-    """Top contributions for one sample, remainder aggregated. Requires the
-    configured minimum number of observed markers."""
-    config = config or ShapConfig()
+              feature_names: list[str], n_permutations: int,
+              seed: int) -> Waterfall:
+    """The TOP_K_WATERFALL largest contributions for one sample, remainder
+    aggregated. Requires MIN_WATERFALL_MARKERS observed markers."""
     observed = int(np.asarray(mask).sum())
-    if observed < config.min_waterfall_markers:
+    if observed < MIN_WATERFALL_MARKERS:
         raise LabriskError(
-            f"waterfall requires >= {config.min_waterfall_markers} observed "
+            f"waterfall requires >= {MIN_WATERFALL_MARKERS} observed "
             f"markers, sample has {observed}")
-    res = shap_values(fn, values, mask, bg_values, bg_mask, config)
+    res = shap_values(fn, values, mask, bg_values, bg_mask, n_permutations,
+                      seed)
     order = np.lexsort((np.arange(res.phi.size), -np.abs(res.phi)))
-    top = order[:config.top_k_waterfall]
-    rest = order[config.top_k_waterfall:]
+    top = order[:TOP_K_WATERFALL]
+    rest = order[TOP_K_WATERFALL:]
     items = [WaterfallItem(feature=feature_names[i], phi=float(res.phi[i]),
                            normalized_value=float(values[i]))
              for i in top]

@@ -160,7 +160,7 @@ def _fit(model: RiskModel, stage: str, epochs: int, n: int,
     batch_loss(idx) fills `model.grads` and returns the batch's loss."""
     if n == 0:
         raise LabriskError("empty training set")
-    opt = nn.Adam(model.params, lr=model.config.lr)
+    opt = nn.Adam(model.params, model.config.lr)
     size = model.config.batch_size
     history = []
     # The step's finite check reports an overflow, so numpy's warning would
@@ -219,7 +219,7 @@ def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
                 batch_loss)
 
 
-def score_summary(scores, ci_scale: float = 1.0):
+def score_summary(scores, ci_scale: float):
     """Ensemble summary over the last (member) axis: (mean, std, lo, hi),
     with the population std and the CI mean +- ci_scale * std clipped to
     [0, 1]."""
@@ -240,7 +240,7 @@ class RiskAssessment:
 
     @classmethod
     def from_scores(cls, scores: np.ndarray,
-                    ci_scale: float = 1.0) -> "RiskAssessment":
+                    ci_scale: float) -> "RiskAssessment":
         mean, std, lo, hi = score_summary(scores, ci_scale)
         return cls(per_member_scores=[float(s) for s in scores],
                    mean=float(mean), std=float(std),
@@ -255,17 +255,15 @@ class RiskEnsemble:
     config: RiskModelConfig
     # The one eval network that scoring loads each member's state into.
     network: RiskModel
-    catalog_version: str = "unversioned"
-    member_subsets: list[dict] = field(default_factory=list)
-    history: list[dict] = field(default_factory=list)
+    catalog_version: str
     # The development cohort's mean ensemble scores and 0/1 labels, which
     # per-patient LRs are read from, and the explanation background rows.
-    dev_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
-    dev_labels: np.ndarray = field(default_factory=lambda: np.empty(0))
-    background_values: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 0)))
-    background_mask: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 0)))
+    dev_scores: np.ndarray
+    dev_labels: np.ndarray
+    background_values: np.ndarray
+    background_mask: np.ndarray
+    member_subsets: list[dict] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list)
     # The model file the ensemble was loaded from; None if trained here.
     source: str | None = None
 
@@ -303,13 +301,37 @@ class RiskEnsemble:
         return RiskAssessment.from_scores(scores, self.config.ci_scale)
 
 
+def draw_background(dev_values: np.ndarray, dev_mask: np.ndarray,
+                    dev_labels: np.ndarray, size: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label-stratified background draw from the development cohort."""
+    rng = np.random.default_rng(seed)
+    n = dev_values.shape[0]
+    if n == 0:
+        raise LabriskError("empty development set for background")
+    size = min(size, n)
+    pos = np.flatnonzero(dev_labels == 1)
+    neg = np.flatnonzero(dev_labels == 0)
+    n_pos = min(len(pos), max(1, round(size * len(pos) / n))) if len(pos) else 0
+    n_neg = size - n_pos
+    idx = []
+    if n_pos:
+        idx.append(rng.choice(pos, size=n_pos, replace=False))
+    if n_neg:
+        idx.append(rng.choice(neg, size=min(n_neg, len(neg)), replace=False))
+    idx = np.sort(np.concatenate(idx))
+    return dev_values[idx], dev_mask[idx]
+
+
 def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
                    patient_ids: list[str], normalization: NormalizationParams,
-                   config: RiskModelConfig, n_members: int = 10,
-                   subsample: float = 0.8,
-                   catalog_version: str = "unversioned") -> RiskEnsemble:
+                   config: RiskModelConfig, n_members: int, subsample: float,
+                   background_size: int, background_seed: int,
+                   catalog_version: str) -> RiskEnsemble:
     """Train an ensemble of independently seeded models, each on a
-    label-stratified subsample of patients."""
+    label-stratified subsample of patients, and score the whole development
+    set with it; the ensemble also holds a background of `background_size`
+    development rows drawn with `background_seed`."""
     patients = {}
     for i, pid in enumerate(patient_ids):
         patients.setdefault(pid, []).append(i)
@@ -343,10 +365,17 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
         states.append(model.state)
         subsets.append({"member": member, "n_rows": int(rows.size),
                         "n_patients": len(chosen)})
-    return RiskEnsemble(states=np.stack(states), normalization=normalization,
-                        config=config, network=RiskModel(config, None),
-                        catalog_version=catalog_version,
-                        member_subsets=subsets, history=history)
+    bg_values, bg_mask = draw_background(values, mask, labels,
+                                         background_size, background_seed)
+    ensemble = RiskEnsemble(
+        states=np.stack(states), normalization=normalization, config=config,
+        network=RiskModel(config, None), catalog_version=catalog_version,
+        dev_scores=np.empty(0), dev_labels=labels,
+        background_values=bg_values, background_mask=bg_mask,
+        member_subsets=subsets, history=history)
+    # The development scores are the ensemble's own, so it scores them.
+    ensemble.dev_scores = ensemble.predict_batch(values, mask).mean(axis=1)
+    return ensemble
 
 
 # --- serialization -----------------------------------------------------------

@@ -85,16 +85,16 @@ class BatchNorm(Layer):
 
     param_names = ("gamma", "beta")
     stat_names = ("running_mean", "running_var")
+    momentum = 0.1
+    eps = 1e-5
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.dgamma = np.zeros(dim)
         self.dbeta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
@@ -223,13 +223,13 @@ class Adam:
     """Bias-corrected Adam over one flat parameter array (updated in
     place)."""
 
-    def __init__(self, params: np.ndarray, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)

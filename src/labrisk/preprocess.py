@@ -104,7 +104,7 @@ def _feature_value(record: EncounterRecord, feature: str) -> float | None:
 
 def fit_normalization(dev_records: list[EncounterRecord],
                       catalog: MarkerCatalog,
-                      scale_demographics: bool = True) -> NormalizationParams:
+                      scale_demographics: bool) -> NormalizationParams:
     """Fit per-feature median and inter-quartile distance on development
     records. Log-flagged markers are moved to log10 scale first."""
     if not dev_records:

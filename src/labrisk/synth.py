@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import LabriskError, defaults
-from .catalog import (CANCER_CLASSES, ClaimCode, EncounterRecord,
-                      MarkerCatalog, MarkerDef)
+from .catalog import (CANCER_CLASSES, LAB_PANELS, ClaimCode,
+                      EncounterRecord, MarkerCatalog, MarkerDef)
 
 
 @dataclass
@@ -49,8 +49,24 @@ class SynthConfig:
             if n < 0:
                 raise LabriskError(f"negative count for class {cls!r}")
         for panel, p in self.missingness.items():
-            if not 0.0 <= p <= 1.0:
-                raise LabriskError(f"missingness[{panel}] out of [0,1]")
+            if panel not in LAB_PANELS or not 0.0 <= p <= 1.0:
+                raise LabriskError(f"missingness.{panel}: needs a lab panel "
+                                   f"{LAB_PANELS} and a rate in [0, 1]")
+        # Rates stay in [0, 1] under the bias, so synthesize_cohort needs no
+        # clipping.
+        for cls, bias in (self.class_missingness_bias or {}).items():
+            if cls not in known or not (0 <= bias < math.inf and all(
+                    p * bias <= 1 for p in self.missingness.values())):
+                raise LabriskError(
+                    f"class_missingness_bias.{cls}: needs a known class and "
+                    "a finite multiplier >= 0 that keeps every missingness "
+                    f"rate at most 1, got {bias}")
+        for code, prevalence in self.comorbidity_prevalence.items():
+            for cls, p in prevalence.items():
+                if cls not in known or not 0.0 <= p <= 1.0:
+                    raise LabriskError(
+                        f"comorbidity_prevalence.{code}.{cls}: needs a known "
+                        f"class and a probability in [0, 1], got {p}")
         for p, name in ((self.panel_dropout, "panel_dropout"),
                         (self.screening_prob, "screening_prob"),
                         (self.chronic_fraction, "chronic_fraction"),
@@ -221,8 +237,7 @@ def synthesize_cohort(catalog: MarkerCatalog,
         male_frac = catalog.get("sex").class_distributions[cls][0]
         miss = base_miss
         if config.class_missingness_bias:
-            miss = np.clip(
-                base_miss * config.class_missingness_bias.get(cls, 1.0), 0, 1)
+            miss = base_miss * config.class_missingness_bias.get(cls, 1.0)
 
         # One correlated latent draw per encounter, transformed per marker.
         n_total = n_pat * visits
@@ -238,7 +253,7 @@ def synthesize_cohort(catalog: MarkerCatalog,
                 "distribution draws values too large for a float")
 
         absent = rng.random((n_total, len(lab))) < miss
-        for panel in ("CMP", "CBC"):
+        for panel in LAB_PANELS:
             drop = rng.random(n_total) < config.panel_dropout
             absent[np.ix_(drop, panels == panel)] = True
         # Every encounter keeps at least one measurement.

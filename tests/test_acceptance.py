@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from labrisk import cli, comorbid, defaults, ioutil, likelihood, metrics, nn
-from labrisk.explain import ShapConfig, shap_values
+from labrisk.explain import _shap_sampling, shap_values
 from labrisk.model import RiskModel, RiskModelConfig, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
 
@@ -207,14 +207,11 @@ def test_criterion_3_shapley_sampling_exact_and_linear_under_two_minutes():
         bg_m = (rng.random((10, d)) < 0.9).astype(float)
         bg_v = bg_v * bg_m
 
-        exact = shap_values(fn, x, m, bg_v, bg_m,
-                            ShapConfig(seed=trial, max_exact=12))
+        exact = shap_values(fn, x, m, bg_v, bg_m, 200, seed=trial)
         assert exact.method == "exact_enumeration"
         assert abs(efficiency_residual(exact)) <= 1e-9
 
-        sampled = shap_values(fn, x, m, bg_v, bg_m,
-                              ShapConfig(seed=trial, max_exact=0,
-                                         n_permutations=400))
+        sampled = _shap_sampling(fn, x, m, bg_v, bg_m, 400, seed=trial)
         assert sampled.method == "permutation_sampling"
         # Sampling estimates fall within their own 99% MC CI of exact.
         # A 99% CI legitimately misses ~1% of the time, so the gate is the
@@ -238,7 +235,7 @@ def test_criterion_3_shapley_sampling_exact_and_linear_under_two_minutes():
     m = np.ones(d)
     bg_v = rng.normal(size=(32, d))
     bg_m = np.ones((32, d))
-    res = shap_values(lin, x, m, bg_v, bg_m, ShapConfig(seed=0))
+    res = shap_values(lin, x, m, bg_v, bg_m, 200, seed=0)
     np.testing.assert_allclose(res.phi, w * (x - bg_v.mean(axis=0)),
                                atol=1e-12)
     assert time.time() - start < 120.0

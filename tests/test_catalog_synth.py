@@ -9,7 +9,7 @@ import pytest
 
 from labrisk import LabriskError, config_from_json, defaults
 from labrisk.catalog import (ClaimCode, EncounterRecord, MarkerCatalog,
-                             MarkerDef, catalog_from_dict, catalog_to_dict,
+                             MarkerDef, catalog_to_dict,
                              record_from_dict, record_to_dict)
 from labrisk.synth import SynthConfig, build_correlation, synthesize_cohort
 
@@ -28,7 +28,7 @@ def marker(mid="albumin", **kw):
 
 def test_catalog_rejects_duplicate_ids():
     with pytest.raises(LabriskError, match="duplicate marker id"):
-        MarkerCatalog(entries=(marker(), marker()), version="t")
+        MarkerCatalog(markers=(marker(), marker()), version="t")
 
 
 def test_marker_rejects_inverted_range():
@@ -54,7 +54,9 @@ def test_default_catalog_is_valid_and_complete():
 
 def test_catalog_json_round_trip():
     cat = defaults.default_catalog()
-    again = catalog_from_dict(json.loads(json.dumps(catalog_to_dict(cat))))
+    again = config_from_json(MarkerCatalog,
+                             json.loads(json.dumps(catalog_to_dict(cat))),
+                             "catalog")
     assert again.feature_order == cat.feature_order
     assert again.get("alp").class_distributions == \
         cat.get("alp").class_distributions

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from labrisk import cli, defaults, ioutil, likelihood, nn
 from labrisk.catalog import load_marker_catalog, record_to_dict
 from labrisk.cohort import CohortSpec
-from labrisk.explain import (NormalizedLrFn, ShapConfig, normalize_lr,
-                             shap_values)
+from labrisk.explain import NormalizedLrFn, normalize_lr, shap_values
 from labrisk.model import RiskAssessment, RiskModelConfig, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
 from labrisk.synth import SynthConfig
@@ -333,15 +332,14 @@ def test_stacked_value_function_is_bit_exact(run):
     def per_walk(v, m):
         return np.stack([fn(v[w], m[w]) for w in range(v.shape[0])])
 
-    cfg = ShapConfig(seed=5, n_permutations=30)
     for x, m in zip(values, mask):
-        stacked = shap_values(spy, x, m, bg_v, bg_m, cfg)
+        stacked = shap_values(spy, x, m, bg_v, bg_m, 30, seed=5)
         walk_v, walk_m = stacks.pop()
         assert walk_v.shape == (30, x.size + 1, x.size)
         np.testing.assert_array_equal(
             fn(walk_v, walk_m),
             reference_value_fn(ensemble, dev, walk_v, walk_m, 50))
-        looped = shap_values(per_walk, x, m, bg_v, bg_m, cfg)
+        looped = shap_values(per_walk, x, m, bg_v, bg_m, 30, seed=5)
         assert np.array_equal(stacked.phi, looped.phi)
         assert np.array_equal(stacked.ci99, looped.ci99)
         assert stacked.base_value == looped.base_value
@@ -690,6 +688,17 @@ MALFORMED_INPUTS = {
         "train", "train", {"w_kl": math.nan}, TRAIN_INPUTS),
     "config-synth-visits-per-patient-too-many": _section_case(
         "synth", "synth", {"visits_per_patient": 80000}),
+    "config-synth-missingness-not-a-lab-panel": _section_case(
+        "synth", "synth", {"missingness": {"demographic": 0.1}}),
+    **{f"config-synth-class-missingness-bias-{name}": _section_case(
+        "synth", "synth", {"class_missingness_bias": bias})
+       for name, bias in (("negative", {"liver": -1}),
+                          ("huge", {"liver": 1e9}),
+                          ("unknown-class", {"pancreas": 1.0}))},
+    **{f"config-synth-comorbidity-prevalence-{name}": _section_case(
+        "synth", "synth", {"comorbidity_prevalence": prevalence})
+       for name, prevalence in (("2", {"E11": {"liver": 2.0}}),
+                                ("unknown-class", {"E11": {"pancreas": 0.1}}))},
     **{f"config-explain-n-permutations-{n}": _section_case(
         "explain", "explain", {"n_permutations": n}, SCORE_INPUTS)
        for n in (0, 1, -4)},
@@ -704,6 +713,15 @@ MALFORMED_INPUTS = {
         "reference_range"),
     "catalog-log-flag-string": _catalog_case(
         lambda m: m.update(log_transform="false"), "log_transform"),
+    # The catalog document is decoded like a config: a duplicate id names
+    # the file and markers, and version must be a string.
+    "catalog-duplicate-id": _synth_catalog_case(
+        lambda doc: doc["markers"].append(doc["markers"][0]),
+        "markers: duplicate marker id"),
+    "catalog-version-number": _synth_catalog_case(
+        lambda doc: doc.update(version=7), "version"),
+    "catalog-unknown-key": _synth_catalog_case(
+        lambda doc: doc.update(bogus=1), "'bogus'"),
     # synth needs age and sex markers, and distributions whose draws fit a
     # float.
     "synth-catalog-without-age": _synth_catalog_case(_without_marker("age"),
@@ -1030,6 +1048,9 @@ WRONG_TYPED = {
 # that allocates is drawn large: visits_per_patient stays below 10**5.
 BELOW_ZERO = st.integers(-10**9, -1)
 NOT_FINITE = st.sampled_from([math.nan, math.inf])
+CLASSES = st.sampled_from(["no_cancer", "colorectal", "liver", "lung"])
+UNKNOWN_CLASS = st.text(max_size=6).filter(
+    lambda k: k not in ("no_cancer", "colorectal", "liver", "lung"))
 OUT_OF_RANGE = {
     ("train", "seed"): BELOW_ZERO,
     ("train", "lr"): st.floats(max_value=0.0) | NOT_FINITE,
@@ -1043,6 +1064,19 @@ OUT_OF_RANGE = {
     ("explain", "n_permutations"): st.integers(-10**9, 1),
     ("explain", "top_k"): st.integers(-10**9, 0),
     ("comorbid", "min_each"): BELOW_ZERO,
+    ("synth", "missingness"): st.dictionaries(
+        st.text(max_size=6).filter(lambda k: k not in ("CMP", "CBC")),
+        st.floats(0.0, 1.0), min_size=1),
+    ("synth", "class_missingness_bias"): st.dictionaries(
+        UNKNOWN_CLASS, st.floats(0.0, 1.0), min_size=1)
+    | st.dictionaries(CLASSES, st.floats(max_value=-1e-300)
+                      | st.floats(min_value=5.01) | NOT_FINITE, min_size=1),
+    ("synth", "comorbidity_prevalence"): st.dictionaries(
+        st.text("ABEIK0129.", min_size=1, max_size=6),
+        st.dictionaries(UNKNOWN_CLASS, st.floats(0.0, 1.0), min_size=1)
+        | st.dictionaries(CLASSES, st.floats(max_value=-1e-300)
+                          | st.floats(min_value=1.0, exclude_min=True)
+                          | st.just(math.nan), min_size=1), min_size=1),
 }
 SECTION_COMMANDS = {"paths": "synth", "synth": "synth", "cohort": "cohort",
                     "prepare": "prepare", "train": "train",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from labrisk import LabriskError, defaults
 from labrisk.catalog import ClaimCode, EncounterRecord
-from labrisk.cohort import (WINDOW_DAYS, CohortSpec, SplitParams,
+from labrisk.cohort import (WINDOW_DAYS, CohortSpec,
                             assign_label, exclude_acute_infection,
                             filter_encounters, group_by_patient,
                             marker_count, qualifies_as_control,
@@ -173,7 +173,7 @@ def labeled_population(rng, n_patients):
 def test_split_patients_never_straddle(seed, n_patients):
     rng = np.random.default_rng(seed)
     encounters = labeled_population(rng, n_patients)
-    split = split_dev_val(encounters, SplitParams(seed=seed % 1000))
+    split = split_dev_val(encounters, seed % 1000)
     by_pid = {}
     for e in split:
         by_pid.setdefault(e.record.patient_id, set()).add(e.split)
@@ -187,7 +187,7 @@ def test_split_patients_never_straddle(seed, n_patients):
 def test_split_ratio_within_stratum(seed):
     rng = np.random.default_rng(seed)
     encounters = labeled_population(rng, 300)
-    split = split_dev_val(encounters, SplitParams(seed=7))
+    split = split_dev_val(encounters, 7)
     # Per (age-bin, sex, label) stratum of size >= 3, the patient-level
     # dev:val ratio is 2:1 with rounding, i.e. n_dev = round(2/3 * n).
     strata = {}
@@ -215,7 +215,7 @@ def test_split_small_stratum_flagged_as_fallback():
         [rec("lonely", "le1", 0, age=88.0, sex="male"),
          rec("lonely", "le2", 500, age=88.5, sex="male")],
         False, None, SPEC)
-    split = split_dev_val(crowd + lone, SplitParams(seed=1))
+    split = split_dev_val(crowd + lone, 1)
     lonely = [e for e in split if e.record.patient_id == "lonely"]
     assert lonely and all(e.split_fallback for e in lonely)
     others = [e for e in split if e.record.patient_id != "lonely"]
@@ -224,8 +224,8 @@ def test_split_small_stratum_flagged_as_fallback():
 
 def test_split_deterministic():
     encounters = labeled_population(np.random.default_rng(6), 120)
-    a = split_dev_val(list(encounters), SplitParams(seed=3))
-    b = split_dev_val(list(encounters), SplitParams(seed=3))
+    a = split_dev_val(list(encounters), 3)
+    b = split_dev_val(list(encounters), 3)
     assert [(e.record.encounter_id, e.split) for e in a] == \
         [(e.record.encounter_id, e.split) for e in b]
 
@@ -238,7 +238,7 @@ def test_pipeline_invariants_on_random_cohorts(seed):
     cat = defaults.default_catalog()
     cfg = SynthConfig(n_per_class={"no_cancer": 400, "liver": 80}, seed=seed)
     records = synthesize_cohort(cat, cfg)
-    labeled, flow = run_cohort_pipeline(records, SPEC, SplitParams(seed=seed))
+    labeled, flow = run_cohort_pipeline(records, SPEC, seed, True)
     assert flow[-1].n_encounters == len(labeled)
     for e in labeled:
         assert SPEC.age_range[0] <= e.record.age_years <= SPEC.age_range[1]

@@ -1,13 +1,17 @@
 """The runtime is numpy-only: every module of the package imports only the
 standard library, numpy and labrisk itself. Also: the package's exception
-classes, and the bindings the benchmark's tracer wraps."""
+classes, the run settings' one default each, and the bindings the
+benchmark's tracer wraps."""
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import sys
+import typing
 
 import labrisk
+from labrisk import cli, cohort, model, synth
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "labrisk"}
 PACKAGE = pathlib.Path(labrisk.__file__).parent
@@ -52,6 +56,53 @@ def test_package_defines_one_malformed_input_error():
                           for base in node.bases)}
     assert exceptions == {("__init__", "LabriskError"), ("nn", "ShapeError"),
                           ("nn", "NumericsError")}
+
+
+def run_settings() -> set[str]:
+    """The names a run configuration sets: the fields of RunConfig's
+    sections, SynthConfig, CohortSpec and RiskModelConfig."""
+    sections = [hint for hint in typing.get_type_hints(cli.RunConfig).values()
+                if dataclasses.is_dataclass(hint)]
+    return {f.name for cls in (*sections, synth.SynthConfig,
+                               cohort.CohortSpec, model.RiskModelConfig)
+            for f in dataclasses.fields(cls)}
+
+
+def defaulted_parameters(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every function, method or lambda parameter in
+    `source` that has a default."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [arg for arg, default in zip(args.kwonlyargs,
+                                                         args.kw_defaults)
+                             if default is not None]
+            out += [(node.lineno, arg.arg) for arg in with_default]
+    return out
+
+
+def test_defaulted_parameters_sees_every_parameter_kind():
+    assert defaulted_parameters(
+        "def f(a, b=1, /, c=2, *d, e, g=3, **h): pass\n"
+        "class C:\n    def m(self, lr=1e-4): pass\n"
+        "k = lambda seed=0: seed\n") == [(1, "b"), (1, "c"), (1, "g"),
+                                          (3, "lr"), (4, "seed")]
+
+
+def test_run_settings_take_their_default_from_the_config_only():
+    """A library parameter named after a run setting has no default: the
+    setting's one default is its config dataclass field's."""
+    settings = run_settings()
+    assert {"lr", "seed", "n_members", "top_k", "enrich"} <= settings
+    repeated = [f"{path.name}:{line}: {name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for line, name in defaulted_parameters(path.read_text())
+                if name in settings]
+    assert not repeated, repeated
 
 
 def test_bench_tracer_finds_every_binding_it_wraps():

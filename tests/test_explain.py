@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from labrisk import LabriskError
-from labrisk.explain import (ShapConfig, cohort_summary, draw_background,
-                             normalize_lr, shap_values, waterfall)
+from labrisk.explain import (TOP_K_WATERFALL, _shap_sampling,
+                             cohort_summary, normalize_lr, shap_values,
+                             waterfall)
+from labrisk.model import draw_background
 
 from oracles import efficiency_residual
 
@@ -61,7 +63,7 @@ def test_exact_matches_brute_force():
     m = np.ones(d)
     bg_v = rng.normal(size=(8, d))
     bg_m = (rng.random((8, d)) < 0.8).astype(float)
-    res = shap_values(fn, x, m, bg_v, bg_m, ShapConfig(seed=1))
+    res = shap_values(fn, x, m, bg_v, bg_m, 200, seed=1)
     assert res.method == "exact_enumeration"
     oracle = brute_force_shap(fn, x, m, bg_v, bg_m, list(range(d)))
     np.testing.assert_allclose(res.phi, oracle, atol=1e-9)
@@ -80,7 +82,7 @@ def test_linear_model_closed_form():
     m = np.ones(d)
     bg_v = rng.normal(size=(16, d))
     bg_m = np.ones((16, d))
-    res = shap_values(fn, x, m, bg_v, bg_m, ShapConfig(seed=2))
+    res = shap_values(fn, x, m, bg_v, bg_m, 200, seed=2)
     np.testing.assert_allclose(res.phi, w * (x - bg_v.mean(axis=0)),
                                atol=1e-12)
 
@@ -93,10 +95,9 @@ def test_sampling_within_its_own_ci_of_exact():
     m = np.ones(d)
     bg_v = rng.normal(size=(12, d))
     bg_m = np.ones((12, d))
-    exact = shap_values(fn, x, m, bg_v, bg_m, ShapConfig(seed=3, max_exact=12))
-    sampled = shap_values(fn, x, m, bg_v, bg_m,
-                          ShapConfig(seed=3, max_exact=4,
-                                     n_permutations=600))
+    exact = shap_values(fn, x, m, bg_v, bg_m, 200, seed=3)
+    assert exact.method == "exact_enumeration"
+    sampled = _shap_sampling(fn, x, m, bg_v, bg_m, 600, seed=3)
     assert sampled.method == "permutation_sampling"
     assert sampled.ci99 is not None
     # Allow a tiny slack on top of the 99% CI for the CI estimate itself.
@@ -119,7 +120,7 @@ def test_masked_feature_gets_zero_attribution_when_background_masked():
     bg_v = rng.normal(size=(6, d))
     bg_m = np.ones((6, d))
     bg_v[:, 2], bg_m[:, 2] = 0.0, 0.0
-    res = shap_values(fn, x, m, bg_v, bg_m, ShapConfig(seed=4))
+    res = shap_values(fn, x, m, bg_v, bg_m, 200, seed=4)
     assert res.phi[2] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -134,7 +135,7 @@ def test_mask_bit_participates_in_coalitions():
     m = np.zeros(d)  # nothing observed for this sample
     bg_v = np.zeros((4, d))
     bg_m = np.ones((4, d))  # background has everything observed
-    res = shap_values(fn, x, m, bg_v, bg_m, ShapConfig(seed=5))
+    res = shap_values(fn, x, m, bg_v, bg_m, 200, seed=5)
     np.testing.assert_allclose(res.phi, [-1.0, -1.0, -1.0], atol=1e-12)
 
 
@@ -179,7 +180,7 @@ def test_waterfall_requires_enough_markers():
     bg_v = rng.normal(size=(4, d))
     bg_m = np.ones((4, d))
     with pytest.raises(LabriskError, match="waterfall requires >= "):
-        waterfall(fn, x, m, bg_v, bg_m, line_names(d), ShapConfig(seed=9))
+        waterfall(fn, x, m, bg_v, bg_m, line_names(d), 200, seed=9)
 
 
 def test_waterfall_top_k_plus_aggregate():
@@ -193,9 +194,9 @@ def test_waterfall_top_k_plus_aggregate():
     m = np.ones(d)
     bg_v = rng.normal(size=(4, d))
     bg_m = np.ones((4, d))
-    cfg = ShapConfig(seed=11, max_exact=0, n_permutations=200)
-    wf = waterfall(fn, x, m, bg_v, bg_m, line_names(d), cfg)
-    assert len(wf.items) == cfg.top_k_waterfall + 1
+    wf = waterfall(fn, x, m, bg_v, bg_m, line_names(d), 200, seed=11)
+    assert wf.result.method == "permutation_sampling"
+    assert len(wf.items) == TOP_K_WATERFALL + 1
     assert "other" in wf.items[-1].feature
     total = sum(item.phi for item in wf.items)
     assert wf.base_value + total == pytest.approx(wf.fx, abs=1e-9)
@@ -214,9 +215,9 @@ def test_cohort_summary_ranking_and_determinism():
     mask = np.ones((n, d))
     bg_v = rng.normal(size=(8, d))
     bg_m = np.ones((8, d))
-    cfg = ShapConfig(seed=13, top_k_summary=3)
-    s1 = cohort_summary(fn, values, mask, bg_v, bg_m, line_names(d), cfg)
-    s2 = cohort_summary(fn, values, mask, bg_v, bg_m, line_names(d), cfg)
+    args = (fn, values, mask, bg_v, bg_m, line_names(d), 200, 13, 3)
+    s1 = cohort_summary(*args)
+    s2 = cohort_summary(*args)
     np.testing.assert_array_equal(s1.phi, s2.phi)
     assert s1.top_features()[0] == "f3"
     assert len(s1.top_features()) == 3

@@ -38,6 +38,12 @@ def dummy_params(d):
         scale_demographics=True)
 
 
+# The development-cohort fields of an ensemble built only to score.
+UNSCORED = dict(dev_scores=np.empty(0), dev_labels=np.empty(0),
+                background_values=np.empty((0, 0)),
+                background_mask=np.empty((0, 0)))
+
+
 def test_parameter_count():
     cfg = tiny_config(d=5)
     model = RiskModel(cfg, rng=np.random.default_rng(0))
@@ -111,9 +117,9 @@ def test_finetune_separates_easy_classes():
     model = RiskModel(cfg, rng=rng)
     pretrain(model, x, mask, rng)
     finetune(model, x, mask, y, rng)
-    ensemble = RiskEnsemble(states=model.state[None],
-                            normalization=dummy_params(5), config=cfg,
-                            network=RiskModel(cfg, None))
+    ensemble = RiskEnsemble(
+        states=model.state[None], normalization=dummy_params(5), config=cfg,
+        network=RiskModel(cfg, None), catalog_version="t", **UNSCORED)
     scores = ensemble.predict_batch(x, mask)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
     from labrisk.metrics import roc
@@ -148,16 +154,14 @@ def test_risk_assessment_clamps_ci():
 
 
 def trained_ensemble(seed=0, n_members=3):
-    """An ensemble with its development scores and a background set, as the
-    train command leaves it, and its training data."""
+    """An ensemble as train_ensemble leaves it, and its training data."""
     x, mask, y = separable_data(n=90, seed=seed)
     pids = [f"p{i // 3}" for i in range(90)]  # 3 encounters per patient
     cfg = tiny_config(d=5, pretrain_epochs=2, finetune_epochs=4, seed=seed)
     ens = train_ensemble(x, mask, y, pids, dummy_params(5), cfg,
-                         n_members=n_members)
-    ens.dev_scores = ens.predict_batch(x, mask).mean(axis=1)
-    ens.dev_labels = y
-    ens.background_values, ens.background_mask = x[::9], mask[::9]
+                         n_members=n_members, subsample=0.8,
+                         background_size=10, background_seed=seed,
+                         catalog_version="t")
     return ens, (x, mask, y)
 
 
@@ -226,6 +230,19 @@ def test_train_ensemble_deterministic(tmp_path):
         save_model(trained_ensemble(seed=5)[0], tmp_path / name)
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+def test_trained_ensemble_saves_a_file_that_loads(tmp_path):
+    """train_ensemble scores the development set and draws the background
+    itself, so its ensemble saves as it is."""
+    ens, (x, mask, y) = trained_ensemble(seed=7)
+    np.testing.assert_array_equal(ens.dev_scores,
+                                  ens.predict_batch(x, mask).mean(axis=1))
+    assert np.array_equal(ens.dev_labels, y)
+    assert ens.background_values.shape == ens.background_mask.shape == (10, 5)
+    save_model(ens, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert np.array_equal(loaded.dev_scores, ens.dev_scores)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from labrisk.model import RiskEnsemble, RiskModel, RiskModelConfig
 
 import oracles
 from oracles import grad_check, grads, leaky_relu, params
+from test_model import UNSCORED
 
 
 def _rng(seed):
@@ -223,7 +224,7 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
 
 
 def test_adam_rejects_gradient_of_another_shape():
-    opt = nn.Adam(np.zeros(3))
+    opt = nn.Adam(np.zeros(3), 1e-4)
     with pytest.raises(nn.ShapeError):
         opt.step(np.zeros(4))
 
@@ -246,7 +247,8 @@ def test_check_finite_raises():
     models[1].encoder[0].weight[0, 0] = np.nan
     ensemble = RiskEnsemble(states=np.stack([m.state for m in models]),
                             normalization=None, config=cfg,
-                            network=RiskModel(cfg, None))
+                            network=RiskModel(cfg, None),
+                            catalog_version="t", **UNSCORED)
     with pytest.raises(nn.NumericsError, match="member 1's logits"):
         ensemble.predict_batch(np.ones((3, 2)), np.ones((3, 2)))
 
@@ -321,7 +323,8 @@ def batchnorm_cases(draw, train):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
                                   max_side=9) if train else SHAPES)
     w = shape[-1]
-    layer = nn.BatchNorm(w, momentum=draw(st.sampled_from([0.1, 0.3])))
+    layer = nn.BatchNorm(w)
+    layer.momentum = draw(st.sampled_from([0.1, 0.3]))
     layer.gamma[...] = draw(_arrays(w, st.floats(-4, 4)))
     layer.beta[...] = draw(_arrays(w, st.floats(-4, 4)))
     layer.running_mean[...] = draw(_arrays(w, st.floats(-4, 4)))

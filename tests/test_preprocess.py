@@ -91,7 +91,7 @@ def full_records(n=60, seed=0):
 
 def test_fit_normalization_log_and_median():
     cat, recs = full_records()
-    params = fit_normalization(recs, cat)
+    params = fit_normalization(recs, cat, True)
     assert params.log_transform["alt"] is True
     assert params.log_transform["albumin"] is False
     vals = sorted(r.measurements["albumin"] for r in recs)
@@ -110,12 +110,12 @@ def test_fit_normalization_zero_iqd_names_marker():
     recs = [r.with_measurements({**r.measurements, "sodium": 140.0})
             for r in recs]
     with pytest.raises(LabriskError, match="sodium"):
-        fit_normalization(recs, cat)
+        fit_normalization(recs, cat, True)
 
 
 def test_normalization_round_trip():
     cat, recs = full_records(n=30, seed=1)
-    params = fit_normalization(recs, cat)
+    params = fit_normalization(recs, cat, True)
     again = config_from_json(NormalizationParams, dataclasses.asdict(params),
                              "normalization")
     assert again == params
@@ -123,7 +123,7 @@ def test_normalization_round_trip():
 
 def test_vectorize_missing_markers_zero_filled():
     cat, recs = full_records(n=30, seed=2)
-    params = fit_normalization(recs, cat)
+    params = fit_normalization(recs, cat, True)
     partial = _record({"albumin": recs[0].measurements["albumin"]})
     vec = vectorize(partial, params)
     i = params.feature_order.index("albumin")
@@ -137,7 +137,7 @@ def test_vectorize_missing_markers_zero_filled():
 
 def test_vectorize_median_maps_to_zero():
     cat, recs = full_records(n=31, seed=3)
-    params = fit_normalization(recs, cat)
+    params = fit_normalization(recs, cat, True)
     med_raw = 10.0 ** params.median["alt"]
     assert normalize_value(med_raw, "alt", params) == pytest.approx(0.0,
                                                                     abs=1e-9)
@@ -145,7 +145,7 @@ def test_vectorize_median_maps_to_zero():
 
 def test_vectorize_log_clamp_below_detection_limit():
     cat, recs = full_records(n=30, seed=4)
-    params = fit_normalization(recs, cat)
+    params = fit_normalization(recs, cat, True)
     tiny = normalize_value(1e-12, "alt", params)
     at_limit = normalize_value(params.detection_limit["alt"], "alt", params)
     assert tiny == pytest.approx(at_limit)
@@ -153,7 +153,7 @@ def test_vectorize_log_clamp_below_detection_limit():
 
 def test_vectorize_many_shapes():
     cat, recs = full_records(n=20, seed=5)
-    params = fit_normalization(recs, cat)
+    params = fit_normalization(recs, cat, True)
     V, M = vectorize_many(recs, params)
     assert V.shape == M.shape == (20, len(params.feature_order))
     assert np.all(M[:, -2:] == 1.0)  # age, sex
