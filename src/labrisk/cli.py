@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage, 3 validation, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import datetime
 import os
 import resource
 import sys
@@ -22,8 +21,10 @@ import numpy as np
 from . import LabriskError, config_from_json, read_bytes
 from . import comorbid as comorbid_mod
 from . import defaults, ioutil, likelihood, metrics, read_json, svg
-from .catalog import catalog_to_dict, load_marker_catalog, record_from_dict
-from .cohort import CohortSpec, run_cohort_pipeline
+from .catalog import (catalog_to_dict, load_marker_catalog, record_from_dict,
+                      record_to_dict)
+from .cohort import (CohortSpec, labeled_from_dict, labeled_to_dict,
+                     run_cohort_pipeline)
 from .explain import (MIN_SUMMARY_SAMPLES, NormalizedLrFn, cohort_summary,
                       shap_provenance, waterfall)
 from .model import RiskModelConfig, load_model, save_model, train_ensemble
@@ -155,11 +156,13 @@ def load_run_config(path, args) -> tuple[dict, RunConfig]:
 class Stage:
     """The files one command reads and writes. A command resolves every path
     through its Stage, which records it; cli.main writes the manifest from
-    that record once the command has succeeded."""
+    that record once the command has succeeded, at `manifest` in the output
+    directory (<command>_manifest.json unless the command names another)."""
 
-    def __init__(self, paths: dict):
+    def __init__(self, paths: dict, command: str):
         self.paths = paths
         self.dir = paths.get("output_dir") or "labrisk_run"
+        self.manifest = f"{command}_manifest.json"
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         self.details: dict = {}  # stage-specific manifest fields
@@ -205,50 +208,19 @@ def _catalog(stage):
     return load_marker_catalog(path) if path else defaults.default_catalog()
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _split_name(value) -> str:
-    if value not in ("development", "validation", "unassigned"):
-        raise ValueError(f"unknown split {value!r}")
-    return value
-
-
-def _date_or_none(value) -> datetime.date | None:
-    return None if value is None else datetime.date.fromisoformat(value)
-
-
-# The labeled.jsonl fields that commands read, beyond the record's own.
-LABELED_FIELDS = {
-    "label": _flag,
-    "split": _split_name,
-    "diagnosis_date": _date_or_none,
-}
-
-
 def _labeled(stage):
     return ioutil.read_records_jsonl(
-        stage.input("labeled.jsonl", "labeled", "cohort"), LABELED_FIELDS)
+        stage.input("labeled.jsonl", "labeled", "cohort"), labeled_from_dict)
 
 
-def _split(labeled, split, params=None):
-    """The `split` encounters of labeled.jsonl with derived markers
-    completed: (records, labels, patient ids, values, mask), values and mask
-    vectorized with `params` or None without."""
-    recs, labels, pids = [], [], []
-    for r, e in zip(*labeled):
-        if e["split"] == split:
-            recs.append(complete_derived(r))
-            labels.append(int(e["label"]))
-            pids.append(r.patient_id)
-    if not recs:
+def _split(labeled, split):
+    """The `split` encounters of labeled.jsonl: (records with derived markers
+    completed, labels)."""
+    chosen = [e for e in labeled if e.split == split]
+    if not chosen:
         raise LabriskError(f"no {split} encounters; check the cohort stage")
-    values, mask = (None, None) if params is None \
-        else vectorize_many(recs, params)
-    return recs, np.array(labels), pids, values, mask
+    return ([complete_derived(e.record) for e in chosen],
+            np.array([int(e.label) for e in chosen]))
 
 
 def _load_model(stage):
@@ -269,9 +241,9 @@ def _patient(stage, path, params):
 
 def _validation_scores(stage, ensemble):
     """Validation labels and per-member scores."""
-    _, labels, _, values, mask = _split(_labeled(stage), "validation",
-                                        ensemble.normalization)
-    return labels, ensemble.predict_batch(values, mask)
+    val, labels = _split(_labeled(stage), "validation")
+    return labels, ensemble.predict_batch(
+        *vectorize_many(val, ensemble.normalization))
 
 
 def _curves(scores, labels):
@@ -297,7 +269,7 @@ def cmd_synth(cfg, args, stage) -> None:
         raise LabriskError(f"{stage.paths.get('catalog') or 'default catalog'}"
                            f": {e}") from None
     out = stage.output("cohort.jsonl", "cohort")
-    ioutil.write_records_jsonl(out, records)
+    ioutil.write_records_jsonl(out, map(record_to_dict, records))
     ioutil.atomic_write_json(stage.output("catalog.json"),
                              catalog_to_dict(catalog))
     print(f"synth: wrote {len(records)} encounters to {out}")
@@ -305,20 +277,19 @@ def cmd_synth(cfg, args, stage) -> None:
 
 def cmd_cohort(cfg, args, stage) -> None:
     src = stage.input("cohort.jsonl", "cohort", "synth")
-    records, _ = ioutil.read_records_jsonl(src)
+    records = ioutil.read_records_jsonl(src, record_from_dict)
     split = cfg.cohort
     spec = CohortSpec.for_cancer(cfg.cancer_type, split.spec,
                                  f"{args.config}: cohort")
     seed = cfg.master_seed if split.split_seed is None else split.split_seed
     labeled, flow = run_cohort_pipeline(records, spec, seed, split.enrich)
+    if not labeled:
+        raise LabriskError(
+            f"{args.config}: cohort: no encounter passes the filters; check "
+            f"min_markers ({spec.min_markers}) and age_range "
+            f"({list(spec.age_range)})")
     out = stage.output("labeled.jsonl", "labeled")
-    fields = [{"label": e.label, "split": e.split,
-               "cancer_type": e.cancer_type,
-               "diagnosis_date": (e.diagnosis_date.isoformat()
-                                  if e.diagnosis_date else None),
-               "split_fallback": e.split_fallback}
-              for e in labeled]
-    ioutil.write_records_jsonl(out, [e.record for e in labeled], fields)
+    ioutil.write_records_jsonl(out, (labeled_to_dict(e) for e in labeled))
     ioutil.write_table(
         stage.output("consort.tsv"),
         ["stage", "n_patients", "n_encounters", "n_positive_patients"],
@@ -345,10 +316,10 @@ def cmd_train(cfg, args, stage) -> None:
     config = config_from_json(RiskModelConfig, {
         "seed": cfg.master_seed, **cfg.train.model,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
-    _, labels, pids, values, mask = _split(_labeled(stage), "development",
-                                           params)
+    dev, labels = _split(_labeled(stage), "development")
+    values, mask = vectorize_many(dev, params)
     ensemble = train_ensemble(
-        values, mask, labels, pids, params, config,
+        values, mask, labels, [r.patient_id for r in dev], params, config,
         n_members=cfg.train.n_members, subsample=cfg.train.subsample,
         background_size=cfg.explain.background_size,
         background_seed=cfg.master_seed, catalog_version=catalog.version)
@@ -368,8 +339,9 @@ def cmd_predict(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
-    record, vec = _patient(stage, args.patient, ensemble.normalization)
-    assessment = ensemble.predict(vec.values, vec.mask)
+    record, (values, mask) = _patient(stage, args.patient,
+                                      ensemble.normalization)
+    assessment = ensemble.predict(values, mask)
     report = likelihood.build_report(
         record.patient_id, cfg.cancer_type, assessment, dev,
         min_n=cfg.predict.min_n)
@@ -423,9 +395,9 @@ def cmd_lr(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     params = ensemble.normalization
     labeled = _labeled(stage)
-    val, labels, _, values, mask = _split(labeled, "validation", params)
+    val, labels = _split(labeled, "validation")
     dev_recs = _split(labeled, "development")[0]
-    scores = ensemble.predict_batch(values, mask).mean(axis=1)
+    scores = ensemble.predict_batch(*vectorize_many(val, params)).mean(axis=1)
 
     rows = []
     curves = {}
@@ -471,8 +443,10 @@ def cmd_explain(cfg, args, stage) -> None:
     fn = NormalizedLrFn(ensemble, likelihood.ScoredCohort.from_arrays(
         ensemble.dev_scores, ensemble.dev_labels), min_n=cfg.predict.min_n)
     if args.patient:
-        record, vec = _patient(stage, args.patient, params)
-        wf = waterfall(fn, vec.values, vec.mask, bg_v, bg_m,
+        # A cohort summary's manifest must not replace the waterfall's.
+        stage.manifest = "explain_patient_manifest.json"
+        record, (values, mask) = _patient(stage, args.patient, params)
+        wf = waterfall(fn, values, mask, bg_v, bg_m,
                        list(params.feature_order), n_permutations, seed)
         out = stage.output("waterfall.json")
         ioutil.atomic_write_json(out, {
@@ -512,19 +486,19 @@ def cmd_explain(cfg, args, stage) -> None:
 
 
 def cmd_comorbid(cfg, args, stage) -> None:
-    records, rows = _labeled(stage)
+    labeled = _labeled(stage)
     map_path = stage.optional("phecode_map")
     pmap = (comorbid_mod.load_phecode_map(map_path) if map_path
             else comorbid_mod.default_phecode_map())
     by_pid: dict[str, dict] = {}
-    for r, e in zip(records, rows):
-        entry = by_pid.setdefault(r.patient_id, {
+    for e in labeled:
+        entry = by_pid.setdefault(e.record.patient_id, {
             "codes": [], "label": False, "dx": None})
-        entry["codes"].extend(r.codes)
-        if e["label"]:
+        entry["codes"].extend(e.record.codes)
+        if e.label:
             entry["label"] = True
-            if e["diagnosis_date"]:
-                entry["dx"] = e["diagnosis_date"]
+            if e.diagnosis_date:
+                entry["dx"] = e.diagnosis_date
     cancer_sets, control_sets = [], []
     unmapped = 0
     for entry in by_pid.values():
@@ -556,6 +530,9 @@ def cmd_report(cfg, args, stage) -> None:
     """Assemble curve tables plus ensemble LR ribbons into one bundle."""
     def bundled(name):
         return stage.output(os.path.join("report", name))
+
+    # report keeps its whole bundle, manifest included, in report/.
+    stage.manifest = os.path.join("report", "report_manifest.json")
 
     ensemble = _load_model(stage)
     labels, member_scores = _validation_scores(stage, ensemble)
@@ -633,16 +610,13 @@ def main(argv=None) -> int:
         if not args.config:
             raise LabriskError("--config (or LABRISK_CONFIG) is required")
         doc, cfg = load_run_config(args.config, args)
-        stage = Stage(cfg.paths)
+        stage = Stage(cfg.paths, args.command)
         start = time.perf_counter()
         COMMANDS[args.command](cfg, args, stage)
         wall_s = time.perf_counter() - start
-        # report keeps its whole bundle, manifest included, in report/.
         ioutil.write_manifest(
-            stage.place(os.path.join(
-                "report" if args.command == "report" else "",
-                f"{args.command}_manifest.json")),
-            args.command, doc, stage.inputs, stage.outputs,
+            stage.place(stage.manifest), args.command, doc, stage.inputs,
+            stage.outputs,
             {"wall_s": wall_s,
              "peak_rss_mb":
                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

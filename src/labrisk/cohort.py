@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import LabriskError, config_from_json, defaults
-from .catalog import EncounterRecord
+from . import LabriskError, config_from_json, decode_fields, defaults
+from .catalog import EncounterRecord, record_from_dict, record_to_dict
 from .preprocess import complete_derived
 
 WINDOW_DAYS = 365  # "12 months" (label horizon and lookback)
@@ -76,6 +76,53 @@ class LabeledEncounter:
     diagnosis_date: datetime.date | None = None
     split: str = "unassigned"  # development | validation | unassigned
     split_fallback: bool = False  # stratum too small, globally assigned
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _cancer_type(value) -> str:
+    if value not in defaults.DIAGNOSIS_ICD_PREFIXES:
+        raise ValueError(f"unknown cancer type {value!r}")
+    return value
+
+
+def _split_name(value) -> str:
+    if value not in ("development", "validation", "unassigned"):
+        raise ValueError(f"unknown split {value!r}")
+    return value
+
+
+def _date_or_none(value) -> datetime.date | None:
+    return None if value is None else datetime.date.fromisoformat(value)
+
+
+# A labeled.jsonl line is the encounter's record fields plus these.
+LABEL_FIELDS = {
+    "label": _flag,
+    "cancer_type": _cancer_type,
+    "split": _split_name,
+    "diagnosis_date": _date_or_none,
+    "split_fallback": _flag,
+}
+
+
+def labeled_to_dict(e: LabeledEncounter) -> dict:
+    return {**record_to_dict(e.record), "label": e.label,
+            "cancer_type": e.cancer_type, "split": e.split,
+            "diagnosis_date": (e.diagnosis_date.isoformat()
+                               if e.diagnosis_date else None),
+            "split_fallback": e.split_fallback}
+
+
+def labeled_from_dict(d: dict, where: str) -> LabeledEncounter:
+    """Decode and validate one labeled.jsonl line, every label field
+    required; LabriskError names `where` and a bad field."""
+    record = record_from_dict(d, where)
+    return LabeledEncounter(record, **decode_fields(d, where, LABEL_FIELDS))
 
 
 def group_by_patient(records) -> dict[str, list[EncounterRecord]]:

@@ -11,8 +11,10 @@ import tempfile
 
 import numpy as np
 
-from . import LabriskError, decode_fields
-from .catalog import EncounterRecord, record_from_dict, record_to_dict
+from . import LabriskError
+# record_from_dict, the decoder callers pass for cohort.jsonl, stays bound
+# here: the benchmark's span tracer (perfbench/spans.py) wraps this name.
+from .catalog import record_from_dict  # noqa: F401
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -34,24 +36,18 @@ def atomic_write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
 
 
-def write_records_jsonl(path, records: list[EncounterRecord],
-                        extra_fields: list[dict] | None = None) -> None:
-    lines = []
-    for i, r in enumerate(records):
-        d = record_to_dict(r)
-        if extra_fields is not None:
-            d.update(extra_fields[i])
-        lines.append(json.dumps(d, sort_keys=True))
+def write_records_jsonl(path, rows) -> None:
+    """One sorted-key JSON line per dict of the iterable `rows`."""
+    lines = [json.dumps(d, sort_keys=True) for d in rows]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_records_jsonl(path, fields: dict | None = None
-                       ) -> tuple[list[EncounterRecord], list[dict]]:
-    """Returns (records, extras): the encounter of each line and its
-    `fields` (label, split, ...), each required and decoded by its decoder
-    ({} without `fields`). LabriskError names the path if it cannot be
-    opened, and path:line of a bad line. Lines are read one at a time."""
-    records, extras = [], []
+def read_records_jsonl(path, decode) -> list:
+    """decode(obj, "path:line") of each non-blank line's JSON object, such as
+    record_from_dict for cohort.jsonl. LabriskError names the path if it
+    cannot be opened, and path:line of a bad line. Lines are read one at a
+    time."""
+    rows = []
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -64,10 +60,8 @@ def read_records_jsonl(path, fields: dict | None = None
                 d = json.loads(line)
             except (UnicodeDecodeError, json.JSONDecodeError) as e:
                 raise LabriskError(f"{path}:{lineno}: {e}") from None
-            records.append(record_from_dict(d, f"{path}:{lineno}"))
-            extras.append(decode_fields(d, f"{path}:{lineno}", fields)
-                          if fields else {})
-    return records, extras
+            rows.append(decode(d, f"{path}:{lineno}"))
+    return rows
 
 
 def write_table(path, header: list[str], rows) -> None:

@@ -30,6 +30,8 @@ class PrCurve:
 
 
 def _tie_grouped_counts(scores, labels):
+    """Cumulative true and false positives at the end of each tie block of
+    the scores in descending order."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
@@ -42,7 +44,7 @@ def _tie_grouped_counts(scores, labels):
     block_ends = np.append(distinct, s.size - 1)
     cum_tp = np.cumsum(y)[block_ends]
     cum_fp = (block_ends + 1) - cum_tp
-    return s[block_ends], cum_tp, cum_fp
+    return cum_tp, cum_fp
 
 
 def roc(scores, labels) -> RocCurve:
@@ -52,7 +54,7 @@ def roc(scores, labels) -> RocCurve:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise LabriskError("roc requires both classes present")
-    _, cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
+    cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     auc = float(np.trapezoid(tpr, fpr))
@@ -66,7 +68,7 @@ def pr_curve(scores, labels) -> PrCurve:
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0:
         raise LabriskError("pr_curve requires at least one positive")
-    _, cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
+    cum_tp, cum_fp = _tie_grouped_counts(scores, labels)
     recall = cum_tp / n_pos
     precision = cum_tp / (cum_tp + cum_fp)
     prev = np.concatenate([[0.0], recall[:-1]])

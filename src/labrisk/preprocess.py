@@ -68,8 +68,8 @@ class NormalizationParams:
     log_transform: dict[str, bool]
     detection_limit: dict[str, float]  # log-clamp floor for log markers
     feature_order: tuple[str, ...]
-    fitted_on: str = "development"
-    scale_demographics: bool = True
+    fitted_on: str
+    scale_demographics: bool
 
     def validate(self) -> None:
         """Every feature has a finite median, a finite positive iqd and a
@@ -143,23 +143,7 @@ def fit_normalization(dev_records: list[EncounterRecord],
     return NormalizationParams(
         median=median, iqd=iqd, log_transform=log_flags,
         detection_limit=limits, feature_order=order,
-        scale_demographics=scale_demographics)
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        if self.values.shape != self.mask.shape:
-            raise LabriskError("values/mask shape mismatch")
-        if not np.isfinite(self.values).all():
-            raise LabriskError("non-finite feature values")
-        if np.any((self.mask == 0) & (self.values != 0)):
-            raise LabriskError("masked-out entries must be zero-filled")
+        fitted_on="development", scale_demographics=scale_demographics)
 
 
 def normalize_value(value: float, feature: str,
@@ -170,27 +154,27 @@ def normalize_value(value: float, feature: str,
     return (v - params.median[feature]) / params.iqd[feature]
 
 
-def vectorize(record: EncounterRecord,
-              params: NormalizationParams) -> FeatureVector:
-    """Normalized dense feature vector with a presence mask. Absent markers
-    are zero-filled (the development median) with mask 0."""
-    d = len(params.feature_order)
-    values = np.zeros(d)
-    mask = np.zeros(d)
-    for i, feat in enumerate(params.feature_order):
-        raw = _feature_value(record, feat)
-        if raw is None:
-            continue
-        values[i] = normalize_value(raw, feat, params)
-        mask[i] = 1.0
-    return FeatureVector(values=values, mask=mask)
-
-
 def vectorize_many(records: list[EncounterRecord],
                    params: NormalizationParams) -> tuple[np.ndarray, np.ndarray]:
-    vecs = [vectorize(r, params) for r in records]
-    if not vecs:
-        d = len(params.feature_order)
-        return np.zeros((0, d)), np.zeros((0, d))
-    return (np.stack([v.values for v in vecs]),
-            np.stack([v.mask for v in vecs]))
+    """Normalized dense feature rows with presence masks, one row per
+    record. Absent markers are zero-filled (the development median) with
+    mask 0. LabriskError if a value is not finite."""
+    order = params.feature_order
+    values = np.zeros((len(records), len(order)))
+    mask = np.zeros_like(values)
+    for n, record in enumerate(records):
+        for i, feat in enumerate(order):
+            raw = _feature_value(record, feat)
+            if raw is not None:
+                values[n, i] = normalize_value(raw, feat, params)
+                mask[n, i] = 1.0
+    if not np.isfinite(values).all():
+        raise LabriskError("non-finite feature values")
+    return values, mask
+
+
+def vectorize(record: EncounterRecord,
+              params: NormalizationParams) -> tuple[np.ndarray, np.ndarray]:
+    """vectorize_many of the one record: its (values, mask) row."""
+    values, mask = vectorize_many([record], params)
+    return values[0], mask[0]

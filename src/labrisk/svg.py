@@ -39,9 +39,8 @@ def svg_line_plot(path, series, title: str = "", xlabel: str = "",
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {_H // 2})">{ylabel}</text>',
     ]
-    for lab, x, anchor in ((x_lo, _PAD, "middle"),
-                           (x_hi, _W - _PAD, "middle")):
-        parts.append(f'<text x="{anchor == "middle" and x or x}" '
+    for lab, x in ((x_lo, _PAD), (x_hi, _W - _PAD)):
+        parts.append(f'<text x="{x}" '
                      f'y="{_H - _PAD + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{lab:.3g}</text>')
     for lab, y in ((y_lo, _H - _PAD), (y_hi, _PAD)):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from labrisk import cli, comorbid, defaults, ioutil, likelihood, metrics, nn
+from labrisk.cohort import labeled_from_dict
 from labrisk.explain import _shap_sampling, shap_values
 from labrisk.model import RiskModel, RiskModelConfig, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
@@ -302,12 +303,11 @@ def planted(tmp_path_factory):
 
 def _validation_data(out):
     ensemble = load_model(out / "model.json")
-    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                                    cli.LABELED_FIELDS)
-    val = [complete_derived(r) for r, e in zip(records, rec_extras)
-           if e["split"] == "validation"]
-    labels = np.array([int(e["label"]) for e in rec_extras
-                       if e["split"] == "validation"])
+    labeled = [e for e in ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                                    labeled_from_dict)
+               if e.split == "validation"]
+    val = [complete_derived(e.record) for e in labeled]
+    labels = np.array([int(e.label) for e in labeled])
     values, mask = vectorize_many(val, ensemble.normalization)
     return ensemble, val, values, mask, labels
 

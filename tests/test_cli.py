@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labrisk import cli, defaults, ioutil, likelihood, nn
-from labrisk.catalog import load_marker_catalog, record_to_dict
-from labrisk.cohort import CohortSpec
+from labrisk.catalog import (load_marker_catalog, record_from_dict,
+                             record_to_dict)
+from labrisk.cohort import CohortSpec, labeled_from_dict
 from labrisk.explain import NormalizedLrFn, normalize_lr, shap_values
 from labrisk.model import RiskAssessment, RiskModelConfig, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
@@ -81,10 +82,9 @@ def test_lr_baselines(run):
 
 def test_predict_and_explain_patient(run, tmp_path):
     cfg_path, out = run
-    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                                cli.LABELED_FIELDS)
-    target = next(r for r, e in zip(records, extras)
-                  if e["split"] == "validation")
+    labeled = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                        labeled_from_dict)
+    target = next(e.record for e in labeled if e.split == "validation")
     patient = tmp_path / "patient.json"
     patient.write_text(json.dumps(record_to_dict(target)))
     assert cli.main(["predict", "--config", str(cfg_path),
@@ -96,7 +96,7 @@ def test_predict_and_explain_patient(run, tmp_path):
                      "--patient", str(patient)]) == 0
     wf = json.loads((out / "waterfall.json").read_text())
     assert len(wf["items"]) == 10  # top 9 + aggregated remainder
-    shapley = json.loads((out / "explain_manifest.json").read_text())[
+    shapley = json.loads((out / "explain_patient_manifest.json").read_text())[
         "shapley"]
     assert shapley["method"] == "permutation_sampling"
     assert shapley["n_samples"] == 30 and shapley["seed"] == 99
@@ -114,6 +114,25 @@ def test_explain_cohort_summary(run):
     assert shapley["max_ci99_half_width"] > 0
 
 
+def test_explain_modes_keep_separate_manifests(run, tmp_path):
+    """A cohort summary run after a waterfall leaves the waterfall's
+    manifest, and its Shapley provenance, in place."""
+    _, out = run
+    cfg = _config(tmp_path, {k: str(out / v) for k, v in SCORE_INPUTS},
+                  explain={"n_samples": 10, "n_permutations": 10})
+    patient = _patient_file(out, tmp_path / "patient.json")
+    assert cli.main(["explain", "--config", cfg, "--patient",
+                     str(patient)]) == 0
+    assert cli.main(["explain", "--config", cfg]) == 0
+    o = tmp_path / "o"
+    for manifest, output in (("explain_patient_manifest.json",
+                              "waterfall.json"),
+                             ("explain_manifest.json", "shap_summary.json")):
+        doc = json.loads((o / manifest).read_text())
+        assert str(o / output) in doc["outputs"], manifest
+        assert doc["shapley"]["n_samples"] == 10, manifest
+
+
 def test_comorbid_stage(run):
     cfg_path, out = run
     assert cli.main(["comorbid", "--config", str(cfg_path)]) == 0
@@ -124,7 +143,8 @@ def test_comorbid_stage(run):
 
 def test_predict_rejects_unknown_marker(run, tmp_path):
     cfg_path, out = run
-    records, _ = ioutil.read_records_jsonl(out / "labeled.jsonl")
+    records = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                        record_from_dict)
     doc = record_to_dict(records[0])
     doc["measurements"]["mystery_marker"] = 1.0
     patient = tmp_path / "bad.json"
@@ -134,10 +154,7 @@ def test_predict_rejects_unknown_marker(run, tmp_path):
 
 
 def _patient_file(out, path, keep_markers=None):
-    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                                cli.LABELED_FIELDS)
-    doc = record_to_dict(next(r for r, e in zip(records, extras)
-                              if e["split"] == "validation"))
+    doc = _validation_doc(out)
     if keep_markers is not None:
         doc["measurements"] = dict(
             list(doc["measurements"].items())[:keep_markers])
@@ -242,6 +259,11 @@ NORMALIZATION_EDITS = {
     "detection-limit-missing": (
         lambda n: n["detection_limit"].__delitem__("alt"),
         "detection_limit.alt"),
+    "fitted-on-missing": (lambda n: n.__delitem__("fitted_on"),
+                          "missing field 'fitted_on'"),
+    "scale-demographics-missing": (
+        lambda n: n.__delitem__("scale_demographics"),
+        "missing field 'scale_demographics'"),
 }
 
 
@@ -317,10 +339,10 @@ def test_stacked_value_function_is_bit_exact(run):
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
     bg_v, bg_m = ensemble.background_values, ensemble.background_mask
-    records, rec_extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                                    cli.LABELED_FIELDS)
-    val = [complete_derived(r) for r, e in zip(records, rec_extras)
-           if e["split"] == "validation"][:3]
+    labeled = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                        labeled_from_dict)
+    val = [complete_derived(e.record) for e in labeled
+           if e.split == "validation"][:3]
     values, mask = vectorize_many(val, ensemble.normalization)
     fn = NormalizedLrFn(ensemble, dev, min_n=50)
     stacks = []
@@ -395,10 +417,10 @@ def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
 
 
 def _validation_doc(out):
-    records, extras = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                                cli.LABELED_FIELDS)
-    return record_to_dict(next(r for r, e in zip(records, extras)
-                               if e["split"] == "validation"))
+    labeled = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                        labeled_from_dict)
+    return record_to_dict(next(e.record for e in labeled
+                               if e.split == "validation"))
 
 
 def _write(path, text):
@@ -674,6 +696,10 @@ MALFORMED_INPUTS = {
     "config-infection-window-too-wide": _section_case(
         "cohort", "cohort", {"infection_window_days": 1000000000},
         [("cohort", "cohort.jsonl")]),
+    # No encounter has 999 markers, so the cohort would be empty.
+    "config-cohort-min-markers-999": _section_case(
+        "cohort", "cohort", {"min_markers": 999},
+        [("cohort", "cohort.jsonl")]),
     "config-train-seed-negative": _section_case(
         "train", "train", {"seed": -1}, TRAIN_INPUTS),
     "config-train-lr-negative": _section_case(
@@ -766,6 +792,7 @@ RECORD_CHECKS = {"measurements": "'albumin' is nan",
 
 @pytest.mark.parametrize("field, value", [
     ("label", 1), ("split", "test"), ("diagnosis_date", "bogus"),
+    ("cancer_type", 5), ("split_fallback", "no"),
     pytest.param("measurements", {"albumin": math.nan},
                  id="measurements-albumin-nan"),
     ("age_years", math.inf), ("sex", "other")])
@@ -1064,6 +1091,10 @@ OUT_OF_RANGE = {
     ("explain", "n_permutations"): st.integers(-10**9, 1),
     ("explain", "top_k"): st.integers(-10**9, 0),
     ("comorbid", "min_each"): BELOW_ZERO,
+    # An encounter has at most one value per lab marker, so a min_markers
+    # above the catalog's lab marker count leaves the cohort empty.
+    ("cohort", "min_markers"): st.integers(-10**9, 0)
+    | st.integers(len(LAB_MARKERS) + 1, 10**9),
     ("synth", "missingness"): st.dictionaries(
         st.text(max_size=6).filter(lambda k: k not in ("CMP", "CBC")),
         st.floats(0.0, 1.0), min_size=1),
@@ -1230,6 +1261,12 @@ AUDITED_RUNS = [
 ]
 
 
+# The runs whose manifest is not <command>_manifest.json.
+MANIFESTS = {"explain-patient": "explain_patient_manifest.json",
+             "report": "report/report_manifest.json",
+             "report-svg": "report/report_manifest.json"}
+
+
 @pytest.fixture(scope="module")
 def audited(run, tmp_path_factory):
     """Each of AUDITED_RUNS, in order, in a fresh output directory under the
@@ -1258,8 +1295,7 @@ def audited(run, tmp_path_factory):
         if "--patient" in flags:
             argv.append(patient)
         code, read, renamed = audit.run(argv)
-        manifest = out / ("report" if command == "report" else "") \
-            / f"{command}_manifest.json"
+        manifest = out / MANIFESTS.get(run_id, f"{command}_manifest.json")
         results[run_id] = (code, json.loads(manifest.read_text()), read,
                            renamed)
     return results

@@ -1,6 +1,7 @@
 """Cohort construction logic: labeling, filters, and the dev/val split."""
 
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from labrisk import LabriskError, defaults
 from labrisk.catalog import ClaimCode, EncounterRecord
-from labrisk.cohort import (WINDOW_DAYS, CohortSpec,
+from labrisk.cohort import (WINDOW_DAYS, CohortSpec, LabeledEncounter,
                             assign_label, exclude_acute_infection,
                             filter_encounters, group_by_patient,
+                            labeled_from_dict, labeled_to_dict,
                             marker_count, qualifies_as_control,
                             run_cohort_pipeline, select_screening_population,
                             split_dev_val)
@@ -228,6 +230,31 @@ def test_split_deterministic():
     b = split_dev_val(list(encounters), 3)
     assert [(e.record.encounter_id, e.split) for e in a] == \
         [(e.record.encounter_id, e.split) for e in b]
+
+
+# --- the labeled.jsonl line ----------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CLAIM_CODES = st.builds(ClaimCode, st.text(min_size=1, max_size=6),
+                        st.sampled_from(["ICD10", "CPT"]), st.dates())
+RECORDS = st.builds(
+    EncounterRecord, st.text(max_size=6), st.text(max_size=6), st.dates(),
+    st.floats(0.0, 130.0), st.sampled_from(["male", "female"]),
+    st.dictionaries(st.text(max_size=6), FINITE, max_size=4),
+    st.lists(CLAIM_CODES, max_size=3))
+LABELED = st.builds(
+    LabeledEncounter, RECORDS, st.booleans(),
+    st.sampled_from(sorted(defaults.DIAGNOSIS_ICD_PREFIXES)),
+    st.none() | st.dates(),
+    st.sampled_from(["development", "validation", "unassigned"]),
+    st.booleans())
+
+
+@settings(max_examples=50, deadline=None)
+@given(LABELED)
+def test_labeled_line_round_trips_through_json(e):
+    line = json.dumps(labeled_to_dict(e), sort_keys=True)
+    assert labeled_from_dict(json.loads(line), "labeled.jsonl:1") == e
 
 
 # --- end-to-end over synthetic data --------------------------------------------

@@ -58,21 +58,33 @@ def test_package_defines_one_malformed_input_error():
                           ("nn", "NumericsError")}
 
 
-def run_settings() -> set[str]:
-    """The names a run configuration sets: the fields of RunConfig's
+def run_configs() -> list[type]:
+    """The dataclasses of a run configuration's settings: RunConfig's
     sections, SynthConfig, CohortSpec and RiskModelConfig."""
     sections = [hint for hint in typing.get_type_hints(cli.RunConfig).values()
                 if dataclasses.is_dataclass(hint)]
-    return {f.name for cls in (*sections, synth.SynthConfig,
-                               cohort.CohortSpec, model.RiskModelConfig)
-            for f in dataclasses.fields(cls)}
+    return [*sections, synth.SynthConfig, cohort.CohortSpec,
+            model.RiskModelConfig]
 
 
-def defaulted_parameters(source: str) -> list[tuple[int, str]]:
+def run_settings() -> set[str]:
+    """The names a run configuration sets: the fields of run_configs()."""
+    return {f.name for cls in run_configs() for f in dataclasses.fields(cls)}
+
+
+def defaulted_parameters(source: str,
+                         configs=frozenset()) -> list[tuple[int, str]]:
     """(line, name) of every function, method or lambda parameter in
-    `source` that has a default."""
+    `source` that has a default, and of every defaulted field of a
+    dataclass not named in `configs`: a parameter of its __init__."""
     out = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name not in configs \
+                and any(ast.unparse(d).startswith("dataclass")
+                        for d in node.decorator_list):
+            out += [(stmt.lineno, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and stmt.value is not None]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             args = node.args
@@ -91,16 +103,23 @@ def test_defaulted_parameters_sees_every_parameter_kind():
         "class C:\n    def m(self, lr=1e-4): pass\n"
         "k = lambda seed=0: seed\n") == [(1, "b"), (1, "c"), (1, "g"),
                                           (3, "lr"), (4, "seed")]
+    assert defaulted_parameters(
+        "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 1\n"
+        "@dataclass\nclass Q:\n    c: int = 2\n"
+        "class R:\n    d: int = 3\n", {"Q"}) == [(4, "b")]
 
 
 def test_run_settings_take_their_default_from_the_config_only():
-    """A library parameter named after a run setting has no default: the
-    setting's one default is its config dataclass field's."""
+    """A library parameter or dataclass field named after a run setting has
+    no default: the setting's one default is its config dataclass field's."""
     settings = run_settings()
-    assert {"lr", "seed", "n_members", "top_k", "enrich"} <= settings
+    assert {"lr", "seed", "n_members", "top_k", "enrich",
+            "scale_demographics"} <= settings
+    configs = {cls.__name__ for cls in (cli.RunConfig, *run_configs())}
     repeated = [f"{path.name}:{line}: {name}"
                 for path in sorted(PACKAGE.glob("*.py"))
-                for line, name in defaulted_parameters(path.read_text())
+                for line, name in defaulted_parameters(path.read_text(),
+                                                       configs)
                 if name in settings]
     assert not repeated, repeated
 

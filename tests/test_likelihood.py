@@ -270,7 +270,8 @@ def test_single_marker_scaler_flips_low_is_risk():
     params = NormalizationParams(
         median={f: 0.0 for f in feats}, iqd={f: 1.0 for f in feats},
         log_transform={"albumin": False, "alp": True},
-        detection_limit={f: 1e-3 for f in feats}, feature_order=feats)
+        detection_limit={f: 1e-3 for f in feats}, feature_order=feats,
+        fitted_on="development", scale_demographics=True)
     # Albumin: low values signal risk, so lower raw value -> higher score.
     scaler = likelihood.SingleMarkerScaler.fit(dev, "albumin", cat, params)
     low = scaler.score(_record({"albumin": 3.1}), cat, params)

@@ -125,14 +125,14 @@ def test_vectorize_missing_markers_zero_filled():
     cat, recs = full_records(n=30, seed=2)
     params = fit_normalization(recs, cat, True)
     partial = _record({"albumin": recs[0].measurements["albumin"]})
-    vec = vectorize(partial, params)
+    values, mask = vectorize(partial, params)
     i = params.feature_order.index("albumin")
-    assert vec.mask[i] == 1.0
+    assert mask[i] == 1.0
     j = params.feature_order.index("alt")
-    assert vec.mask[j] == 0.0 and vec.values[j] == 0.0
+    assert mask[j] == 0.0 and values[j] == 0.0
     # Demographics are always observed.
-    assert vec.mask[params.feature_order.index("age")] == 1.0
-    assert vec.mask[params.feature_order.index("sex")] == 1.0
+    assert mask[params.feature_order.index("age")] == 1.0
+    assert mask[params.feature_order.index("sex")] == 1.0
 
 
 def test_vectorize_median_maps_to_zero():
