@@ -17,14 +17,15 @@ from . import LabriskError
 from .catalog import record_from_dict  # noqa: F401
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_text(path, data: str | bytes) -> None:
+    """Write `data` (a str as UTF-8) via a temp file of mode 0600 in the same
+    directory, then rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,7 +15,6 @@ cross entropy loss. Classification always uses mu, never a sampled z.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -27,7 +26,10 @@ from . import (LabriskError, config_from_json, ioutil, nn, parse_json,
                read_bytes)
 from .preprocess import NormalizationParams
 
-MODEL_FORMAT = "labrisk-ensemble-v3"
+MODEL_FORMAT = "labrisk-ensemble-v4"
+# The largest hidden_width and latent_dim: a network is built from the config
+# before any array is read, so its size must be bounded.
+MAX_WIDTH = 1024
 
 
 @dataclass
@@ -49,6 +51,10 @@ class RiskModelConfig:
     def validate(self) -> None:
         if self.n_features <= 0 or self.hidden_width <= 0 or self.latent_dim <= 0:
             raise LabriskError("network dimensions must be positive")
+        for name in ("hidden_width", "latent_dim"):
+            if getattr(self, name) > MAX_WIDTH:
+                raise LabriskError(f"{name} must be at most {MAX_WIDTH}, "
+                                   f"got {getattr(self, name)}")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise LabriskError("mask_fraction must be in [0, 1)")
         if not all(w >= 0 for w in (self.w_recon, self.w_kl, self.w_cls)):
@@ -380,9 +386,14 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
 
 # --- serialization -----------------------------------------------------------
 # model.json is a header line {"format", "sha256"}, the sha256 covering the
-# bytes after that line exactly as written, then the payload: one JSON object
-# in which every array is one base64 blob of little-endian float64. The blobs
-# carry no shapes or names; their layout follows from `config`.
+# bytes after that line exactly as written. Then comes one line, a JSON object
+# in which each array's key holds the array's shape, and then the arrays as
+# little-endian float64 bytes, back to back in ARRAYS order, with nothing after
+# them.
+
+ARRAYS = ("states", "dev_scores", "dev_labels", "background_values",
+          "background_mask")
+
 
 @dataclass
 class _Payload:
@@ -390,91 +401,86 @@ class _Payload:
     normalization: NormalizationParams
     catalog_version: str
     member_subsets: list[dict]
-    states: str  # (members, state size): each member's RiskModel.state
-    dev_scores: str  # (n_dev,)
-    dev_labels: str  # (n_dev,), 0 or 1
-    background_values: str  # (n_background, n_features)
-    background_mask: str  # (n_background, n_features), 0 or 1
-
-
-def _blob(array) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(array, dtype="<f8").tobytes()).decode()
-
-
-def _array(blob: str, where: str, shape: tuple, binary: bool = False):
-    """The blob as a finite array of `shape`, a leading None standing for
-    any positive row count, holding only 0 and 1 if `binary`; LabriskError
-    names `where`."""
-    try:
-        raw = base64.b64decode(blob, validate=True)
-    except ValueError as e:
-        raise LabriskError(f"{where} is not base64 ({e})") from None
-    row_bytes = 8 * math.prod(shape[1:])
-    rows = len(raw) // row_bytes if shape[0] is None else shape[0]
-    if rows < 1 or len(raw) != rows * row_bytes:
-        raise LabriskError(f"{where} holds {len(raw)} bytes, not "
-                           f"{shape[0] or 'a positive number of'} rows of "
-                           f"{row_bytes} bytes")
-    array = np.frombuffer(raw, dtype="<f8").reshape(rows, *shape[1:])
-    if not np.isfinite(array).all():
-        raise LabriskError(f"{where} holds non-finite values")
-    if binary and not ((array == 0) | (array == 1)).all():
-        raise LabriskError(f"{where} holds values other than 0 and 1")
-    return array
+    states: tuple[int, ...]  # (members, state size): each RiskModel.state
+    dev_scores: tuple[int, ...]  # (n_dev,)
+    dev_labels: tuple[int, ...]  # (n_dev,), 0 or 1
+    background_values: tuple[int, ...]  # (n_background, n_features)
+    background_mask: tuple[int, ...]  # (n_background, n_features), 0 or 1
 
 
 def save_model(ensemble: RiskEnsemble, path) -> None:
-    payload = json.dumps({
+    arrays = [np.ascontiguousarray(getattr(ensemble, name), dtype="<f8")
+              for name in ARRAYS]
+    body = b"".join([json.dumps({
         "config": asdict(ensemble.config),
         "normalization": asdict(ensemble.normalization),
         "catalog_version": ensemble.catalog_version,
         "member_subsets": ensemble.member_subsets,
-        "states": _blob(ensemble.states),
-        **{name: _blob(getattr(ensemble, name)) for name in (
-            "dev_scores", "dev_labels", "background_values",
-            "background_mask")},
-    })
-    header = json.dumps({"format": MODEL_FORMAT, "sha256": hashlib.sha256(
-        payload.encode()).hexdigest()})
-    ioutil.atomic_write_text(path, f"{header}\n{payload}")
+        **{name: array.shape for name, array in zip(ARRAYS, arrays)},
+    }).encode(), b"\n", *arrays])
+    header = json.dumps({"format": MODEL_FORMAT,
+                         "sha256": hashlib.sha256(body).hexdigest()})
+    ioutil.atomic_write_text(path, header.encode() + b"\n" + body)
 
 
 def load_model(path) -> RiskEnsemble:
-    """The ensemble in the model file at `path`; LabriskError names the file
-    and the field at fault."""
-    head, _, body = read_bytes(path).partition(b"\n")
-    header = parse_json(head, f"{path}: header line")
+    """The ensemble in the model file at `path`, its arrays read-only views
+    of the file's bytes; LabriskError names the file and the field at
+    fault."""
+    data = read_bytes(path)
+    # Each line ends after its newline, or at the end of the file.
+    body = data.find(b"\n") + 1 or len(data)
+    header = parse_json(data[:body], f"{path}: header line")
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != MODEL_FORMAT:
         raise LabriskError(f"{path}: format: unsupported model format "
                            f"{fmt!r}, expected {MODEL_FORMAT!r}; older model "
                            "files must be retrained")
-    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+    if header.get("sha256") != hashlib.sha256(
+            memoryview(data)[body:]).hexdigest():
         raise LabriskError(f"{path}: sha256: checksum mismatch "
                            "(corrupt file)")
-    doc = config_from_json(_Payload, parse_json(body, path), str(path))
+    at = data.find(b"\n", body) + 1 or len(data)
+    doc = config_from_json(_Payload, parse_json(data[body:at], path),
+                           str(path))
     n_order = len(doc.normalization.feature_order)
     if n_order != doc.config.n_features:
         raise LabriskError(
             f"{path}: normalization.feature_order has {n_order} features, "
             f"config.n_features is {doc.config.n_features}")
     network = RiskModel(doc.config, None)
-    states = _array(doc.states, f"{path}: states", (None, network.state.size))
-    dev_scores = _array(doc.dev_scores, f"{path}: dev_scores", (None,))
-    if not ((dev_scores >= 0) & (dev_scores <= 1)).all():
+    arrays = {}
+    # Each array's stated shape against the one it must have, a None
+    # standing for any positive row count.
+    for name, want in (("states", (None, network.state.size)),
+                       ("dev_scores", (None,)),
+                       ("dev_labels", doc.dev_scores),
+                       ("background_values", (None, doc.config.n_features)),
+                       ("background_mask", doc.background_values)):
+        shape, where = getattr(doc, name), f"{path}: {name}"
+        if len(shape) != len(want) or shape[0] < 1 or any(
+                w not in (None, s) for s, w in zip(shape, want)):
+            raise LabriskError(f"{where} holds shape {list(shape)}, not ("
+                               + ", ".join("rows" if w is None else str(w)
+                                           for w in want) + ")")
+        size = math.prod(shape)
+        if len(data) - at < 8 * size:
+            raise LabriskError(f"{where} holds {len(data) - at} bytes, too "
+                               f"few for shape {list(shape)}")
+        array = arrays[name] = np.frombuffer(data, "<f8", size,
+                                             at).reshape(shape)
+        at += 8 * size
+        if not np.isfinite(array).all():
+            raise LabriskError(f"{where} holds non-finite values")
+        if name in ("dev_labels", "background_mask") and not (
+                (array == 0) | (array == 1)).all():
+            raise LabriskError(f"{where} holds values other than 0 and 1")
+    if at != len(data):
+        raise LabriskError(f"{path}: background_mask is followed by "
+                           f"{len(data) - at} trailing bytes")
+    if not ((arrays["dev_scores"] >= 0) & (arrays["dev_scores"] <= 1)).all():
         raise LabriskError(f"{path}: dev_scores holds values outside [0, 1]")
-    background_values = _array(doc.background_values,
-                               f"{path}: background_values",
-                               (None, doc.config.n_features))
     return RiskEnsemble(
-        states=states, normalization=doc.normalization, config=doc.config,
+        **arrays, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,
-        member_subsets=doc.member_subsets, dev_scores=dev_scores,
-        dev_labels=_array(doc.dev_labels, f"{path}: dev_labels",
-                          dev_scores.shape, binary=True),
-        background_values=background_values,
-        background_mask=_array(doc.background_mask,
-                               f"{path}: background_mask",
-                               background_values.shape, binary=True),
-        source=str(path), network=network)
+        member_subsets=doc.member_subsets, source=str(path), network=network)

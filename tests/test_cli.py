@@ -22,7 +22,8 @@ from labrisk.catalog import (load_marker_catalog, record_from_dict,
                              record_to_dict)
 from labrisk.cohort import CohortSpec, labeled_from_dict
 from labrisk.explain import NormalizedLrFn, normalize_lr, shap_values
-from labrisk.model import RiskAssessment, RiskModelConfig, load_model
+from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment,
+                           RiskModelConfig, load_model)
 from labrisk.preprocess import complete_derived, vectorize_many
 from labrisk.synth import SynthConfig
 
@@ -171,23 +172,31 @@ def test_explain_too_few_markers_is_validation_error(run, tmp_path, capsys):
 
 
 def _model_document(out):
-    """The header line and the payload of the run's model.json."""
-    head, payload = (out / "model.json").read_text().split("\n", 1)
-    return json.loads(head), json.loads(payload)
+    """The header line, line 2 and the arrays of the run's model.json, the
+    arrays as {name: float64 array} in file order."""
+    head, line, raw = (out / "model.json").read_bytes().split(b"\n", 2)
+    line, arrays, at = json.loads(line), {}, 0
+    for name in ARRAYS:
+        size = math.prod(line[name])
+        arrays[name] = np.frombuffer(raw, "<f8", size, at).reshape(line[name])
+        at += 8 * size
+    assert at == len(raw)
+    return json.loads(head), line, arrays
 
 
 def _rechecksummed_model(out, path, edit, rechecksum=True):
-    """Write the run's model.json to `path` with `edit(header, payload)`
-    applied and, unless `rechecksum` is false, the header's sha256 set to
-    that of the edited payload. An edit that returns text writes that
-    text instead."""
-    header, payload = _model_document(out)
-    text = edit(header, payload)
-    body = json.dumps(payload)
+    """Write the run's model.json to `path` with `edit(header, line,
+    arrays)` applied and, unless `rechecksum` is false, the header's sha256
+    set to that of the edited body: line 2, then the bytes of every entry
+    left in `arrays` (arrays or bytes), in its order. An edit that returns
+    text writes that text instead."""
+    header, line, arrays = _model_document(out)
+    text = edit(header, line, arrays)
+    body = b"".join([json.dumps(line).encode(), b"\n", *arrays.values()])
     if rechecksum:
-        header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(json.dumps(header) + "\n" + body if text is None
-                    else text)
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body
+                     if text is None else text.encode())
     return path
 
 
@@ -226,23 +235,39 @@ def _assert_model_rejected(run, tmp_path, capsys, edit, commands, field,
 
 
 def _reblob(key, change):
-    """An edit that replaces the `key` blob by change(its float64 values)."""
-    def edit(header, payload):
-        values = np.frombuffer(base64.b64decode(payload[key]), dtype="<f8")
-        payload[key] = base64.b64encode(
-            np.asarray(change(values), dtype="<f8").tobytes()).decode()
+    """An edit that replaces the `key` array by change(the array) and states
+    the new array's shape."""
+    def edit(header, line, arrays):
+        arrays[key] = np.ascontiguousarray(change(arrays[key]), dtype="<f8")
+        line[key] = list(arrays[key].shape)
     return edit
 
 
-def _flip_bit(blob):
-    raw = bytearray(base64.b64decode(blob))
+def _flip_bit(header, line, arrays):
+    raw = bytearray(arrays["states"].tobytes())
     raw[3] ^= 0x10
-    return base64.b64encode(raw).decode()
+    arrays["states"] = bytes(raw)
 
 
-def _v2_file(header, payload):
-    return json.dumps({"payload": dict(payload, format="labrisk-ensemble-v2"),
+def _ends_in_states(header, line, arrays):
+    """The file cut one value short of the end of `states`."""
+    arrays.update(states=arrays["states"].ravel()[:-1],
+                  **{name: b"" for name in ARRAYS[1:]})
+
+
+def _v2_file(header, line, arrays):
+    return json.dumps({"payload": dict(line, format="labrisk-ensemble-v2"),
                        "checksum": "0" * 64})
+
+
+def _v3_file(header, line, arrays):
+    """The run's model as a v3 file: a payload of base64 arrays."""
+    payload = json.dumps({**line, **{
+        name: base64.b64encode(array.tobytes()).decode()
+        for name, array in arrays.items()}})
+    return json.dumps({"format": "labrisk-ensemble-v3", "sha256":
+                       hashlib.sha256(payload.encode()).hexdigest()}) \
+        + "\n" + payload
 
 
 # Edits of a normalization document, and the field.feature the error must
@@ -268,47 +293,60 @@ NORMALIZATION_EDITS = {
 
 
 @pytest.mark.parametrize("edit, rechecksum, field", [
-    (lambda h, p: h.update(format="labrisk-ensemble-v1"), True, "format"),
-    (lambda h, p: p.update(states=p["states"][:-8]), True, "states holds"),
-    (lambda h, p: p.update(states="not*base64"), True,
-     "states is not base64"),
-    (lambda h, p: p.update(states=17), True, "states: expected str"),
-    (lambda h, p: p.update(states=_flip_bit(p["states"])), False, "sha256"),
+    (lambda h, line, a: h.update(format="labrisk-ensemble-v1"), True,
+     "format"),
+    (_ends_in_states, True, "states holds"),
+    (lambda h, line, a: line.update(states=[line["states"][0], 1.5]), True,
+     "states[1]: expected int"),
+    (lambda h, line, a: line.update(states=[10**6, line["states"][1]]), True,
+     "too few for shape [1000000, "),
+    (lambda h, line, a: a.update(tail=bytes(8)), True,
+     "background_mask is followed by 8 trailing bytes"),
+    (_reblob("states", lambda s: np.c_[s, s[:, :1]]), True,
+     "states holds shape"),
+    (_flip_bit, False, "sha256"),
     (_v2_file, True, "format"),
+    (_v3_file, True,
+     "format: unsupported model format 'labrisk-ensemble-v3'"),
     (_reblob("dev_labels", lambda a: np.r_[7.0, a[1:]]), True,
      "dev_labels holds values other than 0 and 1"),
-    (lambda h, p: p.update(dev_scores=[0.5, "0.5"]), True,
-     "dev_scores: expected str"),
+    (lambda h, line, a: line.update(dev_scores="2818"), True,
+     "dev_scores: expected tuple"),
     (_reblob("dev_scores", lambda a: np.r_[np.nan, a[1:]]), True,
      "dev_scores holds non-finite values"),
     (_reblob("dev_scores", lambda a: a + 7), True,
      "dev_scores holds values outside [0, 1]"),
-    (_reblob("background_values", lambda a: a[:-1]), True,
+    (_reblob("background_values", lambda a: a.ravel()[:-1]), True,
      "background_values holds"),
-    (_reblob("background_values", lambda a: a.reshape(-1, 34)[:, :33]), True,
+    (_reblob("background_values", lambda a: a[:, :33]), True,
      "background_values holds"),
     (_reblob("background_mask", lambda a: a * 0.5), True,
      "background_mask holds values other than 0 and 1"),
     (_reblob("dev_labels", lambda a: a[:-1]), True, "dev_labels holds"),
-    (lambda h, p: p.update(catalog_version=5), True,
+    (lambda h, line, a: line.update(catalog_version=5), True,
      "catalog_version: expected str"),
-    (lambda h, p: p.update(member_subsets="zz"), True,
+    (lambda h, line, a: line.update(member_subsets="zz"), True,
      "member_subsets: expected list"),
-    (lambda h, p: p.__delitem__("dev_scores"), True,
+    (lambda h, line, a: line.__delitem__("dev_scores"), True,
      "missing field 'dev_scores'"),
-    (lambda h, p: p.__delitem__("background_mask"), True,
+    (lambda h, line, a: line.__delitem__("background_mask"), True,
      "missing field 'background_mask'"),
     (_reblob("states", lambda a: np.full_like(a, 1e300)), True,
      "states: the stored weights give non-finite values"),
-    *[(lambda h, p, edit=edit: edit(p["normalization"]), True,
+    *[(lambda h, line, a, key=key: line["config"].update({key: MAX_WIDTH + 1}),
+       True, f"config: {key} must be at most {MAX_WIDTH}")
+      for key in ("hidden_width", "latent_dim")],
+    *[(lambda h, line, a, edit=edit: edit(line["normalization"]), True,
        f"normalization: {field}")
       for edit, field in NORMALIZATION_EDITS.values()],
-], ids=["v1-format", "truncated-blob", "not-base64", "not-a-string",
-        "bit-flip", "v2-file", "label-7", "string-score", "nan-score",
-        "score-out-of-range", "ragged-background", "narrow-background",
-        "mask-not-binary", "short-labels", "catalog-version-number",
-        "member-subsets-string", "missing-dev-scores",
-        "missing-background-mask", "extreme-states",
+], ids=["v1-format", "truncated-blob", "shape-not-ints",
+        "shape-overruns-file", "trailing-bytes", "states-width", "bit-flip",
+        "v2-file", "v3-file",
+        "label-7", "string-score", "nan-score", "score-out-of-range",
+        "ragged-background", "narrow-background", "mask-not-binary",
+        "short-labels", "catalog-version-number", "member-subsets-string",
+        "missing-dev-scores", "missing-background-mask", "extreme-states",
+        "hidden-width-over-limit", "latent-dim-over-limit",
         *[f"normalization-{name}" for name in NORMALIZATION_EDITS]])
 def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
                                             rechecksum, field):
@@ -487,7 +525,7 @@ def _unknown_model_config_key(run, tmp):
     _, out = run
     model = _rechecksummed_model(
         out, tmp / "model.json",
-        lambda h, p: p["config"].update(bogus=1))
+        lambda h, line, a: line["config"].update(bogus=1))
     cfg = _config(tmp, {"model": str(model)})
     patient = _write(tmp / "patient.json", json.dumps(_validation_doc(out)))
     return (["predict", "--config", cfg, "--patient", patient],
@@ -910,25 +948,28 @@ def test_fuzzed_patient_file_never_exits_4(run, fuzz_dir, data):
     _exit_code(["predict", "--config", cfg, "--patient", str(patient)])
 
 
-BLOBS = ("states", "dev_scores", "dev_labels", "background_values",
-         "background_mask")
-
-
 @st.composite
 def blob_edits(draw):
-    """A re-checksummed edit of one array blob: its bytes cut or extended,
-    one value replaced, every value set to one finite value (extreme ones
-    included), or the string replaced by another JSON value."""
-    key = draw(st.sampled_from(BLOBS))
-    how = draw(st.sampled_from(["cut", "extend", "value", "fill", "json"]))
-    if how == "json":
-        value = draw(JSON_VALUES)
-        return lambda h, p: p.update({key: value})
+    """A re-checksummed edit of one array's raw section: its bytes cut or
+    extended, one value replaced, every value set to one finite value
+    (extreme ones included), or its shape on line 2 replaced by a list of
+    integers or by another JSON value."""
+    key = draw(st.sampled_from(ARRAYS))
+    how = draw(st.sampled_from(["cut", "extend", "value", "fill", "shape",
+                                "json"]))
+    if how in ("shape", "json"):
+        value = draw(st.lists(st.integers(-2, 2**70), max_size=3)
+                     if how == "shape" else JSON_VALUES)
+        return lambda h, line, a: line.update({key: value})
     if how == "value":
         new = draw(st.floats())
         at = draw(st.integers(0, 10**6))
-        return _reblob(key, lambda a: np.r_[a[:at % a.size], new,
-                                            a[at % a.size + 1:]])
+
+        def replace(a):
+            a = a.copy()
+            a.flat[at % a.size] = new
+            return a
+        return _reblob(key, replace)
     if how == "fill":
         new = draw(st.floats(allow_nan=False, allow_infinity=False)
                    | st.sampled_from([1e300, -1e300, 1e154, 1e-300]))
@@ -936,13 +977,12 @@ def blob_edits(draw):
     n = draw(st.integers(1, 16))
     raw_edit = ((lambda raw: raw[:-n]) if how == "cut"
                 else (lambda raw: raw + bytes(n)))
-    return lambda h, p: p.update({key: base64.b64encode(
-        raw_edit(base64.b64decode(p[key]))).decode()})
+    return lambda h, line, a: a.update({key: raw_edit(a[key].tobytes())})
 
 
 @st.composite
-def model_edits(draw, payload):
-    """(kind, edit of the header and payload or None, byte index to
+def model_edits(draw, line):
+    """(kind, edit of the header, line 2 and arrays or None, byte index to
     truncate or flip)."""
     kind = draw(st.sampled_from(["truncate", "flip", "flip-header", "drop",
                                  "drop-config", "unknown-config",
@@ -951,19 +991,19 @@ def model_edits(draw, payload):
         return kind, None, draw(st.integers(0, 10**9))
     if kind == "blob":
         return kind, draw(blob_edits()), None
-    config = payload["config"]
+    config = line["config"]
     if kind == "drop":
-        key = draw(st.sampled_from(sorted(payload)))
-        return kind, lambda h, p: p.__delitem__(key), None
+        key = draw(st.sampled_from(sorted(line)))
+        return kind, lambda h, line, a: line.__delitem__(key), None
     key = draw(st.sampled_from(sorted(config)))
     if kind == "drop-config":
-        return kind, lambda h, p: p["config"].__delitem__(key), None
+        return kind, lambda h, line, a: line["config"].__delitem__(key), None
     if kind == "unknown-config":
         key = draw(st.text(min_size=1, max_size=8).filter(
             lambda k: k not in config))
-        return kind, lambda h, p: p["config"].update({key: 1}), None
+        return kind, lambda h, line, a: line["config"].update({key: 1}), None
     value = draw(NOT_NUMBERS)
-    return kind, lambda h, p: p["config"].update({key: value}), None
+    return kind, lambda h, line, a: line["config"].update({key: value}), None
 
 
 @FUZZ
@@ -1091,6 +1131,9 @@ OUT_OF_RANGE = {
     ("explain", "n_permutations"): st.integers(-10**9, 1),
     ("explain", "top_k"): st.integers(-10**9, 0),
     ("comorbid", "min_each"): BELOW_ZERO,
+    # One above the limit only: a larger network allocates without bound.
+    **{("train", key): st.just(MAX_WIDTH + 1)
+       for key in ("hidden_width", "latent_dim")},
     # An encounter has at most one value per lab marker, so a min_markers
     # above the catalog's lab marker count leaves the cohort empty.
     ("cohort", "min_markers"): st.integers(-10**9, 0)

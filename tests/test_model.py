@@ -1,6 +1,5 @@
 """Model construction, training oracles, and serialization round trips."""
 
-import base64
 import dataclasses
 import hashlib
 import json
@@ -13,9 +12,9 @@ import pytest
 
 from labrisk import LabriskError, nn
 from labrisk import model as model_module
-from labrisk.model import (RiskAssessment, RiskEnsemble, RiskModel,
-                           RiskModelConfig, finetune, load_model, pretrain,
-                           save_model, train_ensemble)
+from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment, RiskEnsemble,
+                           RiskModel, RiskModelConfig, finetune, load_model,
+                           pretrain, save_model, train_ensemble)
 from labrisk.preprocess import NormalizationParams
 
 from oracles import grad_check, params
@@ -166,9 +165,9 @@ def trained_ensemble(seed=0, n_members=3):
 
 
 def model_document(path):
-    """(header, payload) of a model file."""
-    head, payload = path.read_text().split("\n", 1)
-    return json.loads(head), json.loads(payload)
+    """(header, line 2, the array bytes after line 2) of a model file."""
+    head, line, arrays = path.read_bytes().split(b"\n", 2)
+    return json.loads(head), json.loads(line), arrays
 
 
 def member_model(ens, member):
@@ -260,15 +259,26 @@ def test_save_load_round_trip(tmp_path):
         (ens.catalog_version, ens.member_subsets)
 
 
+def test_save_load_save_gives_the_same_bytes(tmp_path):
+    ens, _ = trained_ensemble(seed=7)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(ens, first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    # Line 2 states each array's shape, and the arrays' bytes are the rest.
+    _, line, arrays = model_document(first)
+    assert [line[name] for name in ARRAYS] == [
+        list(getattr(ens, name).shape) for name in ARRAYS]
+    assert len(arrays) == 8 * sum(math.prod(line[name]) for name in ARRAYS)
+
+
 def test_load_detects_corruption(tmp_path):
     ens, _ = trained_ensemble(seed=8)
     path = tmp_path / "model.json"
     save_model(ens, path)
-    head, payload = model_document(path)
-    raw = bytearray(base64.b64decode(payload["states"]))
-    raw[0] ^= 1
-    payload["states"] = base64.b64encode(raw).decode()
-    path.write_text(json.dumps(head) + "\n" + json.dumps(payload))
+    raw = bytearray(path.read_bytes())
+    raw[-len(model_document(path)[2])] ^= 1  # the first byte of `states`
+    path.write_bytes(bytes(raw))
     with pytest.raises(LabriskError, match="sha256"):
         load_model(path)
 
@@ -292,17 +302,18 @@ def test_header_checksums_the_payload_bytes_as_written(tmp_path):
     path = tmp_path / "model.json"
     save_model(ens, path)
     head, _, payload = path.read_bytes().partition(b"\n")
-    assert json.loads(head) == {"format": "labrisk-ensemble-v3",
+    assert json.loads(head) == {"format": "labrisk-ensemble-v4",
                                 "sha256": hashlib.sha256(payload).hexdigest()}
 
 
 def test_member_blob_is_the_state_in_stacks_order(tmp_path):
     ens, _ = trained_ensemble(seed=7)
     save_model(ens, tmp_path / "model.json")
-    states = base64.b64decode(model_document(tmp_path / "model.json")[1][
-        "states"])
+    _, line, arrays = model_document(tmp_path / "model.json")
+    assert line["states"] == list(ens.states.shape)
     members = [member_model(ens, i) for i in range(len(ens.states))]
-    assert states == b"".join(state_bytes(m) for m in members)
+    assert arrays[:8 * ens.states.size] == b"".join(state_bytes(m)
+                                                     for m in members)
     for member in members:
         assert state_bytes(member) == member.state.tobytes()
 
@@ -321,8 +332,8 @@ def _fail_partway(monkeypatch, ens):
         def __exit__(self, *exc):
             self.f.close()
 
-        def write(self, text):
-            self.f.write(text[:100])
+        def write(self, data):
+            self.f.write(data[:100])
             raise OSError("disk full")
 
     monkeypatch.setattr(os, "fdopen",
@@ -408,6 +419,10 @@ def test_config_validation():
         tiny_config(mask_fraction=1.0).validate()
     with pytest.raises(LabriskError, match="batch_size must be >= 2"):
         tiny_config(batch_size=1).validate()
+    for name in ("hidden_width", "latent_dim"):
+        tiny_config(**{name: MAX_WIDTH}).validate()
+        with pytest.raises(LabriskError, match=f"{name} must be at most"):
+            tiny_config(**{name: MAX_WIDTH + 1}).validate()
 
 
 def array_slots(layers):
