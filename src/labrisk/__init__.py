@@ -13,8 +13,9 @@ import typing
 
 __version__ = "0.1.0"
 
-# The error boundary: files from outside the program are read through the
-# helpers below, whose errors are LabriskErrors naming the file and field.
+# The error boundary: files from outside the program are read by read_bytes
+# (JSON Lines by ioutil.read_records_jsonl) and decoded by the helpers below,
+# whose errors are LabriskErrors naming the file and field.
 
 
 class LabriskError(ValueError):
@@ -28,11 +29,6 @@ def read_bytes(path) -> bytes:
             return f.read()
     except OSError as e:
         raise LabriskError(f"{path}: cannot read ({e})") from None
-
-
-def read_json(path):
-    """The parsed JSON file at `path`, or LabriskError naming the path."""
-    return parse_json(read_bytes(path), path)
 
 
 def parse_json(data: bytes, where):

@@ -12,7 +12,7 @@ import datetime
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from . import LabriskError, config_from_json, decode_fields, read_json
+from . import LabriskError, config_from_json, decode_fields, parse_json
 
 LAB_PANELS = ("CMP", "CBC")
 PANELS = (*LAB_PANELS, "demographic")
@@ -153,9 +153,9 @@ def catalog_to_dict(catalog: MarkerCatalog) -> dict:
     }
 
 
-def load_marker_catalog(path) -> MarkerCatalog:
-    """Load and validate a marker catalog from a JSON document."""
-    return config_from_json(MarkerCatalog, read_json(path), str(path))
+def load_marker_catalog(data: bytes, where: str) -> MarkerCatalog:
+    """Load and validate a marker catalog from the JSON document `data`."""
+    return config_from_json(MarkerCatalog, parse_json(data, where), where)
 
 
 def record_to_dict(r: EncounterRecord) -> dict:

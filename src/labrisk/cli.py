@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import LabriskError, config_from_json, read_bytes
+from . import LabriskError, config_from_json, parse_json, read_bytes
 from . import comorbid as comorbid_mod
-from . import defaults, ioutil, likelihood, metrics, read_json, svg
+from . import defaults, ioutil, likelihood, metrics, svg
 from .catalog import (catalog_to_dict, load_marker_catalog, record_from_dict,
                       record_to_dict)
 from .cohort import (CohortSpec, labeled_from_dict, labeled_to_dict,
@@ -141,7 +141,7 @@ class RunConfig:
 def load_run_config(path, args) -> tuple[dict, RunConfig]:
     """The config file at `path` with the --output-dir, --seed and
     --cancer-type flags applied: its JSON, for the manifest, and RunConfig."""
-    doc = read_json(path)
+    doc = parse_json(read_bytes(path), path)
     if isinstance(doc, dict):
         if args.output_dir and isinstance(doc.get("paths", {}), dict):
             doc["paths"] = {**doc.get("paths", {}),
@@ -155,27 +155,30 @@ def load_run_config(path, args) -> tuple[dict, RunConfig]:
 
 class Stage:
     """The files one command reads and writes. A command resolves every path
-    through its Stage, which records it; cli.main writes the manifest from
-    that record once the command has succeeded, at `manifest` in the output
-    directory (<command>_manifest.json unless the command names another)."""
+    through its Stage and reads each input through it, once; it records each
+    output and the sha256 of each input's bytes. cli.main writes the manifest
+    from that record once the command has succeeded, at `manifest` in the
+    output directory (<command>_manifest.json unless the command names
+    another)."""
 
     def __init__(self, paths: dict, command: str):
         self.paths = paths
         self.dir = paths.get("output_dir") or "labrisk_run"
         self.manifest = f"{command}_manifest.json"
-        self.inputs: list[str] = []
+        self.inputs: dict[str, str] = {}  # path: sha256 of the bytes read
         self.outputs: list[str] = []
         self.details: dict = {}  # stage-specific manifest fields
 
-    def read(self, path: str) -> str:
-        """`path`, a file from outside the pipeline that the command reads."""
-        self.inputs.append(path)
-        return path
+    def read(self, path: str) -> bytes:
+        """The bytes of `path`, a file the command reads whole."""
+        data = read_bytes(path)
+        self.inputs[path] = ioutil.sha256_of_bytes(data)
+        return data
 
-    def optional(self, key: str) -> str | None:
-        """paths.<key>, an outside file the command reads, or None if unset."""
-        path = self.paths.get(key)
-        return self.read(path) if path else None
+    def records(self, path: str, decode) -> list:
+        """The decoded lines of `path`, a JSON Lines file the command reads."""
+        rows, self.inputs[path] = ioutil.read_records_jsonl(path, decode)
+        return rows
 
     def input(self, name: str, key: str | None = None,
               made_by: str | None = None) -> str | None:
@@ -187,7 +190,7 @@ class Stage:
             if made_by is None:
                 return None
             raise LabriskError(f"{path} not found; run '{made_by}' first")
-        return self.read(path)
+        return path
 
     def output(self, name: str, key: str | None = None) -> str:
         """paths.<key> (default: `name` in the output directory, which is
@@ -204,13 +207,14 @@ class Stage:
 
 
 def _catalog(stage):
-    path = stage.optional("catalog")
-    return load_marker_catalog(path) if path else defaults.default_catalog()
+    path = stage.paths.get("catalog")
+    return (load_marker_catalog(stage.read(path), path) if path
+            else defaults.default_catalog())
 
 
 def _labeled(stage):
-    return ioutil.read_records_jsonl(
-        stage.input("labeled.jsonl", "labeled", "cohort"), labeled_from_dict)
+    return stage.records(stage.input("labeled.jsonl", "labeled", "cohort"),
+                         labeled_from_dict)
 
 
 def _split(labeled, split):
@@ -224,14 +228,15 @@ def _split(labeled, split):
 
 
 def _load_model(stage):
-    return load_model(stage.input("model.json", "model", "train"))
+    path = stage.input("model.json", "model", "train")
+    return load_model(stage.read(path), path)
 
 
 def _patient(stage, path, params):
     """The --patient encounter, decoded and checked like every record, and
     its feature vector. LabriskError names the file and any marker the model
     does not know."""
-    record = record_from_dict(read_json(stage.read(path)), path)
+    record = record_from_dict(parse_json(stage.read(path), path), path)
     unknown = set(record.measurements) - set(params.feature_order)
     if unknown:
         raise LabriskError(f"{path}: measurements has markers not in the "
@@ -276,8 +281,8 @@ def cmd_synth(cfg, args, stage) -> None:
 
 
 def cmd_cohort(cfg, args, stage) -> None:
-    src = stage.input("cohort.jsonl", "cohort", "synth")
-    records = ioutil.read_records_jsonl(src, record_from_dict)
+    records = stage.records(stage.input("cohort.jsonl", "cohort", "synth"),
+                            record_from_dict)
     split = cfg.cohort
     spec = CohortSpec.for_cancer(cfg.cancer_type, split.spec,
                                  f"{args.config}: cohort")
@@ -312,7 +317,8 @@ def cmd_prepare(cfg, args, stage) -> None:
 def cmd_train(cfg, args, stage) -> None:
     catalog = _catalog(stage)
     norm = stage.input("normalization.json", "normalization", "prepare")
-    params = config_from_json(NormalizationParams, read_json(norm), norm)
+    params = config_from_json(NormalizationParams,
+                              parse_json(stage.read(norm), norm), norm)
     config = config_from_json(RiskModelConfig, {
         "seed": cfg.master_seed, **cfg.train.model,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
@@ -487,9 +493,9 @@ def cmd_explain(cfg, args, stage) -> None:
 
 def cmd_comorbid(cfg, args, stage) -> None:
     labeled = _labeled(stage)
-    map_path = stage.optional("phecode_map")
-    pmap = (comorbid_mod.load_phecode_map(map_path) if map_path
-            else comorbid_mod.default_phecode_map())
+    map_path = stage.paths.get("phecode_map")
+    pmap = (comorbid_mod.load_phecode_map(stage.read(map_path), map_path)
+            if map_path else comorbid_mod.default_phecode_map())
     by_pid: dict[str, dict] = {}
     for e in labeled:
         entry = by_pid.setdefault(e.record.patient_id, {
@@ -553,8 +559,7 @@ def cmd_report(cfg, args, stage) -> None:
                  "shap_summary.json", "comorbidity.tsv"):
         src = stage.input(name)
         if src is not None:
-            ioutil.atomic_write_text(bundled(name),
-                                     read_bytes(src).decode("utf-8"))
+            ioutil.atomic_write_text(bundled(name), stage.read(src))
             index["files"].append(name)
     if args.svg:
         svg.svg_line_plot(

@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from . import LabriskError, read_bytes
+from . import LabriskError
 from .catalog import ClaimCode
 
 
@@ -39,15 +39,15 @@ class PhecodeMap:
         return self.labels.get(phecode, phecode)
 
 
-def load_phecode_map(path) -> PhecodeMap:
-    """Parse a two/three-column delimited mapping file:
+def load_phecode_map(data: bytes, where: str) -> PhecodeMap:
+    """Parse the two/three-column delimited mapping file `data`:
     icd10_prefix <TAB> phecode [<TAB> label]."""
     mapping: dict[str, str] = {}
     labels: dict[str, str] = {}
     try:
-        text = read_bytes(path).decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise LabriskError(f"{path}: cannot read ({e})") from None
+        raise LabriskError(f"{where}: cannot read ({e})") from None
     # newline=None splits at \n, \r and \r\n, as reading in text mode does.
     for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
         line = line.strip()
@@ -55,12 +55,12 @@ def load_phecode_map(path) -> PhecodeMap:
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise LabriskError(f"{path}:{lineno}: expected at least "
+            raise LabriskError(f"{where}:{lineno}: expected at least "
                                "two tab-separated columns")
         prefix, phecode = parts[0].strip(), parts[1].strip()
         if prefix in mapping and mapping[prefix] != phecode:
             raise LabriskError(
-                f"{path}:{lineno}: prefix {prefix!r} maps to both "
+                f"{where}:{lineno}: prefix {prefix!r} maps to both "
                 f"{mapping[prefix]!r} and {phecode!r}")
         mapping[prefix] = phecode
         if len(parts) >= 3:

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from . import LabriskError
+from . import LabriskError, __version__
 # record_from_dict, the decoder callers pass for cohort.jsonl, stays bound
 # here: the benchmark's span tracer (perfbench/spans.py) wraps this name.
 from .catalog import record_from_dict  # noqa: F401
@@ -43,18 +43,19 @@ def write_records_jsonl(path, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_records_jsonl(path, decode) -> list:
+def read_records_jsonl(path, decode) -> tuple[list, str]:
     """decode(obj, "path:line") of each non-blank line's JSON object, such as
-    record_from_dict for cohort.jsonl. LabriskError names the path if it
-    cannot be opened, and path:line of a bad line. Lines are read one at a
-    time."""
-    rows = []
+    record_from_dict for cohort.jsonl, and the sha256 of the bytes read.
+    LabriskError names the path if it cannot be opened, and path:line of a
+    bad line. Lines are read, and hashed, one at a time."""
+    rows, digest = [], hashlib.sha256()
     try:
         f = open(path, "rb")
     except OSError as e:
         raise LabriskError(f"{path}: cannot read ({e})") from None
     with f:
         for lineno, line in enumerate(f, 1):
+            digest.update(line)
             if not line.strip():
                 continue
             try:
@@ -62,7 +63,7 @@ def read_records_jsonl(path, decode) -> list:
             except (UnicodeDecodeError, json.JSONDecodeError) as e:
                 raise LabriskError(f"{path}:{lineno}: {e}") from None
             rows.append(decode(d, f"{path}:{lineno}"))
-    return rows
+    return rows, digest.hexdigest()
 
 
 def write_table(path, header: list[str], rows) -> None:
@@ -76,8 +77,8 @@ def write_table(path, header: list[str], rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def sha256_of_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def sha256_of_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_of_file(path) -> str:
@@ -89,19 +90,20 @@ def sha256_of_file(path) -> str:
 
 
 def write_manifest(path, command: str, config: dict,
-                   inputs: list[str], outputs: list[str],
+                   inputs: dict[str, str], outputs: list[str],
                    details: dict) -> None:
-    """Run manifest with the sha256 of every input and output file;
-    `details` adds top-level fields (run time, stage-specific ones)."""
-    from . import __version__
+    """Run manifest with the sha256 of every input (`inputs`: {path: sha256
+    of the bytes the command read}) and output file; `details` adds
+    top-level fields (run time, stage-specific ones)."""
+    digests = {**inputs, **{p: sha256_of_file(p) for p in set(outputs)}}
     manifest = {
         "command": command,
         "config": config,
-        "config_sha256": sha256_of_text(
-            json.dumps(config, sort_keys=True, separators=(",", ":"))),
-        "inputs": sorted(set(inputs)),
+        "config_sha256": sha256_of_bytes(json.dumps(
+            config, sort_keys=True, separators=(",", ":")).encode()),
+        "inputs": sorted(inputs),
         "outputs": sorted(set(outputs)),
-        "sha256": {p: sha256_of_file(p) for p in sorted({*inputs, *outputs})},
+        "sha256": {p: digests[p] for p in sorted(digests)},
         "versions": {
             "labrisk": __version__,
             "numpy": np.__version__,

@@ -22,8 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import (LabriskError, config_from_json, ioutil, nn, parse_json,
-               read_bytes)
+from . import LabriskError, config_from_json, ioutil, nn, parse_json
 from .preprocess import NormalizationParams
 
 MODEL_FORMAT = "labrisk-ensemble-v4"
@@ -423,30 +422,27 @@ def save_model(ensemble: RiskEnsemble, path) -> None:
     ioutil.atomic_write_text(path, header.encode() + b"\n" + body)
 
 
-def load_model(path) -> RiskEnsemble:
-    """The ensemble in the model file at `path`, its arrays read-only views
-    of the file's bytes; LabriskError names the file and the field at
-    fault."""
-    data = read_bytes(path)
+def load_model(data: bytes, where: str) -> RiskEnsemble:
+    """The ensemble in the model file `data`, its arrays read-only views of
+    those bytes; LabriskError names `where` and the field at fault."""
     # Each line ends after its newline, or at the end of the file.
     body = data.find(b"\n") + 1 or len(data)
-    header = parse_json(data[:body], f"{path}: header line")
+    header = parse_json(data[:body], f"{where}: header line")
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != MODEL_FORMAT:
-        raise LabriskError(f"{path}: format: unsupported model format "
+        raise LabriskError(f"{where}: format: unsupported model format "
                            f"{fmt!r}, expected {MODEL_FORMAT!r}; older model "
                            "files must be retrained")
     if header.get("sha256") != hashlib.sha256(
             memoryview(data)[body:]).hexdigest():
-        raise LabriskError(f"{path}: sha256: checksum mismatch "
+        raise LabriskError(f"{where}: sha256: checksum mismatch "
                            "(corrupt file)")
     at = data.find(b"\n", body) + 1 or len(data)
-    doc = config_from_json(_Payload, parse_json(data[body:at], path),
-                           str(path))
+    doc = config_from_json(_Payload, parse_json(data[body:at], where), where)
     n_order = len(doc.normalization.feature_order)
     if n_order != doc.config.n_features:
         raise LabriskError(
-            f"{path}: normalization.feature_order has {n_order} features, "
+            f"{where}: normalization.feature_order has {n_order} features, "
             f"config.n_features is {doc.config.n_features}")
     network = RiskModel(doc.config, None)
     arrays = {}
@@ -457,30 +453,30 @@ def load_model(path) -> RiskEnsemble:
                        ("dev_labels", doc.dev_scores),
                        ("background_values", (None, doc.config.n_features)),
                        ("background_mask", doc.background_values)):
-        shape, where = getattr(doc, name), f"{path}: {name}"
+        shape, label = getattr(doc, name), f"{where}: {name}"
         if len(shape) != len(want) or shape[0] < 1 or any(
                 w not in (None, s) for s, w in zip(shape, want)):
-            raise LabriskError(f"{where} holds shape {list(shape)}, not ("
+            raise LabriskError(f"{label} holds shape {list(shape)}, not ("
                                + ", ".join("rows" if w is None else str(w)
                                            for w in want) + ")")
         size = math.prod(shape)
         if len(data) - at < 8 * size:
-            raise LabriskError(f"{where} holds {len(data) - at} bytes, too "
+            raise LabriskError(f"{label} holds {len(data) - at} bytes, too "
                                f"few for shape {list(shape)}")
         array = arrays[name] = np.frombuffer(data, "<f8", size,
                                              at).reshape(shape)
         at += 8 * size
         if not np.isfinite(array).all():
-            raise LabriskError(f"{where} holds non-finite values")
+            raise LabriskError(f"{label} holds non-finite values")
         if name in ("dev_labels", "background_mask") and not (
                 (array == 0) | (array == 1)).all():
-            raise LabriskError(f"{where} holds values other than 0 and 1")
+            raise LabriskError(f"{label} holds values other than 0 and 1")
     if at != len(data):
-        raise LabriskError(f"{path}: background_mask is followed by "
+        raise LabriskError(f"{where}: background_mask is followed by "
                            f"{len(data) - at} trailing bytes")
     if not ((arrays["dev_scores"] >= 0) & (arrays["dev_scores"] <= 1)).all():
-        raise LabriskError(f"{path}: dev_scores holds values outside [0, 1]")
+        raise LabriskError(f"{where}: dev_scores holds values outside [0, 1]")
     return RiskEnsemble(
         **arrays, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,
-        member_subsets=doc.member_subsets, source=str(path), network=network)
+        member_subsets=doc.member_subsets, source=where, network=network)

@@ -22,6 +22,10 @@ from . import LabriskError, defaults
 from .catalog import (CANCER_CLASSES, LAB_PANELS, ClaimCode,
                       EncounterRecord, MarkerCatalog, MarkerDef)
 
+# The most encounters synth draws for one class: it holds every record in
+# memory, and this keeps that bounded.
+MAX_N_PER_CLASS = 1_000_000
+
 
 @dataclass
 class SynthConfig:
@@ -48,6 +52,9 @@ class SynthConfig:
                 raise LabriskError(f"unknown class {cls!r}")
             if n < 0:
                 raise LabriskError(f"negative count for class {cls!r}")
+            if n > MAX_N_PER_CLASS:
+                raise LabriskError(f"n_per_class.{cls} must be at most "
+                                   f"{MAX_N_PER_CLASS}, got {n}")
         for panel, p in self.missingness.items():
             if panel not in LAB_PANELS or not 0.0 <= p <= 1.0:
                 raise LabriskError(f"missingness.{panel}: needs a lab panel "

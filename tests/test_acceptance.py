@@ -302,10 +302,11 @@ def planted(tmp_path_factory):
 
 
 def _validation_data(out):
-    ensemble = load_model(out / "model.json")
-    labeled = [e for e in ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                                    labeled_from_dict)
-               if e.split == "validation"]
+    path = out / "model.json"
+    ensemble = load_model(path.read_bytes(), str(path))
+    rows, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                        labeled_from_dict)
+    labeled = [e for e in rows if e.split == "validation"]
     val = [complete_derived(e.record) for e in labeled]
     labels = np.array([int(e.label) for e in labeled])
     values, mask = vectorize_many(val, ensemble.normalization)

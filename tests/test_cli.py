@@ -25,21 +25,19 @@ from labrisk.explain import NormalizedLrFn, normalize_lr, shap_values
 from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment,
                            RiskModelConfig, load_model)
 from labrisk.preprocess import complete_derived, vectorize_many
-from labrisk.synth import SynthConfig
+from labrisk.synth import MAX_N_PER_CLASS, SynthConfig
 
 import oracles
 from test_likelihood import similar_oracle
 
 
-@pytest.fixture(scope="module")
-def run(tmp_path_factory):
-    base = tmp_path_factory.mktemp("cli")
-    out = base / "out"
+def _small_run_config(base, cancer_type):
+    """A small run's config, writing to base/out; returns its path."""
     config = {
-        "paths": {"output_dir": str(out)},
+        "paths": {"output_dir": str(base / "out")},
         "master_seed": 99,
-        "cancer_type": "liver",
-        "synth": {"n_per_class": {"no_cancer": 1200, "liver": 240}},
+        "cancer_type": cancer_type,
+        "synth": {"n_per_class": {"no_cancer": 1200, cancer_type: 240}},
         "train": {"pretrain_epochs": 3, "finetune_epochs": 6,
                   "n_members": 2},
         "explain": {"n_samples": 12, "n_permutations": 30,
@@ -47,9 +45,16 @@ def run(tmp_path_factory):
     }
     cfg_path = base / "config.json"
     cfg_path.write_text(json.dumps(config))
+    return cfg_path
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli")
+    cfg_path = _small_run_config(base, "liver")
     for cmd in ("synth", "cohort", "prepare", "train"):
         assert cli.main([cmd, "--config", str(cfg_path)]) == 0, cmd
-    return cfg_path, out
+    return cfg_path, base / "out"
 
 
 def test_pipeline_outputs_exist(run):
@@ -83,8 +88,8 @@ def test_lr_baselines(run):
 
 def test_predict_and_explain_patient(run, tmp_path):
     cfg_path, out = run
-    labeled = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                        labeled_from_dict)
+    labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                           labeled_from_dict)
     target = next(e.record for e in labeled if e.split == "validation")
     patient = tmp_path / "patient.json"
     patient.write_text(json.dumps(record_to_dict(target)))
@@ -144,8 +149,8 @@ def test_comorbid_stage(run):
 
 def test_predict_rejects_unknown_marker(run, tmp_path):
     cfg_path, out = run
-    records = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                        record_from_dict)
+    records, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                           record_from_dict)
     doc = record_to_dict(records[0])
     doc["measurements"]["mystery_marker"] = 1.0
     patient = tmp_path / "bad.json"
@@ -373,12 +378,12 @@ def reference_value_fn(ensemble, dev, values, mask, min_n):
 
 def test_stacked_value_function_is_bit_exact(run):
     _, out = run
-    ensemble = load_model(out / "model.json")
+    ensemble = load_model((out / "model.json").read_bytes(), "model.json")
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
     bg_v, bg_m = ensemble.background_values, ensemble.background_mask
-    labeled = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                        labeled_from_dict)
+    labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                           labeled_from_dict)
     val = [complete_derived(e.record) for e in labeled
            if e.split == "validation"][:3]
     values, mask = vectorize_many(val, ensemble.normalization)
@@ -455,8 +460,8 @@ def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
 
 
 def _validation_doc(out):
-    labeled = ioutil.read_records_jsonl(out / "labeled.jsonl",
-                                        labeled_from_dict)
+    labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                           labeled_from_dict)
     return record_to_dict(next(e.record for e in labeled
                                if e.split == "validation"))
 
@@ -752,6 +757,11 @@ MALFORMED_INPUTS = {
         "train", "train", {"w_kl": math.nan}, TRAIN_INPUTS),
     "config-synth-visits-per-patient-too-many": _section_case(
         "synth", "synth", {"visits_per_patient": 80000}),
+    # One above the limit only: validate rejects it before synth allocates.
+    "config-synth-n-per-class-above-limit": lambda run, tmp: (
+        ["synth", "--config", _config(tmp, synth={
+            "n_per_class": {"no_cancer": MAX_N_PER_CLASS + 1}})],
+        [str(tmp / "c.json"), "synth: n_per_class"]),
     "config-synth-missingness-not-a-lab-panel": _section_case(
         "synth", "synth", {"missingness": {"demographic": 0.1}}),
     **{f"config-synth-class-missingness-bias-{name}": _section_case(
@@ -878,8 +888,8 @@ def test_internal_faults_exit_4(monkeypatch, tmp_path, capsys, error):
 
 def test_synth_catalog_round_trips_with_cohort_mode(run):
     _, out = run
-    assert load_marker_catalog(out / "catalog.json") == \
-        defaults.default_catalog()
+    assert load_marker_catalog((out / "catalog.json").read_bytes(),
+                               "catalog.json") == defaults.default_catalog()
     assert os.stat(out / "catalog.json").st_mode == \
         os.stat(out / "cohort.jsonl").st_mode
 
@@ -1128,6 +1138,10 @@ OUT_OF_RANGE = {
        for key in ("w_recon", "w_kl", "w_cls")},
     ("synth", "visits_per_patient"): st.integers(-10**9, 0)
     | st.integers(1001, 10**5),
+    # One above the limit only, which validate rejects before synth
+    # allocates.
+    ("synth", "n_per_class"): st.dictionaries(
+        CLASSES, st.just(MAX_N_PER_CLASS + 1), min_size=1),
     ("explain", "n_permutations"): st.integers(-10**9, 1),
     ("explain", "top_k"): st.integers(-10**9, 0),
     ("comorbid", "min_each"): BELOW_ZERO,
@@ -1206,19 +1220,83 @@ def test_train_log_carries_member_index(run):
     assert members == [0] * 9 + [1] * 9  # 3 pretrain + 6 finetune epochs
 
 
-def test_manifest_checksums_match_files(run):
-    """Runs last, so it sees the manifest of every stage run above."""
-    _, out = run
-    manifests = sorted(out.glob("**/*_manifest.json"))
-    names = {m.name for m in manifests}
-    assert {"synth_manifest.json", "cohort_manifest.json",
-            "prepare_manifest.json", "train_manifest.json"} <= names
-    for path in manifests:
+def _assert_manifests_match_files(out):
+    """Every manifest under `out` hashes each file it lists, and each
+    digest is that of the file on disk."""
+    for path in sorted(out.glob("**/*_manifest.json")):
         manifest = json.loads(path.read_text())
         files = set(manifest["inputs"]) | set(manifest["outputs"])
         assert set(manifest["sha256"]) == files, path
         for name, digest in manifest["sha256"].items():
             assert ioutil.sha256_of_file(name) == digest, (path, name)
+
+
+def test_manifest_checksums_match_files(run):
+    """Runs last, so it sees the manifest of every stage run above."""
+    _, out = run
+    names = {m.name for m in out.glob("**/*_manifest.json")}
+    assert {"synth_manifest.json", "cohort_manifest.json",
+            "prepare_manifest.json", "train_manifest.json"} <= names
+    _assert_manifests_match_files(out)
+
+
+@pytest.mark.parametrize("cancer_type", ["colorectal", "lung"])
+def test_every_stage_runs_for_each_cancer_type(tmp_path, cancer_type):
+    """The cancer types without planted-signal gates, at the run fixture's
+    size: every stage exits 0 and every manifest's digests match the
+    files."""
+    cfg_path = str(_small_run_config(tmp_path, cancer_type))
+    for cmd in ("synth", "cohort", "prepare", "train", "evaluate", "lr",
+                "comorbid", "explain", "report"):
+        assert _exit_code([cmd, "--config", cfg_path]) == 0, cmd
+    assert len(list((tmp_path / "out").glob("**/*_manifest.json"))) == 9
+    _assert_manifests_match_files(tmp_path / "out")
+
+
+def test_report_copies_bundled_files_byte_for_byte(run, tmp_path):
+    """A bundled file that is not UTF-8 is copied as it is, and its manifest
+    digest is that of those bytes."""
+    _, out = run
+    raw = b"\xff\xfefpr,tpr\n0,0\n"
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "roc.csv").write_bytes(raw)
+    cfg = _config(tmp_path, {k: str(out / v) for k, v in SCORE_INPUTS})
+    assert _exit_code(["report", "--config", cfg]) == 0
+    bundle = tmp_path / "o" / "report"
+    assert (bundle / "roc.csv").read_bytes() == raw
+    digests = json.loads(
+        (bundle / "report_manifest.json").read_text())["sha256"]
+    assert digests[str(tmp_path / "o" / "roc.csv")] == \
+        digests[str(bundle / "roc.csv")] == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("command, replaced", [("predict", "model"),
+                                               ("evaluate", "labeled")])
+def test_manifest_records_the_bytes_the_command_read(run, tmp_path,
+                                                     monkeypatch, command,
+                                                     replaced):
+    """An input replaced after the command has read it, but before its
+    manifest is written, keeps the digest of the bytes the command used."""
+    _, out = run
+    inputs = {key: tmp_path / name for key, name in SCORE_INPUTS}
+    for key, name in SCORE_INPUTS:
+        shutil.copy(out / name, inputs[key])
+    path = inputs[replaced]
+    used = hashlib.sha256(path.read_bytes()).hexdigest()
+    write_manifest = ioutil.write_manifest
+
+    def replacing_first(*args, **kwargs):
+        path.write_bytes(b"replaced\n")
+        return write_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(ioutil, "write_manifest", replacing_first)
+    cfg = _config(tmp_path, {key: str(p) for key, p in inputs.items()})
+    flags = ["--patient", str(_patient_file(out, tmp_path / "patient.json"))
+             ] if command == "predict" else []
+    assert _exit_code([command, "--config", cfg, *flags]) == 0
+    manifest = json.loads(
+        (tmp_path / "o" / f"{command}_manifest.json").read_text())
+    assert manifest["sha256"][str(path)] == used
 
 
 def test_manifests_record_wall_time_and_peak_rss(run):
@@ -1236,47 +1314,49 @@ def test_manifests_record_wall_time_and_peak_rss(run):
 # --- manifest completeness: checked against what the process did --------------
 
 class FileAudit:
-    """An audit hook that, while `on`, records the files opened for reading
-    and the files renamed into place (os.replace raises os.rename)."""
+    """An audit hook that records, apart for the command and for the
+    manifest writer, the files opened for reading and the files renamed into
+    place (os.replace raises os.rename)."""
 
     def __init__(self):
-        self.on = False
-        self.read, self.renamed = [], []
+        self.phase = None  # "command", "manifest" or None: not recording
+        self.files = {}  # (phase, "read" or "renamed"): [path]
         sys.addaudithook(self.hook)
 
     def hook(self, event, args):
-        if not self.on:
+        if self.phase is None:
             return
         if event == "open" and isinstance(args[0], str) \
                 and args[2] & os.O_ACCMODE == os.O_RDONLY:
-            self.read.append(args[0])
+            self.files[self.phase, "read"].append(args[0])
         elif event == "os.rename":
-            self.renamed.append(args[1])
+            self.files[self.phase, "renamed"].append(args[1])
 
-    def _switched(self, fn, on):
+    def _recorded(self, fn, phase):
         def call(*args, **kwargs):
-            was, self.on = self.on, on
+            was, self.phase = self.phase, phase
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.on = was
+                self.phase = was
         return call
 
     def run(self, argv):
-        """cli.main(argv) with the hook on while the command runs, but not
-        while main reads the config or a manifest is written; returns (exit
-        code and stderr, files read, files renamed into place)."""
-        self.read, self.renamed = [], []
+        """cli.main(argv) with the hook recording while the command runs and
+        while its manifest is written, but not while main reads the config;
+        returns (exit code and stderr, self.files)."""
+        self.files = {(phase, kind): [] for phase in ("command", "manifest")
+                      for kind in ("read", "renamed")}
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(cli.COMMANDS, argv[0],
-                       self._switched(cli.COMMANDS[argv[0]], True))
+                       self._recorded(cli.COMMANDS[argv[0]], "command"))
             mp.setattr(ioutil, "write_manifest",
-                       self._switched(ioutil.write_manifest, False))
+                       self._recorded(ioutil.write_manifest, "manifest"))
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-        return (code, err.getvalue()), self.read, self.renamed
+        return (code, err.getvalue()), self.files
 
 
 # (id, command, extra flags, config): the test_cli run's commands, the plot
@@ -1313,8 +1393,7 @@ MANIFESTS = {"explain-patient": "explain_patient_manifest.json",
 @pytest.fixture(scope="module")
 def audited(run, tmp_path_factory):
     """Each of AUDITED_RUNS, in order, in a fresh output directory under the
-    audit: {id: ((exit code, stderr), manifest, files read, files
-    renamed)}."""
+    audit: {id: ((exit code, stderr), manifest, FileAudit.files)}."""
     cfg_path, run_out = run
     base = tmp_path_factory.mktemp("audit")
     out = base / "out"
@@ -1337,27 +1416,32 @@ def audited(run, tmp_path_factory):
         argv = [command, "--config", configs[config_name], *flags]
         if "--patient" in flags:
             argv.append(patient)
-        code, read, renamed = audit.run(argv)
+        code, files = audit.run(argv)
         manifest = out / MANIFESTS.get(run_id, f"{command}_manifest.json")
-        results[run_id] = (code, json.loads(manifest.read_text()), read,
-                           renamed)
+        results[run_id] = (code, json.loads(manifest.read_text()), files)
     return results
 
 
 @pytest.mark.parametrize("run_id", [r[0] for r in AUDITED_RUNS])
 def test_manifest_lists_every_file_read_and_written(audited, tmp_path_factory,
                                                     run_id):
-    code, manifest, read, renamed = audited[run_id]
+    code, manifest, files = audited[run_id]
     assert code == (0, ""), run_id
     root = os.path.realpath(tmp_path_factory.getbasetemp())
 
     def under_root(paths):
-        return {p for p in map(os.path.realpath, paths)
-                if p.startswith(root + os.sep)}
+        return [p for p in map(os.path.realpath, paths)
+                if p.startswith(root + os.sep)]
 
-    assert set(map(os.path.realpath, manifest["inputs"])) == \
-        under_root(read), run_id
-    assert set(map(os.path.realpath, manifest["outputs"])) == \
-        under_root(renamed), run_id
+    inputs = set(map(os.path.realpath, manifest["inputs"]))
+    outputs = set(map(os.path.realpath, manifest["outputs"]))
+    assert inputs == set(under_root(files["command", "read"])), run_id
+    assert outputs == set(under_root(files["command", "renamed"])), run_id
+    # Each input is opened once, by the command; the manifest writer opens
+    # only the outputs, to hash them.
+    read = under_root(files["command", "read"] + files["manifest", "read"])
+    assert {p: read.count(p) for p in inputs} == dict.fromkeys(inputs, 1), \
+        run_id
+    assert set(under_root(files["manifest", "read"])) == outputs, run_id
     assert set(manifest["inputs"]) | set(manifest["outputs"]) == \
         set(manifest["sha256"])

@@ -160,7 +160,7 @@ def test_load_phecode_map_rejects_conflicts(tmp_path):
                     "E11\t250.2\tdiabetes\n"
                     "E11\t999.9\tconflict\n")
     with pytest.raises(LabriskError, match="maps to both"):
-        comorbid.load_phecode_map(path)
+        comorbid.load_phecode_map(path.read_bytes(), str(path))
 
 
 def test_load_phecode_map_round_trip(tmp_path):
@@ -168,6 +168,6 @@ def test_load_phecode_map_round_trip(tmp_path):
     path.write_text("icd_prefix\tphecode\tlabel\n"
                     "E11\t250.2\tdiabetes\n"
                     "K74\t571.5\tcirrhosis\n")
-    pmap = comorbid.load_phecode_map(path)
+    pmap = comorbid.load_phecode_map(path.read_bytes(), str(path))
     assert pmap.match("E11.9") == "250.2"
     assert pmap.label("571.5") == "cirrhosis"

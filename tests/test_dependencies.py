@@ -1,7 +1,7 @@
 """The runtime is numpy-only: every module of the package imports only the
 standard library, numpy and labrisk itself. Also: the package's exception
-classes, the run settings' one default each, and the bindings the
-benchmark's tracer wraps."""
+classes, the run settings' one default each, the package's one reader of
+each kind of file, and the bindings the benchmark's tracer wraps."""
 
 import ast
 import dataclasses
@@ -56,6 +56,49 @@ def test_package_defines_one_malformed_input_error():
                           for base in node.bases)}
     assert exceptions == {("__init__", "LabriskError"), ("nn", "ShapeError"),
                           ("nn", "NumericsError")}
+
+
+def file_opens(source: str) -> list[str]:
+    """The function (`<module>` at top level) around each call in `source`
+    that opens a file: open(), and os.open, os.fdopen, Path.open,
+    Path.read_bytes and Path.read_text by their attribute name."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr in
+                {"open", "fdopen", "read_bytes", "read_text"}):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_file_opens_sees_every_opener():
+    assert file_opens(
+        "f = open('a')\n"
+        "def g(p):\n    os.fdopen(3)\n    def h():\n        p.read_text()\n"
+        "    return read_bytes(p), io.open(p)\n"
+        "class C:\n    def m(self, p):\n        return p.read_bytes()\n") \
+        == ["<module>", "g", "h", "g", "m"]
+
+
+def test_files_are_opened_only_by_the_readers_and_the_writer():
+    """Each input is read once, by read_bytes (a whole document) or
+    ioutil.read_records_jsonl (JSON Lines), and its manifest digest is taken
+    from those bytes; besides them, only the atomic writer and the output
+    hash open files."""
+    opens = {(path.name, where) for path in PACKAGE.glob("*.py")
+             for where in file_opens(path.read_text())}
+    assert opens == {("__init__.py", "read_bytes"),
+                     ("ioutil.py", "atomic_write_text"),
+                     ("ioutil.py", "read_records_jsonl"),
+                     ("ioutil.py", "sha256_of_file")}
 
 
 def run_configs() -> list[type]:

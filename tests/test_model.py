@@ -164,6 +164,11 @@ def trained_ensemble(seed=0, n_members=3):
     return ens, (x, mask, y)
 
 
+def load_file(path):
+    """The ensemble in the model file at `path`, errors naming the path."""
+    return load_model(path.read_bytes(), str(path))
+
+
 def model_document(path):
     """(header, line 2, the array bytes after line 2) of a model file."""
     head, line, arrays = path.read_bytes().split(b"\n", 2)
@@ -201,7 +206,7 @@ GOLDEN_SCORES_SHA256 = (
 def test_golden_weights_and_scores(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=5)
     save_model(ens, tmp_path / "model.json")
-    loaded = load_model(tmp_path / "model.json")
+    loaded = load_file(tmp_path / "model.json")
     state = np.ascontiguousarray(loaded.states, dtype="<f8").tobytes()
     assert hashlib.sha256(state).hexdigest() == GOLDEN_STATE_SHA256
     scores = np.ascontiguousarray(loaded.predict_batch(x, mask), dtype="<f8")
@@ -240,7 +245,7 @@ def test_trained_ensemble_saves_a_file_that_loads(tmp_path):
     assert np.array_equal(ens.dev_labels, y)
     assert ens.background_values.shape == ens.background_mask.shape == (10, 5)
     save_model(ens, tmp_path / "model.json")
-    loaded = load_model(tmp_path / "model.json")
+    loaded = load_file(tmp_path / "model.json")
     assert np.array_equal(loaded.dev_scores, ens.dev_scores)
 
 
@@ -248,7 +253,7 @@ def test_save_load_round_trip(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=7)
     path = tmp_path / "model.json"
     save_model(ens, path)
-    loaded = load_model(path)
+    loaded = load_file(path)
     np.testing.assert_array_equal(loaded.predict_batch(x, mask),
                                   ens.predict_batch(x, mask))
     for name in ("dev_scores", "dev_labels", "background_values",
@@ -263,7 +268,7 @@ def test_save_load_save_gives_the_same_bytes(tmp_path):
     ens, _ = trained_ensemble(seed=7)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_model(ens, first)
-    save_model(load_model(first), second)
+    save_model(load_file(first), second)
     assert second.read_bytes() == first.read_bytes()
     # Line 2 states each array's shape, and the arrays' bytes are the rest.
     _, line, arrays = model_document(first)
@@ -280,7 +285,7 @@ def test_load_detects_corruption(tmp_path):
     raw[-len(model_document(path)[2])] ^= 1  # the first byte of `states`
     path.write_bytes(bytes(raw))
     with pytest.raises(LabriskError, match="sha256"):
-        load_model(path)
+        load_file(path)
 
 
 def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
@@ -294,7 +299,7 @@ def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
     save_model(ens, path)
     with pytest.raises(LabriskError, match=re.escape(
             f"{path}: states: the stored weights give {fault}")):
-        load_model(path).predict_batch(x, mask)
+        load_file(path).predict_batch(x, mask)
 
 
 def test_header_checksums_the_payload_bytes_as_written(tmp_path):
@@ -372,7 +377,7 @@ def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RiskModel, "__init__", counted)
-    loaded = load_model(tmp_path / "model.json")
+    loaded = load_file(tmp_path / "model.json")
     assert loaded.states.dtype == np.float64
     assert np.array_equal(loaded.states, ens.states)
     # Scoring loads each member's state into the network the load built.
@@ -518,4 +523,4 @@ def test_non_finite_logits_name_the_member(tmp_path, layer):
             bad.predict_batch(x, mask)
         save_model(bad, path)
         with pytest.raises(LabriskError, match=re.escape(f"{path}: states")):
-            load_model(path).predict_batch(x, mask)
+            load_file(path).predict_batch(x, mask)
