@@ -25,8 +25,8 @@ from .catalog import (catalog_to_dict, load_marker_catalog, record_from_dict,
                       record_to_dict)
 from .cohort import (CohortSpec, labeled_from_dict, labeled_to_dict,
                      run_cohort_pipeline)
-from .explain import (MIN_SUMMARY_SAMPLES, NormalizedLrFn, cohort_summary,
-                      shap_provenance, waterfall)
+from .explain import (MAX_PERMUTATIONS, MIN_SUMMARY_SAMPLES, NormalizedLrFn,
+                      cohort_summary, shap_provenance, waterfall)
 from .model import RiskModelConfig, load_model, save_model, train_ensemble
 from .preprocess import (NormalizationParams, complete_derived,
                          fit_normalization, vectorize, vectorize_many)
@@ -100,9 +100,9 @@ class ExplainConfig:
         if self.background_size < 1:
             raise LabriskError(
                 f"background_size must be >= 1, got {self.background_size}")
-        if self.n_permutations < 2:
-            raise LabriskError(
-                f"n_permutations must be >= 2, got {self.n_permutations}")
+        if not 2 <= self.n_permutations <= MAX_PERMUTATIONS:
+            raise LabriskError(f"n_permutations must be in [2, "
+                               f"{MAX_PERMUTATIONS}], got {self.n_permutations}")
         if self.top_k < 1:
             raise LabriskError(f"top_k must be >= 1, got {self.top_k}")
 

@@ -29,6 +29,9 @@ MAX_EXACT = 12  # enumerate coalitions exactly up to this many features
 MIN_WATERFALL_MARKERS = 24  # observed markers a waterfall needs
 TOP_K_WATERFALL = 9  # waterfall items before the aggregated remainder
 MIN_SUMMARY_SAMPLES = 10  # samples a cohort summary needs
+# The most permutation walks per attribution: sampling scores all of them in
+# one stack of (walks, features + 1, features) rows, so they bound its memory.
+MAX_PERMUTATIONS = 10_000
 
 
 def normalize_lr(lr) -> float | np.ndarray:

@@ -26,8 +26,9 @@ from . import LabriskError, config_from_json, ioutil, nn, parse_json
 from .preprocess import NormalizationParams
 
 MODEL_FORMAT = "labrisk-ensemble-v4"
-# The largest hidden_width and latent_dim: a network is built from the config
-# before any array is read, so its size must be bounded.
+# The largest hidden_width and latent_dim: a member's network and state are
+# sized from the config before any array is read, so their size must be
+# bounded.
 MAX_WIDTH = 1024
 
 
@@ -71,43 +72,71 @@ class RiskModelConfig:
             raise LabriskError("seed must be >= 0")
 
 
-class RiskModel:
-    """One ensemble member. `params` and `grads` are flat buffers of one
-    layout; `state` is `params` then the BatchNorm running statistics, in
-    `_stacks()` order; layer arrays are views of them. rng=None builds a
-    zero model to load a state into."""
+SLOPE = 0.2  # the encoder's LeakyReLU slope
 
-    def __init__(self, config: RiskModelConfig,
-                 rng: np.random.Generator | None):
+
+def _architecture(config: RiskModelConfig):
+    """Each layer of a member in network order, as (name, class, in width,
+    out width): three encoder blocks, the mu and logvar heads, three decoder
+    blocks and the decoder's output, then the classifier."""
+    d, w, k = config.n_features, config.hidden_width, config.latent_dim
+
+    def blocks(part, first, activation):
+        return [(f"{part}.{3 * i + j}", kind, n if j == 0 else w, w)
+                for i, n in enumerate((first, w, w))
+                for j, kind in enumerate((nn.Linear, nn.BatchNorm,
+                                          activation))]
+
+    return (blocks("encoder", 2 * d, nn.LeakyReLU)  # values ++ presence mask
+            + [("mu_head", nn.Linear, w, k), ("logvar_head", nn.Linear, w, k)]
+            + blocks("decoder", k, nn.ReLU)
+            + [("decoder.9", nn.Linear, w, d), ("classifier", nn.Linear, k, 1)])
+
+
+def state_layout(config: RiskModelConfig) -> dict[str, tuple[slice, tuple]]:
+    """Where each array of a member's state lies: `layer.array` (such as
+    `encoder.0.weight`) -> (slice of the state, shape). Every layer's
+    parameters come first, in network order, then every BatchNorm's running
+    statistics."""
+    layout, start = {}, 0
+    for names in ("param_names", "stat_names"):
+        for layer, kind, n_in, n_out in _architecture(config):
+            for name in getattr(kind, names):
+                shape = (n_out, n_in) if name == "weight" else (n_out,)
+                end = start + math.prod(shape)
+                layout[f"{layer}.{name}"] = (slice(start, end), shape)
+                start = end
+    return layout
+
+
+class RiskModel:
+    """One ensemble member. `layers` maps each layer's name to it, in
+    network order. `params` and `grads` are flat buffers of one layout;
+    `state` is `params` then the BatchNorm running statistics, in
+    `state_layout` order; layer arrays are views of them."""
+
+    def __init__(self, config: RiskModelConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
-        d, w, k = config.n_features, config.hidden_width, config.latent_dim
-        self.encoder = []
-        in_dim = 2 * d  # values ++ presence mask
-        for _ in range(3):
-            self.encoder += [nn.Linear(in_dim, w, rng), nn.BatchNorm(w),
-                             nn.LeakyReLU(0.2)]
-            in_dim = w
-        self.mu_head = nn.Linear(w, k, rng)
-        self.logvar_head = nn.Linear(w, k, rng)
-        self.decoder = []
-        in_dim = k
-        for _ in range(3):
-            self.decoder += [nn.Linear(in_dim, w, rng), nn.BatchNorm(w),
-                             nn.ReLU()]
-            in_dim = w
-        self.decoder.append(nn.Linear(w, d, rng))
-        self.classifier = nn.Linear(k, 1, rng)
-        layers = self._stacks()
-        params = [(layer, n) for layer in layers for n in layer.param_names]
-        self.state = nn.pack(params + [(layer, n) for layer in layers
-                                       for n in layer.stat_names])
-        self.grads = nn.pack([(layer, "d" + n) for layer, n in params])
+        self.layers = layers = {}  # built in order, so the draws keep theirs
+        for name, kind, n_in, n_out in _architecture(config):
+            if kind is nn.Linear:
+                layers[name] = kind(n_in, n_out, rng)
+            elif kind is nn.BatchNorm:
+                layers[name] = kind(n_out)
+            else:
+                layers[name] = kind(SLOPE) if kind is nn.LeakyReLU else kind()
+        self.encoder, self.decoder = (
+            [layer for name, layer in layers.items() if name.startswith(part)]
+            for part in ("encoder.", "decoder."))
+        self.mu_head, self.logvar_head, self.classifier = (
+            layers["mu_head"], layers["logvar_head"], layers["classifier"])
+        slots = [(layers[key.rpartition(".")[0]], key.rpartition(".")[2])
+                 for key in state_layout(config)]
+        self.state = nn.pack(slots)
+        self.grads = nn.pack([(layer, "d" + name) for layer, name in slots
+                              if name in layer.param_names])
         self.params = self.state[:self.grads.size]
-
-    def _stacks(self):
-        return (self.encoder + [self.mu_head, self.logvar_head]
-                + self.decoder + [self.classifier])
 
     # --- losses ---
 
@@ -119,11 +148,11 @@ class RiskModel:
         cfg = self.config
         h = np.concatenate([seen, seen_mask], axis=-1)
         for layer in self.encoder:
-            h = layer.forward(h, True)
+            h = layer.forward(h)
         mu, logvar = self.mu_head.forward(h), self.logvar_head.forward(h)
         h = nn.reparameterize(mu, logvar, noise)
         for layer in self.decoder:
-            h = layer.forward(h, True)
+            h = layer.forward(h)
         l_rec, drecon = nn.masked_mse(h, values, mask)
         l_kl, dmu_kl, dlv_kl = nn.kl_divergence(mu, logvar)
         loss = cfg.w_recon * l_rec + cfg.w_kl * l_kl
@@ -252,14 +281,37 @@ class RiskAssessment:
                    ci=(float(lo), float(hi)))
 
 
+def _scoring_layers(states: np.ndarray, config: RiskModelConfig):
+    """The five (weight, bias) pairs, stacked over members as (M, out, in)
+    and (M, out), that eval scoring applies: each encoder Linear with the
+    eval BatchNorm after it folded in, then the mu head and the classifier
+    as stored. Folding `gamma * (y - mean) / sqrt(var + eps) + beta` of `y =
+    x @ W.T + b` gives `W' = W * s` by row and `b' = (b - mean) * s + beta`,
+    with `s = gamma / sqrt(var + eps)`."""
+    layout = state_layout(config)
+
+    def array(key):
+        where, shape = layout[key]
+        return states[:, where].reshape(len(states), *shape)
+
+    layers = []
+    for block in range(3):
+        linear, norm = f"encoder.{3 * block}.", f"encoder.{3 * block + 1}."
+        s = array(norm + "gamma") / np.sqrt(array(norm + "running_var")
+                                            + nn.BatchNorm.eps)
+        layers.append((array(linear + "weight") * s[..., None],
+                       (array(linear + "bias") - array(norm + "running_mean"))
+                       * s + array(norm + "beta")))
+    return layers + [(array(f"{head}.weight"), array(f"{head}.bias"))
+                     for head in ("mu_head", "classifier")]
+
+
 @dataclass
 class RiskEnsemble:
     # (members, state size): each member's RiskModel.state, in member order.
     states: np.ndarray
     normalization: NormalizationParams
     config: RiskModelConfig
-    # The one eval network that scoring loads each member's state into.
-    network: RiskModel
     catalog_version: str
     # The development cohort's mean ensemble scores and 0/1 labels, which
     # per-patient LRs are read from, and the explanation background rows.
@@ -274,32 +326,41 @@ class RiskEnsemble:
 
     def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Eval-mode scores of every member: (..., n_features) rows give
-        (..., n_members); a single 1-D row gives (1, n_members). Non-finite
-        logits raise NumericsError, or LabriskError if loaded from a file."""
+        (..., n_members); a single 1-D row gives (1, n_members). Each member
+        runs the mu path through its folded layers. Non-finite folded layers
+        or logits raise NumericsError, or LabriskError if loaded from a
+        file."""
         values, mask = np.atleast_2d(values, mask)
         if values.shape[-1] != self.config.n_features:
             raise LabriskError(
                 f"expected {self.config.n_features} features, "
                 f"got {values.shape[-1]}")
-        h = np.concatenate([values, mask], axis=-1)
-        net, scores = self.network, []
-        # The logits' finite check reports an overflow, so numpy's warning
-        # would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for member, state in enumerate(self.states):
-                net.state[...] = state
-                logits = h  # the mu path; logvar_head is not run
-                for layer in net.encoder + [net.mu_head, net.classifier]:
-                    logits = layer.forward(logits, False)
+        x = np.concatenate([values, mask], axis=-1)
+        logits = []
+        # The finite checks report an overflow or a zero variance, so numpy's
+        # warnings would only repeat them.
+        with np.errstate(all="ignore"):
+            layers = _scoring_layers(self.states, self.config)
+            # A non-finite folded array makes every row's logits non-finite.
+            finite = np.logical_and.reduce([
+                np.isfinite(a).reshape(len(a), -1).all(axis=1)
+                for pair in layers[:3] for a in pair])
+            for member in range(len(self.states)):
+                h = x
+                for i, (weight, bias) in enumerate(layers):
+                    h = h @ weight[member].T
+                    h += bias[member]
+                    if i < 3:  # an encoder block's LeakyReLU
+                        h *= np.maximum(h > 0, SLOPE)
                 # Checked before the sigmoid, which maps +-inf to 0 or 1.
-                if not np.isfinite(logits).all():
+                if not (finite[member] and np.isfinite(h).all()):
                     fault = f"non-finite values in member {member}'s logits"
                     if self.source is None:
                         raise nn.NumericsError(fault)
                     raise LabriskError(f"{self.source}: states: the stored "
                                        f"weights give {fault}")
-                scores.append(nn.sigmoid(logits[..., 0]))
-        return np.stack(scores, axis=-1)
+                logits.append(h[..., 0])
+        return nn.sigmoid(np.stack(logits, axis=-1))
 
     def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
         scores = self.predict_batch(values, mask)[0]
@@ -374,7 +435,7 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
                                          background_size, background_seed)
     ensemble = RiskEnsemble(
         states=np.stack(states), normalization=normalization, config=config,
-        network=RiskModel(config, None), catalog_version=catalog_version,
+        catalog_version=catalog_version,
         dev_scores=np.empty(0), dev_labels=labels,
         background_values=bg_values, background_mask=bg_mask,
         member_subsets=subsets, history=history)
@@ -444,11 +505,12 @@ def load_model(data: bytes, where: str) -> RiskEnsemble:
         raise LabriskError(
             f"{where}: normalization.feature_order has {n_order} features, "
             f"config.n_features is {doc.config.n_features}")
-    network = RiskModel(doc.config, None)
+    state_size = sum(math.prod(shape)
+                     for _, shape in state_layout(doc.config).values())
     arrays = {}
     # Each array's stated shape against the one it must have, a None
     # standing for any positive row count.
-    for name, want in (("states", (None, network.state.size)),
+    for name, want in (("states", (None, state_size)),
                        ("dev_scores", (None,)),
                        ("dev_labels", doc.dev_scores),
                        ("background_values", (None, doc.config.n_features)),
@@ -479,4 +541,4 @@ def load_model(data: bytes, where: str) -> RiskEnsemble:
     return RiskEnsemble(
         **arrays, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,
-        member_subsets=doc.member_subsets, source=where, network=network)
+        member_subsets=doc.member_subsets, source=where)

@@ -42,32 +42,27 @@ def pack(slots: list[tuple[object, str]]) -> np.ndarray:
 
 
 class Linear(Layer):
-    """y = x @ W.T + b with uniform fan-in initialization; rng=None leaves
-    the weight zero for state that is loaded afterwards."""
+    """y = x @ W.T + b with uniform fan-in initialization."""
 
     param_names = ("weight", "bias")
 
-    def __init__(self, in_dim: int, out_dim: int,
-                 rng: np.random.Generator | None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         if in_dim <= 0 or out_dim <= 0:
             raise ShapeError(f"bad linear dims ({in_dim}, {out_dim})")
         bound = 1.0 / np.sqrt(in_dim)
-        self.weight = (np.zeros((out_dim, in_dim)) if rng is None else
-                       rng.uniform(-bound, bound, size=(out_dim, in_dim)))
+        self.weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
         self.bias = np.zeros(out_dim)
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias)
         self._x = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """(..., in) -> (..., out). numpy multiplies a stack of batches one
-        batch at a time, so each gets the bits it would get alone. Only
-        train mode keeps x for backward, which takes (n, in) batches."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """(..., in) -> (..., out), keeping x for backward, which takes
+        (n, in) batches."""
         if x.ndim == 0 or x.shape[-1] != self.weight.shape[1]:
             raise ShapeError(
                 f"linear expects (..., {self.weight.shape[1]}), got {x.shape}")
-        if train:
-            self._x = x
+        self._x = x
         y = x @ self.weight.T
         y += self.bias
         return y
@@ -80,8 +75,8 @@ class Linear(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-feature batch normalization with running statistics. Eval mode
-    keeps nothing for backward."""
+    """Per-feature batch normalization of training batches, keeping running
+    statistics (eval scoring folds them into the Linear before it)."""
 
     param_names = ("gamma", "beta")
     stat_names = ("running_mean", "running_var")
@@ -97,28 +92,23 @@ class BatchNorm(Layer):
         self.running_var = np.ones(dim)
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """The arithmetic of `gamma * (x - mean) / sqrt(var + eps) + beta`
         with `x.var`'s population variance, in fewer passes."""
-        if train:
-            n = x.shape[0]
-            if n < 2:
-                raise ShapeError("batchnorm train mode needs batch size >= 2")
-            mean = x.mean(axis=0)
-            xhat = x - mean
-            var = (xhat * xhat).sum(axis=0) / n  # what x.var(axis=0) computes
-            self.running_mean[...] = ((1 - self.momentum) * self.running_mean
-                                      + self.momentum * mean)
-            self.running_var[...] = ((1 - self.momentum) * self.running_var
-                                     + self.momentum * var)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat *= inv_std
-            self._cache = (xhat, inv_std, n)
-            y = xhat * self.gamma
-        else:
-            y = x - self.running_mean
-            y *= 1.0 / np.sqrt(self.running_var + self.eps)
-            y *= self.gamma
+        n = x.shape[0]
+        if n < 2:
+            raise ShapeError("batchnorm train mode needs batch size >= 2")
+        mean = x.mean(axis=0)
+        xhat = x - mean
+        var = (xhat * xhat).sum(axis=0) / n  # what x.var(axis=0) computes
+        self.running_mean[...] = ((1 - self.momentum) * self.running_mean
+                                  + self.momentum * mean)
+        self.running_var[...] = ((1 - self.momentum) * self.running_var
+                                 + self.momentum * var)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat *= inv_std
+        self._cache = (xhat, inv_std, n)
+        y = xhat * self.gamma
         y += self.beta
         return y
 
@@ -140,12 +130,9 @@ class LeakyReLU(Layer):
         self.slope = slope
         self._factor = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        factor = np.maximum(x > 0, self.slope)
-        if train:
-            self._factor = factor
-            return x * factor
-        return np.multiply(x, factor, out=factor)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._factor = np.maximum(x > 0, self.slope)
+        return x * self._factor
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._factor

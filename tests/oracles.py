@@ -1,11 +1,13 @@
 """Reference helpers the tests check labrisk against: layer parameter
 lists, the plain-numpy expressions the layer kernels must match bit for bit,
 central-difference gradient checks, average precision, the Shapley
-efficiency residual and the longest-prefix phecode scan."""
+efficiency residual, the longest-prefix phecode scan and eval scoring
+through the unfolded layers."""
 
 import numpy as np
 
-from labrisk import metrics
+from labrisk import metrics, nn
+from labrisk.model import RiskModel
 
 
 def params(layer):
@@ -34,18 +36,15 @@ def linear(x, weight, bias):
     return x @ weight.T + bias
 
 
-def batchnorm(x, layer, train: bool):
+def batchnorm(x, layer):
     """(output, xhat, inv_std, running_mean, running_var) of a BatchNorm
-    forward from the layer's current state, which is left unchanged."""
-    if train:
-        mean, var = x.mean(axis=0), x.var(axis=0)
-        running_mean = ((1 - layer.momentum) * layer.running_mean
-                        + layer.momentum * mean)
-        running_var = ((1 - layer.momentum) * layer.running_var
-                       + layer.momentum * var)
-    else:
-        mean, var = layer.running_mean, layer.running_var
-        running_mean, running_var = mean, var
+    training forward from the layer's current state, which is left
+    unchanged."""
+    mean, var = x.mean(axis=0), x.var(axis=0)
+    running_mean = ((1 - layer.momentum) * layer.running_mean
+                    + layer.momentum * mean)
+    running_var = ((1 - layer.momentum) * layer.running_var
+                   + layer.momentum * var)
     inv_std = 1.0 / np.sqrt(var + layer.eps)
     xhat = (x - mean) * inv_std
     return (layer.gamma * xhat + layer.beta, xhat, inv_std, running_mean,
@@ -132,3 +131,30 @@ def lr_ribbon_csv(thresholds, stack):
         f"{thresholds[i]:.10g},{stack[:, i].mean():.10g},"
         f"{stack[:, i].std():.10g},{stack[:, i].min():.10g},"
         f"{stack[:, i].max():.10g}\n" for i in range(stack.shape[1]))
+
+
+def unfolded_scores(ensemble, values, mask):
+    """(..., members) eval scores through the unfolded layers, in the float
+    operations scoring ran before each eval BatchNorm was folded into its
+    Linear: per member, each encoder Linear, its BatchNorm on the running
+    statistics and LeakyReLU(0.2), then the mu head, the classifier and the
+    sigmoid."""
+    model = RiskModel(ensemble.config, np.random.default_rng(0))
+    x = np.concatenate(np.atleast_2d(values, mask), axis=-1)
+    scores = []
+    for state in ensemble.states:
+        model.state[...] = state
+        h = x
+        for linear, norm in zip(model.encoder[::3], model.encoder[1::3]):
+            h = h @ linear.weight.T
+            h += linear.bias
+            h = h - norm.running_mean
+            h *= 1.0 / np.sqrt(norm.running_var + norm.eps)
+            h *= norm.gamma
+            h += norm.beta
+            h = h * np.maximum(h > 0, 0.2)
+        for head in (model.mu_head, model.classifier):
+            h = h @ head.weight.T
+            h += head.bias
+        scores.append(nn.sigmoid(h[..., 0]))
+    return np.stack(scores, axis=-1)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import warnings
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import cli, defaults, ioutil, likelihood, nn
+from labrisk import LabriskError, cli, defaults, ioutil, likelihood, nn
 from labrisk.catalog import (load_marker_catalog, record_from_dict,
                              record_to_dict)
 from labrisk.cohort import CohortSpec, labeled_from_dict
-from labrisk.explain import NormalizedLrFn, normalize_lr, shap_values
+from labrisk.explain import (MAX_PERMUTATIONS, NormalizedLrFn, normalize_lr,
+                             shap_values)
 from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment,
                            RiskModelConfig, load_model)
 from labrisk.preprocess import complete_derived, vectorize_many
@@ -29,6 +31,7 @@ from labrisk.synth import MAX_N_PER_CLASS, SynthConfig
 
 import oracles
 from test_likelihood import similar_oracle
+from test_model import NON_FINITE_STATES, with_member_1_arrays
 
 
 def _small_run_config(base, cancer_type):
@@ -357,6 +360,32 @@ def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
                                             rechecksum, field):
     _assert_model_rejected(run, tmp_path, capsys, edit,
                            ("predict", "explain"), field, rechecksum)
+
+
+def _member_1_arrays(values):
+    """An edit that sets every entry of each `state_layout` array named in
+    `values` of member 1's state to its value."""
+    def edit(header, line, arrays):
+        arrays["states"] = with_member_1_arrays(
+            arrays["states"], RiskModelConfig(**line["config"]), values)
+    return edit
+
+
+@pytest.mark.parametrize("case", NON_FINITE_STATES)
+def test_states_giving_non_finite_scores_exit_3_and_print_only_that(
+        run, tmp_path, capsys, case):
+    _, out = run
+    model = _rechecksummed_model(out, tmp_path / "model.json",
+                                 _member_1_arrays(NON_FINITE_STATES[case]))
+    cfg = _config(tmp_path, {"model": str(model)})
+    patient = _patient_file(out, tmp_path / "patient.json")
+    for command in ("predict", "explain"):
+        with no_runtime_warning():
+            assert cli.main([command, "--config", cfg,
+                             "--patient", str(patient)]) == 3, command
+        assert capsys.readouterr().err == (
+            f"error: {model}: states: the stored weights give non-finite "
+            "values in member 1's logits\n")
 
 
 def reference_value_fn(ensemble, dev, values, mask, min_n):
@@ -775,7 +804,7 @@ MALFORMED_INPUTS = {
                                 ("unknown-class", {"E11": {"pancreas": 0.1}}))},
     **{f"config-explain-n-permutations-{n}": _section_case(
         "explain", "explain", {"n_permutations": n}, SCORE_INPUTS)
-       for n in (0, 1, -4)},
+       for n in (0, 1, -4, MAX_PERMUTATIONS + 1)},
     "config-explain-top-k-negative": _section_case(
         "explain", "explain", {"top_k": -1}, SCORE_INPUTS),
     "config-comorbid-min-each-negative": _section_case(
@@ -1142,7 +1171,9 @@ OUT_OF_RANGE = {
     # allocates.
     ("synth", "n_per_class"): st.dictionaries(
         CLASSES, st.just(MAX_N_PER_CLASS + 1), min_size=1),
-    ("explain", "n_permutations"): st.integers(-10**9, 1),
+    # One above the limit only: a larger count allocates without bound.
+    ("explain", "n_permutations"): st.integers(-10**9, 1)
+    | st.just(MAX_PERMUTATIONS + 1),
     ("explain", "top_k"): st.integers(-10**9, 0),
     ("comorbid", "min_each"): BELOW_ZERO,
     # One above the limit only: a larger network allocates without bound.
@@ -1211,6 +1242,14 @@ def test_fuzzed_run_config_never_exits_4(run, fuzz_dir, data):
     flags = ["--patient", _write(fuzz_dir / "patient.json", json.dumps(
         _validation_doc(out)))] if command == "predict" else []
     assert _exit_code([command, "--config", cfg, *flags]) == 3
+
+
+def test_n_permutations_limit_is_inclusive():
+    cli.ExplainConfig(n_permutations=MAX_PERMUTATIONS).validate()
+    with pytest.raises(LabriskError, match=re.escape(
+            f"n_permutations must be in [2, {MAX_PERMUTATIONS}], "
+            f"got {MAX_PERMUTATIONS + 1}")):
+        cli.ExplainConfig(n_permutations=MAX_PERMUTATIONS + 1).validate()
 
 
 def test_train_log_carries_member_index(run):

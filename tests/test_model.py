@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment, RiskEnsemble,
                            pretrain, save_model, train_ensemble)
 from labrisk.preprocess import NormalizationParams
 
+import oracles
 from oracles import grad_check, params
 
 
@@ -118,7 +120,7 @@ def test_finetune_separates_easy_classes():
     finetune(model, x, mask, y, rng)
     ensemble = RiskEnsemble(
         states=model.state[None], normalization=dummy_params(5), config=cfg,
-        network=RiskModel(cfg, None), catalog_version="t", **UNSCORED)
+        catalog_version="t", **UNSCORED)
     scores = ensemble.predict_batch(x, mask)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
     from labrisk.metrics import roc
@@ -176,16 +178,16 @@ def model_document(path):
 
 
 def member_model(ens, member):
-    """An eval RiskModel holding row `member` of the ensemble's states."""
-    model = RiskModel(ens.config, None)
+    """A RiskModel holding row `member` of the ensemble's states."""
+    model = RiskModel(ens.config, np.random.default_rng(0))
     model.state[...] = ens.states[member]
     return model
 
 
 def state_bytes(model):
     """A member's parameters, then its BatchNorm running statistics, in
-    `_stacks()` order, as little-endian float64 bytes."""
-    layers = model._stacks()
+    network order, as little-endian float64 bytes."""
+    layers = list(model.layers.values())
     arrays = [p for layer in layers for p in params(layer)]
     arrays += [s for layer in layers if isinstance(layer, nn.BatchNorm)
                for s in (layer.running_mean, layer.running_var)]
@@ -196,21 +198,51 @@ def state_bytes(model):
 # Digests of the seed-5 ensemble after a save/load round trip. Any change to
 # the float arithmetic of initialization, training, serialization or scoring
 # changes them; a change that does so on purpose re-baselines them and says
-# why.
+# why. UNFOLDED_SCORES_SHA256 is the scores digest of scoring before each eval
+# BatchNorm was folded into its Linear, which the unfolded oracle keeps.
 GOLDEN_STATE_SHA256 = (
     "f92026bb3d39a4b9e1bd90be5cc104f682d5ef4f2658c6a275f23ead124c7d8c")
 GOLDEN_SCORES_SHA256 = (
+    "ab4188bd46072ea87a78e3185546f52757dc59cf28683c071577fcbbef738c87")
+UNFOLDED_SCORES_SHA256 = (
     "f83740c965fd4c8b83d11751f6e047c8bfb0c86d998239aec4157217532f6f86")
+
+
+def _digest(array):
+    return hashlib.sha256(
+        np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
 
 
 def test_golden_weights_and_scores(tmp_path):
     ens, (x, mask, _) = trained_ensemble(seed=5)
     save_model(ens, tmp_path / "model.json")
     loaded = load_file(tmp_path / "model.json")
-    state = np.ascontiguousarray(loaded.states, dtype="<f8").tobytes()
-    assert hashlib.sha256(state).hexdigest() == GOLDEN_STATE_SHA256
-    scores = np.ascontiguousarray(loaded.predict_batch(x, mask), dtype="<f8")
-    assert hashlib.sha256(scores.tobytes()).hexdigest() == GOLDEN_SCORES_SHA256
+    assert _digest(loaded.states) == GOLDEN_STATE_SHA256
+    assert _digest(loaded.predict_batch(x, mask)) == GOLDEN_SCORES_SHA256
+    assert _digest(oracles.unfolded_scores(loaded, x, mask)) == \
+        UNFOLDED_SCORES_SHA256
+
+
+# Folding moves each score by a few units in the last place (ulps) of the
+# score: 3 to 9 on these ensembles, 26 at most on a 10-member model of the
+# acceptance width. The bound leaves room for other BLAS kernels, and is far
+# below what a layout or fold error gives.
+MAX_FOLD_ULPS = 64
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_folded_scores_are_within_ulps_of_the_unfolded_oracle(seed):
+    ens, (x, mask, _) = trained_ensemble(seed=seed, n_members=4)
+    expected = oracles.unfolded_scores(ens, x, mask)
+    got = ens.predict_batch(x, mask)
+    assert got.shape == expected.shape == (90, 4)
+    ulps = np.abs(got - expected) / np.spacing(expected)
+    assert ulps.max() <= MAX_FOLD_ULPS, ulps.max()
+    # The walk stacks that explain scores: (walks, rows, features).
+    stack = ens.predict_batch(x.reshape(6, 15, 5), mask.reshape(6, 15, 5))
+    assert np.array_equal(stack, np.stack(
+        [ens.predict_batch(x[i:i + 15], mask[i:i + 15])
+         for i in range(0, 90, 15)]))
 
 
 def test_ensemble_prediction_shape_and_range():
@@ -302,6 +334,74 @@ def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
         load_file(path).predict_batch(x, mask)
 
 
+# Edits of member 1's state that give non-finite scores, as {state_layout key:
+# value}.
+NON_FINITE_STATES = {
+    # running_var + eps is 0: the fold divides by zero.
+    "zero-variance": {"encoder.1.running_var": -nn.BatchNorm.eps},
+    # running_var + eps is negative: its square root is NaN.
+    "negative-variance": {"encoder.4.running_var": -1.0},
+    # The fold stays finite, and the layers' sums overflow.
+    "huge-weights": {f"{layer}.weight": 1e300 for layer in (
+        "encoder.0", "encoder.3", "encoder.6", "mu_head", "classifier")},
+}
+
+
+def with_member_1_arrays(states, config, values):
+    """A copy of `states` with every entry of each `state_layout` array named
+    in `values` of member 1 set to its value."""
+    layout = model_module.state_layout(config)
+    states = states.copy()
+    for key, value in values.items():
+        states[1, layout[key][0]] = value
+    return states
+
+
+@pytest.mark.parametrize("case", NON_FINITE_STATES)
+def test_states_giving_non_finite_scores_name_the_member(tmp_path, case):
+    """Reported as member 1's non-finite logits without a numpy warning:
+    NumericsError (exit 4) for a trained ensemble, LabriskError naming the
+    file and `states` (exit 3) for a loaded one."""
+    ens, (x, mask, _) = trained_ensemble(seed=4)
+    bad = dataclasses.replace(ens, states=with_member_1_arrays(
+        ens.states, ens.config, NON_FINITE_STATES[case]))
+    with np.errstate(all="ignore"):
+        folded = model_module._scoring_layers(bad.states, bad.config)
+        assert all(np.isfinite(a).all() for pair in folded for a in pair) \
+            == (case == "huge-weights")
+    path = tmp_path / "model.json"
+    save_model(bad, path)
+    fault = "non-finite values in member 1's logits"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nn.NumericsError, match=re.escape(fault)):
+            bad.predict_batch(x, mask)
+        with pytest.raises(LabriskError, match=re.escape(
+                f"{path}: states: the stored weights give {fault}")):
+            load_file(path).predict_batch(x, mask)
+
+
+def test_state_layout_locates_every_layer_array():
+    """RiskModel's layer arrays are the views of `state` that state_layout
+    names, and the layout covers the state once, in order."""
+    model = RiskModel(tiny_config(), np.random.default_rng(0))
+    layers = model.layers
+    assert list(layers.values()) == (
+        model.encoder + [model.mu_head, model.logvar_head] + model.decoder
+        + [model.classifier])
+    layout = model_module.state_layout(model.config)
+    start = 0
+    for key, (where, shape) in layout.items():
+        layer, _, name = key.rpartition(".")
+        assert where.start == start
+        array = getattr(layers[layer], name)
+        assert array.shape == shape
+        assert np.shares_memory(array, model.state)
+        assert np.array_equal(array.ravel(), model.state[where])
+        start = where.stop
+    assert start == model.state.size
+
+
 def test_header_checksums_the_payload_bytes_as_written(tmp_path):
     ens, _ = trained_ensemble(seed=7)
     path = tmp_path / "model.json"
@@ -367,6 +467,9 @@ def test_failed_save_leaves_existing_model_intact(tmp_path, monkeypatch,
 
 
 def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
+    """Loading and scoring build no RiskModel: the load sizes `states` from
+    the config's state layout, and scoring folds the layers it needs from
+    `states`."""
     ens, (x, mask, _) = trained_ensemble(seed=7)
     save_model(ens, tmp_path / "model.json")
     built = []
@@ -380,41 +483,32 @@ def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
     loaded = load_file(tmp_path / "model.json")
     assert loaded.states.dtype == np.float64
     assert np.array_equal(loaded.states, ens.states)
-    # Scoring loads each member's state into the network the load built.
     for _ in range(2):
         loaded.predict_batch(x[:1], mask[:1])
-    assert len(built) == 1
+    assert built == []
 
 
 def test_eval_scores_skip_logvar_head(monkeypatch):
+    """Scoring calls no layer's forward and reads only the encoder, the mu
+    head and the classifier: NaN in every logvar-head and decoder array
+    changes no score's bits."""
     ens, (x, mask, _) = trained_ensemble(seed=5)
-    model = member_model(ens, 0)
+    expected = ens.predict_batch(x, mask)
+    states = ens.states.copy()
+    for key, (where, _) in model_module.state_layout(ens.config).items():
+        if key.startswith(("logvar_head.", "decoder.")):
+            states[:, where] = math.nan
+    poisoned = dataclasses.replace(ens, states=states)
 
-    def reference(values, mask):
-        h = np.concatenate([values, mask], axis=-1)
-        for layer in model.encoder:
-            h = layer.forward(h, False)
-        mu = model.mu_head.forward(h, False)
-        model.logvar_head.forward(h, False)
-        return nn.sigmoid(model.classifier.forward(mu, False)[..., 0])
+    def no_forward(self, *args):
+        raise AssertionError(f"{type(self).__name__}.forward called")
 
-    expected = reference(x, mask)
-    calls = []
-    forward = nn.Linear.forward
-
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return forward(self, *args, **kwargs)
-
-    # Per member: three encoder layers, the mu head and the classifier.
-    monkeypatch.setattr(nn.Linear, "forward", counted)
-    assert np.array_equal(ens.predict_batch(x, mask)[:, 0], expected)
-    assert len(calls) == 5 * len(ens.states)
-    calls.clear()
+    for kind in (nn.Linear, nn.BatchNorm, nn.LeakyReLU):
+        monkeypatch.setattr(kind, "forward", no_forward)
+    assert np.array_equal(poisoned.predict_batch(x, mask), expected)
     assert np.array_equal(
-        ens.predict_batch(x[:2][None], mask[:2][None])[..., 0],
+        poisoned.predict_batch(x[:2][None], mask[:2][None]),
         expected[None, :2])
-    assert len(calls) == 5 * len(ens.states)
 
 
 def test_config_validation():
@@ -439,8 +533,9 @@ def array_slots(layers):
 
 def inject_during_training(monkeypatch, stage, layer, name, value,
                            member=1, epoch=1):
-    """Make train_ensemble set the first entry of `_stacks()[layer].name`
-    to `value` before the first batch of `stage`'s `epoch` of `member`."""
+    """Make train_ensemble set the first entry of array `name` of layer
+    number `layer` to `value` before the first batch of `stage`'s `epoch`
+    of `member`."""
     fit, fits = model_module._fit, []
 
     def injecting_fit(model, fit_stage, epochs, n, rng, batch_loss):
@@ -452,7 +547,8 @@ def inject_during_training(monkeypatch, stage, layer, name, value,
         def injecting_loss(idx):
             if (len(fits) - 1) // 2 == member and fit_stage == stage \
                     and len(batches) == epoch * per_epoch:
-                getattr(model._stacks()[layer], name).flat[0] = value
+                getattr(list(model.layers.values())[layer],
+                        name).flat[0] = value
             batches.append(idx)
             return batch_loss(idx)
         return fit(model, fit_stage, epochs, n, rng, injecting_loss)
@@ -466,9 +562,9 @@ def test_non_finite_training_names_member_stage_and_epoch(monkeypatch, stage,
                                                           value):
     """A NaN in any parameter or running statistic, or 1e300 in any weight,
     is caught by the one check after the optimizer step it spoils."""
-    net = RiskModel(tiny_config(), None)
-    for layer, name in array_slots(net._stacks()):
-        target = net._stacks()[layer]
+    net = RiskModel(tiny_config(), np.random.default_rng(0))
+    for layer, name in array_slots(list(net.layers.values())):
+        target = list(net.layers.values())[layer]
         expected = f"member 1: {stage} epoch 1: "
         if value == 1e300 and (name.startswith("running_") or name == "bias"
                                and target is not net.decoder[-1]):
@@ -495,15 +591,15 @@ def scoring_layers(model):
 def with_member_value(ens, member, layer, name, value):
     """A copy of `ens` with the first entry of the `name` array of scoring
     layer `layer` of `member` set to `value`."""
-    net = RiskModel(ens.config, None)
-    net.state[...] = ens.states[member]
+    net = member_model(ens, member)
     getattr(scoring_layers(net)[layer], name).flat[0] = value
     states = ens.states.copy()
     states[member] = net.state
     return dataclasses.replace(ens, states=states)
 
 
-SCORING_LAYERS = scoring_layers(RiskModel(tiny_config(), None))
+SCORING_LAYERS = scoring_layers(RiskModel(tiny_config(),
+                                          np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("layer", [i for i, l in enumerate(SCORING_LAYERS)

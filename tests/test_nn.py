@@ -58,9 +58,9 @@ def test_batchnorm_grad_check(seed):
     w = rng.normal(size=(8, 5))
 
     def loss():
-        return float((layer.forward(x.copy(), train=True) * w).sum())
+        return float((layer.forward(x.copy()) * w).sum())
 
-    layer.forward(x.copy(), train=True)
+    layer.forward(x.copy())
     layer.backward(w)
     err = grad_check(loss, params(layer), grads(layer))
     assert err < 1e-6
@@ -71,7 +71,7 @@ def test_batchnorm_input_gradient():
     layer = nn.BatchNorm(4)
     x = rng.normal(size=(6, 4))
     w = rng.normal(size=(6, 4))
-    layer.forward(x, train=True)
+    layer.forward(x)
     dx = layer.backward(w)
     num = np.zeros_like(x)
     step = 1e-6
@@ -88,26 +88,15 @@ def test_batchnorm_input_gradient():
 def nn_forward_fresh(layer, x):
     """Forward pass that leaves running statistics untouched."""
     saved = (layer.running_mean.copy(), layer.running_var.copy())
-    out = layer.forward(x, train=True)
+    out = layer.forward(x)
     layer.running_mean, layer.running_var = saved
     return out
-
-
-def test_batchnorm_eval_uses_running_stats():
-    rng = _rng(4)
-    layer = nn.BatchNorm(3)
-    for _ in range(200):
-        layer.forward(rng.normal(loc=2.0, scale=3.0, size=(32, 3)), train=True)
-    out = layer.forward(np.full((2, 3), 2.0), train=False)
-    # An input at the running mean normalizes near zero -> output near beta.
-    np.testing.assert_allclose(out, np.broadcast_to(layer.beta, (2, 3)),
-                               atol=0.15)
 
 
 def test_batchnorm_rejects_single_row_training():
     layer = nn.BatchNorm(3)
     with pytest.raises(nn.ShapeError):
-        layer.forward(np.zeros((1, 3)), train=True)
+        layer.forward(np.zeros((1, 3)))
 
 
 def test_activations():
@@ -247,7 +236,6 @@ def test_check_finite_raises():
     models[1].encoder[0].weight[0, 0] = np.nan
     ensemble = RiskEnsemble(states=np.stack([m.state for m in models]),
                             normalization=None, config=cfg,
-                            network=RiskModel(cfg, None),
                             catalog_version="t", **UNSCORED)
     with pytest.raises(nn.NumericsError, match="member 1's logits"):
         ensemble.predict_batch(np.ones((3, 2)), np.ones((3, 2)))
@@ -259,26 +247,27 @@ LAYERS = {"linear": lambda: nn.Linear(3, 3, _rng(11)),
 
 
 @pytest.mark.parametrize("make", LAYERS.values(), ids=LAYERS)
-@pytest.mark.parametrize("train", [True, False])
+# Layers have one mode, training; `train` keeps the test ids stable.
+@pytest.mark.parametrize("train", [True])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_layers_pass_non_finite_values_on(make, train, bad):
     """A non-finite activation comes out of every layer kind non-finite
-    (inf * 0 is NaN, and NaN propagates), so the one check on the loss or
-    the logits after the last layer sees a fault of any layer."""
+    (inf * 0 is NaN, and NaN propagates), so the one check on the loss
+    after the last layer sees a fault of any layer."""
     x = _rng(12).normal(size=(4, 3))
     x[1, 2] = bad
     layer = make()
     if isinstance(layer, nn.Linear):
         layer.weight[:, 2] = 0.0  # inf * 0
     with np.errstate(invalid="ignore"):
-        y = layer.forward(x, train)
+        y = layer.forward(x)
     assert not np.isfinite(y).all()
 
 
 
 # The layer kernels give the bytes of the plain expressions in oracles.py.
-# Shapes are a training batch (n, w) and an explanation stack
-# (walks, d + 1, w). NaNs are quiet, as float arithmetic produces them.
+# Shapes are a batch (n, w) and a stack of batches
+# (stacks, n, w). NaNs are quiet, as float arithmetic produces them.
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf,
            -math.inf, math.nan, -math.nan]
@@ -310,18 +299,15 @@ def test_activation_kernels_match_where_oracle_bytes(data, slope):
     dy = data.draw(_arrays(shape, ANY_FLOAT))
     layer = nn.LeakyReLU(slope)
     with np.errstate(invalid="ignore"):  # 0 * inf
-        assert _same_bytes(layer.forward(x, train=False),
-                           oracles.leaky_relu(x, slope))
-        assert _same_bytes(layer.forward(x, train=True),
-                           oracles.leaky_relu(x, slope))
+        assert _same_bytes(layer.forward(x), oracles.leaky_relu(x, slope))
         assert _same_bytes(layer.backward(dy),
                            oracles.leaky_relu_backward(x, dy, slope))
 
 
 @st.composite
-def batchnorm_cases(draw, train):
+def batchnorm_cases(draw):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
-                                  max_side=9) if train else SHAPES)
+                                  max_side=9))
     w = shape[-1]
     layer = nn.BatchNorm(w)
     layer.momentum = draw(st.sampled_from([0.1, 0.3]))
@@ -333,25 +319,16 @@ def batchnorm_cases(draw, train):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=batchnorm_cases(train=True))
+@given(case=batchnorm_cases())
 def test_batchnorm_train_forward_matches_var_oracle_bytes(case):
     layer, x = case
-    y, xhat, inv_std, running_mean, running_var = oracles.batchnorm(
-        x, layer, True)
-    assert _same_bytes(layer.forward(x, train=True), y)
+    y, xhat, inv_std, running_mean, running_var = oracles.batchnorm(x, layer)
+    assert _same_bytes(layer.forward(x), y)
     got_xhat, got_inv_std, n = layer._cache
     assert (_same_bytes(got_xhat, xhat) and _same_bytes(got_inv_std, inv_std)
             and n == x.shape[0])
     assert _same_bytes(layer.running_mean, running_mean)
     assert _same_bytes(layer.running_var, running_var)
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=batchnorm_cases(train=False))
-def test_batchnorm_eval_forward_matches_oracle_bytes(case):
-    layer, x = case
-    y = oracles.batchnorm(x, layer, False)[0]
-    assert _same_bytes(layer.forward(x, train=False), y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,5 +339,5 @@ def test_linear_forward_matches_oracle_bytes(data):
                       np.random.default_rng(data.draw(st.integers(0, 99))))
     layer.bias[...] = data.draw(_arrays(layer.bias.shape, st.floats(-4, 4)))
     x = data.draw(_arrays(shape, FINITE))
-    assert _same_bytes(layer.forward(x, train=False),
+    assert _same_bytes(layer.forward(x),
                        oracles.linear(x, layer.weight, layer.bias))
