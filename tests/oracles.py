@@ -51,6 +51,13 @@ def batchnorm(x, layer):
             running_var)
 
 
+def fold_batchnorm(weight, bias, layer):
+    """The (weight, bias) of a Linear followed by `layer`'s eval forward,
+    `gamma * (y - running_mean) / sqrt(running_var + eps) + beta`."""
+    s = layer.gamma / np.sqrt(layer.running_var + layer.eps)
+    return weight * s[:, None], (bias - layer.running_mean) * s + layer.beta
+
+
 def finite_difference_gradient(f, arrays: list[np.ndarray],
                                step: float = 1e-5) -> list[np.ndarray]:
     """Central differences of a scalar function of a parameter list."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from labrisk import model as model_module
 from labrisk import nn
 from labrisk.model import RiskEnsemble, RiskModel, RiskModelConfig
 
@@ -91,6 +92,31 @@ def nn_forward_fresh(layer, x):
     out = layer.forward(x)
     layer.running_mean, layer.running_var = saved
     return out
+
+
+def _first_block(model):
+    """The folded (weight, bias) of the model's first encoder block, as eval
+    scoring applies them."""
+    weight, bias = model_module._scoring_layers(model.state[None],
+                                                model.config)[0]
+    return weight[0], bias[0]
+
+
+def test_batchnorm_eval_uses_running_stats():
+    rng = _rng(4)
+    model = RiskModel(RiskModelConfig(n_features=2, hidden_width=3,
+                                      latent_dim=2), rng)
+    linear, norm = model.encoder[:2]
+    for _ in range(200):
+        norm.forward(rng.normal(loc=2.0, scale=3.0, size=(32, 3)))
+    # The Linear outputs the running mean's neighbourhood for every input,
+    # which the folded block normalizes near zero -> output near beta.
+    linear.weight[...] = 0.0
+    linear.bias[...] = 2.0
+    weight, bias = _first_block(model)
+    out = rng.normal(size=(2, 4)) @ weight.T + bias
+    np.testing.assert_allclose(out, np.broadcast_to(norm.beta, (2, 3)),
+                               atol=0.15)
 
 
 def test_batchnorm_rejects_single_row_training():
@@ -247,21 +273,41 @@ LAYERS = {"linear": lambda: nn.Linear(3, 3, _rng(11)),
 
 
 @pytest.mark.parametrize("make", LAYERS.values(), ids=LAYERS)
-# Layers have one mode, training; `train` keeps the test ids stable.
-@pytest.mark.parametrize("train", [True])
+@pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_layers_pass_non_finite_values_on(make, train, bad):
+def test_layers_pass_non_finite_values_on(make, train, bad, monkeypatch):
     """A non-finite activation comes out of every layer kind non-finite
-    (inf * 0 is NaN, and NaN propagates), so the one check on the loss
-    after the last layer sees a fault of any layer."""
+    (inf * 0 is NaN, and NaN propagates), so the one check on the loss or
+    the logits after the last layer sees a fault of any layer. Eval scoring
+    runs each kind folded into the first encoder block: an input times a
+    zero weight, a non-finite running mean, or a whole block of non-finite
+    activations (ReLU turns -inf into NaN, not 0)."""
     x = _rng(12).normal(size=(4, 3))
-    x[1, 2] = bad
     layer = make()
-    if isinstance(layer, nn.Linear):
-        layer.weight[:, 2] = 0.0  # inf * 0
-    with np.errstate(invalid="ignore"):
-        y = layer.forward(x)
-    assert not np.isfinite(y).all()
+    if train:
+        x[1, 2] = bad
+        if isinstance(layer, nn.Linear):
+            layer.weight[:, 2] = 0.0  # inf * 0
+        with np.errstate(invalid="ignore"):
+            y = layer.forward(x)
+        assert not np.isfinite(y).all()
+        return
+    cfg = RiskModelConfig(n_features=3, hidden_width=3, latent_dim=2)
+    model = RiskModel(cfg, _rng(8))
+    linear, norm = model.encoder[:2]
+    if isinstance(layer, nn.BatchNorm):
+        norm.running_mean[0] = bad
+    else:
+        x[1, 2] = bad
+        # Column 2 of the values ++ mask input is value 2.
+        linear.weight[:, 2] = 0.0 if isinstance(layer, nn.Linear) else 1.0
+    if isinstance(layer, nn.LeakyReLU):
+        monkeypatch.setattr(model_module, "SLOPE", layer.slope)
+    ensemble = RiskEnsemble(states=model.state[None].copy(),
+                            normalization=None, config=cfg,
+                            catalog_version="t", **UNSCORED)
+    with pytest.raises(nn.NumericsError, match="member 0's logits"):
+        ensemble.predict_batch(x, np.ones_like(x))
 
 
 
@@ -329,6 +375,28 @@ def test_batchnorm_train_forward_matches_var_oracle_bytes(case):
             and n == x.shape[0])
     assert _same_bytes(layer.running_mean, running_mean)
     assert _same_bytes(layer.running_var, running_var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batchnorm_eval_forward_matches_oracle_bytes(data):
+    """Eval scoring's first encoder block is its Linear with the eval
+    BatchNorm folded in, in the bytes of oracles.fold_batchnorm."""
+    d, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    model = RiskModel(RiskModelConfig(n_features=d, hidden_width=w,
+                                      latent_dim=2), _rng(data.draw(
+                                          st.integers(0, 99))))
+    linear, norm = model.encoder[:2]
+    for array, elements in ((linear.bias, st.floats(-4, 4)),
+                            (norm.gamma, st.floats(-4, 4)),
+                            (norm.beta, st.floats(-4, 4)),
+                            (norm.running_mean, st.floats(-4, 4)),
+                            (norm.running_var, st.floats(0, 16))):
+        array[...] = data.draw(_arrays(array.shape, elements))
+    weight, bias = _first_block(model)
+    want_weight, want_bias = oracles.fold_batchnorm(linear.weight,
+                                                    linear.bias, norm)
+    assert _same_bytes(weight, want_weight) and _same_bytes(bias, want_bias)
 
 
 @settings(max_examples=200, deadline=None)
