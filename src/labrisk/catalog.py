@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 from . import LabriskError, config_from_json, decode_fields, parse_json
@@ -174,7 +175,9 @@ def record_to_dict(r: EncounterRecord) -> dict:
 RECORD_FIELDS = {
     "patient_id": str, "encounter_id": str,
     "date": datetime.date.fromisoformat, "age_years": float, "sex": str,
-    "measurements": lambda m: {k: float(v) for k, v in m.items()},
+    # Interned, so every decoded encounter shares one key string per marker
+    # (json.loads shares keys only within one call, and reads one line).
+    "measurements": lambda m: {sys.intern(k): float(v) for k, v in m.items()},
     "codes": lambda codes: [ClaimCode(str(c["code"]), c["system"],
                                       datetime.date.fromisoformat(c["date"]))
                             for c in codes],

@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -17,15 +18,20 @@ from . import LabriskError, __version__
 from .catalog import record_from_dict  # noqa: F401
 
 
-def atomic_write_text(path, data: str | bytes) -> None:
-    """Write `data` (a str as UTF-8) via a temp file of mode 0600 in the same
-    directory, then rename."""
+def atomic_write_text(path, data: str | bytes | Iterable[str | bytes]) -> None:
+    """Write `data` via a temp file of mode 0600 in the same directory, then
+    rename. `data` is a str (written as UTF-8), bytes, or an iterable of
+    such chunks, each written as it arrives, so no second copy of the whole
+    file is held. On any exception, one the iterable raises too, the temp
+    file is removed and `path` keeps its old bytes."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    chunks = (data,) if isinstance(data, (str, bytes)) else data
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data.encode() if isinstance(data, str) else data)
+            for chunk in chunks:
+                f.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -38,9 +44,10 @@ def atomic_write_json(path, obj) -> None:
 
 
 def write_records_jsonl(path, rows) -> None:
-    """One sorted-key JSON line per dict of the iterable `rows`."""
-    lines = [json.dumps(d, sort_keys=True) for d in rows]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """One sorted-key JSON line per dict of the iterable `rows`, each
+    written as it is encoded."""
+    atomic_write_text(path, (json.dumps(d, sort_keys=True) + "\n"
+                             for d in rows))
 
 
 def read_records_jsonl(path, decode) -> tuple[list, str]:
@@ -69,12 +76,14 @@ def read_records_jsonl(path, decode) -> tuple[list, str]:
 def write_table(path, header: list[str], rows) -> None:
     """Text table, comma-separated for a .csv path, tab-separated otherwise."""
     sep = "," if os.fspath(path).endswith(".csv") else "\t"
-    lines = [sep.join(header)]
-    for row in rows:
-        lines.append(sep.join(
-            format(v, ".10g") if isinstance(v, float) else str(v)
-            for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def lines():
+        yield sep.join(header) + "\n"
+        for row in rows:
+            yield sep.join(format(v, ".10g") if isinstance(v, float)
+                           else str(v) for v in row) + "\n"
+
+    atomic_write_text(path, lines())
 
 
 def sha256_of_bytes(data: bytes) -> str:

@@ -15,9 +15,12 @@ cross entropy loss. Classification always uses mu, never a sampled z.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -75,11 +78,11 @@ class RiskModelConfig:
 SLOPE = 0.2  # the encoder's LeakyReLU slope
 
 
-def _architecture(config: RiskModelConfig):
-    """Each layer of a member in network order, as (name, class, in width,
-    out width): three encoder blocks, the mu and logvar heads, three decoder
-    blocks and the decoder's output, then the classifier."""
-    d, w, k = config.n_features, config.hidden_width, config.latent_dim
+def _architecture(d: int, w: int, k: int):
+    """Each layer of a member with `d` features, hidden width `w` and latent
+    dimension `k`, in network order, as (name, class, in width, out width):
+    three encoder blocks, the mu and logvar heads, three decoder blocks and
+    the decoder's output, then the classifier."""
 
     def blocks(part, first, activation):
         return [(f"{part}.{3 * i + j}", kind, n if j == 0 else w, w)
@@ -93,20 +96,27 @@ def _architecture(config: RiskModelConfig):
             + [("decoder.9", nn.Linear, w, d), ("classifier", nn.Linear, k, 1)])
 
 
-def state_layout(config: RiskModelConfig) -> dict[str, tuple[slice, tuple]]:
+def state_layout(
+        config: RiskModelConfig) -> Mapping[str, tuple[slice, tuple]]:
     """Where each array of a member's state lies: `layer.array` (such as
     `encoder.0.weight`) -> (slice of the state, shape). Every layer's
     parameters come first, in network order, then every BatchNorm's running
-    statistics."""
+    statistics. Read-only, and built once per network size."""
+    return _state_layout(config.n_features, config.hidden_width,
+                         config.latent_dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _state_layout(d: int, w: int, k: int) -> Mapping[str, tuple[slice, tuple]]:
     layout, start = {}, 0
     for names in ("param_names", "stat_names"):
-        for layer, kind, n_in, n_out in _architecture(config):
+        for layer, kind, n_in, n_out in _architecture(d, w, k):
             for name in getattr(kind, names):
                 shape = (n_out, n_in) if name == "weight" else (n_out,)
                 end = start + math.prod(shape)
                 layout[f"{layer}.{name}"] = (slice(start, end), shape)
                 start = end
-    return layout
+    return types.MappingProxyType(layout)
 
 
 class RiskModel:
@@ -119,7 +129,8 @@ class RiskModel:
         config.validate()
         self.config = config
         self.layers = layers = {}  # built in order, so the draws keep theirs
-        for name, kind, n_in, n_out in _architecture(config):
+        for name, kind, n_in, n_out in _architecture(
+                config.n_features, config.hidden_width, config.latent_dim):
             if kind is nn.Linear:
                 layers[name] = kind(n_in, n_out, rng)
             elif kind is nn.BatchNorm:
@@ -351,7 +362,7 @@ class RiskEnsemble:
                     h = h @ weight[member].T
                     h += bias[member]
                     if i < 3:  # an encoder block's LeakyReLU
-                        h *= np.maximum(h > 0, SLOPE)
+                        np.maximum(h, SLOPE * h, out=h)
                 # Checked before the sigmoid, which maps +-inf to 0 or 1.
                 if not (finite[member] and np.isfinite(h).all()):
                     fault = f"non-finite values in member {member}'s logits"

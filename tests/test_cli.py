@@ -10,7 +10,9 @@ import math
 import os
 import re
 import shutil
+import stat
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +29,7 @@ from labrisk.explain import (MAX_PERMUTATIONS, NormalizedLrFn, normalize_lr,
 from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment,
                            RiskModelConfig, load_model)
 from labrisk.preprocess import complete_derived, vectorize_many
-from labrisk.synth import MAX_N_PER_CLASS, SynthConfig
+from labrisk.synth import MAX_N_PER_CLASS, SynthConfig, synthesize_cohort
 
 import oracles
 from test_likelihood import similar_oracle
@@ -1103,6 +1105,55 @@ def test_write_table_gives_the_f_string_csv_bytes(fuzz_dir, data):
              oracles.lr_ribbon_csv(thresholds, stack))]:
         ioutil.write_table(path, header, cells)
         assert path.read_text() == expected
+
+
+def test_write_records_jsonl_gives_the_joined_lines(tmp_path):
+    rows = [{"b": 1.5, "a": "\u00e9"}, {"codes": [], "x": [1, None]}]
+    path = tmp_path / "rows.jsonl"
+    ioutil.write_records_jsonl(path, iter(rows))
+    lines = [json.dumps(d, sort_keys=True) for d in rows]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    ioutil.write_records_jsonl(path, iter([]))
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("write, item", [
+    (ioutil.atomic_write_text, lambda i: f"{i:010d}" * 1000 + "\n"),
+    (ioutil.write_records_jsonl, lambda i: {"line": f"{i:010d}" * 1000})],
+    ids=["atomic_write_text", "write_records_jsonl"])
+def test_a_failed_streamed_write_keeps_the_old_bytes(tmp_path, write, item):
+    """Chunks that raise after ~30 kB (past the file buffer, so bytes
+    reached the temp file) leave the target's old bytes and no temp file."""
+    path = tmp_path / "cohort.jsonl"
+    path.write_bytes(b"old bytes\n")
+
+    def chunks():
+        for i in range(3):
+            yield item(i)
+        raise RuntimeError("the source failed")
+
+    with pytest.raises(RuntimeError, match="the source failed"):
+        write(path, chunks())
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cohort.jsonl"]
+
+
+def test_write_records_jsonl_holds_no_copy_of_the_file(tmp_path):
+    """Writing ~2000 synthesized encounters allocates at its peak less than a
+    quarter of the file it writes: each line is written as it is encoded."""
+    records = synthesize_cohort(defaults.default_catalog(), SynthConfig(
+        n_per_class={"no_cancer": 1800, "liver": 200}, seed=5))
+    rows = [record_to_dict(r) for r in records]
+    assert len(rows) >= 1800
+    path = tmp_path / "cohort.jsonl"
+    tracemalloc.start()
+    try:
+        ioutil.write_records_jsonl(path, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labrisk import LabriskError, defaults
-from labrisk.catalog import ClaimCode, EncounterRecord
+from labrisk.catalog import ClaimCode, EncounterRecord, record_from_dict
 from labrisk.cohort import (WINDOW_DAYS, CohortSpec, LabeledEncounter,
                             assign_label, exclude_acute_infection,
                             filter_encounters, group_by_patient,
@@ -255,6 +255,19 @@ LABELED = st.builds(
 def test_labeled_line_round_trips_through_json(e):
     line = json.dumps(labeled_to_dict(e), sort_keys=True)
     assert labeled_from_dict(json.loads(line), "labeled.jsonl:1") == e
+
+
+def test_decoded_encounters_share_marker_name_keys():
+    """Encounters decoded from different lines point at one key string per
+    marker, through record_from_dict and labeled_from_dict alike."""
+    lines = [json.dumps(labeled_to_dict(LabeledEncounter(
+        rec(f"p{i}", f"e{i}", i), False, "liver"))) for i in range(2)]
+    for decode in (lambda d: record_from_dict(d, "cohort.jsonl:1"),
+                   lambda d: labeled_from_dict(d, "labeled.jsonl:1").record):
+        first, second = (decode(json.loads(line)).measurements
+                         for line in lines)
+        assert list(first) == list(second) == MARKERS[:20]
+        assert all(a is b for a, b in zip(first, second))
 
 
 # --- end-to-end over synthetic data --------------------------------------------

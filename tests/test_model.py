@@ -381,6 +381,14 @@ def test_states_giving_non_finite_scores_name_the_member(tmp_path, case):
             load_file(path).predict_batch(x, mask)
 
 
+def test_state_layout_is_built_once_per_network_size_and_read_only():
+    layout = model_module.state_layout(tiny_config())
+    assert model_module.state_layout(tiny_config(lr=0.5, seed=3)) is layout
+    assert model_module.state_layout(tiny_config(d=6)) is not layout
+    with pytest.raises(TypeError):
+        layout["encoder.0.weight"] = (slice(0, 1), (1,))
+
+
 def test_state_layout_locates_every_layer_array():
     """RiskModel's layer arrays are the views of `state` that state_layout
     names, and the layout covers the state once, in order."""
