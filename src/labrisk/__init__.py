@@ -60,18 +60,26 @@ def decode_fields(doc, where: str, decoders: dict, optional=()) -> dict:
     return out
 
 
+@functools.cache
+def _hint(hint):
+    """(hint is a dataclass, its origin, its args, the JSON types a value of
+    it may have) of a field annotation, worked out once per annotation."""
+    origin = typing.get_origin(hint) or hint
+    return (dataclasses.is_dataclass(hint), origin, typing.get_args(hint),
+            {float: (int, float), tuple: (list, tuple),
+             frozenset: (list, frozenset)}.get(origin, origin))
+
+
 def _as_field(hint, value, where: str):
     """`value` for a field annotated `hint`, or LabriskError naming `where`
     (an item as `where[i]` or `where.key`): a number becomes a float for a
     float hint, a list a tuple or set, and an object for a dataclass hint
     that dataclass."""
-    if dataclasses.is_dataclass(hint):
+    is_dataclass, origin, args, accepts = _hint(hint)
+    if is_dataclass:
         return config_from_json(hint, value, where)
-    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is types.UnionType:  # X | None
         return value if value is None else _as_field(args[0], value, where)
-    accepts = {float: (int, float), tuple: (list, tuple),
-               frozenset: (list, frozenset)}.get(origin, origin)
     if (not isinstance(value, accepts)
             or (isinstance(value, bool) and origin is not bool)
             or (origin is tuple and ... not in args  # tuple[float, float]

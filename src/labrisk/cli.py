@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage, 3 validation, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import resource
 import sys
@@ -155,11 +156,11 @@ def load_run_config(path, args) -> tuple[dict, RunConfig]:
 
 class Stage:
     """The files one command reads and writes. A command resolves every path
-    through its Stage and reads each input through it, once; it records each
-    output and the sha256 of each input's bytes. cli.main writes the manifest
-    from that record once the command has succeeded, at `manifest` in the
-    output directory (<command>_manifest.json unless the command names
-    another)."""
+    through its Stage and reads each input through it, once (model.json
+    through _load_model); it records each output and the sha256 of each
+    input's bytes. cli.main writes the manifest from that record once the
+    command has succeeded, at `manifest` in the output directory
+    (<command>_manifest.json unless the command names another)."""
 
     def __init__(self, paths: dict, command: str):
         self.paths = paths
@@ -228,8 +229,11 @@ def _split(labeled, split):
 
 
 def _load_model(stage):
+    """The ensemble in model.json. load_model checks the file's checksum
+    trailer and gives the file's sha256, so its bytes are hashed once."""
     path = stage.input("model.json", "model", "train")
-    return load_model(stage.read(path), path)
+    ensemble, stage.inputs[path] = load_model(read_bytes(path), path)
+    return ensemble
 
 
 def _patient(stage, path, params):
@@ -589,15 +593,17 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once. --config has no default: main
+    reads LABRISK_CONFIG on every call."""
     parser = argparse.ArgumentParser(
         prog="labrisk",
         description="Lab-panel cancer risk pipeline: synthetic cohorts, "
                     "VAE risk ensembles, likelihood ratios, explanations.")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", default=os.environ.get("LABRISK_CONFIG"),
-                        help="run configuration JSON "
-                             "(or env LABRISK_CONFIG)")
+    parser.add_argument("--config", help="run configuration JSON "
+                                         "(or env LABRISK_CONFIG)")
     parser.add_argument("--output-dir", help="override paths.output_dir")
     parser.add_argument("--seed", type=int, help="override master_seed")
     parser.add_argument("--cancer-type", help="override cancer_type")
@@ -609,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        args.config = os.environ.get("LABRISK_CONFIG")
     try:
         if not args.config:
             raise LabriskError("--config (or LABRISK_CONFIG) is required")

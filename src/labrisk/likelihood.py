@@ -20,6 +20,13 @@ from .model import RiskAssessment
 from .preprocess import NormalizationParams, normalize_value
 
 
+# How many fallback rows ScoredCohort._similar takes at a time. Each row's
+# min_n fallback builds several (rows, 2 * min_n) arrays, so this bounds
+# their memory on stacks where most rows fall back; a served explain
+# request's stack (about 90 fallback rows) stays one block.
+FALLBACK_BLOCK = 1024
+
+
 def odds(p: float) -> float:
     if not 0.0 <= p < 1.0:
         raise LabriskError(f"odds needs p in [0, 1), got {p}")
@@ -128,14 +135,21 @@ class ScoredCohort:
         distances round alike, can put scores at d further out, so their
         run is found by bisection.
         """
-        order, s, _ = self._sorted
-        n_all = s.size
+        s = self._sorted[1]
         start = np.searchsorted(s, lo, side="left")
         stop = np.maximum(np.searchsorted(s, hi, side="right"), start)
-        tie_row = tie_idx = np.empty(0, dtype=np.intp)
         fb = np.flatnonzero(stop - start < min_n)
-        if fb.size == 0:
-            return start, stop, tie_row, tie_idx
+        ties = [(np.empty(0, dtype=np.intp),) * 2] + [
+            self._nearest(mean, start, stop, fb[at:at + FALLBACK_BLOCK], min_n)
+            for at in range(0, fb.size, FALLBACK_BLOCK)]
+        tie_row, tie_idx = map(np.concatenate, zip(*ties))
+        return start, stop, tie_row, tie_idx
+
+    def _nearest(self, mean, start, stop, fb, min_n):
+        """The k-nearest fallback of _similar for the rows `fb`: sets their
+        start and stop, and gives their (row, original index) pairs."""
+        order, s, _ = self._sorted
+        n_all = s.size
         k = min(min_n, n_all)
         mu = mean[fb]
         p = np.searchsorted(s, mu, side="left")  # s[:p] < mu <= s[p:]
@@ -155,18 +169,18 @@ class ScoredCohort:
         start[fb] = np.where(every, le_lo, lt_lo)
         stop[fb] = np.where(every, le_hi, lt_hi)
         part = np.flatnonzero(~every)
-        if part.size:
-            # Scores at d on both sides of the window, lowest index first.
-            row, at = _ranges(np.tile(np.arange(part.size), 2),
-                              np.r_[le_lo[part], lt_hi[part]],
-                              np.r_[lt_lo[part], le_hi[part]])
-            idx = order[at]
-            by = np.lexsort((idx, row))
-            row, idx = row[by], idx[by]
-            rank = np.arange(row.size) - np.searchsorted(row, row)
-            keep = rank < need[part][row]
-            tie_row, tie_idx = fb[part][row[keep]], idx[keep]
-        return start, stop, tie_row, tie_idx
+        if not part.size:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        # Scores at d on both sides of the window, lowest index first.
+        row, at = _ranges(np.tile(np.arange(part.size), 2),
+                          np.r_[le_lo[part], lt_hi[part]],
+                          np.r_[lt_lo[part], le_hi[part]])
+        idx = order[at]
+        by = np.lexsort((idx, row))
+        row, idx = row[by], idx[by]
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        keep = rank < need[part][row]
+        return fb[part][row[keep]], idx[keep]
 
 
 def _bisect(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

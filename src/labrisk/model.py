@@ -28,7 +28,7 @@ import numpy as np
 from . import LabriskError, config_from_json, ioutil, nn, parse_json
 from .preprocess import NormalizationParams
 
-MODEL_FORMAT = "labrisk-ensemble-v4"
+MODEL_FORMAT = "labrisk-ensemble-v5"
 # The largest hidden_width and latent_dim: a member's network and state are
 # sized from the config before any array is read, so their size must be
 # bounded.
@@ -251,7 +251,8 @@ def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
 def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
              labels: np.ndarray, rng: np.random.Generator) -> list[dict]:
     """Fine-tune the full network with the combined loss."""
-    if len(np.unique(labels)) < 2:
+    # Not np.unique, which imports numpy.ma to look for a masked array.
+    if labels.size == 0 or labels.min() == labels.max():
         raise LabriskError("single-class training set; BCE is degenerate")
     cfg = model.config
 
@@ -456,11 +457,15 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
 
 
 # --- serialization -----------------------------------------------------------
-# model.json is a header line {"format", "sha256"}, the sha256 covering the
-# bytes after that line exactly as written. Then comes one line, a JSON object
-# in which each array's key holds the array's shape, and then the arrays as
-# little-endian float64 bytes, back to back in ARRAYS order, with nothing after
-# them.
+# model.json is a header line {"format"}, then one line, a JSON object in
+# which each array's key holds the array's shape, then the arrays as
+# little-endian float64 bytes, back to back in ARRAYS order. The file ends with
+# a trailer: the 64 lowercase hex digits of the sha256 of every byte before it.
+# The header line is padded with spaces to a multiple of 8 bytes, so each
+# array's offset modulo 8 is set by line 2 alone, as in the previous format:
+# scoring multiplies by the stored mu head and classifier weights, and numpy
+# hands them to BLAS only if they are 8-byte aligned, so their alignment
+# decides the last bits of a 1-row score.
 
 ARRAYS = ("states", "dev_scores", "dev_labels", "background_values",
           "background_mask")
@@ -482,21 +487,25 @@ class _Payload:
 def save_model(ensemble: RiskEnsemble, path) -> None:
     arrays = [np.ascontiguousarray(getattr(ensemble, name), dtype="<f8")
               for name in ARRAYS]
-    body = b"".join([json.dumps({
-        "config": asdict(ensemble.config),
-        "normalization": asdict(ensemble.normalization),
-        "catalog_version": ensemble.catalog_version,
-        "member_subsets": ensemble.member_subsets,
-        **{name: array.shape for name, array in zip(ARRAYS, arrays)},
-    }).encode(), b"\n", *arrays])
-    header = json.dumps({"format": MODEL_FORMAT,
-                         "sha256": hashlib.sha256(body).hexdigest()})
-    ioutil.atomic_write_text(path, header.encode() + b"\n" + body)
+    header = json.dumps({"format": MODEL_FORMAT})
+    chunks = [(header + " " * (-(len(header) + 1) % 8) + "\n").encode(),
+              json.dumps({
+                  "config": asdict(ensemble.config),
+                  "normalization": asdict(ensemble.normalization),
+                  "catalog_version": ensemble.catalog_version,
+                  "member_subsets": ensemble.member_subsets,
+                  **{name: array.shape for name, array in zip(ARRAYS, arrays)},
+              }).encode() + b"\n", *arrays]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    ioutil.atomic_write_text(path, [*chunks, digest.hexdigest()])
 
 
-def load_model(data: bytes, where: str) -> RiskEnsemble:
+def load_model(data: bytes, where: str) -> tuple[RiskEnsemble, str]:
     """The ensemble in the model file `data`, its arrays read-only views of
-    those bytes; LabriskError names `where` and the field at fault."""
+    those bytes, and the sha256 of the whole file; LabriskError names
+    `where` and the field at fault. The file's bytes are hashed once."""
     # Each line ends after its newline, or at the end of the file.
     body = data.find(b"\n") + 1 or len(data)
     header = parse_json(data[:body], f"{where}: header line")
@@ -505,11 +514,16 @@ def load_model(data: bytes, where: str) -> RiskEnsemble:
         raise LabriskError(f"{where}: format: unsupported model format "
                            f"{fmt!r}, expected {MODEL_FORMAT!r}; older model "
                            "files must be retrained")
-    if header.get("sha256") != hashlib.sha256(
-            memoryview(data)[body:]).hexdigest():
+    end = len(data) - 64  # where the checksum trailer starts
+    if end < body:
+        raise LabriskError(f"{where}: sha256: the file ends before its "
+                           "64-digit checksum trailer")
+    digest = hashlib.sha256(memoryview(data)[:end])
+    if digest.hexdigest().encode() != data[end:]:
         raise LabriskError(f"{where}: sha256: checksum mismatch "
                            "(corrupt file)")
-    at = data.find(b"\n", body) + 1 or len(data)
+    digest.update(memoryview(data)[end:])
+    at = data.find(b"\n", body, end) + 1 or end
     doc = config_from_json(_Payload, parse_json(data[body:at], where), where)
     n_order = len(doc.normalization.feature_order)
     if n_order != doc.config.n_features:
@@ -533,8 +547,8 @@ def load_model(data: bytes, where: str) -> RiskEnsemble:
                                + ", ".join("rows" if w is None else str(w)
                                            for w in want) + ")")
         size = math.prod(shape)
-        if len(data) - at < 8 * size:
-            raise LabriskError(f"{label} holds {len(data) - at} bytes, too "
+        if end - at < 8 * size:
+            raise LabriskError(f"{label} holds {end - at} bytes, too "
                                f"few for shape {list(shape)}")
         array = arrays[name] = np.frombuffer(data, "<f8", size,
                                              at).reshape(shape)
@@ -544,12 +558,12 @@ def load_model(data: bytes, where: str) -> RiskEnsemble:
         if name in ("dev_labels", "background_mask") and not (
                 (array == 0) | (array == 1)).all():
             raise LabriskError(f"{label} holds values other than 0 and 1")
-    if at != len(data):
+    if at != end:
         raise LabriskError(f"{where}: background_mask is followed by "
-                           f"{len(data) - at} trailing bytes")
+                           f"{end - at} trailing bytes")
     if not ((arrays["dev_scores"] >= 0) & (arrays["dev_scores"] <= 1)).all():
         raise LabriskError(f"{where}: dev_scores holds values outside [0, 1]")
     return RiskEnsemble(
         **arrays, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,
-        member_subsets=doc.member_subsets, source=where)
+        member_subsets=doc.member_subsets, source=where), digest.hexdigest()

@@ -303,7 +303,7 @@ def planted(tmp_path_factory):
 
 def _validation_data(out):
     path = out / "model.json"
-    ensemble = load_model(path.read_bytes(), str(path))
+    ensemble, _ = load_model(path.read_bytes(), str(path))
     rows, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
                                         labeled_from_dict)
     labeled = [e for e in rows if e.split == "validation"]

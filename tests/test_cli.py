@@ -183,8 +183,9 @@ def test_explain_too_few_markers_is_validation_error(run, tmp_path, capsys):
 
 def _model_document(out):
     """The header line, line 2 and the arrays of the run's model.json, the
-    arrays as {name: float64 array} in file order."""
-    head, line, raw = (out / "model.json").read_bytes().split(b"\n", 2)
+    arrays as {name: float64 array} in file order; the checksum trailer is
+    left out."""
+    head, line, raw = (out / "model.json").read_bytes()[:-64].split(b"\n", 2)
     line, arrays, at = json.loads(line), {}, 0
     for name in ARRAYS:
         size = math.prod(line[name])
@@ -194,19 +195,28 @@ def _model_document(out):
     return json.loads(head), line, arrays
 
 
+def _model_bytes(header, line, arrays):
+    """A model file: the header line, padded to a multiple of 8 bytes, line
+    2, then the bytes of every entry of `arrays` (arrays or bytes) in its
+    order, and a trailer that is the sha256 of all of them."""
+    head = json.dumps(header)
+    data = b"".join([(head + " " * (-(len(head) + 1) % 8)).encode(), b"\n",
+                     json.dumps(line).encode(), b"\n", *arrays.values()])
+    return data + hashlib.sha256(data).hexdigest().encode()
+
+
 def _rechecksummed_model(out, path, edit, rechecksum=True):
     """Write the run's model.json to `path` with `edit(header, line,
-    arrays)` applied and, unless `rechecksum` is false, the header's sha256
-    set to that of the edited body: line 2, then the bytes of every entry
-    left in `arrays` (arrays or bytes), in its order. An edit that returns
-    text writes that text instead."""
+    arrays)` applied, ending in a trailer that checksums the edited bytes,
+    or, if `rechecksum` is false, in the run's own trailer. An edit that
+    returns text or bytes writes those instead."""
     header, line, arrays = _model_document(out)
     text = edit(header, line, arrays)
-    body = b"".join([json.dumps(line).encode(), b"\n", *arrays.values()])
-    if rechecksum:
-        header["sha256"] = hashlib.sha256(body).hexdigest()
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body
-                     if text is None else text.encode())
+    if text is None:
+        text = _model_bytes(header, line, arrays)
+        if not rechecksum:
+            text = text[:-64] + (out / "model.json").read_bytes()[-64:]
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     return path
 
 
@@ -265,6 +275,33 @@ def _ends_in_states(header, line, arrays):
                   **{name: b"" for name in ARRAYS[1:]})
 
 
+def _v4_file(header, line, arrays):
+    """The run's model as a v4 file: a header line {"format", "sha256"}
+    checksumming the bytes after it, and no trailer."""
+    body = _model_bytes(header, line, arrays)[:-64].split(b"\n", 1)[1]
+    return json.dumps({"format": "labrisk-ensemble-v4", "sha256":
+                       hashlib.sha256(body).hexdigest()}).encode() \
+        + b"\n" + body
+
+
+def _tab_in_header(header, line, arrays):
+    """A space of the header line changed to a tab, so that the line still
+    reads as the same JSON: only the trailer, which covers it, tells."""
+    data = _model_bytes(header, line, arrays)
+    return data.replace(b'"format": ', b'"format":\t', 1)
+
+
+def _flipped_trailer(header, line, arrays):
+    data = bytearray(_model_bytes(header, line, arrays))
+    data[-1] ^= 0x01  # one hex digit for another
+    return bytes(data)
+
+
+def _short_file(header, line, arrays):
+    """A v5 header line and fewer than 64 bytes after it."""
+    return json.dumps(header) + "\n" + "0" * 20
+
+
 def _v2_file(header, line, arrays):
     return json.dumps({"payload": dict(line, format="labrisk-ensemble-v2"),
                        "checksum": "0" * 64})
@@ -318,6 +355,15 @@ NORMALIZATION_EDITS = {
     (_v2_file, True, "format"),
     (_v3_file, True,
      "format: unsupported model format 'labrisk-ensemble-v3'"),
+    (_v4_file, True,
+     "format: unsupported model format 'labrisk-ensemble-v4', expected "
+     "'labrisk-ensemble-v5'; older model files must be retrained"),
+    (_tab_in_header, True, "sha256: checksum mismatch"),
+    (_flipped_trailer, True, "sha256: checksum mismatch"),
+    (lambda h, line, a: _model_bytes(h, line, a)[:-1], True,
+     "sha256: checksum mismatch"),
+    (_short_file, True,
+     "sha256: the file ends before its 64-digit checksum trailer"),
     (_reblob("dev_labels", lambda a: np.r_[7.0, a[1:]]), True,
      "dev_labels holds values other than 0 and 1"),
     (lambda h, line, a: line.update(dev_scores="2818"), True,
@@ -351,7 +397,8 @@ NORMALIZATION_EDITS = {
       for edit, field in NORMALIZATION_EDITS.values()],
 ], ids=["v1-format", "truncated-blob", "shape-not-ints",
         "shape-overruns-file", "trailing-bytes", "states-width", "bit-flip",
-        "v2-file", "v3-file",
+        "v2-file", "v3-file", "v4-file", "tab-in-header", "flipped-trailer",
+        "truncated-trailer", "shorter-than-trailer",
         "label-7", "string-score", "nan-score", "score-out-of-range",
         "ragged-background", "narrow-background", "mask-not-binary",
         "short-labels", "catalog-version-number", "member-subsets-string",
@@ -409,7 +456,7 @@ def reference_value_fn(ensemble, dev, values, mask, min_n):
 
 def test_stacked_value_function_is_bit_exact(run):
     _, out = run
-    ensemble = load_model((out / "model.json").read_bytes(), "model.json")
+    ensemble, _ = load_model((out / "model.json").read_bytes(), "model.json")
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
     bg_v, bg_m = ensemble.background_values, ensemble.background_mask
@@ -474,6 +521,77 @@ def test_unknown_cancer_type_rejected(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["synth", "--config", str(cfg_path)]) == 3
+
+
+def test_labrisk_config_is_read_on_every_call(tmp_path, monkeypatch,
+                                             capsys):
+    """LABRISK_CONFIG names the config when --config is not given, read
+    afresh by each call in one process; --config overrides it."""
+    configs = []
+    for name in ("a.json", "b.json", "c.json"):
+        configs.append(_write(tmp_path / name, json.dumps(
+            {"paths": {"output_dir": str(tmp_path / "o")},
+             "cancer_type": "pancreatic"})))
+    monkeypatch.delenv("LABRISK_CONFIG", raising=False)
+    assert cli.main(["synth"]) == 3
+    assert "--config (or LABRISK_CONFIG) is required" in \
+        capsys.readouterr().err
+    for path in configs[:2]:
+        monkeypatch.setenv("LABRISK_CONFIG", path)
+        assert cli.main(["synth"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown cancer_type 'pancreatic'\n")
+    assert cli.main(["synth", "--config", configs[2]]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {configs[2]}: unknown cancer_type 'pancreatic'\n")
+
+
+class _CountingSha256:
+    """hashlib.sha256 that adds the size of each buffer it hashes to
+    `hashed`."""
+    real = hashlib.sha256
+    hashed = 0
+
+    def __init__(self, data=b""):
+        self.h = self.real()
+        self.update(data)
+
+    def update(self, data):
+        type(self).hashed += memoryview(data).nbytes
+        self.h.update(data)
+
+    def hexdigest(self):
+        return self.h.hexdigest()
+
+
+@pytest.mark.parametrize("command, manifest", [
+    ("predict", "predict_manifest.json"),
+    ("explain", "explain_patient_manifest.json")])
+def test_a_patient_request_hashes_each_file_once(run, tmp_path, monkeypatch,
+                                                 command, manifest):
+    """Every byte a predict or explain --patient request reads or writes,
+    model.json's included, goes through sha256 once, and the manifest's
+    model.json digest is the file's sha256."""
+    _, out = run
+    model = str(out / "model.json")
+    cfg = _config(tmp_path, {"model": model, "labeled":
+                             str(out / "labeled.jsonl")},
+                  explain={"n_permutations": 10})
+    patient = _patient_file(out, tmp_path / "patient.json")
+    monkeypatch.setattr(_CountingSha256, "hashed", 0)
+    monkeypatch.setattr(hashlib, "sha256", _CountingSha256)
+    assert cli.main([command, "--config", cfg, "--patient",
+                     str(patient)]) == 0
+    hashed = _CountingSha256.hashed
+    monkeypatch.undo()
+    doc = json.loads((tmp_path / "o" / manifest).read_text())
+    assert model in doc["inputs"]
+    config_json = json.dumps(doc["config"], sort_keys=True,
+                             separators=(",", ":")).encode()
+    assert hashed == len(config_json) + sum(
+        os.path.getsize(p) for p in doc["inputs"] + doc["outputs"])
+    assert doc["sha256"][model] == hashlib.sha256(
+        (out / "model.json").read_bytes()).hexdigest()
 
 
 def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
@@ -1025,10 +1143,12 @@ def blob_edits(draw):
 def model_edits(draw, line):
     """(kind, edit of the header, line 2 and arrays or None, byte index to
     truncate or flip)."""
-    kind = draw(st.sampled_from(["truncate", "flip", "flip-header", "drop",
-                                 "drop-config", "unknown-config",
+    kind = draw(st.sampled_from(["truncate", "flip", "flip-header",
+                                 "flip-trailer", "cut-trailer", "short",
+                                 "drop", "drop-config", "unknown-config",
                                  "config-type", "blob"]))
-    if kind in ("truncate", "flip", "flip-header"):
+    if kind in ("truncate", "flip", "flip-header", "flip-trailer",
+                "cut-trailer", "short"):
         return kind, None, draw(st.integers(0, 10**9))
     if kind == "blob":
         return kind, draw(blob_edits()), None
@@ -1059,9 +1179,15 @@ def test_fuzzed_model_file_never_exits_4(run, fuzz_dir, data):
         raw = bytearray((out / "model.json").read_bytes())
         if kind == "truncate":
             raw = raw[:at % len(raw)]
+        elif kind == "cut-trailer":
+            raw = raw[:-1 - at % 64]
+        elif kind == "short":
+            raw = raw[:at % 64]
         else:
-            end = raw.index(b"\n") + 1 if kind == "flip-header" else len(raw)
-            raw[at % end] ^= data.draw(st.integers(1, 255))
+            start, end = {"flip": (0, len(raw)),
+                          "flip-header": (0, raw.index(b"\n") + 1),
+                          "flip-trailer": (len(raw) - 64, len(raw))}[kind]
+            raw[start + at % (end - start)] ^= data.draw(st.integers(1, 255))
         model.write_bytes(bytes(raw))
     cfg = _config(fuzz_dir, {"model": str(model)})
     patient = _write(fuzz_dir / "patient.json",

@@ -225,6 +225,32 @@ def test_similar_cohort_matches_brute_force_oracle(case):
         assert got.index.tolist() == members.tolist()
 
 
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_fallback_blocks_give_the_same_members(monkeypatch, block):
+    """Fallback rows taken a few at a time give the members, and counts, of
+    one block, ties to the lower index included."""
+    rng = np.random.default_rng(block)
+    scores = np.r_[rng.choice(SCORE_POOL, 300), rng.random(300)]
+    labels = rng.integers(0, 2, scores.size)
+    dev = likelihood.ScoredCohort.from_arrays(scores, labels)
+    mean = np.r_[rng.choice(SCORE_POOL, 100), rng.random(100)]
+    lo, hi = mean - rng.random(200) * 0.01, mean + rng.random(200) * 0.01
+    inside = ((scores >= lo[:, None]) & (scores <= hi[:, None])).sum(axis=1)
+    assert np.count_nonzero(inside < 50) > 100  # rows that fall back
+    whole = dev._similar(mean, lo, hi, 50)
+    assert whole[2].size  # and ties at the k-th distance
+    counts = dev.similar_counts(mean, lo, hi, 50)
+    monkeypatch.setattr(likelihood, "FALLBACK_BLOCK", block)
+    for got, want in zip(dev._similar(mean, lo, hi, 50), whole):
+        assert np.array_equal(got, want)
+    for got, want in zip(dev.similar_counts(mean, lo, hi, 50), counts):
+        assert np.array_equal(got, want)
+    for i in range(0, mean.size, 17):
+        members = similar_oracle(scores, mean[i], lo[i], hi[i], 50)
+        assert (counts[0][i], counts[1][i]) == (labels[members].sum(),
+                                                members.size)
+
+
 def test_lr_from_counts_arrays_match_scalars():
     pos = np.array([0, 3, 5, 2, 1])
     n = np.array([5, 5, 5, 10, 4])

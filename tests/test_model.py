@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -146,6 +148,25 @@ def test_finetune_rejects_single_class():
         finetune(model, x, mask, np.zeros(20), rng)
 
 
+def test_training_does_not_import_numpy_ma():
+    """numpy.ma stays unloaded: its import takes ~9 ms, and made in the
+    middle of training it leaves a process that goes on serving ~2 MB
+    larger."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from labrisk.model import RiskModel, RiskModelConfig, finetune\n"
+            "cfg = RiskModelConfig(n_features=3, hidden_width=4, latent_dim=2,"
+            " finetune_epochs=1, batch_size=4)\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.normal(size=(8, 3))\n"
+            "finetune(RiskModel(cfg, rng), x, np.ones_like(x),"
+            " np.arange(8) % 2.0, rng)\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(model_module.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_risk_assessment_clamps_ci():
     a = RiskAssessment.from_scores(np.array([0.95, 0.99, 1.0, 0.97]),
                                    ci_scale=3.0)
@@ -168,12 +189,13 @@ def trained_ensemble(seed=0, n_members=3):
 
 def load_file(path):
     """The ensemble in the model file at `path`, errors naming the path."""
-    return load_model(path.read_bytes(), str(path))
+    return load_model(path.read_bytes(), str(path))[0]
 
 
 def model_document(path):
-    """(header, line 2, the array bytes after line 2) of a model file."""
-    head, line, arrays = path.read_bytes().split(b"\n", 2)
+    """(header, line 2, the array bytes between line 2 and the checksum
+    trailer) of a model file."""
+    head, line, arrays = path.read_bytes()[:-64].split(b"\n", 2)
     return json.loads(head), json.loads(line), arrays
 
 
@@ -296,13 +318,28 @@ def test_save_load_round_trip(tmp_path):
         (ens.catalog_version, ens.member_subsets)
 
 
+def test_loaded_arrays_are_read_only_views_of_the_file_bytes(tmp_path):
+    """No array is copied out of the file's bytes, nor the bytes before the
+    checksum trailer sliced into a copy; no array can be written."""
+    ens, _ = trained_ensemble(seed=7)
+    save_model(ens, tmp_path / "model.json")
+    data = (tmp_path / "model.json").read_bytes()
+    file_bytes = np.frombuffer(data, np.uint8)
+    loaded, _ = load_model(data, "model.json")
+    for name in ARRAYS:
+        array = getattr(loaded, name)
+        assert np.shares_memory(array, file_bytes), name
+        assert not array.flags.writeable, name
+
+
 def test_save_load_save_gives_the_same_bytes(tmp_path):
     ens, _ = trained_ensemble(seed=7)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_model(ens, first)
     save_model(load_file(first), second)
     assert second.read_bytes() == first.read_bytes()
-    # Line 2 states each array's shape, and the arrays' bytes are the rest.
+    # Line 2 states each array's shape, and the arrays' bytes fill the rest
+    # up to the checksum trailer.
     _, line, arrays = model_document(first)
     assert [line[name] for name in ARRAYS] == [
         list(getattr(ens, name).shape) for name in ARRAYS]
@@ -314,7 +351,7 @@ def test_load_detects_corruption(tmp_path):
     path = tmp_path / "model.json"
     save_model(ens, path)
     raw = bytearray(path.read_bytes())
-    raw[-len(model_document(path)[2])] ^= 1  # the first byte of `states`
+    raw[-64 - len(model_document(path)[2])] ^= 1  # the first of `states`
     path.write_bytes(bytes(raw))
     with pytest.raises(LabriskError, match="sha256"):
         load_file(path)
@@ -410,13 +447,20 @@ def test_state_layout_locates_every_layer_array():
     assert start == model.state.size
 
 
-def test_header_checksums_the_payload_bytes_as_written(tmp_path):
+def test_trailer_checksums_every_byte_before_it_as_written(tmp_path):
+    """The header line names the format only; the file ends with the sha256
+    of every byte before it, header line included, and load_model gives the
+    whole file's sha256."""
     ens, _ = trained_ensemble(seed=7)
     path = tmp_path / "model.json"
     save_model(ens, path)
-    head, _, payload = path.read_bytes().partition(b"\n")
-    assert json.loads(head) == {"format": "labrisk-ensemble-v4",
-                                "sha256": hashlib.sha256(payload).hexdigest()}
+    data = path.read_bytes()
+    head, _, _ = data.partition(b"\n")
+    assert json.loads(head) == {"format": "labrisk-ensemble-v5"}
+    # Padded so that each array's offset modulo 8 is line 2's alone.
+    assert len(head + b"\n") == 40
+    assert data[-64:] == hashlib.sha256(data[:-64]).hexdigest().encode()
+    assert load_model(data, str(path))[1] == hashlib.sha256(data).hexdigest()
 
 
 def test_member_blob_is_the_state_in_stacks_order(tmp_path):
