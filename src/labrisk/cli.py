@@ -156,18 +156,18 @@ def load_run_config(path, args) -> tuple[dict, RunConfig]:
 
 class Stage:
     """The files one command reads and writes. A command resolves every path
-    through its Stage and reads each input through it, once (model.json
-    through _load_model); it records each output and the sha256 of each
-    input's bytes. cli.main writes the manifest from that record once the
-    command has succeeded, at `manifest` in the output directory
-    (<command>_manifest.json unless the command names another)."""
+    through its Stage and reads (model.json through _load_model) and writes
+    each file through it, once; it records the sha256 that the reader or the
+    writer took of the bytes it moved. cli.main writes the manifest from
+    that record once the command has succeeded, at `manifest` in the output
+    directory (<command>_manifest.json unless the command names another)."""
 
     def __init__(self, paths: dict, command: str):
         self.paths = paths
         self.dir = paths.get("output_dir") or "labrisk_run"
         self.manifest = f"{command}_manifest.json"
         self.inputs: dict[str, str] = {}  # path: sha256 of the bytes read
-        self.outputs: list[str] = []
+        self.outputs: dict[str, str] = {}  # path: sha256 of the bytes written
         self.details: dict = {}  # stage-specific manifest fields
 
     def read(self, path: str) -> bytes:
@@ -193,11 +193,12 @@ class Stage:
             raise LabriskError(f"{path} not found; run '{made_by}' first")
         return path
 
-    def output(self, name: str, key: str | None = None) -> str:
+    def write(self, name: str, write, *args, key: str | None = None) -> str:
         """paths.<key> (default: `name` in the output directory, which is
-        created), which the command writes."""
+        created), written by write(path, *args), which gives the sha256 of
+        the bytes it wrote."""
         path = self.paths.get(key) or self.place(name)
-        self.outputs.append(path)
+        self.outputs[path] = write(path, *args)
         return path
 
     def place(self, name: str) -> str:
@@ -277,10 +278,10 @@ def cmd_synth(cfg, args, stage) -> None:
     except LabriskError as e:  # config_from_json checked the config
         raise LabriskError(f"{stage.paths.get('catalog') or 'default catalog'}"
                            f": {e}") from None
-    out = stage.output("cohort.jsonl", "cohort")
-    ioutil.write_records_jsonl(out, map(record_to_dict, records))
-    ioutil.atomic_write_json(stage.output("catalog.json"),
-                             catalog_to_dict(catalog))
+    out = stage.write("cohort.jsonl", ioutil.write_records_jsonl,
+                      map(record_to_dict, records), key="cohort")
+    stage.write("catalog.json", ioutil.atomic_write_json,
+                catalog_to_dict(catalog))
     print(f"synth: wrote {len(records)} encounters to {out}")
 
 
@@ -297,10 +298,10 @@ def cmd_cohort(cfg, args, stage) -> None:
             f"{args.config}: cohort: no encounter passes the filters; check "
             f"min_markers ({spec.min_markers}) and age_range "
             f"({list(spec.age_range)})")
-    out = stage.output("labeled.jsonl", "labeled")
-    ioutil.write_records_jsonl(out, (labeled_to_dict(e) for e in labeled))
-    ioutil.write_table(
-        stage.output("consort.tsv"),
+    out = stage.write("labeled.jsonl", ioutil.write_records_jsonl,
+                      (labeled_to_dict(e) for e in labeled), key="labeled")
+    stage.write(
+        "consort.tsv", ioutil.write_table,
         ["stage", "n_patients", "n_encounters", "n_positive_patients"],
         [[s.stage, s.n_patients, s.n_encounters, s.n_positive_patients]
          for s in flow])
@@ -313,8 +314,8 @@ def cmd_prepare(cfg, args, stage) -> None:
     dev = _split(_labeled(stage), "development")[0]
     params = fit_normalization(dev, catalog,
                                cfg.prepare.scale_demographics)
-    out = stage.output("normalization.json", "normalization")
-    ioutil.atomic_write_json(out, asdict(params))
+    out = stage.write("normalization.json", ioutil.atomic_write_json,
+                      asdict(params), key="normalization")
     print(f"prepare: normalization fitted on {len(dev)} encounters -> {out}")
 
 
@@ -333,12 +334,12 @@ def cmd_train(cfg, args, stage) -> None:
         n_members=cfg.train.n_members, subsample=cfg.train.subsample,
         background_size=cfg.explain.background_size,
         background_seed=cfg.master_seed, catalog_version=catalog.version)
-    out = stage.output("model.json", "model")
-    save_model(ensemble, out)
-    ioutil.write_table(stage.output("train_log.tsv"),
-                       ["member", "stage", "epoch", "loss"],
-                       [[h["member"], h["stage"], h["epoch"], h["loss"]]
-                        for h in ensemble.history])
+    out = stage.write("model.json", lambda path: save_model(ensemble, path),
+                      key="model")
+    stage.write("train_log.tsv", ioutil.write_table,
+                ["member", "stage", "epoch", "loss"],
+                [[h["member"], h["stage"], h["epoch"], h["loss"]]
+                 for h in ensemble.history])
     print(f"train: {cfg.train.n_members}-member ensemble on {values.shape[0]} "
           f"encounters -> {out}")
 
@@ -355,9 +356,9 @@ def cmd_predict(cfg, args, stage) -> None:
     report = likelihood.build_report(
         record.patient_id, cfg.cancer_type, assessment, dev,
         min_n=cfg.predict.min_n)
-    ioutil.atomic_write_json(stage.output("report.json"), asdict(report))
-    ioutil.atomic_write_text(stage.output("report.txt"),
-                             report.to_text() + "\n")
+    stage.write("report.json", ioutil.atomic_write_json, asdict(report))
+    stage.write("report.txt", ioutil.atomic_write_text,
+                report.to_text() + "\n")
     print(report.to_text())
 
 
@@ -368,25 +369,25 @@ def cmd_evaluate(cfg, args, stage) -> None:
     roc_curve, pr, summary = _curves(scores, labels)
     cohort = likelihood.ScoredCohort.from_arrays(scores, labels)
     lrc = likelihood.lr_curve(cohort)
-    ioutil.write_table(stage.output("roc.csv"), ["fpr", "tpr"],
-                       zip(roc_curve.fpr, roc_curve.tpr))
-    ioutil.write_table(stage.output("pr.csv"), ["recall", "precision"],
-                       zip(pr.recall, pr.precision))
-    ioutil.write_table(
-        stage.output("lr_curve.csv"),
+    stage.write("roc.csv", ioutil.write_table, ["fpr", "tpr"],
+                zip(roc_curve.fpr, roc_curve.tpr))
+    stage.write("pr.csv", ioutil.write_table, ["recall", "precision"],
+                zip(pr.recall, pr.precision))
+    stage.write(
+        "lr_curve.csv", ioutil.write_table,
         ["threshold", "lr", "n_above", "n_pos_above", "corrected"],
         zip(lrc.thresholds, lrc.lr, lrc.n_above, lrc.n_pos_above,
             lrc.corrected.astype(int)))
-    ioutil.atomic_write_json(stage.output("metrics.json"), summary)
+    stage.write("metrics.json", ioutil.atomic_write_json, summary)
     if args.svg:
-        svg.svg_line_plot(stage.output("roc.svg"),
-                          [(f"AUC={roc_curve.auc:.3f}",
-                            roc_curve.fpr.tolist(), roc_curve.tpr.tolist())],
-                          "ROC", "false positive rate", "true positive rate")
-        svg.svg_line_plot(stage.output("pr.svg"),
-                          [(f"AP={pr.ap:.3f}", pr.recall.tolist(),
-                            pr.precision.tolist())],
-                          "Precision-recall", "recall", "precision")
+        stage.write("roc.svg", svg.svg_line_plot,
+                    [(f"AUC={roc_curve.auc:.3f}",
+                      roc_curve.fpr.tolist(), roc_curve.tpr.tolist())],
+                    "ROC", "false positive rate", "true positive rate")
+        stage.write("pr.svg", svg.svg_line_plot,
+                    [(f"AP={pr.ap:.3f}", pr.recall.tolist(),
+                      pr.precision.tolist())],
+                    "Precision-recall", "recall", "precision")
     print(f"evaluate: AUC={roc_curve.auc:.4f} AP={pr.ap:.4f} "
           f"on {labels.size} validation encounters")
 
@@ -434,11 +435,11 @@ def cmd_lr(cfg, args, stage) -> None:
                 and any(not y for _, y in pairs):
             add(f"marker:{mid}", [s for s, _ in pairs],
                 np.array([y for _, y in pairs]))
-    out = stage.output("lr_baselines.csv")
-    ioutil.write_table(out, ["series", "threshold", "lr"], rows)
+    out = stage.write("lr_baselines.csv", ioutil.write_table,
+                      ["series", "threshold", "lr"], rows)
     if args.svg:
-        svg.svg_line_plot(
-            stage.output("lr_baselines.svg"),
+        stage.write(
+            "lr_baselines.svg", svg.svg_line_plot,
             [(name, c.thresholds.tolist(), c.lr.tolist())
              for name, c in curves.items()],
             "Likelihood ratio vs risk threshold", "risk threshold", "LR")
@@ -458,8 +459,7 @@ def cmd_explain(cfg, args, stage) -> None:
         record, (values, mask) = _patient(stage, args.patient, params)
         wf = waterfall(fn, values, mask, bg_v, bg_m,
                        list(params.feature_order), n_permutations, seed)
-        out = stage.output("waterfall.json")
-        ioutil.atomic_write_json(out, {
+        out = stage.write("waterfall.json", ioutil.atomic_write_json, {
             "patient_id": record.patient_id,
             "base_value": wf.base_value, "fx": wf.fx,
             "items": [{"feature": i.feature, "phi": i.phi,
@@ -476,8 +476,7 @@ def cmd_explain(cfg, args, stage) -> None:
         summary = cohort_summary(fn, values, mask, bg_v, bg_m,
                                  list(params.feature_order), n_permutations,
                                  seed, cfg.explain.top_k)
-        out = stage.output("shap_summary.json")
-        ioutil.atomic_write_json(out, {
+        out = stage.write("shap_summary.json", ioutil.atomic_write_json, {
             "top_features": summary.top_features(),
             "mean_abs_phi": np.abs(summary.phi).mean(axis=0).tolist(),
             "feature_names": summary.feature_names,
@@ -488,8 +487,8 @@ def cmd_explain(cfg, args, stage) -> None:
                 rows.append([summary.feature_names[fi],
                              float(summary.phi[si, fi]),
                              float(summary.feature_values[si, fi])])
-        ioutil.write_table(stage.output("shap_beeswarm.tsv"),
-                           ["feature", "phi", "normalized_value"], rows)
+        stage.write("shap_beeswarm.tsv", ioutil.write_table,
+                    ["feature", "phi", "normalized_value"], rows)
         results = summary.results
         print(f"explain: top features {summary.top_features()[:5]} -> {out}")
     stage.details["shapley"] = shap_provenance(results, seed)
@@ -520,15 +519,14 @@ def cmd_comorbid(cfg, args, stage) -> None:
                                                 pmap)
     ranked = comorbid_mod.rank_comorbidities(
         rows, min_each=cfg.comorbid.min_each)
-    table = stage.output("comorbidity.tsv")
-    ioutil.write_table(
-        table,
+    table = stage.write(
+        "comorbidity.tsv", ioutil.write_table,
         ["phecode", "label", "n_cancer_with", "n_control_with", "odds_ratio",
          "p_value", "neg_log10_p", "cancer_prevalence", "control_prevalence"],
         [[r.phecode, r.label, r.n_cancer_with, r.n_control_with,
           r.odds_ratio, r.p_value, r.neg_log10_p, r.cancer_prevalence,
           r.control_prevalence] for r in ranked])
-    ioutil.atomic_write_json(stage.output("comorbidity.json"), {
+    stage.write("comorbidity.json", ioutil.atomic_write_json, {
         "ranked": [r.__dict__ for r in ranked],
         "n_cancer_patients": len(cancer_sets),
         "n_control_patients": len(control_sets),
@@ -538,8 +536,8 @@ def cmd_comorbid(cfg, args, stage) -> None:
 
 def cmd_report(cfg, args, stage) -> None:
     """Assemble curve tables plus ensemble LR ribbons into one bundle."""
-    def bundled(name):
-        return stage.output(os.path.join("report", name))
+    def bundle(name, write, *data):
+        return stage.write(os.path.join("report", name), write, *data)
 
     # report keeps its whole bundle, manifest included, in report/.
     stage.manifest = os.path.join("report", "report_manifest.json")
@@ -552,8 +550,8 @@ def cmd_report(cfg, args, stage) -> None:
     thresholds = min((c.thresholds for c in member_curves), key=len)
     n_common = thresholds.size
     stack = np.vstack([c.lr[:n_common] for c in member_curves])
-    ioutil.write_table(
-        bundled("lr_ribbon.csv"),
+    bundle(
+        "lr_ribbon.csv", ioutil.write_table,
         ["threshold", "lr_mean", "lr_std", "lr_min", "lr_max"],
         [[thresholds[i], stack[:, i].mean(), stack[:, i].std(),
           stack[:, i].min(), stack[:, i].max()] for i in range(n_common)])
@@ -563,18 +561,17 @@ def cmd_report(cfg, args, stage) -> None:
                  "shap_summary.json", "comorbidity.tsv"):
         src = stage.input(name)
         if src is not None:
-            ioutil.atomic_write_text(bundled(name), stage.read(src))
+            bundle(name, ioutil.atomic_write_text, stage.read(src))
             index["files"].append(name)
     if args.svg:
-        svg.svg_line_plot(
-            bundled("lr_ribbon.svg"),
+        bundle(
+            "lr_ribbon.svg", svg.svg_line_plot,
             [("mean", thresholds.tolist(), stack.mean(axis=0).tolist()),
              ("min", thresholds.tolist(), stack.min(axis=0).tolist()),
              ("max", thresholds.tolist(), stack.max(axis=0).tolist())],
             "Ensemble LR ribbon", "risk threshold", "LR")
         index["files"].append("lr_ribbon.svg")
-    out = bundled("report.json")
-    ioutil.atomic_write_json(out, index)
+    out = bundle("report.json", ioutil.atomic_write_json, index)
     print(f"report: bundle with {len(index['files'])} files -> "
           f"{os.path.dirname(out)}")
 

@@ -1,5 +1,5 @@
-"""File plumbing: JSON Lines cohort serialization, atomic writes, and run
-manifests."""
+"""File plumbing: JSON Lines cohort serialization, atomic writes that give
+the sha256 of the bytes they wrote, and run manifests."""
 
 from __future__ import annotations
 
@@ -18,36 +18,40 @@ from . import LabriskError, __version__
 from .catalog import record_from_dict  # noqa: F401
 
 
-def atomic_write_text(path, data: str | bytes | Iterable[str | bytes]) -> None:
-    """Write `data` via a temp file of mode 0600 in the same directory, then
-    rename. `data` is a str (written as UTF-8), bytes, or an iterable of
-    such chunks, each written as it arrives, so no second copy of the whole
-    file is held. On any exception, one the iterable raises too, the temp
-    file is removed and `path` keeps its old bytes."""
+def atomic_write_text(path, data: str | bytes | Iterable[str | bytes]) -> str:
+    """Write `data` via a 0600 temp file in the same directory, then rename;
+    the sha256 of the bytes written. `data` is a str (as UTF-8), bytes, or an
+    iterable of such chunks, each hashed and written as it arrives, so no
+    second copy of the file is held. On any exception, one the iterable
+    raises too, the temp file is removed and `path` keeps its old bytes."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     chunks = (data,) if isinstance(data, (str, bytes)) else data
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
-                f.write(chunk.encode() if isinstance(chunk, str) else chunk)
+                chunk = chunk.encode() if isinstance(chunk, str) else chunk
+                digest.update(chunk)
+                f.write(chunk)
         os.replace(tmp, path)
+        return digest.hexdigest()
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
 
-def atomic_write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
+def atomic_write_json(path, obj) -> str:
+    return atomic_write_text(path, json.dumps(obj, indent=1) + "\n")
 
 
-def write_records_jsonl(path, rows) -> None:
+def write_records_jsonl(path, rows) -> str:
     """One sorted-key JSON line per dict of the iterable `rows`, each
     written as it is encoded."""
-    atomic_write_text(path, (json.dumps(d, sort_keys=True) + "\n"
-                             for d in rows))
+    return atomic_write_text(path, (json.dumps(d, sort_keys=True) + "\n"
+                                    for d in rows))
 
 
 def read_records_jsonl(path, decode) -> tuple[list, str]:
@@ -73,7 +77,7 @@ def read_records_jsonl(path, decode) -> tuple[list, str]:
     return rows, digest.hexdigest()
 
 
-def write_table(path, header: list[str], rows) -> None:
+def write_table(path, header: list[str], rows) -> str:
     """Text table, comma-separated for a .csv path, tab-separated otherwise."""
     sep = "," if os.fspath(path).endswith(".csv") else "\t"
 
@@ -83,35 +87,28 @@ def write_table(path, header: list[str], rows) -> None:
             yield sep.join(format(v, ".10g") if isinstance(v, float)
                            else str(v) for v in row) + "\n"
 
-    atomic_write_text(path, lines())
+    return atomic_write_text(path, lines())
 
 
 def sha256_of_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_of_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(path, command: str, config: dict,
-                   inputs: dict[str, str], outputs: list[str],
+                   inputs: dict[str, str], outputs: dict[str, str],
                    details: dict) -> None:
-    """Run manifest with the sha256 of every input (`inputs`: {path: sha256
-    of the bytes the command read}) and output file; `details` adds
-    top-level fields (run time, stage-specific ones)."""
-    digests = {**inputs, **{p: sha256_of_file(p) for p in set(outputs)}}
+    """Run manifest with the sha256 of every input and output file, as
+    {path: sha256} of the bytes the command read (`inputs`) and wrote
+    (`outputs`); `details` adds top-level fields (run time, stage-specific
+    ones). No file is read here."""
+    digests = {**inputs, **outputs}
     manifest = {
         "command": command,
         "config": config,
         "config_sha256": sha256_of_bytes(json.dumps(
             config, sort_keys=True, separators=(",", ":")).encode()),
         "inputs": sorted(inputs),
-        "outputs": sorted(set(outputs)),
+        "outputs": sorted(outputs),
         "sha256": {p: digests[p] for p in sorted(digests)},
         "versions": {
             "labrisk": __version__,

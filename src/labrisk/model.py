@@ -296,10 +296,11 @@ class RiskAssessment:
 def _scoring_layers(states: np.ndarray, config: RiskModelConfig):
     """The five (weight, bias) pairs, stacked over members as (M, out, in)
     and (M, out), that eval scoring applies: each encoder Linear with the
-    eval BatchNorm after it folded in, then the mu head and the classifier
-    as stored. Folding `gamma * (y - mean) / sqrt(var + eps) + beta` of `y =
-    x @ W.T + b` gives `W' = W * s` by row and `b' = (b - mean) * s + beta`,
-    with `s = gamma / sqrt(var + eps)`."""
+    eval BatchNorm after it folded in, then copies of the mu head and the
+    classifier, aligned wherever the file holds them, so BLAS gets all five.
+    Folding `gamma * (y - mean) / sqrt(var + eps) + beta` of `y = x @ W.T +
+    b` gives `W' = W * s` by row and `b' = (b - mean) * s + beta`, with `s =
+    gamma / sqrt(var + eps)`."""
     layout = state_layout(config)
 
     def array(key):
@@ -314,7 +315,8 @@ def _scoring_layers(states: np.ndarray, config: RiskModelConfig):
         layers.append((array(linear + "weight") * s[..., None],
                        (array(linear + "bias") - array(norm + "running_mean"))
                        * s + array(norm + "beta")))
-    return layers + [(array(f"{head}.weight"), array(f"{head}.bias"))
+    return layers + [(array(f"{head}.weight").copy(),
+                      array(f"{head}.bias").copy())
                      for head in ("mu_head", "classifier")]
 
 
@@ -461,11 +463,10 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
 # which each array's key holds the array's shape, then the arrays as
 # little-endian float64 bytes, back to back in ARRAYS order. The file ends with
 # a trailer: the 64 lowercase hex digits of the sha256 of every byte before it.
-# The header line is padded with spaces to a multiple of 8 bytes, so each
-# array's offset modulo 8 is set by line 2 alone, as in the previous format:
-# scoring multiplies by the stored mu head and classifier weights, and numpy
-# hands them to BLAS only if they are 8-byte aligned, so their alignment
-# decides the last bits of a 1-row score.
+# The header line is padded with spaces to a multiple of 8 bytes. No score
+# depends on where the arrays lie: scoring multiplies by folded copies and
+# plain copies of the stored weights, never by views of the file's bytes,
+# which numpy would hand to BLAS only if they were 8-byte aligned.
 
 ARRAYS = ("states", "dev_scores", "dev_labels", "background_values",
           "background_mask")
@@ -484,7 +485,7 @@ class _Payload:
     background_mask: tuple[int, ...]  # (n_background, n_features), 0 or 1
 
 
-def save_model(ensemble: RiskEnsemble, path) -> None:
+def save_model(ensemble: RiskEnsemble, path) -> str:
     arrays = [np.ascontiguousarray(getattr(ensemble, name), dtype="<f8")
               for name in ARRAYS]
     header = json.dumps({"format": MODEL_FORMAT})
@@ -499,7 +500,7 @@ def save_model(ensemble: RiskEnsemble, path) -> None:
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    ioutil.atomic_write_text(path, [*chunks, digest.hexdigest()])
+    return ioutil.atomic_write_text(path, [*chunks, digest.hexdigest()])
 
 
 def load_model(data: bytes, where: str) -> tuple[RiskEnsemble, str]:

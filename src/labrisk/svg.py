@@ -16,8 +16,8 @@ def _scale(vals, lo, hi, out_lo, out_hi):
 
 
 def svg_line_plot(path, series, title: str = "", xlabel: str = "",
-                  ylabel: str = "") -> None:
-    """series: list of (name, xs, ys) tuples."""
+                  ylabel: str = "") -> str:
+    """series: (name, xs, ys) tuples; gives the sha256 of the SVG written."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
@@ -57,4 +57,4 @@ def svg_line_plot(path, series, title: str = "", xlabel: str = "",
                      f'font-family="sans-serif" font-size="10" '
                      f'fill="{color}">{name}</text>')
     parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+    return atomic_write_text(path, "\n".join(parts) + "\n")

@@ -20,14 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import LabriskError, cli, defaults, ioutil, likelihood, nn
+from labrisk import LabriskError, cli, defaults, ioutil, likelihood, nn, svg
 from labrisk.catalog import (load_marker_catalog, record_from_dict,
                              record_to_dict)
 from labrisk.cohort import CohortSpec, labeled_from_dict
 from labrisk.explain import (MAX_PERMUTATIONS, NormalizedLrFn, normalize_lr,
                              shap_values)
 from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment,
-                           RiskModelConfig, load_model)
+                           RiskModelConfig, load_model, save_model)
 from labrisk.preprocess import complete_derived, vectorize_many
 from labrisk.synth import MAX_N_PER_CLASS, SynthConfig, synthesize_cohort
 
@@ -570,8 +570,8 @@ class _CountingSha256:
 def test_a_patient_request_hashes_each_file_once(run, tmp_path, monkeypatch,
                                                  command, manifest):
     """Every byte a predict or explain --patient request reads or writes,
-    model.json's included, goes through sha256 once, and the manifest's
-    model.json digest is the file's sha256."""
+    model.json's and the manifest's included, goes through sha256 once, and
+    the manifest's model.json digest is the file's sha256."""
     _, out = run
     model = str(out / "model.json")
     cfg = _config(tmp_path, {"model": model, "labeled":
@@ -589,7 +589,8 @@ def test_a_patient_request_hashes_each_file_once(run, tmp_path, monkeypatch,
     config_json = json.dumps(doc["config"], sort_keys=True,
                              separators=(",", ":")).encode()
     assert hashed == len(config_json) + sum(
-        os.path.getsize(p) for p in doc["inputs"] + doc["outputs"])
+        os.path.getsize(p) for p in doc["inputs"] + doc["outputs"]
+        + [tmp_path / "o" / manifest])
     assert doc["sha256"][model] == hashlib.sha256(
         (out / "model.json").read_bytes()).hexdigest()
 
@@ -1244,6 +1245,40 @@ def test_write_records_jsonl_gives_the_joined_lines(tmp_path):
     assert path.read_bytes() == b""
 
 
+def _saved_model(path, out):
+    return save_model(load_model((out / "model.json").read_bytes(),
+                                 "model.json")[0], path)
+
+
+# (id, write(path, the run's output directory)): every writer of the
+# package, and atomic_write_text with each kind of data it takes.
+WRITERS = [
+    ("text-str", lambda path, out: ioutil.atomic_write_text(
+        path, "caf\u00e9\n")),
+    ("text-bytes", lambda path, out: ioutil.atomic_write_text(
+        path, b"\xff\xfe\x00\n")),
+    ("text-chunks", lambda path, out: ioutil.atomic_write_text(
+        path, iter(["a,b\n", b"\xff\n", "", "\u00e9" * 70000]))),
+    ("json", lambda path, out: ioutil.atomic_write_json(
+        path, {"b": [1.5, None], "a": "\u00e9"})),
+    ("jsonl", lambda path, out: ioutil.write_records_jsonl(
+        path, iter([{"b": 1.5}, {"a": "\u00e9"}]))),
+    ("table", lambda path, out: ioutil.write_table(
+        path, ["x", "y"], [[0.1, 2], ["z", 1e-300]])),
+    ("model", _saved_model),
+    ("svg", lambda path, out: svg.svg_line_plot(
+        path, [("s", [0.0, 1.0], [2.0, 3.0])], "title", "x", "y")),
+]
+
+
+@pytest.mark.parametrize("write", [w for _, w in WRITERS],
+                         ids=[name for name, _ in WRITERS])
+def test_writers_give_the_sha256_of_the_bytes_written(run, tmp_path, write):
+    path = tmp_path / "written"
+    digest = write(path, run[1])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("write, item", [
     (ioutil.atomic_write_text, lambda i: f"{i:010d}" * 1000 + "\n"),
     (ioutil.write_records_jsonl, lambda i: {"line": f"{i:010d}" * 1000})],
@@ -1444,7 +1479,9 @@ def _assert_manifests_match_files(out):
         files = set(manifest["inputs"]) | set(manifest["outputs"])
         assert set(manifest["sha256"]) == files, path
         for name, digest in manifest["sha256"].items():
-            assert ioutil.sha256_of_file(name) == digest, (path, name)
+            with open(name, "rb") as f:
+                on_disk = hashlib.sha256(f.read()).hexdigest()
+            assert on_disk == digest, (path, name)
 
 
 def test_manifest_checksums_match_files(run):
@@ -1486,22 +1523,30 @@ def test_report_copies_bundled_files_byte_for_byte(run, tmp_path):
         digests[str(bundle / "roc.csv")] == hashlib.sha256(raw).hexdigest()
 
 
-@pytest.mark.parametrize("command, replaced", [("predict", "model"),
-                                               ("evaluate", "labeled")])
+# (command, the input's paths key or the output's name): inputs, then
+# outputs.
+REPLACED_FILES = [("predict", "model"), ("evaluate", "labeled"),
+                  ("predict", "report.json"), ("evaluate", "metrics.json")]
+
+
+@pytest.mark.parametrize("command, replaced", REPLACED_FILES)
 def test_manifest_records_the_bytes_the_command_read(run, tmp_path,
                                                      monkeypatch, command,
                                                      replaced):
-    """An input replaced after the command has read it, but before its
-    manifest is written, keeps the digest of the bytes the command used."""
+    """An input or an output replaced after the command has read or written
+    it, but before its manifest is written, keeps the digest of the bytes
+    the command read or wrote."""
     _, out = run
     inputs = {key: tmp_path / name for key, name in SCORE_INPUTS}
     for key, name in SCORE_INPUTS:
         shutil.copy(out / name, inputs[key])
-    path = inputs[replaced]
-    used = hashlib.sha256(path.read_bytes()).hexdigest()
+    path = inputs.get(replaced, tmp_path / "o" / replaced)
     write_manifest = ioutil.write_manifest
+    used = None
 
     def replacing_first(*args, **kwargs):
+        nonlocal used
+        used = hashlib.sha256(path.read_bytes()).hexdigest()
         path.write_bytes(b"replaced\n")
         return write_manifest(*args, **kwargs)
 
@@ -1654,10 +1699,10 @@ def test_manifest_lists_every_file_read_and_written(audited, tmp_path_factory,
     assert inputs == set(under_root(files["command", "read"])), run_id
     assert outputs == set(under_root(files["command", "renamed"])), run_id
     # Each input is opened once, by the command; the manifest writer opens
-    # only the outputs, to hash them.
-    read = under_root(files["command", "read"] + files["manifest", "read"])
+    # no file.
+    read = under_root(files["command", "read"])
     assert {p: read.count(p) for p in inputs} == dict.fromkeys(inputs, 1), \
         run_id
-    assert set(under_root(files["manifest", "read"])) == outputs, run_id
+    assert files["manifest", "read"] == [], run_id
     assert set(manifest["inputs"]) | set(manifest["outputs"]) == \
         set(manifest["sha256"])

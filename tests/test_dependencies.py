@@ -91,14 +91,13 @@ def test_file_opens_sees_every_opener():
 def test_files_are_opened_only_by_the_readers_and_the_writer():
     """Each input is read once, by read_bytes (a whole document) or
     ioutil.read_records_jsonl (JSON Lines), and its manifest digest is taken
-    from those bytes; besides them, only the atomic writer and the output
-    hash open files."""
+    from those bytes; besides them, only the atomic writer opens files, and
+    each output's digest is taken from the bytes it writes."""
     opens = {(path.name, where) for path in PACKAGE.glob("*.py")
              for where in file_opens(path.read_text())}
     assert opens == {("__init__.py", "read_bytes"),
                      ("ioutil.py", "atomic_write_text"),
-                     ("ioutil.py", "read_records_jsonl"),
-                     ("ioutil.py", "sha256_of_file")}
+                     ("ioutil.py", "read_records_jsonl")}
 
 
 def run_configs() -> list[type]:

@@ -346,6 +346,23 @@ def test_save_load_save_gives_the_same_bytes(tmp_path):
     assert len(arrays) == 8 * sum(math.prod(line[name]) for name in ARRAYS)
 
 
+def test_one_row_scores_do_not_depend_on_where_the_arrays_lie(tmp_path):
+    """A catalog_version of 1 to 8 characters puts the arrays at each byte
+    offset modulo 8 of the model file; each file gives every row, scored
+    alone, the same bits."""
+    ens, (x, mask, _) = trained_ensemble(seed=5)
+    scores = []
+    for n in range(1, 9):
+        path = tmp_path / f"model-{n}.json"
+        save_model(dataclasses.replace(ens, catalog_version="v" * n), path)
+        loaded = load_file(path)
+        scores.append(np.stack([loaded.predict_batch(x[i:i + 1],
+                                                     mask[i:i + 1])
+                                for i in range(len(x))]))
+    for n, got in enumerate(scores[1:], 2):
+        assert got.tobytes() == scores[0].tobytes(), n
+
+
 def test_load_detects_corruption(tmp_path):
     ens, _ = trained_ensemble(seed=8)
     path = tmp_path / "model.json"
