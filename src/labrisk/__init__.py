@@ -55,7 +55,8 @@ def decode_fields(doc, where: str, decoders: dict, optional=()) -> dict:
                 out[name] = decode(doc[name])
         except LabriskError:
             raise  # the decoder's own error, which names the field
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as e:
             raise LabriskError(f"{where}: field {name!r}: {e!r}") from None
     return out
 

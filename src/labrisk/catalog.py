@@ -172,12 +172,41 @@ def record_to_dict(r: EncounterRecord) -> dict:
     }
 
 
-RECORD_FIELDS = {
-    "patient_id": str, "encounter_id": str,
-    "date": datetime.date.fromisoformat, "age_years": float, "sex": str,
+def _text(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# The types json.loads gives a JSON number; bool, an int subclass, is not one.
+NUMBERS = frozenset({int, float})
+
+
+def _number(value) -> float:
+    if type(value) not in NUMBERS:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _measurements(measurements: dict) -> dict[str, float]:
+    """{marker id: value} of a JSON object of numbers, in one pass."""
     # Interned, so every decoded encounter shares one key string per marker
     # (json.loads shares keys only within one call, and reads one line).
-    "measurements": lambda m: {sys.intern(k): float(v) for k, v in m.items()},
+    out = {sys.intern(mid): float(v) for mid, v in measurements.items()
+           if type(v) in NUMBERS}
+    if len(out) != len(measurements):
+        mid, v = next((mid, v) for mid, v in measurements.items()
+                      if type(v) not in NUMBERS)
+        raise TypeError(f"measurement {mid!r}: expected a number, got {v!r}")
+    return out
+
+
+# age_years and the measurements take JSON numbers only, and the ids and
+# sex JSON strings only: none of them converts a value of another type.
+RECORD_FIELDS = {
+    "patient_id": _text, "encounter_id": _text,
+    "date": datetime.date.fromisoformat, "age_years": _number, "sex": _text,
+    "measurements": _measurements,
     "codes": lambda codes: [ClaimCode(str(c["code"]), c["system"],
                                       datetime.date.fromisoformat(c["date"]))
                             for c in codes],

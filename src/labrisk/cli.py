@@ -30,7 +30,8 @@ from .explain import (MAX_PERMUTATIONS, MIN_SUMMARY_SAMPLES, NormalizedLrFn,
                       cohort_summary, shap_provenance, waterfall)
 from .model import RiskModelConfig, load_model, save_model, train_ensemble
 from .preprocess import (NormalizationParams, complete_derived,
-                         fit_normalization, vectorize, vectorize_many)
+                         feature_columns, fit_normalization, vectorize,
+                         vectorize_many)
 from .synth import SynthConfig, synthesize_cohort
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME = 0, 2, 3, 4
@@ -395,46 +396,46 @@ def cmd_evaluate(cfg, args, stage) -> None:
 def cmd_lr(cfg, args, stage) -> None:
     """LR-vs-threshold curves for the model and the baselines."""
     catalog = _catalog(stage)
-    markers = cfg.lr.single_markers
-    if markers is None:
-        markers = defaults.SINGLE_MARKERS[cfg.cancer_type]
-    unknown = set(markers) - {m.id for m in catalog.lab_markers}
-    if unknown:
-        raise LabriskError(f"{args.config}: lr: single_markers: "
-                           f"{sorted(unknown)} are not lab markers of the "
-                           "catalog")
+    markers = (defaults.SINGLE_MARKERS[cfg.cancer_type]
+               if cfg.lr.single_markers is None else cfg.lr.single_markers)
     ensemble = _load_model(stage)
     params = ensemble.normalization
+    unknown = set(markers) - ({m.id for m in catalog.lab_markers}
+                              & set(params.feature_order))
+    if unknown:
+        raise LabriskError(f"{args.config}: lr: single_markers: "
+                           f"{sorted(unknown)} are not lab markers of both "
+                           "the catalog and the model in "
+                           f"{stage.input('model.json', 'model')}")
     labeled = _labeled(stage)
     val, labels = _split(labeled, "validation")
     dev_recs = _split(labeled, "development")[0]
-    scores = ensemble.predict_batch(*vectorize_many(val, params)).mean(axis=1)
-
-    rows = []
-    curves = {}
-
-    def add(name, s, y):
-        cohort = likelihood.ScoredCohort.from_arrays(np.asarray(s), y)
-        c = likelihood.lr_curve(cohort)
-        curves[name] = c
-        for t, l in zip(c.thresholds, c.lr):
-            rows.append([name, float(t), float(l)])
-
-    add("model", scores, labels)
-    oor = np.array([likelihood.oor_score(r, catalog)[0] for r in val])
-    add("oor", oor, labels)
-    add("age", np.array([likelihood.age_score(r.age_years) for r in val]),
-        labels)
-    for mid in markers:
-        scaler = likelihood.SingleMarkerScaler.fit(dev_recs, mid, catalog,
-                                                   params)
-        pairs = [(scaler.score(r, catalog, params), y)
-                 for r, y in zip(val, labels)]
-        pairs = [(s, y) for s, y in pairs if s is not None]
-        if len(pairs) >= 10 and any(y for _, y in pairs) \
-                and any(not y for _, y in pairs):
-            add(f"marker:{mid}", [s for s, _ in pairs],
-                np.array([y for _, y in pairs]))
+    series = {
+        "model": (ensemble.predict_batch(
+            *vectorize_many(val, params)).mean(axis=1), labels),
+        "oor": ([likelihood.oor_score(r, catalog)[0] for r in val], labels),
+        "age": ([likelihood.age_score(r.age_years) for r in val], labels)}
+    # Only the markers' columns are kept: holding every feature's until the
+    # command returns left ~3 MB of heap untrimmed in a process that goes on
+    # to serve requests.
+    idx = [params.feature_order.index(mid) for mid in markers]
+    columns = [[c[:, idx] for c in feature_columns(recs, params)]
+               for recs in (dev_recs, val)]
+    for i, marker in enumerate(map(catalog.get, markers)):
+        # A log-flagged marker is scored on its normalized (log10) value,
+        # any other on its raw one: column pair (raw, normalized).
+        dev, val_values = (pair[int(marker.log_transform)][:, i]
+                           for pair in columns)
+        s = likelihood.single_marker_scores(
+            marker.id, dev, val_values, marker.risk_direction == "low_is_risk")
+        present = ~np.isnan(s)
+        y = labels[present]
+        if y.size >= 10 and y.any() and not y.all():
+            series[f"marker:{marker.id}"] = (s[present], y)
+    curves = {name: likelihood.lr_curve(likelihood.ScoredCohort.from_arrays(
+        s, y)) for name, (s, y) in series.items()}
+    rows = [[name, float(t), float(l)] for name, c in curves.items()
+            for t, l in zip(c.thresholds, c.lr)]
     out = stage.write("lr_baselines.csv", ioutil.write_table,
                       ["series", "threshold", "lr"], rows)
     if args.svg:

@@ -17,7 +17,6 @@ import numpy as np
 from . import LabriskError
 from .catalog import EncounterRecord, MarkerCatalog
 from .model import RiskAssessment
-from .preprocess import NormalizationParams, normalize_value
 
 
 # How many fallback rows ScoredCohort._similar takes at a time. Each row's
@@ -266,42 +265,16 @@ def oor_score(record: EncounterRecord,
     return out / measured, False
 
 
-@dataclass
-class SingleMarkerScaler:
-    """Min-max scaling of a single marker over the development cohort, with
-    the orientation flipped for low-is-risk markers."""
-    marker_id: str
-    low: float
-    high: float
-    flip: bool
-
-    @classmethod
-    def fit(cls, dev_records: list[EncounterRecord], marker_id: str,
-            catalog: MarkerCatalog,
-            params: NormalizationParams) -> "SingleMarkerScaler":
-        marker = catalog.get(marker_id)
-        vals = []
-        for r in dev_records:
-            v = r.measurements.get(marker_id)
-            if v is not None:
-                vals.append(normalize_value(v, marker_id, params)
-                            if marker.log_transform else v)
-        if len(vals) < 2 or min(vals) == max(vals):
-            raise LabriskError(
-                f"cannot fit single-marker scaler for {marker_id!r}")
-        return cls(marker_id=marker_id, low=min(vals), high=max(vals),
-                   flip=marker.risk_direction == "low_is_risk")
-
-    def score(self, record: EncounterRecord, catalog: MarkerCatalog,
-              params: NormalizationParams) -> float | None:
-        v = record.measurements.get(self.marker_id)
-        if v is None:
-            return None
-        if catalog.get(self.marker_id).log_transform:
-            v = normalize_value(v, self.marker_id, params)
-        s = (v - self.low) / (self.high - self.low)
-        s = min(1.0, max(0.0, s))
-        return 1.0 - s if self.flip else s
+def single_marker_scores(mid: str, dev: np.ndarray, val: np.ndarray,
+                         flip: bool) -> np.ndarray:
+    """`val` min-max scaled over `dev` (marker `mid`'s values, NaN where
+    absent), clamped as min(1.0, max(0.0, s)), flipped for low-is-risk."""
+    dev = dev[~np.isnan(dev)]
+    if dev.size < 2 or dev.min() == dev.max():
+        raise LabriskError(f"cannot fit single-marker scaler for {mid!r}")
+    s = (val - dev.min()) / (dev.max() - dev.min())
+    s = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, s))
+    return 1.0 - s if flip else s
 
 
 def age_score(age: float) -> float:

@@ -1,5 +1,7 @@
 """Feature preparation: derived-marker completion, log10 transforms, and
-median/IQD normalization fitted on the development split only."""
+median/IQD normalization fitted on the development split only. Features are
+columns: fit_normalization and feature_columns (for vectorize_many and lr's
+baselines) take a raw_features matrix through log_scaled's one clamp."""
 
 from __future__ import annotations
 
@@ -74,7 +76,7 @@ class NormalizationParams:
     def validate(self) -> None:
         """Every feature has a finite median, a finite positive iqd and a
         log_transform flag, and every log-flagged one a finite positive
-        detection_limit: what normalize_value reads."""
+        detection_limit: what feature_columns reads."""
         for feat in self.feature_order:
             for name in ("median", "iqd", "log_transform"):
                 if feat not in getattr(self, name):
@@ -94,12 +96,27 @@ class NormalizationParams:
                     f"needs a finite positive detection limit, got {limit}")
 
 
-def _feature_value(record: EncounterRecord, feature: str) -> float | None:
-    if feature == "age":
-        return record.age_years
-    if feature == "sex":
-        return 1.0 if record.sex == "male" else 0.0
-    return record.measurements.get(feature)
+def raw_features(records: list[EncounterRecord],
+                 order: tuple[str, ...]) -> np.ndarray:
+    """(records, features) raw values in `order`, NaN where absent; age is
+    age_years, and sex 1.0 for male and 0.0 for female."""
+    return np.array(
+        [[cells.get(f, math.nan) for f in order]
+         for r in records
+         for cells in ({**r.measurements, "age": r.age_years,
+                        "sex": 1.0 if r.sex == "male" else 0.0},)],
+        dtype=np.float64).reshape(len(records), len(order))
+
+
+def log_scaled(raw: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    """`raw` with log-flagged columns at log10(max(v, detection limit)),
+    through math.log10: numpy's log10 rounds some values differently."""
+    order = params.feature_order
+    out, logged = raw.copy(), [i for i, f in enumerate(order)
+                               if params.log_transform[f]]
+    out[:, logged] = np.frompyfunc(math.log10, 1, 1)(np.maximum(
+        raw[:, logged], [params.detection_limit[order[i]] for i in logged]))
+    return out
 
 
 def fit_normalization(dev_records: list[EncounterRecord],
@@ -112,46 +129,46 @@ def fit_normalization(dev_records: list[EncounterRecord],
     order = catalog.feature_order
     log_flags = {m.id: m.log_transform for m in catalog.lab_markers}
     log_flags["age"] = log_flags["sex"] = False
-
-    median, iqd, limits = {}, {}, {}
-    for feat in order:
-        raw = [v for r in dev_records
-               if (v := _feature_value(r, feat)) is not None]
-        if len(raw) < 2:
+    raw = raw_features(dev_records, order)
+    # The clamp's floor is half the smallest positive value. NaN, which the
+    # clamp keeps, marks a marker without one (no positive value, or half
+    # the smallest subnormal) until the loop rejects it in feature order.
+    half = 0.5 * np.where(raw > 0, raw, np.inf).min(axis=0)
+    params = NormalizationParams(
+        median={}, iqd={}, log_transform=log_flags, feature_order=order,
+        detection_limit={f: float(h) if 0 < h < np.inf else math.nan
+                         for f, h in zip(order, half) if log_flags[f]},
+        fitted_on="development", scale_demographics=scale_demographics)
+    for feat, column, scaled in zip(order, raw.T, log_scaled(raw, params).T):
+        observed = ~np.isnan(column)
+        if observed.sum() < 2:
             raise LabriskError(f"marker {feat!r}: fewer than 2 observations")
-        if log_flags[feat]:
-            positive = [v for v in raw if v > 0]
-            if not positive:
-                raise LabriskError(f"marker {feat!r}: no positive values")
-            limit = 0.5 * min(positive)
-            limits[feat] = limit
-            vals = sorted(math.log10(max(v, limit)) for v in raw)
-        else:
-            vals = sorted(raw)
-        med = percentile(vals, 0.5)
+        if math.isnan(params.detection_limit.get(feat, 0.0)):
+            raise LabriskError(f"marker {feat!r}: no positive detection limit "
+                               "(half the smallest positive value)")
+        vals = np.sort(scaled[observed], kind="stable")
         spread = percentile(vals, 0.75) - percentile(vals, 0.25)
         if spread <= 0:
             raise LabriskError(
                 f"marker {feat!r}: zero inter-quartile distance "
                 "(degenerate distribution)")
-        median[feat] = med
-        iqd[feat] = spread
+        params.median[feat] = percentile(vals, 0.5)
+        params.iqd[feat] = spread
     if not scale_demographics:
-        for feat in ("age", "sex"):
-            median[feat] = 0.0
-            iqd[feat] = 1.0
-    return NormalizationParams(
-        median=median, iqd=iqd, log_transform=log_flags,
-        detection_limit=limits, feature_order=order,
-        fitted_on="development", scale_demographics=scale_demographics)
+        params.median.update(age=0.0, sex=0.0)
+        params.iqd.update(age=1.0, sex=1.0)
+    return params
 
 
-def normalize_value(value: float, feature: str,
-                    params: NormalizationParams) -> float:
-    v = value
-    if params.log_transform[feature]:
-        v = math.log10(max(v, params.detection_limit[feature]))
-    return (v - params.median[feature]) / params.iqd[feature]
+def feature_columns(records: list[EncounterRecord], params: NormalizationParams
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The raw and the normalized (records, features) matrices, NaN where
+    absent; a value is normalized as (v - median) / iqd on its fit scale."""
+    raw = raw_features(records, params.feature_order)
+    median, iqd = ([d[f] for f in params.feature_order]
+                   for d in (params.median, params.iqd))
+    with np.errstate(over="ignore"):  # vectorize_many checks finiteness
+        return raw, (log_scaled(raw, params) - median) / iqd
 
 
 def vectorize_many(records: list[EncounterRecord],
@@ -159,18 +176,12 @@ def vectorize_many(records: list[EncounterRecord],
     """Normalized dense feature rows with presence masks, one row per
     record. Absent markers are zero-filled (the development median) with
     mask 0. LabriskError if a value is not finite."""
-    order = params.feature_order
-    values = np.zeros((len(records), len(order)))
-    mask = np.zeros_like(values)
-    for n, record in enumerate(records):
-        for i, feat in enumerate(order):
-            raw = _feature_value(record, feat)
-            if raw is not None:
-                values[n, i] = normalize_value(raw, feat, params)
-                mask[n, i] = 1.0
+    raw, normalized = feature_columns(records, params)
+    present = ~np.isnan(raw)
+    values = np.where(present, normalized, 0.0)
     if not np.isfinite(values).all():
         raise LabriskError("non-finite feature values")
-    return values, mask
+    return values, present.astype(np.float64)
 
 
 def vectorize(record: EncounterRecord,

@@ -1,13 +1,18 @@
 """Reference helpers the tests check labrisk against: layer parameter
 lists, the plain-numpy expressions the layer kernels must match bit for bit,
 central-difference gradient checks, average precision, the Shapley
-efficiency residual, the longest-prefix phecode scan and eval scoring
-through the unfolded layers."""
+efficiency residual, the longest-prefix phecode scan, eval scoring
+through the unfolded layers, and features and single-marker scores one
+value at a time."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from labrisk import metrics, nn
+from labrisk import LabriskError, metrics, nn
 from labrisk.model import RiskModel
+from labrisk.preprocess import NormalizationParams, percentile
 
 
 def params(layer):
@@ -165,3 +170,117 @@ def unfolded_scores(ensemble, values, mask):
             h += head.bias
         scores.append(nn.sigmoid(h[..., 0]))
     return np.stack(scores, axis=-1)
+
+
+# Features one value at a time: preprocess's columnar path and
+# likelihood.single_marker_scores must give these bits.
+
+def feature_value(record, feature):
+    """A record's raw value of `feature`, or None if absent."""
+    if feature == "age":
+        return record.age_years
+    if feature == "sex":
+        return 1.0 if record.sex == "male" else 0.0
+    return record.measurements.get(feature)
+
+
+def normalize_value(value, feature, params):
+    v = value
+    if params.log_transform[feature]:
+        v = math.log10(max(v, params.detection_limit[feature]))
+    return (v - params.median[feature]) / params.iqd[feature]
+
+
+def fit_normalization(dev_records, catalog, scale_demographics):
+    """preprocess.fit_normalization as a loop over features and records."""
+    if not dev_records:
+        raise LabriskError("development split is empty")
+    order = catalog.feature_order
+    log_flags = {m.id: m.log_transform for m in catalog.lab_markers}
+    log_flags["age"] = log_flags["sex"] = False
+
+    median, iqd, limits = {}, {}, {}
+    for feat in order:
+        raw = [v for r in dev_records
+               if (v := feature_value(r, feat)) is not None]
+        if len(raw) < 2:
+            raise LabriskError(f"marker {feat!r}: fewer than 2 observations")
+        if log_flags[feat]:
+            # Half the smallest subnormal rounds to 0: no limit either.
+            limit = 0.5 * min((v for v in raw if v > 0), default=0.0)
+            if not limit > 0:
+                raise LabriskError(f"marker {feat!r}: no positive detection "
+                                   "limit (half the smallest positive value)")
+            limits[feat] = limit
+            vals = sorted(math.log10(max(v, limit)) for v in raw)
+        else:
+            vals = sorted(raw)
+        med = percentile(vals, 0.5)
+        spread = percentile(vals, 0.75) - percentile(vals, 0.25)
+        if spread <= 0:
+            raise LabriskError(
+                f"marker {feat!r}: zero inter-quartile distance "
+                "(degenerate distribution)")
+        median[feat] = med
+        iqd[feat] = spread
+    if not scale_demographics:
+        for feat in ("age", "sex"):
+            median[feat] = 0.0
+            iqd[feat] = 1.0
+    return NormalizationParams(
+        median=median, iqd=iqd, log_transform=log_flags,
+        detection_limit=limits, feature_order=order,
+        fitted_on="development", scale_demographics=scale_demographics)
+
+
+def vectorize_many(records, params):
+    """preprocess.vectorize_many one cell at a time."""
+    order = params.feature_order
+    values = np.zeros((len(records), len(order)))
+    mask = np.zeros_like(values)
+    for n, record in enumerate(records):
+        for i, feat in enumerate(order):
+            raw = feature_value(record, feat)
+            if raw is not None:
+                values[n, i] = normalize_value(raw, feat, params)
+                mask[n, i] = 1.0
+    if not np.isfinite(values).all():
+        raise LabriskError("non-finite feature values")
+    return values, mask
+
+
+@dataclass
+class SingleMarkerScaler:
+    """Min-max scaling of a single marker over the development cohort, with
+    the orientation flipped for low-is-risk markers; a log-flagged marker is
+    scaled on its normalized value, any other on its raw one."""
+    marker_id: str
+    low: float
+    high: float
+    flip: bool
+
+    @classmethod
+    def fit(cls, dev_records, marker_id, catalog, params):
+        marker = catalog.get(marker_id)
+        vals = []
+        for r in dev_records:
+            v = r.measurements.get(marker_id)
+            if v is not None:
+                vals.append(normalize_value(v, marker_id, params)
+                            if marker.log_transform else v)
+        if len(vals) < 2 or min(vals) == max(vals):
+            raise LabriskError(
+                f"cannot fit single-marker scaler for {marker_id!r}")
+        return cls(marker_id=marker_id, low=min(vals), high=max(vals),
+                   flip=marker.risk_direction == "low_is_risk")
+
+    def score(self, record, catalog, params):
+        """The record's score, or None if it lacks the marker."""
+        v = record.measurements.get(self.marker_id)
+        if v is None:
+            return None
+        if catalog.get(self.marker_id).log_transform:
+            v = normalize_value(v, self.marker_id, params)
+        s = (v - self.low) / (self.high - self.low)
+        s = min(1.0, max(0.0, s))
+        return 1.0 - s if self.flip else s

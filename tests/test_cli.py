@@ -85,10 +85,44 @@ def test_evaluate_and_report(run):
 
 
 def test_lr_baselines(run):
+    """lr_baselines.csv holds, byte for byte, the curves of every series as
+    the scalar oracle scores them: the model, OoR, age and each default
+    single marker, on the raw or (log-flagged) normalized value."""
     cfg_path, out = run
     assert cli.main(["lr", "--config", str(cfg_path)]) == 0
-    body = (out / "lr_baselines.csv").read_text()
-    assert "model," in body and "oor," in body and "age," in body
+    catalog = defaults.default_catalog()
+    ensemble, _ = load_model((out / "model.json").read_bytes(), "model.json")
+    params = ensemble.normalization
+    labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                           labeled_from_dict)
+    dev = [complete_derived(e.record) for e in labeled
+           if e.split == "development"]
+    val = [complete_derived(e.record) for e in labeled
+           if e.split == "validation"]
+    labels = np.array([int(e.label) for e in labeled
+                       if e.split == "validation"])
+    series = [
+        ("model", ensemble.predict_batch(
+            *oracles.vectorize_many(val, params)).mean(axis=1), labels),
+        ("oor", [likelihood.oor_score(r, catalog)[0] for r in val], labels),
+        ("age", [likelihood.age_score(r.age_years) for r in val], labels)]
+    markers = defaults.SINGLE_MARKERS["liver"]
+    for mid in markers:
+        scaler = oracles.SingleMarkerScaler.fit(dev, mid, catalog, params)
+        scored = [(s, y) for r, y in zip(val, labels)
+                  if (s := scaler.score(r, catalog, params)) is not None]
+        series.append((f"marker:{mid}", *map(np.array, zip(*scored))))
+    rows = []
+    for name, scores, y in series:
+        curve = likelihood.lr_curve(
+            likelihood.ScoredCohort.from_arrays(scores, y))
+        rows += [(name, t, l) for t, l in zip(curve.thresholds, curve.lr)]
+    # Every marker has at least 10 scored encounters of both classes, so
+    # every series is drawn.
+    assert all(y.size >= 10 and 0 < y.sum() < y.size
+               for _, _, y in series[3:])
+    assert (out / "lr_baselines.csv").read_text() == \
+        oracles.lr_baselines_csv(rows)
 
 
 def test_predict_and_explain_patient(run, tmp_path):
@@ -664,6 +698,20 @@ PATIENT_TEXTS = {
                        ("mystery_marker",)),
     "nan-measurement": (lambda doc: _measured(doc, albumin="nan"),
                         ("albumin",)),
+    # json.dumps writes a bare NaN, which json.loads reads as a float.
+    "nan-literal-measurement": (lambda doc: _measured(doc, albumin=math.nan),
+                                ("albumin",)),
+    # A number must be a JSON number, and a string a JSON string.
+    "measurement-bool": (lambda doc: _measured(doc, albumin=True),
+                         ("measurements", "albumin")),
+    "age-string": (lambda doc: _edited(doc, age_years="55"), ("age_years",)),
+    "patient-id-number": (lambda doc: _edited(doc, patient_id=123),
+                          ("patient_id",)),
+    # JSON integers beyond float range.
+    "measurement-huge-int": (lambda doc: _measured(doc, albumin=10**400),
+                             ("measurements",)),
+    "age-huge-int": (lambda doc: _edited(doc, age_years=10**400),
+                     ("age_years",)),
 }
 
 
@@ -685,6 +733,24 @@ def _unknown_model_config_key(run, tmp):
     patient = _write(tmp / "patient.json", json.dumps(_validation_doc(out)))
     return (["predict", "--config", cfg, "--patient", patient],
             [str(model), "config", "bogus"])
+
+
+def _lr_marker_the_model_lacks(run, tmp):
+    """lr for alt, with the default catalog, on a model trained on a
+    catalog without alt."""
+    _, out = run
+    doc = json.loads((out / "catalog.json").read_text())
+    _without_marker("alt")(doc)
+    paths = {"labeled": str(out / "labeled.jsonl"),
+             "catalog": _write(tmp / "catalog.json", json.dumps(doc))}
+    cfg = _config(tmp, paths, train={"pretrain_epochs": 0,
+                                     "finetune_epochs": 1, "n_members": 1})
+    for command in ("prepare", "train"):
+        assert cli.main([command, "--config", cfg]) == 0, command
+    del paths["catalog"]
+    cfg = _config(tmp, paths, lr={"single_markers": ["alt"]})
+    model = str(tmp / "o" / "model.json")
+    return ["lr", "--config", cfg], [cfg, "lr: single_markers", "'alt'", model]
 
 
 def _section_case(command, section, body, inputs=(), patient=False):
@@ -864,6 +930,7 @@ MALFORMED_INPUTS = {
         "lr", "lr", {"single_markers": ["bogus"]}, SCORE_INPUTS),
     "config-lr-single-markers-string": _section_case(
         "lr", "lr", {"single_markers": "rdw"}, SCORE_INPUTS),
+    "config-lr-single-marker-not-in-model": _lr_marker_the_model_lacks,
     "config-prepare-scale-demographics-string": _section_case(
         "prepare", "prepare", {"scale_demographics": "no"}, SCORE_INPUTS),
     "config-unknown-prepare-key": _section_case(
@@ -905,6 +972,8 @@ MALFORMED_INPUTS = {
         "train", "train", {"ci_scale": -1}, TRAIN_INPUTS),
     "config-train-w-kl-nan": _section_case(
         "train", "train", {"w_kl": math.nan}, TRAIN_INPUTS),
+    "config-train-lr-huge-int": _section_case(
+        "train", "train", {"lr": 10**400}, TRAIN_INPUTS),
     "config-synth-visits-per-patient-too-many": _section_case(
         "synth", "synth", {"visits_per_patient": 80000}),
     # One above the limit only: validate rejects it before synth allocates.
@@ -993,7 +1062,7 @@ RECORD_CHECKS = {"measurements": "'albumin' is nan",
     ("cancer_type", 5), ("split_fallback", "no"),
     pytest.param("measurements", {"albumin": math.nan},
                  id="measurements-albumin-nan"),
-    ("age_years", math.inf), ("sex", "other")])
+    ("age_years", math.inf), ("sex", "other"), ("patient_id", 123)])
 def test_malformed_labeled_field_exits_3(run, tmp_path, capsys, field,
                                          value):
     named = RECORD_CHECKS.get(field, repr(field))

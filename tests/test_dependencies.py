@@ -100,6 +100,34 @@ def test_files_are_opened_only_by_the_readers_and_the_writer():
                      ("ioutil.py", "read_records_jsonl")}
 
 
+def numpy_log10_calls(source: str) -> list[int]:
+    """Lines of `source` that name numpy's log10: `np.log10`,
+    `numpy.log10`, or an import of it from numpy."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "log10"
+        and ast.unparse(node.value) in ("np", "numpy")
+        or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        and any(alias.name == "log10" for alias in node.names))
+
+
+def test_numpy_log10_calls_sees_every_form():
+    assert numpy_log10_calls(
+        "import numpy as np\nx = np.log10(2)\ny = numpy.log10(3)\n"
+        "from numpy import log10\nz = math.log10(4)\n"
+        "f = np.log10\n") == [2, 3, 4, 6]
+
+
+def test_package_takes_log10_from_math_only():
+    """Normalized features take math.log10's bits. numpy's log10 rounds
+    some values differently on an AVX-512 host (an ulp on about one
+    log-normal draw in eight) and may agree with it elsewhere, so the
+    golden digests cannot catch a move to it on every runner."""
+    uses = {path.name: numpy_log10_calls(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(uses.values()), uses
+
+
 def run_configs() -> list[type]:
     """The dataclasses of a run configuration's settings: RunConfig's
     sections, SynthConfig, CohortSpec and RiskModelConfig."""

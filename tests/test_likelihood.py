@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from labrisk import LabriskError, defaults, likelihood
 from labrisk.catalog import EncounterRecord
 from labrisk.model import RiskAssessment
-from labrisk.preprocess import NormalizationParams
+from labrisk.preprocess import NormalizationParams, feature_columns
 
 import datetime
 
@@ -298,17 +298,23 @@ def test_single_marker_scaler_flips_low_is_risk():
         log_transform={"albumin": False, "alp": True},
         detection_limit={f: 1e-3 for f in feats}, feature_order=feats,
         fitted_on="development", scale_demographics=True)
+    val = [_record({"albumin": 3.1}), _record({"albumin": 4.9}),
+           _record({"alp": 290.0}), _record({"alp": 60.0})]
+    dev_raw, dev_normalized = feature_columns(dev, params)
+    val_raw, val_normalized = feature_columns(val, params)
     # Albumin: low values signal risk, so lower raw value -> higher score.
-    scaler = likelihood.SingleMarkerScaler.fit(dev, "albumin", cat, params)
-    low = scaler.score(_record({"albumin": 3.1}), cat, params)
-    high = scaler.score(_record({"albumin": 4.9}), cat, params)
-    assert low > high
-    # ALP: high values signal risk.
-    scaler2 = likelihood.SingleMarkerScaler.fit(dev, "alp", cat, params)
-    assert scaler2.score(_record({"alp": 290.0}), cat, params) > \
-        scaler2.score(_record({"alp": 60.0}), cat, params)
+    assert cat.get("albumin").risk_direction == "low_is_risk"
+    albumin = likelihood.single_marker_scores(
+        "albumin", dev_raw[:, 0], val_raw[:, 0], True)
+    assert albumin[0] > albumin[1]
+    # ALP: high values signal risk; a log-flagged marker is scored on its
+    # normalized value.
+    assert cat.get("alp").risk_direction == "high_is_risk"
+    alp = likelihood.single_marker_scores(
+        "alp", dev_normalized[:, 1], val_normalized[:, 1], False)
+    assert alp[2] > alp[3]
     # Missing marker -> no score.
-    assert scaler.score(_record({"alp": 100.0}), cat, params) is None
+    assert np.isnan(albumin[2]) and np.isnan(alp[0])
 
 
 def test_build_report_round_trip():

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labrisk import LabriskError, config_from_json, defaults
-from labrisk.catalog import EncounterRecord
+from labrisk import LabriskError, config_from_json, defaults, likelihood
+from labrisk.catalog import EncounterRecord, MarkerCatalog
 from labrisk.preprocess import (NormalizationParams, complete_derived,
-                                fit_normalization, normalize_value,
+                                feature_columns, fit_normalization,
                                 percentile, vectorize, vectorize_many)
+
+import oracles
 
 
 def _record(measurements, age=60.0, sex="female", pid="p1"):
@@ -113,6 +115,16 @@ def test_fit_normalization_zero_iqd_names_marker():
         fit_normalization(recs, cat, True)
 
 
+def test_fit_normalization_without_a_positive_detection_limit_names_marker():
+    """Half the smallest subnormal rounds to 0, which is no detection limit:
+    the clamp would take log10(0) of the value 0."""
+    cat, recs = full_records(n=10)
+    recs[0].measurements["alt"] = 5e-324
+    recs[1].measurements["alt"] = 0.0
+    with pytest.raises(LabriskError, match="'alt': no positive detection"):
+        fit_normalization(recs, cat, True)
+
+
 def test_normalization_round_trip():
     cat, recs = full_records(n=30, seed=1)
     params = fit_normalization(recs, cat, True)
@@ -139,16 +151,19 @@ def test_vectorize_median_maps_to_zero():
     cat, recs = full_records(n=31, seed=3)
     params = fit_normalization(recs, cat, True)
     med_raw = 10.0 ** params.median["alt"]
-    assert normalize_value(med_raw, "alt", params) == pytest.approx(0.0,
-                                                                    abs=1e-9)
+    values, _ = vectorize(_record({"alt": med_raw}), params)
+    assert values[params.feature_order.index("alt")] == pytest.approx(
+        0.0, abs=1e-9)
 
 
 def test_vectorize_log_clamp_below_detection_limit():
     cat, recs = full_records(n=30, seed=4)
     params = fit_normalization(recs, cat, True)
-    tiny = normalize_value(1e-12, "alt", params)
-    at_limit = normalize_value(params.detection_limit["alt"], "alt", params)
-    assert tiny == pytest.approx(at_limit)
+    values, _ = vectorize_many(
+        [_record({"alt": 1e-12}),
+         _record({"alt": params.detection_limit["alt"]})], params)
+    i = params.feature_order.index("alt")
+    assert values[0, i] == pytest.approx(values[1, i])
 
 
 def test_vectorize_many_shapes():
@@ -159,3 +174,99 @@ def test_vectorize_many_shapes():
     assert np.all(M[:, -2:] == 1.0)  # age, sex
     V0, M0 = vectorize_many([], params)
     assert V0.shape == (0, len(params.feature_order))
+
+
+# The columnar path against the scalar one of tests/oracles.py, bit for bit,
+# on a catalog of a raw and a log-flagged marker of each risk direction.
+SMALL_CATALOG = MarkerCatalog(tuple(
+    m for m in defaults.default_catalog()
+    if m.id in ("albumin", "alt", "lymphocytes", "monocytes", "age", "sex")))
+# Values whose numpy log10 differs from math.log10 by an ulp on an AVX-512
+# host (one log-normal draw in eight there); the columnar path must give
+# math.log10's bits.
+LOG10_DISAGREES = (0.5350256572448024, 0.9658998954456265, 1.6868778776535684,
+                   1.7094321488831303, 6.728455915363802, 7.2395025573468335,
+                   12.62312027170285, 52.24791928185807)
+MEASURED = (st.sampled_from(LOG10_DISAGREES)
+            | st.sampled_from([0.0, -0.0, 1e-300, 3.0, 3.0000000000000004])
+            | st.floats(-5.0, 1e4, allow_nan=False))
+
+
+def _near_limits(params):
+    """Values at, just below, far below and just above each log-flagged
+    marker's detection limit."""
+    return st.sampled_from([
+        v for limit in params.detection_limit.values()
+        for v in (limit, math.nextafter(limit, 0.0), 0.5 * limit,
+                  math.nextafter(limit, math.inf))])
+
+
+@st.composite
+def records(draw, values, n_min, n_max):
+    """Encounters of SMALL_CATALOG, each marker absent or drawn from
+    `values`."""
+    return [
+        _record({m: v for m in SMALL_CATALOG.lab_ids
+                 if (v := draw(st.none() | values)) is not None},
+                age=draw(st.floats(0.0, 130.0)),
+                sex=draw(st.sampled_from(["female", "male"])), pid=f"p{i}")
+        for i in range(draw(st.integers(n_min, n_max)))]
+
+
+def _same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _alike(call, reference):
+    """reference()'s result and call()'s, or (None, None) after checking
+    that both raise a LabriskError of the same message."""
+    try:
+        expected = reference()
+    except LabriskError as e:
+        with pytest.raises(LabriskError) as got:
+            call()
+        assert str(got.value) == str(e)
+        return None, None
+    return call(), expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_columnar_features_match_the_scalar_oracle(data, scale_demographics):
+    """fit_normalization, vectorize_many and the single-marker scores give
+    the scalar path's bits, or its error: absent markers, values at, below
+    and above the detection limit, and values whose numpy log10 rounds
+    differently."""
+    dev = data.draw(records(MEASURED, 2, 24))
+    params, expected = _alike(
+        lambda: fit_normalization(dev, SMALL_CATALOG, scale_demographics),
+        lambda: oracles.fit_normalization(dev, SMALL_CATALOG,
+                                          scale_demographics))
+    if params is None:
+        return
+    # repr tells 0.0 from -0.0 and a float from a numpy scalar.
+    assert repr(dataclasses.asdict(params)) == \
+        repr(dataclasses.asdict(expected))
+    val = data.draw(records(MEASURED | _near_limits(params), 1, 12))
+    got, expected = _alike(lambda: vectorize_many(val, params),
+                           lambda: oracles.vectorize_many(val, params))
+    for a, b in zip(got or (), expected or ()):
+        _same_bits(a, b)
+    dev_raw, dev_normalized = feature_columns(dev, params)
+    val_raw, val_normalized = feature_columns(val, params)
+    for i, mid in enumerate(SMALL_CATALOG.lab_ids):
+        marker = SMALL_CATALOG.get(mid)
+        dev_col, val_col = ((dev_normalized, val_normalized)
+                            if marker.log_transform else (dev_raw, val_raw))
+        got, scaler = _alike(
+            lambda: likelihood.single_marker_scores(
+                mid, dev_col[:, i], val_col[:, i],
+                marker.risk_direction == "low_is_risk"),
+            lambda: oracles.SingleMarkerScaler.fit(dev, mid, SMALL_CATALOG,
+                                                   params))
+        if scaler is None:
+            continue
+        expected = [scaler.score(r, SMALL_CATALOG, params) for r in val]
+        assert np.isnan(got).tolist() == [s is None for s in expected]
+        _same_bits(got[~np.isnan(got)],
+                   np.array([s for s in expected if s is not None]))
