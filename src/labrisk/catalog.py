@@ -111,12 +111,6 @@ class ClaimCode:
     system: str  # "ICD10" | "CPT"
     date: datetime.date
 
-    def __post_init__(self) -> None:
-        if not self.code:
-            raise LabriskError("claim code must be non-empty")
-        if self.system not in ("ICD10", "CPT"):
-            raise LabriskError(f"unknown code system {self.system!r}")
-
 
 @dataclass
 class EncounterRecord:
@@ -192,31 +186,57 @@ def _measurements(measurements: dict) -> dict[str, float]:
     """{marker id: value} of a JSON object of numbers, in one pass."""
     # Interned, so every decoded encounter shares one key string per marker
     # (json.loads shares keys only within one call, and reads one line).
-    out = {sys.intern(mid): float(v) for mid, v in measurements.items()
-           if type(v) in NUMBERS}
-    if len(out) != len(measurements):
-        mid, v = next((mid, v) for mid, v in measurements.items()
-                      if type(v) not in NUMBERS)
-        raise TypeError(f"measurement {mid!r}: expected a number, got {v!r}")
+    try:
+        out = {sys.intern(mid): float(v) for mid, v in measurements.items()
+               if type(v) in NUMBERS}
+    except OverflowError:  # a JSON integer beyond float range
+        out = {}
+    if len(out) != len(measurements):  # name the first bad marker
+        for mid, v in measurements.items():
+            try:
+                _number(v)
+            except (TypeError, OverflowError) as e:
+                raise type(e)(f"measurement {mid!r}: {e}") from None
     return out
 
 
-# age_years and the measurements take JSON numbers only, and the ids and
-# sex JSON strings only: none of them converts a value of another type.
+def _list(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _code(value) -> str:
+    if not _text(value):
+        raise ValueError("expected a non-empty string")
+    return value
+
+
+def _code_system(value) -> str:
+    if _text(value) not in ("ICD10", "CPT"):
+        raise ValueError(f"unknown code system {value!r}")
+    return value
+
+
+# age_years and the measurements take JSON numbers only, and the ids, sex
+# and claim codes JSON strings only: none of them converts a value of
+# another type. codes is a list of objects of CODE_FIELDS.
 RECORD_FIELDS = {
     "patient_id": _text, "encounter_id": _text,
     "date": datetime.date.fromisoformat, "age_years": _number, "sex": _text,
-    "measurements": _measurements,
-    "codes": lambda codes: [ClaimCode(str(c["code"]), c["system"],
-                                      datetime.date.fromisoformat(c["date"]))
-                            for c in codes],
+    "measurements": _measurements, "codes": _list,
 }
+CODE_FIELDS = {"code": _code, "system": _code_system,
+               "date": datetime.date.fromisoformat}
 
 
 def record_from_dict(d: dict, where: str = "record") -> EncounterRecord:
     """Decode and validate one encounter; LabriskError names `where` and a
-    bad field."""
-    record = EncounterRecord(**decode_fields(d, where, RECORD_FIELDS,
-                                             ("codes",)))
+    bad field, a bad claim code as `where: codes[i]`."""
+    fields = decode_fields(d, where, RECORD_FIELDS, ("codes",))
+    fields["codes"] = [
+        ClaimCode(**decode_fields(c, f"{where}: codes[{i}]", CODE_FIELDS))
+        for i, c in enumerate(fields.get("codes", ()))]
+    record = EncounterRecord(**fields)
     record.validate(where)
     return record

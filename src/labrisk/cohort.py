@@ -1,7 +1,9 @@
-"""Consort-flow cohort selection: screening-population selection by claim
-codes, label assignment with confirmation, window/visit/age filters, acute
-infection exclusion, control enrichment, and the stratified 2:1
-development/validation split at patient level."""
+"""Consort-flow cohort selection. `read_claims` reads each patient's claim
+codes once. Screened patients' encounters pass the window, visit, age,
+marker-count and acute infection filters, then a stratified 2:1
+development/validation split by patient. Enrichment adds the unscreened by
+id: those with an unconfirmed diagnosis join development as positives, and
+the controls are split like the screened ones, with the same seed."""
 
 from __future__ import annotations
 
@@ -134,51 +136,37 @@ def group_by_patient(records) -> dict[str, list[EncounterRecord]]:
     return out
 
 
-def patient_codes(records: list[EncounterRecord]):
-    return [c for r in records for c in r.codes]
+@dataclass
+class Claims:
+    """What a patient's claim codes decide; first_dx is None without a
+    diagnosis, and infections are the dates of acute infection codes."""
+    screened: bool
+    first_dx: datetime.date | None
+    label: bool
+    infections: list[datetime.date]
 
 
-def select_screening_population(by_patient: dict, spec: CohortSpec) -> set[str]:
-    """Patients with at least one screening or screening-encounter code; a
-    diagnostic procedure code qualifies as fallback."""
-    selected = set()
-    primary = spec.screening_codes | spec.encounter_codes
-    for pid, recs in by_patient.items():
-        codes = {c.code for c in patient_codes(recs)}
-        if codes & primary or codes & spec.diagnostic_codes:
-            selected.add(pid)
-    return selected
-
-
-def _matches_dx(code: str, prefixes) -> bool:
-    return any(code.startswith(p) for p in prefixes)
-
-
-def _dx_codes(records: list[EncounterRecord], spec: CohortSpec) -> list:
-    """The patient's ICD-10 codes with a cancer-diagnosis prefix."""
-    return [c for c in patient_codes(records) if c.system == "ICD10"
-            and _matches_dx(c.code, spec.diagnosis_icd_prefixes)]
-
-
-def assign_label(records: list[EncounterRecord],
-                 spec: CohortSpec) -> tuple[bool, datetime.date | None]:
-    """Label is positive iff a diagnosis-prefixed ICD-10 code exists and,
-    when confirmation is required, at least one additional qualifying code
-    (therapy, diagnostic procedure, or another diagnosis code) occurs
-    strictly after the first diagnosis date."""
-    dx = _dx_codes(records, spec)
-    if not dx:
-        return False, None
-    first = min(c.date for c in dx)
-    if not spec.confirmation_required:
-        return True, first
-    for c in patient_codes(records):
-        if c.date <= first:
-            continue
-        if (c.code in spec.therapy_codes or c.code in spec.diagnostic_codes
-                or _matches_dx(c.code, spec.diagnosis_icd_prefixes)):
-            return True, first
-    return False, None
+def read_claims(records: list[EncounterRecord], spec: CohortSpec) -> Claims:
+    """One pass over the patient's codes. A diagnosis is an ICD-10 code with
+    a diagnosis prefix; a confirmation is a therapy, diagnostic or
+    diagnosis-prefixed code of any system dated after the first diagnosis."""
+    screening = (spec.screening_codes | spec.encounter_codes
+                 | spec.diagnostic_codes)
+    screened, dx, confirming, infections = False, [], [], []
+    for c in (c for r in records for c in r.codes):
+        screened = screened or c.code in screening
+        if c.code.startswith(spec.diagnosis_icd_prefixes):
+            confirming.append(c.date)
+            if c.system == "ICD10":
+                dx.append(c.date)
+        elif c.code in spec.therapy_codes or c.code in spec.diagnostic_codes:
+            confirming.append(c.date)
+        if c.code.startswith(spec.infection_codes):
+            infections.append(c.date)
+    first_dx = min(dx, default=None)
+    label = bool(dx) and (not spec.confirmation_required
+                          or max(confirming) > first_dx)
+    return Claims(screened, first_dx, label, infections)
 
 
 def marker_count(record: EncounterRecord) -> int:
@@ -190,8 +178,9 @@ def marker_count(record: EncounterRecord) -> int:
 def filter_encounters(records: list[EncounterRecord], label: bool,
                       diagnosis_date: datetime.date | None,
                       spec: CohortSpec) -> list[LabeledEncounter]:
-    """Window, visit, age, marker-count, and prior-cancer filters for one
-    patient's encounters."""
+    """Window, visit, age and marker-count filters for one patient's
+    encounters: a positive's lie in the WINDOW_DAYS up to diagnosis_date,
+    and a negative's (diagnosis_date None) need a later record."""
     kept = []
     last_date = max(r.date for r in records)
     for r in records:
@@ -199,11 +188,8 @@ def filter_encounters(records: list[EncounterRecord], label: bool,
             lo = diagnosis_date - datetime.timedelta(days=WINDOW_DAYS)
             if not (lo < r.date <= diagnosis_date):
                 continue
-        else:
-            if r.date >= last_date:  # negatives need a subsequent record
-                continue
-        if diagnosis_date is not None and r.date > diagnosis_date:
-            continue  # no encounters after a cancer history
+        elif r.date >= last_date:  # negatives need a subsequent record
+            continue
         if not spec.age_range[0] <= r.age_years <= spec.age_range[1]:
             continue
         if marker_count(r) < spec.min_markers:
@@ -211,25 +197,6 @@ def filter_encounters(records: list[EncounterRecord], label: bool,
         kept.append(LabeledEncounter(
             record=r, label=label, cancer_type=spec.cancer_type,
             diagnosis_date=diagnosis_date))
-    return kept
-
-
-def exclude_acute_infection(encounters: list[LabeledEncounter],
-                            by_patient: dict,
-                            spec: CohortSpec) -> list[LabeledEncounter]:
-    """Drop encounters whose patient carries a SIRS/sepsis/septic-shock code
-    within +/- infection_window_days of the encounter date."""
-    window = datetime.timedelta(days=spec.infection_window_days)
-    kept = []
-    for e in encounters:
-        recs = by_patient.get(e.record.patient_id, [])
-        hit = any(
-            c.code.startswith(p)
-            for c in patient_codes(recs)
-            for p in spec.infection_codes
-            if abs((c.date - e.record.date).days) <= window.days)
-        if not hit:
-            kept.append(e)
     return kept
 
 
@@ -253,8 +220,7 @@ def split_dev_val(encounters: list[LabeledEncounter],
         strata.setdefault(stratum(es), []).append(pid)
 
     rng = np.random.default_rng(seed)
-    dev_n, val_n = SPLIT_RATIO
-    frac = dev_n / (dev_n + val_n)
+    frac = SPLIT_RATIO[0] / sum(SPLIT_RATIO)
     fallback_pool = []
     assignments: dict[str, tuple[str, bool]] = {}
 
@@ -275,45 +241,7 @@ def split_dev_val(encounters: list[LabeledEncounter],
         assign(sorted(fallback_pool), True)
 
     for e in encounters:
-        split, flagged = assignments[e.record.patient_id]
-        e.split = split
-        e.split_fallback = flagged
-    return encounters
-
-
-def qualifies_as_control(records: list[EncounterRecord],
-                         spec: CohortSpec) -> bool:
-    """No cancer-diagnosis ICD code at any time (history or within the
-    12-month label horizon of any encounter)."""
-    return not _dx_codes(records, spec)
-
-
-def enrich_controls(encounters: list[LabeledEncounter],
-                    extra_by_patient: dict, spec: CohortSpec,
-                    seed: int) -> list[LabeledEncounter]:
-    """Append qualifying extra control encounters (age/marker filters
-    applied). Unconfirmed-screening cancer patients among the extras are
-    added to the development split only."""
-    existing = {e.record.patient_id for e in encounters}
-    added = []
-    for pid in sorted(extra_by_patient):
-        if pid in existing:
-            continue
-        recs = extra_by_patient[pid]
-        if qualifies_as_control(recs, spec):
-            added.extend(filter_encounters(recs, False, None, spec))
-        elif not assign_label(recs, spec)[0]:
-            # Patient has an unconfirmed diagnosis trail or screening-less
-            # cancer codes; usable for development only.
-            first = min(c.date for c in _dx_codes(recs, spec))
-            dev_only = filter_encounters(recs, True, first, spec)
-            for e in dev_only:
-                e.split = "development"
-                e.split_fallback = True
-            encounters = encounters + dev_only
-    if added:
-        added = split_dev_val(added, seed)
-        encounters = encounters + added
+        e.split, e.split_fallback = assignments[e.record.patient_id]
     return encounters
 
 
@@ -337,27 +265,36 @@ def run_cohort_pipeline(records: list[EncounterRecord], spec: CohortSpec,
                         seed: int, enrich: bool
                         ) -> tuple[list[LabeledEncounter], list[ConsortStage]]:
     """Full consort flow over a raw record set, split with `seed` and, if
-    `enrich`, with unscreened controls added. Returns the labeled, split
-    encounters and the per-stage count table."""
+    `enrich`, with unscreened patients added (see the module docstring).
+    Returns the labeled, split encounters and the per-stage count table."""
     by_patient = group_by_patient(records)
-    screened = select_screening_population(by_patient, spec)
+    claims = {pid: read_claims(by_patient[pid], spec)
+              for pid in sorted(by_patient)}
     flow = []
 
-    labeled: list[LabeledEncounter] = []
-    for pid in sorted(screened):
-        recs = by_patient[pid]
-        label, dx_date = assign_label(recs, spec)
-        labeled.extend(filter_encounters(recs, label, dx_date, spec))
+    labeled = [e for pid, c in claims.items() if c.screened
+               for e in filter_encounters(by_patient[pid], c.label,
+                                          c.first_dx if c.label else None,
+                                          spec)]
     flow.append(consort_row("screening_population_filtered", labeled))
 
-    labeled = exclude_acute_infection(labeled, by_patient, spec)
+    labeled = [e for e in labeled if not any(
+        abs((date - e.record.date).days) <= spec.infection_window_days
+        for date in claims[e.record.patient_id].infections)]
     flow.append(consort_row("after_infection_exclusion", labeled))
 
     labeled = split_dev_val(labeled, seed)
 
     if enrich:
-        extras = {pid: recs for pid, recs in by_patient.items()
-                  if pid not in screened}
-        labeled = enrich_controls(labeled, extras, spec, seed)
+        unscreened = [(by_patient[pid], c) for pid, c in claims.items()
+                      if not c.screened]
+        dev_only = [e for recs, c in unscreened
+                    if c.first_dx is not None and not c.label
+                    for e in filter_encounters(recs, True, c.first_dx, spec)]
+        for e in dev_only:
+            e.split, e.split_fallback = "development", True
+        controls = [e for recs, c in unscreened if c.first_dx is None
+                    for e in filter_encounters(recs, False, None, spec)]
+        labeled += dev_only + split_dev_val(controls, seed)
     flow.append(consort_row("after_enrichment", labeled))
     return labeled, flow

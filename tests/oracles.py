@@ -2,15 +2,19 @@
 lists, the plain-numpy expressions the layer kernels must match bit for bit,
 central-difference gradient checks, average precision, the Shapley
 efficiency residual, the longest-prefix phecode scan, eval scoring
-through the unfolded layers, and features and single-marker scores one
-value at a time."""
+through the unfolded layers, features and single-marker scores one
+value at a time, and the consort flow that scans each patient's claim
+codes once per question."""
 
+import datetime
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from labrisk import LabriskError, metrics, nn
+from labrisk.cohort import (consort_row, filter_encounters, group_by_patient,
+                            split_dev_val)
 from labrisk.model import RiskModel
 from labrisk.preprocess import NormalizationParams, percentile
 
@@ -284,3 +288,120 @@ class SingleMarkerScaler:
         s = (v - self.low) / (self.high - self.low)
         s = min(1.0, max(0.0, s))
         return 1.0 - s if self.flip else s
+
+
+# The consort flow with one scan of the patient's claim codes per question:
+# cohort.run_cohort_pipeline must give the same encounters and counts.
+
+def patient_codes(records):
+    return [c for r in records for c in r.codes]
+
+
+def select_screening_population(by_patient, spec):
+    """Patients with at least one screening or screening-encounter code; a
+    diagnostic procedure code qualifies as fallback."""
+    selected = set()
+    primary = spec.screening_codes | spec.encounter_codes
+    for pid, recs in by_patient.items():
+        codes = {c.code for c in patient_codes(recs)}
+        if codes & primary or codes & spec.diagnostic_codes:
+            selected.add(pid)
+    return selected
+
+
+def matches_dx(code, prefixes):
+    return any(code.startswith(p) for p in prefixes)
+
+
+def dx_codes(records, spec):
+    """The patient's ICD-10 codes with a cancer-diagnosis prefix."""
+    return [c for c in patient_codes(records) if c.system == "ICD10"
+            and matches_dx(c.code, spec.diagnosis_icd_prefixes)]
+
+
+def assign_label(records, spec):
+    """(label, first diagnosis date or None): positive iff a diagnosis
+    exists and, when confirmation is required, a therapy, diagnostic
+    procedure or diagnosis-prefixed code occurs strictly after the first
+    diagnosis date."""
+    dx = dx_codes(records, spec)
+    if not dx:
+        return False, None
+    first = min(c.date for c in dx)
+    if not spec.confirmation_required:
+        return True, first
+    for c in patient_codes(records):
+        if c.date <= first:
+            continue
+        if (c.code in spec.therapy_codes or c.code in spec.diagnostic_codes
+                or matches_dx(c.code, spec.diagnosis_icd_prefixes)):
+            return True, first
+    return False, None
+
+
+def exclude_acute_infection(encounters, by_patient, spec):
+    """Drop encounters whose patient carries an infection code within
+    +/- infection_window_days of the encounter date."""
+    window = datetime.timedelta(days=spec.infection_window_days)
+    kept = []
+    for e in encounters:
+        recs = by_patient.get(e.record.patient_id, [])
+        hit = any(
+            c.code.startswith(p)
+            for c in patient_codes(recs)
+            for p in spec.infection_codes
+            if abs((c.date - e.record.date).days) <= window.days)
+        if not hit:
+            kept.append(e)
+    return kept
+
+
+def qualifies_as_control(records, spec):
+    """No cancer-diagnosis ICD code at any time."""
+    return not dx_codes(records, spec)
+
+
+def enrich_controls(encounters, extra_by_patient, spec, seed):
+    """Append the extra patients' control encounters, split, after the
+    development-only encounters of those with an unconfirmed diagnosis."""
+    existing = {e.record.patient_id for e in encounters}
+    added = []
+    for pid in sorted(extra_by_patient):
+        if pid in existing:
+            continue
+        recs = extra_by_patient[pid]
+        if qualifies_as_control(recs, spec):
+            added.extend(filter_encounters(recs, False, None, spec))
+        elif not assign_label(recs, spec)[0]:
+            first = min(c.date for c in dx_codes(recs, spec))
+            dev_only = filter_encounters(recs, True, first, spec)
+            for e in dev_only:
+                e.split = "development"
+                e.split_fallback = True
+            encounters = encounters + dev_only
+    if added:
+        added = split_dev_val(added, seed)
+        encounters = encounters + added
+    return encounters
+
+
+def run_cohort_pipeline(records, spec, seed, enrich):
+    """cohort.run_cohort_pipeline through the helpers above."""
+    by_patient = group_by_patient(records)
+    screened = select_screening_population(by_patient, spec)
+    flow = []
+    labeled = []
+    for pid in sorted(screened):
+        recs = by_patient[pid]
+        label, dx_date = assign_label(recs, spec)
+        labeled.extend(filter_encounters(recs, label, dx_date, spec))
+    flow.append(consort_row("screening_population_filtered", labeled))
+    labeled = exclude_acute_infection(labeled, by_patient, spec)
+    flow.append(consort_row("after_infection_exclusion", labeled))
+    labeled = split_dev_val(labeled, seed)
+    if enrich:
+        extras = {pid: recs for pid, recs in by_patient.items()
+                  if pid not in screened}
+        labeled = enrich_controls(labeled, extras, spec, seed)
+    flow.append(consort_row("after_enrichment", labeled))
+    return labeled, flow

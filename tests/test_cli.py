@@ -683,6 +683,15 @@ def _measured(doc, **measurements):
     return _edited(doc, measurements={**doc["measurements"], **measurements})
 
 
+def _claim(doc, **fields):
+    """A claim code on the document's date, `fields` replacing its own."""
+    return {"code": "C22.0", "system": "ICD10", "date": doc["date"], **fields}
+
+
+def _coded(doc, **fields):
+    return _edited(doc, codes=[_claim(doc, **fields)])
+
+
 # Patient file texts from a valid document, and what the error must name
 # besides the file. Each is run under predict and explain --patient.
 PATIENT_TEXTS = {
@@ -709,9 +718,16 @@ PATIENT_TEXTS = {
                           ("patient_id",)),
     # JSON integers beyond float range.
     "measurement-huge-int": (lambda doc: _measured(doc, albumin=10**400),
-                             ("measurements",)),
+                             ("measurements", "albumin")),
     "age-huge-int": (lambda doc: _edited(doc, age_years=10**400),
                      ("age_years",)),
+    # A claim code's code is a non-empty JSON string, its system ICD10 or
+    # CPT.
+    "code-number": (lambda doc: _coded(doc, code=123),
+                    ("codes[0]", "'code'")),
+    "code-system-unknown": (lambda doc: _coded(doc, system="FOO"),
+                            ("codes[0]", "'system'")),
+    "code-empty": (lambda doc: _coded(doc, code=""), ("codes[0]", "'code'")),
 }
 
 
@@ -827,6 +843,18 @@ def _cohort_nan_measurement(run, tmp):
     cohort = _write(tmp / "cohort.jsonl", "\n".join(lines) + "\n")
     return (["cohort", "--config", _config(tmp, {"cohort": cohort})],
             [f"{cohort}:3", "'albumin'"])
+
+
+def _cohort_unknown_code_system(run, tmp):
+    """cohort on the run's cohort.jsonl with line 3's second claim code in
+    an unknown system."""
+    _, out = run
+    lines = (out / "cohort.jsonl").read_text().splitlines()
+    doc = json.loads(lines[2])
+    lines[2] = _edited(doc, codes=[_claim(doc), _claim(doc, system="FOO")])
+    cohort = _write(tmp / "cohort.jsonl", "\n".join(lines) + "\n")
+    return (["cohort", "--config", _config(tmp, {"cohort": cohort})],
+            [f"{cohort}:3", "codes[1]", "'FOO'"])
 
 
 def _directory_case(command, key):
@@ -1028,6 +1056,7 @@ MALFORMED_INPUTS = {
         _no_cancer_distribution("alt", [1e308, 1e308]), "'alt'",
         "'no_cancer'"),
     "cohort-nan-measurement": _cohort_nan_measurement,
+    "cohort-unknown-code-system": _cohort_unknown_code_system,
     "cohort-directory": _directory_case("cohort", "cohort"),
     "prepare-labeled-directory": _directory_case("prepare", "labeled"),
     "comorbid-labeled-directory": _directory_case("comorbid", "labeled"),

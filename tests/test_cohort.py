@@ -1,6 +1,7 @@
 """Cohort construction logic: labeling, filters, and the dev/val split."""
 
 import datetime
+import itertools
 import json
 
 import numpy as np
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 from labrisk import LabriskError, defaults
 from labrisk.catalog import ClaimCode, EncounterRecord, record_from_dict
 from labrisk.cohort import (WINDOW_DAYS, CohortSpec, LabeledEncounter,
-                            assign_label, exclude_acute_infection,
                             filter_encounters, group_by_patient,
                             labeled_from_dict, labeled_to_dict,
-                            marker_count, qualifies_as_control,
-                            run_cohort_pipeline, select_screening_population,
+                            marker_count, read_claims, run_cohort_pipeline,
                             split_dev_val)
 from labrisk.synth import SynthConfig, synthesize_cohort
+
+import oracles
 
 SPEC = CohortSpec.for_cancer("liver")
 BASE = datetime.date(2020, 1, 1)
@@ -53,22 +54,22 @@ def test_for_cancer_overrides_are_checked_json():
 
 
 def test_label_requires_confirmation_after_first_dx():
+    def label(*codes):
+        claims = read_claims([rec("p", "e1", 0, codes=codes)], SPEC)
+        return claims.label, claims.first_dx
+    dx = BASE + datetime.timedelta(days=10)
     # Diagnosis alone: not a confirmed case.
-    records = [rec("p", "e1", 0, codes=[code("C22.0", 10)])]
-    assert assign_label(records, SPEC) == (False, None)
+    assert label(code("C22.0", 10)) == (False, dx)
     # Therapy code strictly after the diagnosis confirms it.
-    records = [rec("p", "e1", 0,
-                   codes=[code("C22.0", 10), code("Z51.11", 40)])]
-    label, dx = assign_label(records, SPEC)
-    assert label and dx == BASE + datetime.timedelta(days=10)
+    assert label(code("C22.0", 10), code("Z51.11", 40)) == (True, dx)
     # Confirmation on the same date does not count (strictly after).
-    records = [rec("p", "e1", 0,
-                   codes=[code("C22.0", 10), code("Z51.11", 10)])]
-    assert assign_label(records, SPEC) == (False, None)
-    # A second diagnosis code later also confirms.
-    records = [rec("p", "e1", 0,
-                   codes=[code("C22.0", 10), code("C22.1", 50)])]
-    assert assign_label(records, SPEC)[0]
+    assert label(code("C22.0", 10), code("Z51.11", 10)) == (False, dx)
+    # A second diagnosis code later also confirms, as does a diagnostic
+    # procedure.
+    assert label(code("C22.0", 10), code("C22.1", 50)) == (True, dx)
+    assert label(code("C22.0", 10), code("47000", 50, "CPT")) == (True, dx)
+    # An earlier diagnosis code moves the first diagnosis date.
+    assert label(code("C22.1", 50), code("C22.0", 10)) == (True, dx)
 
 
 def test_screening_population_selection():
@@ -79,13 +80,23 @@ def test_screening_population_selection():
         rec("d", "e1", 0, codes=[code("99213", 0, "CPT")]),    # unrelated
     ])
     spec = CohortSpec.for_cancer("liver")
-    assert select_screening_population(by_patient, spec) == {"a", "b", "c"}
+    assert {pid for pid, recs in by_patient.items()
+            if read_claims(recs, spec).screened} == {"a", "b", "c"}
 
 
 def test_qualifies_as_control():
-    assert qualifies_as_control([rec("p", "e1", 0)], SPEC)
-    assert not qualifies_as_control(
-        [rec("p", "e1", 0, codes=[code("C22.9", 500)])], SPEC)
+    """A control has no cancer-diagnosis ICD-10 code at any time; with
+    enrichment, an unscreened control joins the cohort as a negative."""
+    control = [rec("p", "e1", 0), rec("p", "e2", 100)]
+    assert read_claims(control, SPEC).first_dx is None
+    labeled, _ = run_cohort_pipeline(control, SPEC, 0, True)
+    assert [(e.record.encounter_id, e.label) for e in labeled] == \
+        [("e1", False)]
+    diagnosed = [rec("p", "e1", 0, codes=[code("C22.9", 500)])]
+    assert read_claims(diagnosed, SPEC).first_dx is not None
+    assert read_claims(  # a diagnosis is an ICD-10 code
+        [rec("p", "e1", 0, codes=[code("C22.9", 500, "CPT")])],
+        SPEC).first_dx is None
 
 
 # --- encounter filters ---------------------------------------------------------
@@ -136,16 +147,16 @@ def test_min_marker_filter():
 
 def test_infection_exclusion_window():
     sick_day = 50
-    records = [rec("p", "e1", sick_day - 31),
+    records = [rec("p", "e1", sick_day - 31,
+                   codes=[code("76700", 0, "CPT")]),  # screened
                rec("p", "e2", sick_day - 30),
                rec("p", "e3", sick_day + 30),
                rec("p", "e4", sick_day + 31),
                rec("p", "e5", sick_day + 200,
                    codes=[code("R65.20", sick_day)])]
-    by_patient = group_by_patient(records)
-    kept = filter_encounters(records, False, None, SPEC)
-    kept = exclude_acute_infection(kept, by_patient, SPEC)
-    assert [e.record.encounter_id for e in kept] == ["e1", "e4"]
+    labeled, flow = run_cohort_pipeline(records, SPEC, 0, False)
+    assert [e.record.encounter_id for e in labeled] == ["e1", "e4"]
+    assert [row.n_encounters for row in flow] == [4, 2, 2]
 
 
 # --- split ---------------------------------------------------------------------
@@ -292,3 +303,77 @@ def test_pipeline_invariants_on_random_cohorts(seed):
     for e in labeled:
         by_pid.setdefault(e.record.patient_id, set()).add(e.split)
     assert all(len(s) == 1 for s in by_pid.values())
+
+
+# --- the consort flow against the oracle ---------------------------------------
+
+# Days on a 10-day grid, so that windows' edges are often hit exactly; a
+# claim code's day is an offset from its encounter's.
+DAYS = st.integers(-10, 100).map(lambda k: 10 * k)
+OFFSETS = st.integers(-40, 40).map(lambda k: 10 * k)
+
+
+def _screening_codes(cancer_type):
+    return (defaults.SCREENING_PROCEDURE_CODES[cancer_type]
+            + defaults.SCREENING_ENCOUNTER_CODES[cancer_type]
+            + defaults.DIAGNOSTIC_PROCEDURE_CODES[cancer_type])
+
+
+def _dx_codes(cancer_type):
+    return [p + s for p in defaults.DIAGNOSIS_ICD_PREFIXES[cancer_type]
+            for s in ("", ".0", ".9")]
+
+
+def _histories(cancer_type):
+    """(cancer_type, patients' encounters) whose claim codes are drawn a
+    category at a time: the cancer type's screening, screening-encounter
+    and diagnostic codes, its diagnosis-prefixed codes, therapy codes,
+    infection codes, and unrelated ones (other cancer types' codes and
+    near-misses); each with either system."""
+    others = [t for t in defaults.DIAGNOSIS_ICD_PREFIXES if t != cancer_type]
+    categories = [
+        _screening_codes(cancer_type), _dx_codes(cancer_type),
+        [c for c, _ in defaults.CONFIRMATION_CODES],
+        [p + s for p in defaults.ACUTE_INFECTION_CODES for s in ("", "0")],
+        [*(c for t in others
+           for c in (*_screening_codes(t), *_dx_codes(t))),
+         "99213", "E11.9", "K74.60", "C2", "R65"]]
+    codes = st.lists(st.tuples(
+        st.sampled_from(categories).flatmap(st.sampled_from),
+        st.sampled_from(["ICD10", "CPT"]), OFFSETS), max_size=3)
+    encounter = st.tuples(DAYS, st.sampled_from([35.0, 40.0, 60.0, 89.5]),
+                          st.sampled_from([5, 17, 18, 20, 30]),
+                          st.sampled_from(["male", "female"]), codes)
+    return st.tuples(st.just(cancer_type), st.lists(
+        st.lists(encounter, min_size=1, max_size=4), min_size=4, max_size=16))
+
+
+def _history_records(histories):
+    return [rec(f"p{i}", f"p{i}e{j}", day, age=age, n_markers=n, sex=sex,
+                codes=[code(c, day + offset, system)
+                       for c, system, offset in codes])
+            for i, encounters in enumerate(histories)
+            for j, (day, age, n, sex, codes) in enumerate(encounters)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(defaults.DIAGNOSIS_ICD_PREFIXES)).flatmap(
+           _histories), DAYS.map(abs), st.integers(1, 25),
+       st.integers(0, 1000))
+def test_consort_flow_matches_the_oracle(histories, window, min_markers,
+                                         seed):
+    """run_cohort_pipeline reads each patient's codes once and gives the
+    encounters and counts of the flow that scans them per question, with
+    confirmation required or not and enrichment on or off."""
+    cancer_type, histories = histories
+    records = _history_records(histories)
+    for confirm, enrich in itertools.product((True, False), repeat=2):
+        spec = CohortSpec.for_cancer(cancer_type, {
+            "confirmation_required": confirm,
+            "infection_window_days": window, "min_markers": min_markers})
+        labeled, flow = run_cohort_pipeline(records, spec, seed, enrich)
+        want, want_flow = oracles.run_cohort_pipeline(records, spec, seed,
+                                                      enrich)
+        assert [labeled_to_dict(e) for e in labeled] == \
+            [labeled_to_dict(e) for e in want]
+        assert flow == want_flow

@@ -1,7 +1,8 @@
 """The runtime is numpy-only: every module of the package imports only the
 standard library, numpy and labrisk itself. Also: the package's exception
 classes, the run settings' one default each, the package's one reader of
-each kind of file, and the bindings the benchmark's tracer wraps."""
+each kind of file, the bindings the benchmark's tracer wraps, and that the
+package uses every function and class it defines."""
 
 import ast
 import dataclasses
@@ -126,6 +127,39 @@ def test_package_takes_log10_from_math_only():
     uses = {path.name: numpy_log10_calls(path.read_text())
             for path in sorted(PACKAGE.glob("*.py"))}
     assert not any(uses.values()), uses
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each function, class and method defined in
+    `sources` ({module: source}) whose name no name or attribute in them
+    refers to; dunders are exempt."""
+    trees = [(module, ast.parse(source)) for module, source in sources.items()]
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for _, tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(
+        f"{module}.{node.name}" for module, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced)
+
+
+def test_unreferenced_definitions_sees_every_kind():
+    assert unreferenced_definitions({
+        "a": "def f():\n    pass\nasync def g():\n    h.k()\n"
+             "class C:\n    def m(self):\n        pass\n"
+             "    def __len__(self):\n        return 0\n",
+        "b": "from a import C\nx = g\n"}) == ["a.C", "a.f", "a.m"]
+
+
+def test_every_definition_is_used_by_the_package():
+    """A helper that only the tests use (or nothing does) is deleted; a
+    reference oracle belongs in tests/oracles.py."""
+    assert unreferenced_definitions(
+        {path.stem: path.read_text()
+         for path in sorted(PACKAGE.glob("*.py"))}) == []
 
 
 def run_configs() -> list[type]:
