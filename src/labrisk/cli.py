@@ -240,7 +240,7 @@ def _load_model(stage):
 
 def _patient(stage, path, params):
     """The --patient encounter, decoded and checked like every record, and
-    its feature vector. LabriskError names the file and any marker the model
+    its feature row. LabriskError names the file and any marker the model
     does not know."""
     record = record_from_dict(parse_json(stage.read(path), path), path)
     unknown = set(record.measurements) - set(params.feature_order)
@@ -254,7 +254,7 @@ def _validation_scores(stage, ensemble):
     """Validation labels and per-member scores."""
     val, labels = _split(_labeled(stage), "validation")
     return labels, ensemble.predict_batch(
-        *vectorize_many(val, ensemble.normalization))
+        vectorize_many(val, ensemble.normalization))
 
 
 def _curves(scores, labels):
@@ -321,6 +321,9 @@ def cmd_prepare(cfg, args, stage) -> None:
 
 
 def cmd_train(cfg, args, stage) -> None:
+    if "n_features" in cfg.train.model:
+        raise LabriskError(f"{args.config}: train: n_features: set by the "
+                           "normalization's feature count, not by the config")
     catalog = _catalog(stage)
     norm = stage.input("normalization.json", "normalization", "prepare")
     params = config_from_json(NormalizationParams,
@@ -329,9 +332,9 @@ def cmd_train(cfg, args, stage) -> None:
         "seed": cfg.master_seed, **cfg.train.model,
         "n_features": len(params.feature_order)}, f"{args.config}: train")
     dev, labels = _split(_labeled(stage), "development")
-    values, mask = vectorize_many(dev, params)
+    rows = vectorize_many(dev, params)
     ensemble = train_ensemble(
-        values, mask, labels, [r.patient_id for r in dev], params, config,
+        rows, labels, [r.patient_id for r in dev], params, config,
         n_members=cfg.train.n_members, subsample=cfg.train.subsample,
         background_size=cfg.explain.background_size,
         background_seed=cfg.master_seed, catalog_version=catalog.version)
@@ -341,7 +344,7 @@ def cmd_train(cfg, args, stage) -> None:
                 ["member", "stage", "epoch", "loss"],
                 [[h["member"], h["stage"], h["epoch"], h["loss"]]
                  for h in ensemble.history])
-    print(f"train: {cfg.train.n_members}-member ensemble on {values.shape[0]} "
+    print(f"train: {cfg.train.n_members}-member ensemble on {rows.shape[0]} "
           f"encounters -> {out}")
 
 
@@ -351,9 +354,8 @@ def cmd_predict(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
-    record, (values, mask) = _patient(stage, args.patient,
-                                      ensemble.normalization)
-    assessment = ensemble.predict(values, mask)
+    record, row = _patient(stage, args.patient, ensemble.normalization)
+    assessment = ensemble.predict(row)
     report = likelihood.build_report(
         record.patient_id, cfg.cancer_type, assessment, dev,
         min_n=cfg.predict.min_n)
@@ -412,7 +414,7 @@ def cmd_lr(cfg, args, stage) -> None:
     dev_recs = _split(labeled, "development")[0]
     series = {
         "model": (ensemble.predict_batch(
-            *vectorize_many(val, params)).mean(axis=1), labels),
+            vectorize_many(val, params)).mean(axis=1), labels),
         "oor": ([likelihood.oor_score(r, catalog)[0] for r in val], labels),
         "age": ([likelihood.age_score(r.age_years) for r in val], labels)}
     # Only the markers' columns are kept: holding every feature's until the
@@ -450,16 +452,17 @@ def cmd_lr(cfg, args, stage) -> None:
 def cmd_explain(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     params = ensemble.normalization
-    bg_v, bg_m = ensemble.background_values, ensemble.background_mask
+    background = np.concatenate([ensemble.background_values,
+                                 ensemble.background_mask], axis=1)
     n_permutations, seed = cfg.explain.n_permutations, cfg.master_seed
     fn = NormalizedLrFn(ensemble, likelihood.ScoredCohort.from_arrays(
         ensemble.dev_scores, ensemble.dev_labels), min_n=cfg.predict.min_n)
     if args.patient:
         # A cohort summary's manifest must not replace the waterfall's.
         stage.manifest = "explain_patient_manifest.json"
-        record, (values, mask) = _patient(stage, args.patient, params)
-        wf = waterfall(fn, values, mask, bg_v, bg_m,
-                       list(params.feature_order), n_permutations, seed)
+        record, row = _patient(stage, args.patient, params)
+        wf = waterfall(fn, row, background, list(params.feature_order),
+                       n_permutations, seed)
         out = stage.write("waterfall.json", ioutil.atomic_write_json, {
             "patient_id": record.patient_id,
             "base_value": wf.base_value, "fx": wf.fx,
@@ -473,8 +476,8 @@ def cmd_explain(cfg, args, stage) -> None:
         n = min(cfg.explain.n_samples, len(val))
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(len(val), size=n, replace=False))
-        values, mask = vectorize_many([val[i] for i in idx], params)
-        summary = cohort_summary(fn, values, mask, bg_v, bg_m,
+        rows = vectorize_many([val[i] for i in idx], params)
+        summary = cohort_summary(fn, rows, background,
                                  list(params.feature_order), n_permutations,
                                  seed, cfg.explain.top_k)
         out = stage.write("shap_summary.json", ioutil.atomic_write_json, {

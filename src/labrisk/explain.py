@@ -1,11 +1,11 @@
 """Shapley-value attribution of the normalized likelihood ratio.
 
-The attributed function is the full reporting pipeline: feature vector ->
+The attributed function is the full reporting pipeline: feature row ->
 ensemble risk score -> similar-cohort likelihood ratio against the
 development cohort -> logistic squashing (mean 5, scale 0.5) so extreme LRs
 do not dominate. A feature "absent from a coalition" has its value and its
-mask bit replaced from a background draw, so missingness itself is
-expressible to the model.
+mask bit (a feature row holds d values, then d mask bits) replaced from a
+background row, so missingness itself is expressible to the model.
 
 Exact subset enumeration is used when the number of features is small;
 otherwise permutation sampling with antithetic pairs.
@@ -30,7 +30,8 @@ MIN_WATERFALL_MARKERS = 24  # observed markers a waterfall needs
 TOP_K_WATERFALL = 9  # waterfall items before the aggregated remainder
 MIN_SUMMARY_SAMPLES = 10  # samples a cohort summary needs
 # The most permutation walks per attribution: sampling scores all of them in
-# one stack of (walks, features + 1, features) rows, so they bound its memory.
+# one stack of (walks, features + 1, 2 · features) rows, so they bound its
+# memory.
 MAX_PERMUTATIONS = 10_000
 
 
@@ -41,10 +42,10 @@ def normalize_lr(lr) -> float | np.ndarray:
 
 
 class NormalizedLrFn:
-    """The attributed value function: (values, mask) -> normalized LR.
+    """The attributed value function: feature rows -> normalized LR.
 
-    Maps (..., d) values and mask to (...) normalized LRs in (0, 1), with
-    the same bits for a row whatever stack it arrives in. Each row is scored
+    Maps (..., 2d) rows to (...) normalized LRs in (0, 1), with the same
+    bits for a row whatever stack it arrives in. Each row is scored
     by the ensemble, summarized to a mean and CI, matched to its
     similar-score development cohort, and its LR is squashed by
     normalize_lr.
@@ -56,8 +57,8 @@ class NormalizedLrFn:
         self.dev = dev
         self.min_n = min_n
 
-    def __call__(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        scores = self.ensemble.predict_batch(values, mask)
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        scores = self.ensemble.predict_batch(rows)
         mean, _, lo, hi = score_summary(scores, self.ensemble.config.ci_scale)
         pos_sub, n_sub = self.dev.similar_counts(mean, lo, hi, self.min_n)
         lr, _ = lr_from_counts(pos_sub, n_sub, self.dev.n_pos, len(self.dev))
@@ -87,16 +88,15 @@ def shap_provenance(results: list[ShapResult], seed: int) -> dict:
             "max_ci99_half_width": max(widths) if widths else None}
 
 
-def _compose(values, mask, coalition, bg_values, bg_mask):
-    """Sample features inside the coalition, background features outside;
-    broadcasts over leading axes."""
-    v = np.where(coalition, values, bg_values)
-    m = np.where(coalition, mask, bg_mask)
-    return v, m
+def _compose(row, coalition, background):
+    """The row's value and mask bit for a feature inside the coalition, the
+    background's outside; broadcasts over leading axes."""
+    return np.where(np.concatenate([coalition, coalition], axis=-1), row,
+                    background)
 
 
-def _shap_exact(fn, values, mask, bg_v, bg_m, seed) -> ShapResult:
-    d = values.size
+def _shap_exact(fn, row, background, seed) -> ShapResult:
+    d = row.size // 2
     n_sub = 1 << d
     # Coalition s holds feature j when bit j of s is set.
     subsets = np.arange(n_sub)
@@ -104,7 +104,7 @@ def _shap_exact(fn, values, mask, bg_v, bg_m, seed) -> ShapResult:
     coalitions = bits.astype(bool)
     # Value of every coalition, averaged over the background set; one call
     # per coalition keeps the batch at the background size.
-    v_of = np.array([np.mean(fn(*_compose(values, mask, c, bg_v, bg_m)))
+    v_of = np.array([np.mean(fn(_compose(row, c, background)))
                      for c in coalitions])
     # Shapley weights by coalition size.
     fact = [math.factorial(i) for i in range(d + 1)]
@@ -121,11 +121,10 @@ def _shap_exact(fn, values, mask, bg_v, bg_m, seed) -> ShapResult:
                       method="exact_enumeration", n_samples=n_sub, seed=seed)
 
 
-def _shap_sampling(fn, values, mask, bg_v, bg_m, n_permutations,
-                   seed) -> ShapResult:
+def _shap_sampling(fn, row, background, n_permutations, seed) -> ShapResult:
     rng = np.random.default_rng(seed)
-    d = values.size
-    n_bg = bg_v.shape[0]
+    d = row.size // 2
+    n_bg = background.shape[0]
     n_pairs = max(1, n_permutations // 2)
     perms = np.empty((n_pairs, d), dtype=np.intp)
     draws = np.empty(n_pairs, dtype=np.intp)
@@ -142,9 +141,7 @@ def _shap_sampling(fn, values, mask, bg_v, bg_m, n_permutations,
     step = np.full((n_walks, d), d + 1)
     step[walk, added] = np.arange(1, d + 1)
     coalitions = step[:, None, :] <= np.arange(d + 1)[:, None]
-    walk_v, walk_m = _compose(values, mask, coalitions,
-                              bg_v[b, None, :], bg_m[b, None, :])
-    f = fn(walk_v, walk_m)  # (walks, d + 1)
+    f = fn(_compose(row, coalitions, background[b, None, :]))  # (walks, d+1)
     contribs = np.zeros((n_walks, d))
     contribs[walk, added] = f[:, 1:] - f[:, :-1]
     phi = contribs.mean(axis=0)
@@ -154,30 +151,27 @@ def _shap_sampling(fn, values, mask, bg_v, bg_m, n_permutations,
                       n_samples=n_walks, seed=seed, ci99=2.576 * se)
 
 
-def shap_values(fn, values: np.ndarray, mask: np.ndarray,
-                bg_values: np.ndarray, bg_mask: np.ndarray,
+def shap_values(fn, row: np.ndarray, background: np.ndarray,
                 n_permutations: int, seed: int) -> ShapResult:
-    """Per-feature Shapley attributions of fn at (values, mask) against a
-    background set: exact up to MAX_EXACT features, else `n_permutations`
-    antithetic permutation walks. Deterministic per seed.
+    """Per-feature Shapley attributions of fn at the feature row `row` (d
+    values, then d mask bits) against background rows: exact up to
+    MAX_EXACT features, else `n_permutations` antithetic permutation walks.
+    Deterministic per seed.
 
-    fn maps (..., d) values and mask to (...) outputs, one per row, and must
-    give a row the same value whatever its leading axes; NormalizedLrFn is
-    the pipeline's. Exact enumeration calls it on (n_background, d) per
+    fn maps (..., 2d) rows to (...) outputs, one per row, and must give a
+    row the same value whatever its leading axes; NormalizedLrFn is the
+    pipeline's. Exact enumeration calls it on (n_background, 2d) rows per
     coalition; permutation sampling calls it once on every walk stacked,
-    (n_samples, d + 1, d), where row t of a walk holds its first t
+    (n_samples, d + 1, 2d), where row t of a walk holds its first t
     features.
     """
-    values = np.asarray(values, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    bg_values = np.atleast_2d(np.asarray(bg_values, dtype=np.float64))
-    bg_mask = np.atleast_2d(np.asarray(bg_mask, dtype=np.float64))
-    if bg_values.shape[0] == 0:
+    row = np.asarray(row, dtype=np.float64)
+    background = np.atleast_2d(np.asarray(background, dtype=np.float64))
+    if background.shape[0] == 0:
         raise LabriskError("empty background set")
-    if values.size <= MAX_EXACT:
-        return _shap_exact(fn, values, mask, bg_values, bg_mask, seed)
-    return _shap_sampling(fn, values, mask, bg_values, bg_mask,
-                          n_permutations, seed)
+    if row.size // 2 <= MAX_EXACT:
+        return _shap_exact(fn, row, background, seed)
+    return _shap_sampling(fn, row, background, n_permutations, seed)
 
 
 @dataclass
@@ -193,26 +187,24 @@ class CohortShapSummary:
         return [self.feature_names[i] for i in self.ranking[:self.top_k]]
 
 
-def cohort_summary(fn, values: np.ndarray, mask: np.ndarray,
-                   bg_values: np.ndarray, bg_mask: np.ndarray,
+def cohort_summary(fn, rows: np.ndarray, background: np.ndarray,
                    feature_names: list[str], n_permutations: int, seed: int,
                    top_k: int) -> CohortShapSummary:
-    """Per-sample attributions, ranked by mean |phi| for a beeswarm-style
-    top-k summary."""
-    n = values.shape[0]
+    """Per-sample attributions of feature rows, ranked by mean |phi| for a
+    beeswarm-style top-k summary."""
+    n = rows.shape[0]
     if n < MIN_SUMMARY_SAMPLES:
         raise LabriskError(
             f"need at least {MIN_SUMMARY_SAMPLES} samples, got {n}")
     # Sample-index-derived seeds keep results schedule-independent.
-    results = [shap_values(fn, values[i], mask[i], bg_values, bg_mask,
-                           n_permutations, seed * 1_000_003 + i)
-               for i in range(n)]
+    results = [shap_values(fn, rows[i], background, n_permutations,
+                           seed * 1_000_003 + i) for i in range(n)]
     phis = np.array([res.phi for res in results])
     mean_abs = np.abs(phis).mean(axis=0)
     ranking = list(np.lexsort((np.arange(mean_abs.size), -mean_abs)))
     return CohortShapSummary(feature_names=list(feature_names), phi=phis,
-                             feature_values=values, ranking=ranking,
-                             top_k=top_k, results=results)
+                             feature_values=rows[:, :rows.shape[1] // 2],
+                             ranking=ranking, top_k=top_k, results=results)
 
 
 @dataclass
@@ -230,24 +222,22 @@ class Waterfall:
     result: ShapResult = field(repr=False, default=None)
 
 
-def waterfall(fn, values: np.ndarray, mask: np.ndarray,
-              bg_values: np.ndarray, bg_mask: np.ndarray,
+def waterfall(fn, row: np.ndarray, background: np.ndarray,
               feature_names: list[str], n_permutations: int,
               seed: int) -> Waterfall:
-    """The TOP_K_WATERFALL largest contributions for one sample, remainder
-    aggregated. Requires MIN_WATERFALL_MARKERS observed markers."""
-    observed = int(np.asarray(mask).sum())
+    """The TOP_K_WATERFALL largest contributions for one feature row,
+    remainder aggregated. Requires MIN_WATERFALL_MARKERS observed markers."""
+    observed = int(row[row.size // 2:].sum())  # the mask bits
     if observed < MIN_WATERFALL_MARKERS:
         raise LabriskError(
             f"waterfall requires >= {MIN_WATERFALL_MARKERS} observed "
             f"markers, sample has {observed}")
-    res = shap_values(fn, values, mask, bg_values, bg_mask, n_permutations,
-                      seed)
+    res = shap_values(fn, row, background, n_permutations, seed)
     order = np.lexsort((np.arange(res.phi.size), -np.abs(res.phi)))
     top = order[:TOP_K_WATERFALL]
     rest = order[TOP_K_WATERFALL:]
     items = [WaterfallItem(feature=feature_names[i], phi=float(res.phi[i]),
-                           normalized_value=float(values[i]))
+                           normalized_value=float(row[i]))
              for i in top]
     if rest.size:
         items.append(WaterfallItem(

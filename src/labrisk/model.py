@@ -1,10 +1,11 @@
 """Risk model assembly and training.
 
 The network is a VAE with a classifier head: an encoder of three
-Linear-BatchNorm-LeakyReLU(0.2) blocks reads the zero-filled feature values
-concatenated with the presence mask, mu/logvar heads project to the latent
-space, a decoder of three Linear-BatchNorm-ReLU blocks plus an output linear
-reconstructs the features, and a single-logit classifier reads mu.
+Linear-BatchNorm-LeakyReLU(0.2) blocks reads preprocess.vectorize_many's
+feature rows whole (zero-filled values, then the presence mask), mu/logvar
+heads project to the latent space, a decoder of three Linear-BatchNorm-ReLU
+blocks plus an output linear reconstructs the features, and a single-logit
+classifier reads mu.
 
 Training runs in two stages: masked-imputation pretraining (a random
 fraction of observed entries is additionally hidden from the encoder and the
@@ -151,13 +152,13 @@ class RiskModel:
 
     # --- losses ---
 
-    def _loss_and_grads(self, seen, seen_mask, values, mask, labels, noise):
-        """One training pass, filling `grads`: the encoder reads `(seen,
-        seen_mask)`, the decoder reconstructs the observed `values`, and the
+    def _loss_and_grads(self, seen, values, mask, labels, noise):
+        """One training pass, filling `grads`: the encoder reads the rows
+        `seen`, the decoder reconstructs the observed `values`, and the
         classifier's BCE on mu is added if `labels` are given (else its
         gradients are zero). Returns (loss, component losses)."""
         cfg = self.config
-        h = np.concatenate([seen, seen_mask], axis=-1)
+        h = seen
         for layer in self.encoder:
             h = layer.forward(h)
         mu, logvar = self.mu_head.forward(h), self.logvar_head.forward(h)
@@ -191,12 +192,13 @@ class RiskModel:
     def pretrain_loss_and_grads(self, values, mask, keep, noise):
         """Masked-imputation loss: encoder sees only `keep`-retained entries,
         reconstruction is scored on all originally-observed entries."""
-        return self._loss_and_grads(values * keep, keep, values, mask, None,
-                                    noise)
+        seen = np.concatenate([values * keep, keep], axis=-1)
+        return self._loss_and_grads(seen, values, mask, None, noise)
 
-    def finetune_loss_and_grads(self, values, mask, labels, noise):
+    def finetune_loss_and_grads(self, rows, labels, noise):
         """Combined loss: reconstruction + KL + BCE(classifier(mu), label)."""
-        return self._loss_and_grads(values, mask, values, mask, labels, noise)
+        return self._loss_and_grads(rows, *np.split(rows, 2, axis=1), labels,
+                                    noise)
 
 
 def _fit(model: RiskModel, stage: str, epochs: int, n: int,
@@ -232,24 +234,24 @@ def _fit(model: RiskModel, stage: str, epochs: int, n: int,
     return history
 
 
-def pretrain(model: RiskModel, values: np.ndarray, mask: np.ndarray,
+def pretrain(model: RiskModel, rows: np.ndarray,
              rng: np.random.Generator) -> list[dict]:
     """Masked-imputation pretraining. Returns the per-epoch loss history."""
     cfg = model.config
 
     def batch_loss(idx):
-        v, m = values[idx], mask[idx]
+        v, m = np.split(rows[idx], 2, axis=1)
         hide = (rng.random(m.shape) < cfg.mask_fraction) * m
         keep = m * (1.0 - hide)
         noise = rng.standard_normal((idx.size, cfg.latent_dim))
         return model.pretrain_loss_and_grads(v, m, keep, noise)[0]
 
-    return _fit(model, "pretrain", cfg.pretrain_epochs, values.shape[0], rng,
+    return _fit(model, "pretrain", cfg.pretrain_epochs, rows.shape[0], rng,
                 batch_loss)
 
 
-def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
-             labels: np.ndarray, rng: np.random.Generator) -> list[dict]:
+def finetune(model: RiskModel, rows: np.ndarray, labels: np.ndarray,
+             rng: np.random.Generator) -> list[dict]:
     """Fine-tune the full network with the combined loss."""
     # Not np.unique, which imports numpy.ma to look for a masked array.
     if labels.size == 0 or labels.min() == labels.max():
@@ -258,10 +260,9 @@ def finetune(model: RiskModel, values: np.ndarray, mask: np.ndarray,
 
     def batch_loss(idx):
         noise = rng.standard_normal((idx.size, cfg.latent_dim))
-        return model.finetune_loss_and_grads(
-            values[idx], mask[idx], labels[idx], noise)[0]
+        return model.finetune_loss_and_grads(rows[idx], labels[idx], noise)[0]
 
-    return _fit(model, "finetune", cfg.finetune_epochs, values.shape[0], rng,
+    return _fit(model, "finetune", cfg.finetune_epochs, rows.shape[0], rng,
                 batch_loss)
 
 
@@ -328,7 +329,8 @@ class RiskEnsemble:
     config: RiskModelConfig
     catalog_version: str
     # The development cohort's mean ensemble scores and 0/1 labels, which
-    # per-patient LRs are read from, and the explanation background rows.
+    # per-patient LRs are read from, and the two halves of the explanation
+    # background rows.
     dev_scores: np.ndarray
     dev_labels: np.ndarray
     background_values: np.ndarray
@@ -338,18 +340,18 @@ class RiskEnsemble:
     # The model file the ensemble was loaded from; None if trained here.
     source: str | None = None
 
-    def predict_batch(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Eval-mode scores of every member: (..., n_features) rows give
-        (..., n_members); a single 1-D row gives (1, n_members). Each member
-        runs the mu path through its folded layers. Non-finite folded layers
-        or logits raise NumericsError, or LabriskError if loaded from a
-        file."""
-        values, mask = np.atleast_2d(values, mask)
-        if values.shape[-1] != self.config.n_features:
+    def predict_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Eval-mode scores of every member: (..., 2 · n_features) feature
+        rows give (..., n_members); a single 1-D row gives (1, n_members).
+        Each member runs the mu path through its folded layers. Non-finite
+        folded layers or logits raise NumericsError, or LabriskError if
+        loaded from a file."""
+        x = np.atleast_2d(rows)
+        d = self.config.n_features
+        if x.shape[-1] != 2 * d:
             raise LabriskError(
-                f"expected {self.config.n_features} features, "
-                f"got {values.shape[-1]}")
-        x = np.concatenate([values, mask], axis=-1)
+                f"expected rows of {2 * d} columns (the values and presence "
+                f"mask of {d} features), got {x.shape[-1]}")
         logits = []
         # The finite checks report an overflow or a zero variance, so numpy's
         # warnings would only repeat them.
@@ -376,17 +378,16 @@ class RiskEnsemble:
                 logits.append(h[..., 0])
         return nn.sigmoid(np.stack(logits, axis=-1))
 
-    def predict(self, values: np.ndarray, mask: np.ndarray) -> RiskAssessment:
-        scores = self.predict_batch(values, mask)[0]
+    def predict(self, row: np.ndarray) -> RiskAssessment:
+        scores = self.predict_batch(row)[0]
         return RiskAssessment.from_scores(scores, self.config.ci_scale)
 
 
-def draw_background(dev_values: np.ndarray, dev_mask: np.ndarray,
-                    dev_labels: np.ndarray, size: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label-stratified background draw from the development cohort."""
+def draw_background(dev_rows: np.ndarray, dev_labels: np.ndarray, size: int,
+                    seed: int) -> np.ndarray:
+    """Label-stratified background rows drawn from the development cohort."""
     rng = np.random.default_rng(seed)
-    n = dev_values.shape[0]
+    n = dev_rows.shape[0]
     if n == 0:
         raise LabriskError("empty development set for background")
     size = min(size, n)
@@ -400,10 +401,10 @@ def draw_background(dev_values: np.ndarray, dev_mask: np.ndarray,
     if n_neg:
         idx.append(rng.choice(neg, size=min(n_neg, len(neg)), replace=False))
     idx = np.sort(np.concatenate(idx))
-    return dev_values[idx], dev_mask[idx]
+    return dev_rows[idx]
 
 
-def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
+def train_ensemble(rows: np.ndarray, labels: np.ndarray,
                    patient_ids: list[str], normalization: NormalizationParams,
                    config: RiskModelConfig, n_members: int, subsample: float,
                    background_size: int, background_seed: int,
@@ -429,24 +430,24 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
             if k:
                 idx = rng.choice(len(group), size=k, replace=False)
                 chosen += [group[i] for i in sorted(idx)]
-        rows = np.array(sorted(i for p in chosen for i in patients[p]))
-        if rows.size == 0 or labels[rows].max() == 0:
+        subset = np.array(sorted(i for p in chosen for i in patients[p]))
+        if subset.size == 0 or labels[subset].max() == 0:
             raise LabriskError(
                 f"member {member}: subsample lost all positives")
         model = RiskModel(config, rng)
         try:
             history += [
                 dict(h, member=member)
-                for h in (pretrain(model, values[rows], mask[rows], rng)
-                          + finetune(model, values[rows], mask[rows],
-                                     labels[rows], rng))]
+                for h in (pretrain(model, rows[subset], rng)
+                          + finetune(model, rows[subset], labels[subset],
+                                     rng))]
         except nn.NumericsError as e:
             raise nn.NumericsError(f"member {member}: {e}") from None
         states.append(model.state)
-        subsets.append({"member": member, "n_rows": int(rows.size),
+        subsets.append({"member": member, "n_rows": int(subset.size),
                         "n_patients": len(chosen)})
-    bg_values, bg_mask = draw_background(values, mask, labels,
-                                         background_size, background_seed)
+    bg_values, bg_mask = np.split(draw_background(
+        rows, labels, background_size, background_seed), 2, axis=1)
     ensemble = RiskEnsemble(
         states=np.stack(states), normalization=normalization, config=config,
         catalog_version=catalog_version,
@@ -454,7 +455,7 @@ def train_ensemble(values: np.ndarray, mask: np.ndarray, labels: np.ndarray,
         background_values=bg_values, background_mask=bg_mask,
         member_subsets=subsets, history=history)
     # The development scores are the ensemble's own, so it scores them.
-    ensemble.dev_scores = ensemble.predict_batch(values, mask).mean(axis=1)
+    ensemble.dev_scores = ensemble.predict_batch(rows).mean(axis=1)
     return ensemble
 
 

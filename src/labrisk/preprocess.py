@@ -1,7 +1,8 @@
 """Feature preparation: derived-marker completion, log10 transforms, and
 median/IQD normalization fitted on the development split only. Features are
 columns: fit_normalization and feature_columns (for vectorize_many and lr's
-baselines) take a raw_features matrix through log_scaled's one clamp."""
+baselines) take a raw_features matrix through log_scaled's one clamp. A
+feature row, what the model reads, is the normalized values, then the mask."""
 
 from __future__ import annotations
 
@@ -172,20 +173,19 @@ def feature_columns(records: list[EncounterRecord], params: NormalizationParams
 
 
 def vectorize_many(records: list[EncounterRecord],
-                   params: NormalizationParams) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized dense feature rows with presence masks, one row per
-    record. Absent markers are zero-filled (the development median) with
-    mask 0. LabriskError if a value is not finite."""
+                   params: NormalizationParams) -> np.ndarray:
+    """The (records, 2 · features) feature rows: the normalized values,
+    absent markers zero-filled (the development median), then the presence
+    mask. LabriskError if a value is not finite."""
     raw, normalized = feature_columns(records, params)
     present = ~np.isnan(raw)
     values = np.where(present, normalized, 0.0)
     if not np.isfinite(values).all():
         raise LabriskError("non-finite feature values")
-    return values, present.astype(np.float64)
+    return np.concatenate([values, present], axis=1, dtype=np.float64)
 
 
 def vectorize(record: EncounterRecord,
-              params: NormalizationParams) -> tuple[np.ndarray, np.ndarray]:
-    """vectorize_many of the one record: its (values, mask) row."""
-    values, mask = vectorize_many([record], params)
-    return values[0], mask[0]
+              params: NormalizationParams) -> np.ndarray:
+    """vectorize_many of the one record: its feature row."""
+    return vectorize_many([record], params)[0]

@@ -149,14 +149,14 @@ def lr_ribbon_csv(thresholds, stack):
         f"{stack[:, i].max():.10g}\n" for i in range(stack.shape[1]))
 
 
-def unfolded_scores(ensemble, values, mask):
-    """(..., members) eval scores through the unfolded layers, in the float
-    operations scoring ran before each eval BatchNorm was folded into its
-    Linear: per member, each encoder Linear, its BatchNorm on the running
-    statistics and LeakyReLU(0.2), then the mu head, the classifier and the
-    sigmoid."""
+def unfolded_scores(ensemble, rows):
+    """(..., members) eval scores of feature rows through the unfolded
+    layers, in the float operations scoring ran before each eval BatchNorm
+    was folded into its Linear: per member, each encoder Linear, its
+    BatchNorm on the running statistics and LeakyReLU(0.2), then the mu head,
+    the classifier and the sigmoid."""
     model = RiskModel(ensemble.config, np.random.default_rng(0))
-    x = np.concatenate(np.atleast_2d(values, mask), axis=-1)
+    x = np.atleast_2d(rows)
     scores = []
     for state in ensemble.states:
         model.state[...] = state
@@ -238,7 +238,7 @@ def fit_normalization(dev_records, catalog, scale_demographics):
 
 
 def vectorize_many(records, params):
-    """preprocess.vectorize_many one cell at a time."""
+    """preprocess.vectorize_many one cell at a time: values, then mask."""
     order = params.feature_order
     values = np.zeros((len(records), len(order)))
     mask = np.zeros_like(values)
@@ -250,7 +250,16 @@ def vectorize_many(records, params):
                 mask[n, i] = 1.0
     if not np.isfinite(values).all():
         raise LabriskError("non-finite feature values")
-    return values, mask
+    return np.concatenate([values, mask], axis=1)
+
+
+def compose(values, mask, coalition, bg_values, bg_mask):
+    """explain._compose over separate value and mask arrays: the sample's
+    features inside the coalition, the background's outside, one np.where
+    per array, then the two joined into feature rows."""
+    v = np.where(coalition, values, bg_values)
+    m = np.where(coalition, mask, bg_mask)
+    return np.concatenate([v, m], axis=-1)
 
 
 @dataclass

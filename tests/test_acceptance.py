@@ -106,9 +106,10 @@ def test_criterion_1_gradient_checks_under_one_minute():
         assert grad_check(pre, [model.params],
                              [model.grads.copy()]) < 1e-4
 
+        rows = np.concatenate([values, mask], axis=1)
+
         def fine():
-            return model.finetune_loss_and_grads(values, mask, labels,
-                                                 noise)[0]
+            return model.finetune_loss_and_grads(rows, labels, noise)[0]
 
         fine()
         assert grad_check(fine, [model.params],
@@ -197,8 +198,8 @@ def test_criterion_3_shapley_sampling_exact_and_linear_under_two_minutes():
         w1 = rng.normal(size=d)
         w2 = rng.normal(size=d) * 0.3
 
-        def fn(v, mm):
-            v, mm = np.atleast_2d(v), np.atleast_2d(mm)
+        def fn(rows):
+            v, mm = np.split(np.atleast_2d(rows), 2, axis=-1)
             return np.tanh(v @ w1) + (v * v * mm) @ w2
 
         x = rng.normal(size=d)
@@ -207,12 +208,14 @@ def test_criterion_3_shapley_sampling_exact_and_linear_under_two_minutes():
         bg_v = rng.normal(size=(10, d))
         bg_m = (rng.random((10, d)) < 0.9).astype(float)
         bg_v = bg_v * bg_m
+        row = np.concatenate([x, m])
+        background = np.concatenate([bg_v, bg_m], axis=1)
 
-        exact = shap_values(fn, x, m, bg_v, bg_m, 200, seed=trial)
+        exact = shap_values(fn, row, background, 200, seed=trial)
         assert exact.method == "exact_enumeration"
         assert abs(efficiency_residual(exact)) <= 1e-9
 
-        sampled = _shap_sampling(fn, x, m, bg_v, bg_m, 400, seed=trial)
+        sampled = _shap_sampling(fn, row, background, 400, seed=trial)
         assert sampled.method == "permutation_sampling"
         # Sampling estimates fall within their own 99% MC CI of exact.
         # A 99% CI legitimately misses ~1% of the time, so the gate is the
@@ -229,14 +232,15 @@ def test_criterion_3_shapley_sampling_exact_and_linear_under_two_minutes():
     d = 8
     w = rng.normal(size=d)
 
-    def lin(v, mm):
-        return np.atleast_2d(v) @ w
+    def lin(rows):
+        return np.atleast_2d(rows)[..., :d] @ w
 
     x = rng.normal(size=d)
     m = np.ones(d)
     bg_v = rng.normal(size=(32, d))
     bg_m = np.ones((32, d))
-    res = shap_values(lin, x, m, bg_v, bg_m, 200, seed=0)
+    res = shap_values(lin, np.concatenate([x, m]),
+                      np.concatenate([bg_v, bg_m], axis=1), 200, seed=0)
     np.testing.assert_allclose(res.phi, w * (x - bg_v.mean(axis=0)),
                                atol=1e-12)
     assert time.time() - start < 120.0
@@ -309,8 +313,7 @@ def _validation_data(out):
     labeled = [e for e in rows if e.split == "validation"]
     val = [complete_derived(e.record) for e in labeled]
     labels = np.array([int(e.label) for e in labeled])
-    values, mask = vectorize_many(val, ensemble.normalization)
-    return ensemble, val, values, mask, labels
+    return ensemble, val, vectorize_many(val, ensemble.normalization), labels
 
 
 def test_criterion_5_planted_signal_end_to_end(planted):
@@ -320,8 +323,8 @@ def test_criterion_5_planted_signal_end_to_end(planted):
     summary = json.loads((out / "metrics.json").read_text())
     assert summary["auc"] >= 0.80, summary
 
-    ensemble, val, values, mask, labels = _validation_data(out)
-    scores = ensemble.predict_batch(values, mask).mean(axis=1)
+    ensemble, val, features, labels = _validation_data(out)
+    scores = ensemble.predict_batch(features).mean(axis=1)
     curve = likelihood.lr_curve(
         likelihood.ScoredCohort.from_arrays(scores, labels))
 
@@ -340,10 +343,11 @@ def test_criterion_5_planted_signal_end_to_end(planted):
 
 
 def test_criterion_6_missingness_robustness(planted):
-    ensemble, _, values, mask, labels = _validation_data(
+    ensemble, _, features, labels = _validation_data(
         planted["first"]["out"])
     base_auc = metrics.roc(
-        ensemble.predict_batch(values, mask).mean(axis=1), labels).auc
+        ensemble.predict_batch(features).mean(axis=1), labels).auc
+    values, mask = np.split(features, 2, axis=1)
     rng = np.random.default_rng(MASTER_SEED + 1)
     drop = (rng.random(mask.shape) < 0.30) & (mask == 1.0)
     mask2 = mask.copy()
@@ -351,7 +355,8 @@ def test_criterion_6_missingness_robustness(planted):
     mask2[drop] = 0.0
     values2[drop] = 0.0
     degraded_auc = metrics.roc(
-        ensemble.predict_batch(values2, mask2).mean(axis=1), labels).auc
+        ensemble.predict_batch(np.concatenate([values2, mask2], axis=1)
+                               ).mean(axis=1), labels).auc
     assert abs(base_auc - degraded_auc) < 0.08, (base_auc, degraded_auc)
 
 

@@ -103,7 +103,7 @@ def test_lr_baselines(run):
                        if e.split == "validation"])
     series = [
         ("model", ensemble.predict_batch(
-            *oracles.vectorize_many(val, params)).mean(axis=1), labels),
+            oracles.vectorize_many(val, params)).mean(axis=1), labels),
         ("oor", [likelihood.oor_score(r, catalog)[0] for r in val], labels),
         ("age", [likelihood.age_score(r.age_years) for r in val], labels)]
     markers = defaults.SINGLE_MARKERS["liver"]
@@ -471,13 +471,13 @@ def test_states_giving_non_finite_scores_exit_3_and_print_only_that(
             "values in member 1's logits\n")
 
 
-def reference_value_fn(ensemble, dev, values, mask, min_n):
+def reference_value_fn(ensemble, dev, rows, min_n):
     """Row-at-a-time value function: one predict_batch call per walk, then
     per row the ensemble summary, the oracle similar-score cohort, its LR
     and the squashing."""
-    out = np.empty(values.shape[:-1])
-    for w in np.ndindex(values.shape[:-2]):
-        scores = ensemble.predict_batch(values[w], mask[w])
+    out = np.empty(rows.shape[:-1])
+    for w in np.ndindex(rows.shape[:-2]):
+        scores = ensemble.predict_batch(rows[w])
         for i in range(scores.shape[0]):
             a = RiskAssessment.from_scores(scores[i], ensemble.config.ci_scale)
             members = similar_oracle(dev.scores, a.mean, *a.ci, min_n)
@@ -493,30 +493,31 @@ def test_stacked_value_function_is_bit_exact(run):
     ensemble, _ = load_model((out / "model.json").read_bytes(), "model.json")
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
-    bg_v, bg_m = ensemble.background_values, ensemble.background_mask
+    background = np.concatenate([ensemble.background_values,
+                                 ensemble.background_mask], axis=1)
     labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
                                            labeled_from_dict)
     val = [complete_derived(e.record) for e in labeled
            if e.split == "validation"][:3]
-    values, mask = vectorize_many(val, ensemble.normalization)
+    rows = vectorize_many(val, ensemble.normalization)
+    d = ensemble.config.n_features
     fn = NormalizedLrFn(ensemble, dev, min_n=50)
     stacks = []
 
-    def spy(v, m):
-        stacks.append((v, m))
-        return fn(v, m)
+    def spy(walks):
+        stacks.append(walks)
+        return fn(walks)
 
-    def per_walk(v, m):
-        return np.stack([fn(v[w], m[w]) for w in range(v.shape[0])])
+    def per_walk(walks):
+        return np.stack([fn(walks[w]) for w in range(walks.shape[0])])
 
-    for x, m in zip(values, mask):
-        stacked = shap_values(spy, x, m, bg_v, bg_m, 30, seed=5)
-        walk_v, walk_m = stacks.pop()
-        assert walk_v.shape == (30, x.size + 1, x.size)
+    for row in rows:
+        stacked = shap_values(spy, row, background, 30, seed=5)
+        walks = stacks.pop()
+        assert walks.shape == (30, d + 1, 2 * d)
         np.testing.assert_array_equal(
-            fn(walk_v, walk_m),
-            reference_value_fn(ensemble, dev, walk_v, walk_m, 50))
-        looped = shap_values(per_walk, x, m, bg_v, bg_m, 30, seed=5)
+            fn(walks), reference_value_fn(ensemble, dev, walks, 50))
+        looped = shap_values(per_walk, row, background, 30, seed=5)
         assert np.array_equal(stacked.phi, looped.phi)
         assert np.array_equal(stacked.ci99, looped.ci99)
         assert stacked.base_value == looped.base_value
@@ -910,6 +911,10 @@ MALFORMED_INPUTS = {
     "config-cohort-cancer-type": _section_case(
         "cohort", "cohort", {"cancer_type": "lung"},
         [("cohort", "cohort.jsonl")]),
+    # The feature count is the normalization's: a train.n_features would be
+    # overwritten by it.
+    "config-train-n-features": _section_case(
+        "train", "train", {"n_features": 5}, TRAIN_INPUTS),
     "normalization-empty": lambda run, tmp: (
         ["train", "--config",
          _config(tmp, {"normalization": _write(tmp / "norm.json", "{}"),

@@ -91,14 +91,15 @@ def test_finetune_loss_gradient_check(seed):
     model = RiskModel(cfg, rng=rng)
     values = rng.normal(size=(6, 4))
     mask = (rng.random((6, 4)) < 0.8).astype(float)
+    rows = np.concatenate([values, mask], axis=1)
     labels = (rng.random(6) < 0.5).astype(float)
     noise = rng.normal(size=(6, cfg.latent_dim))
 
     def loss():
-        return model.finetune_loss_and_grads(values, mask, labels, noise)[0]
+        return model.finetune_loss_and_grads(rows, labels, noise)[0]
 
     total, (l_rec, l_kl, l_cls) = model.finetune_loss_and_grads(
-        values, mask, labels, noise)
+        rows, labels, noise)
     assert total == cfg.w_recon * l_rec + cfg.w_kl * l_kl + cfg.w_cls * l_cls
     assert model.classifier.dweight.any()
     analytic = [model.grads.copy()]
@@ -106,46 +107,47 @@ def test_finetune_loss_gradient_check(seed):
 
 
 def separable_data(n=120, d=5, seed=0):
+    """(rows, labels): every value observed, so the mask half is all ones."""
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < 0.5).astype(float)
     x = rng.normal(size=(n, d)) + 2.5 * y[:, None]
     mask = np.ones((n, d))
-    return x, mask, y
+    return np.concatenate([x, mask], axis=1), y
 
 
 def test_finetune_separates_easy_classes():
-    x, mask, y = separable_data()
+    rows, y = separable_data()
     cfg = tiny_config(d=5, pretrain_epochs=5, finetune_epochs=60, lr=1e-2)
     rng = np.random.default_rng(1)
     model = RiskModel(cfg, rng=rng)
-    pretrain(model, x, mask, rng)
-    finetune(model, x, mask, y, rng)
+    pretrain(model, rows, rng)
+    finetune(model, rows, y, rng)
     ensemble = RiskEnsemble(
         states=model.state[None], normalization=dummy_params(5), config=cfg,
         catalog_version="t", **UNSCORED)
-    scores = ensemble.predict_batch(x, mask)[:, 0]
+    scores = ensemble.predict_batch(rows)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
     from labrisk.metrics import roc
     assert roc(scores, y).auc > 0.95
 
 
 def test_pretrain_reduces_reconstruction_loss():
-    x, mask, _ = separable_data(seed=3)
+    rows, _ = separable_data(seed=3)
     cfg = tiny_config(d=5, pretrain_epochs=40, lr=1e-2)
     rng = np.random.default_rng(2)
     model = RiskModel(cfg, rng=rng)
-    history = pretrain(model, x, mask, rng)
+    history = pretrain(model, rows, rng)
     losses = [h["loss"] for h in history]
     assert losses[-1] < losses[0]
 
 
 def test_finetune_rejects_single_class():
-    x, mask, _ = separable_data(n=20)
+    rows, _ = separable_data(n=20)
     cfg = tiny_config(d=5)
     rng = np.random.default_rng(0)
     model = RiskModel(cfg, rng=rng)
     with pytest.raises(LabriskError, match="single-class training set"):
-        finetune(model, x, mask, np.zeros(20), rng)
+        finetune(model, rows, np.zeros(20), rng)
 
 
 def test_training_does_not_import_numpy_ma():
@@ -159,8 +161,8 @@ def test_training_does_not_import_numpy_ma():
             " finetune_epochs=1, batch_size=4)\n"
             "rng = np.random.default_rng(0)\n"
             "x = rng.normal(size=(8, 3))\n"
-            "finetune(RiskModel(cfg, rng), x, np.ones_like(x),"
-            " np.arange(8) % 2.0, rng)\n"
+            "rows = np.concatenate([x, np.ones_like(x)], axis=1)\n"
+            "finetune(RiskModel(cfg, rng), rows, np.arange(8) % 2.0, rng)\n"
             "assert 'numpy.ma' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(model_module.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
@@ -177,14 +179,14 @@ def test_risk_assessment_clamps_ci():
 
 def trained_ensemble(seed=0, n_members=3):
     """An ensemble as train_ensemble leaves it, and its training data."""
-    x, mask, y = separable_data(n=90, seed=seed)
+    rows, y = separable_data(n=90, seed=seed)
     pids = [f"p{i // 3}" for i in range(90)]  # 3 encounters per patient
     cfg = tiny_config(d=5, pretrain_epochs=2, finetune_epochs=4, seed=seed)
-    ens = train_ensemble(x, mask, y, pids, dummy_params(5), cfg,
+    ens = train_ensemble(rows, y, pids, dummy_params(5), cfg,
                          n_members=n_members, subsample=0.8,
                          background_size=10, background_seed=seed,
                          catalog_version="t")
-    return ens, (x, mask, y)
+    return ens, (rows, y)
 
 
 def load_file(path):
@@ -236,12 +238,12 @@ def _digest(array):
 
 
 def test_golden_weights_and_scores(tmp_path):
-    ens, (x, mask, _) = trained_ensemble(seed=5)
+    ens, (rows, _) = trained_ensemble(seed=5)
     save_model(ens, tmp_path / "model.json")
     loaded = load_file(tmp_path / "model.json")
     assert _digest(loaded.states) == GOLDEN_STATE_SHA256
-    assert _digest(loaded.predict_batch(x, mask)) == GOLDEN_SCORES_SHA256
-    assert _digest(oracles.unfolded_scores(loaded, x, mask)) == \
+    assert _digest(loaded.predict_batch(rows)) == GOLDEN_SCORES_SHA256
+    assert _digest(oracles.unfolded_scores(loaded, rows)) == \
         UNFOLDED_SCORES_SHA256
 
 
@@ -254,32 +256,45 @@ MAX_FOLD_ULPS = 64
 
 @pytest.mark.parametrize("seed", range(6))
 def test_folded_scores_are_within_ulps_of_the_unfolded_oracle(seed):
-    ens, (x, mask, _) = trained_ensemble(seed=seed, n_members=4)
-    expected = oracles.unfolded_scores(ens, x, mask)
-    got = ens.predict_batch(x, mask)
+    ens, (rows, _) = trained_ensemble(seed=seed, n_members=4)
+    expected = oracles.unfolded_scores(ens, rows)
+    got = ens.predict_batch(rows)
     assert got.shape == expected.shape == (90, 4)
     ulps = np.abs(got - expected) / np.spacing(expected)
     assert ulps.max() <= MAX_FOLD_ULPS, ulps.max()
     # The walk stacks that explain scores: (walks, rows, features).
-    stack = ens.predict_batch(x.reshape(6, 15, 5), mask.reshape(6, 15, 5))
+    stack = ens.predict_batch(rows.reshape(6, 15, 10))
     assert np.array_equal(stack, np.stack(
-        [ens.predict_batch(x[i:i + 15], mask[i:i + 15])
+        [ens.predict_batch(rows[i:i + 15])
          for i in range(0, 90, 15)]))
 
 
 def test_ensemble_prediction_shape_and_range():
-    ens, (x, mask, _) = trained_ensemble()
-    scores = ens.predict_batch(x, mask)
+    ens, (rows, _) = trained_ensemble()
+    scores = ens.predict_batch(rows)
     assert scores.shape == (90, 3)
     assert np.all((scores >= 0) & (scores <= 1))
-    a = ens.predict(x[0], mask[0])
+    a = ens.predict(rows[0])
     assert len(a.per_member_scores) == 3
     assert a.ci[0] <= a.mean <= a.ci[1]
 
 
+def test_predict_batch_rejects_values_without_their_mask():
+    """A (..., d) input of values alone is not a feature row: LabriskError
+    naming the 2 · d columns a row has and the d it got."""
+    ens, (rows, _) = trained_ensemble()
+    for values in (rows[:, :5], rows[:3, :5][None], rows[0, :5]):
+        with pytest.raises(LabriskError, match=re.escape(
+                "expected rows of 10 columns (the values and presence mask "
+                "of 5 features), got 5")):
+            ens.predict_batch(values)
+    with pytest.raises(LabriskError, match="expected rows of 10 columns"):
+        ens.predict(rows[0, :5])
+
+
 def test_ensemble_members_differ():
-    ens, (x, mask, _) = trained_ensemble()
-    scores = ens.predict_batch(x, mask)
+    ens, (rows, _) = trained_ensemble()
+    scores = ens.predict_batch(rows)
     assert not np.allclose(scores[:, 0], scores[:, 1])
 
 
@@ -293,9 +308,9 @@ def test_train_ensemble_deterministic(tmp_path):
 def test_trained_ensemble_saves_a_file_that_loads(tmp_path):
     """train_ensemble scores the development set and draws the background
     itself, so its ensemble saves as it is."""
-    ens, (x, mask, y) = trained_ensemble(seed=7)
+    ens, (rows, y) = trained_ensemble(seed=7)
     np.testing.assert_array_equal(ens.dev_scores,
-                                  ens.predict_batch(x, mask).mean(axis=1))
+                                  ens.predict_batch(rows).mean(axis=1))
     assert np.array_equal(ens.dev_labels, y)
     assert ens.background_values.shape == ens.background_mask.shape == (10, 5)
     save_model(ens, tmp_path / "model.json")
@@ -304,12 +319,12 @@ def test_trained_ensemble_saves_a_file_that_loads(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path):
-    ens, (x, mask, _) = trained_ensemble(seed=7)
+    ens, (rows, _) = trained_ensemble(seed=7)
     path = tmp_path / "model.json"
     save_model(ens, path)
     loaded = load_file(path)
-    np.testing.assert_array_equal(loaded.predict_batch(x, mask),
-                                  ens.predict_batch(x, mask))
+    np.testing.assert_array_equal(loaded.predict_batch(rows),
+                                  ens.predict_batch(rows))
     for name in ("dev_scores", "dev_labels", "background_values",
                  "background_mask"):
         assert np.array_equal(getattr(loaded, name), getattr(ens, name))
@@ -350,15 +365,14 @@ def test_one_row_scores_do_not_depend_on_where_the_arrays_lie(tmp_path):
     """A catalog_version of 1 to 8 characters puts the arrays at each byte
     offset modulo 8 of the model file; each file gives every row, scored
     alone, the same bits."""
-    ens, (x, mask, _) = trained_ensemble(seed=5)
+    ens, (rows, _) = trained_ensemble(seed=5)
     scores = []
     for n in range(1, 9):
         path = tmp_path / f"model-{n}.json"
         save_model(dataclasses.replace(ens, catalog_version="v" * n), path)
         loaded = load_file(path)
-        scores.append(np.stack([loaded.predict_batch(x[i:i + 1],
-                                                     mask[i:i + 1])
-                                for i in range(len(x))]))
+        scores.append(np.stack([loaded.predict_batch(rows[i:i + 1])
+                                for i in range(len(rows))]))
     for n, got in enumerate(scores[1:], 2):
         assert got.tobytes() == scores[0].tobytes(), n
 
@@ -375,17 +389,17 @@ def test_load_detects_corruption(tmp_path):
 
 
 def test_overflowing_weights_name_the_model_file_only_when_loaded(tmp_path):
-    ens, (x, mask, _) = trained_ensemble(seed=8)
+    ens, (rows, _) = trained_ensemble(seed=8)
     ens.states[1] = 1e300  # finite weights whose logits overflow
     fault = "non-finite values in member 1's logits"
     with pytest.raises(nn.NumericsError,  # a runtime fault: exit 4
                        match=re.escape(fault)):
-        ens.predict_batch(x, mask)
+        ens.predict_batch(rows)
     path = tmp_path / "model.json"
     save_model(ens, path)
     with pytest.raises(LabriskError, match=re.escape(
             f"{path}: states: the stored weights give {fault}")):
-        load_file(path).predict_batch(x, mask)
+        load_file(path).predict_batch(rows)
 
 
 # Edits of member 1's state that give non-finite scores, as {state_layout key:
@@ -416,7 +430,7 @@ def test_states_giving_non_finite_scores_name_the_member(tmp_path, case):
     """Reported as member 1's non-finite logits without a numpy warning:
     NumericsError (exit 4) for a trained ensemble, LabriskError naming the
     file and `states` (exit 3) for a loaded one."""
-    ens, (x, mask, _) = trained_ensemble(seed=4)
+    ens, (rows, _) = trained_ensemble(seed=4)
     bad = dataclasses.replace(ens, states=with_member_1_arrays(
         ens.states, ens.config, NON_FINITE_STATES[case]))
     with np.errstate(all="ignore"):
@@ -429,10 +443,10 @@ def test_states_giving_non_finite_scores_name_the_member(tmp_path, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(nn.NumericsError, match=re.escape(fault)):
-            bad.predict_batch(x, mask)
+            bad.predict_batch(rows)
         with pytest.raises(LabriskError, match=re.escape(
                 f"{path}: states: the stored weights give {fault}")):
-            load_file(path).predict_batch(x, mask)
+            load_file(path).predict_batch(rows)
 
 
 def test_state_layout_is_built_once_per_network_size_and_read_only():
@@ -539,7 +553,7 @@ def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
     """Loading and scoring build no RiskModel: the load sizes `states` from
     the config's state layout, and scoring folds the layers it needs from
     `states`."""
-    ens, (x, mask, _) = trained_ensemble(seed=7)
+    ens, (rows, _) = trained_ensemble(seed=7)
     save_model(ens, tmp_path / "model.json")
     built = []
     init = RiskModel.__init__
@@ -553,7 +567,7 @@ def test_load_builds_at_most_one_risk_model(tmp_path, monkeypatch):
     assert loaded.states.dtype == np.float64
     assert np.array_equal(loaded.states, ens.states)
     for _ in range(2):
-        loaded.predict_batch(x[:1], mask[:1])
+        loaded.predict_batch(rows[:1])
     assert built == []
 
 
@@ -561,8 +575,8 @@ def test_eval_scores_skip_logvar_head(monkeypatch):
     """Scoring calls no layer's forward and reads only the encoder, the mu
     head and the classifier: NaN in every logvar-head and decoder array
     changes no score's bits."""
-    ens, (x, mask, _) = trained_ensemble(seed=5)
-    expected = ens.predict_batch(x, mask)
+    ens, (rows, _) = trained_ensemble(seed=5)
+    expected = ens.predict_batch(rows)
     states = ens.states.copy()
     for key, (where, _) in model_module.state_layout(ens.config).items():
         if key.startswith(("logvar_head.", "decoder.")):
@@ -574,9 +588,9 @@ def test_eval_scores_skip_logvar_head(monkeypatch):
 
     for kind in (nn.Linear, nn.BatchNorm, nn.LeakyReLU):
         monkeypatch.setattr(kind, "forward", no_forward)
-    assert np.array_equal(poisoned.predict_batch(x, mask), expected)
+    assert np.array_equal(poisoned.predict_batch(rows), expected)
     assert np.array_equal(
-        poisoned.predict_batch(x[:2][None], mask[:2][None]),
+        poisoned.predict_batch(rows[:2][None]),
         expected[None, :2])
 
 
@@ -678,14 +692,14 @@ def test_non_finite_logits_name_the_member(tmp_path, layer):
     checked once per member: NumericsError (exit 4) for a trained ensemble.
     A model file holding it is rejected as it loads (exit 3), naming the
     file and `states`."""
-    ens, (x, mask, _) = trained_ensemble(seed=4)
+    ens, (rows, _) = trained_ensemble(seed=4)
     path = tmp_path / "model.json"
     layer_type = SCORING_LAYERS[layer]
     for name in layer_type.param_names + layer_type.stat_names:
         bad = with_member_value(ens, 1, layer, name, math.nan)
         with pytest.raises(nn.NumericsError, match=re.escape(
                 "non-finite values in member 1's logits")):
-            bad.predict_batch(x, mask)
+            bad.predict_batch(rows)
         save_model(bad, path)
         with pytest.raises(LabriskError, match=re.escape(f"{path}: states")):
-            load_file(path).predict_batch(x, mask)
+            load_file(path).predict_batch(rows)

@@ -264,7 +264,7 @@ def test_check_finite_raises():
                             normalization=None, config=cfg,
                             catalog_version="t", **UNSCORED)
     with pytest.raises(nn.NumericsError, match="member 1's logits"):
-        ensemble.predict_batch(np.ones((3, 2)), np.ones((3, 2)))
+        ensemble.predict_batch(np.ones((3, 4)))
 
 
 LAYERS = {"linear": lambda: nn.Linear(3, 3, _rng(11)),
@@ -307,7 +307,7 @@ def test_layers_pass_non_finite_values_on(make, train, bad, monkeypatch):
                             normalization=None, config=cfg,
                             catalog_version="t", **UNSCORED)
     with pytest.raises(nn.NumericsError, match="member 0's logits"):
-        ensemble.predict_batch(x, np.ones_like(x))
+        ensemble.predict_batch(np.concatenate([x, np.ones_like(x)], axis=1))
 
 
 
