@@ -452,8 +452,6 @@ def cmd_lr(cfg, args, stage) -> None:
 def cmd_explain(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     params = ensemble.normalization
-    background = np.concatenate([ensemble.background_values,
-                                 ensemble.background_mask], axis=1)
     n_permutations, seed = cfg.explain.n_permutations, cfg.master_seed
     fn = NormalizedLrFn(ensemble, likelihood.ScoredCohort.from_arrays(
         ensemble.dev_scores, ensemble.dev_labels), min_n=cfg.predict.min_n)
@@ -461,8 +459,8 @@ def cmd_explain(cfg, args, stage) -> None:
         # A cohort summary's manifest must not replace the waterfall's.
         stage.manifest = "explain_patient_manifest.json"
         record, row = _patient(stage, args.patient, params)
-        wf = waterfall(fn, row, background, list(params.feature_order),
-                       n_permutations, seed)
+        wf = waterfall(fn, row, ensemble.background,
+                       list(params.feature_order), n_permutations, seed)
         out = stage.write("waterfall.json", ioutil.atomic_write_json, {
             "patient_id": record.patient_id,
             "base_value": wf.base_value, "fx": wf.fx,
@@ -477,7 +475,7 @@ def cmd_explain(cfg, args, stage) -> None:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(len(val), size=n, replace=False))
         rows = vectorize_many([val[i] for i in idx], params)
-        summary = cohort_summary(fn, rows, background,
+        summary = cohort_summary(fn, rows, ensemble.background,
                                  list(params.feature_order), n_permutations,
                                  seed, cfg.explain.top_k)
         out = stage.write("shap_summary.json", ioutil.atomic_write_json, {

@@ -58,6 +58,9 @@ def load_phecode_map(data: bytes, where: str) -> PhecodeMap:
             raise LabriskError(f"{where}:{lineno}: expected at least "
                                "two tab-separated columns")
         prefix, phecode = parts[0].strip(), parts[1].strip()
+        if not phecode:
+            raise LabriskError(f"{where}:{lineno}: empty phecode for prefix "
+                               f"{prefix!r}")
         if prefix in mapping and mapping[prefix] != phecode:
             raise LabriskError(
                 f"{where}:{lineno}: prefix {prefix!r} maps to both "

@@ -5,7 +5,8 @@ Linear-BatchNorm-LeakyReLU(0.2) blocks reads preprocess.vectorize_many's
 feature rows whole (zero-filled values, then the presence mask), mu/logvar
 heads project to the latent space, a decoder of three Linear-BatchNorm-ReLU
 blocks plus an output linear reconstructs the features, and a single-logit
-classifier reads mu.
+classifier reads mu. A member's parameters and running statistics are one
+row of the ensemble's `states`: training and scoring read views of it.
 
 Training runs in two stages: masked-imputation pretraining (a random
 fraction of observed entries is additionally hidden from the encoder and the
@@ -29,7 +30,7 @@ import numpy as np
 from . import LabriskError, config_from_json, ioutil, nn, parse_json
 from .preprocess import NormalizationParams
 
-MODEL_FORMAT = "labrisk-ensemble-v5"
+MODEL_FORMAT = "labrisk-ensemble-v6"
 # The largest hidden_width and latent_dim: a member's network and state are
 # sized from the config before any array is read, so their size must be
 # bounded.
@@ -85,15 +86,15 @@ def _architecture(d: int, w: int, k: int):
     three encoder blocks, the mu and logvar heads, three decoder blocks and
     the decoder's output, then the classifier."""
 
-    def blocks(part, first, activation):
+    def blocks(part, first):
         return [(f"{part}.{3 * i + j}", kind, n if j == 0 else w, w)
                 for i, n in enumerate((first, w, w))
                 for j, kind in enumerate((nn.Linear, nn.BatchNorm,
-                                          activation))]
+                                          nn.LeakyReLU))]
 
-    return (blocks("encoder", 2 * d, nn.LeakyReLU)  # values ++ presence mask
+    return (blocks("encoder", 2 * d)  # values ++ presence mask
             + [("mu_head", nn.Linear, w, k), ("logvar_head", nn.Linear, w, k)]
-            + blocks("decoder", k, nn.ReLU)
+            + blocks("decoder", k)
             + [("decoder.9", nn.Linear, w, d), ("classifier", nn.Linear, k, 1)])
 
 
@@ -120,35 +121,64 @@ def _state_layout(d: int, w: int, k: int) -> Mapping[str, tuple[slice, tuple]]:
     return types.MappingProxyType(layout)
 
 
-class RiskModel:
-    """One ensemble member. `layers` maps each layer's name to it, in
-    network order. `params` and `grads` are flat buffers of one layout;
-    `state` is `params` then the BatchNorm running statistics, in
-    `state_layout` order; layer arrays are views of them."""
+def state_size(config: RiskModelConfig) -> int:
+    """The length of a member's state."""
+    return sum(math.prod(shape) for _, shape in state_layout(config).values())
 
-    def __init__(self, config: RiskModelConfig, rng: np.random.Generator):
+
+def _view(buffer: np.ndarray, config: RiskModelConfig,
+          key: str) -> np.ndarray:
+    """The `state_layout` array `key` of a state, a stack of states or the
+    gradients (laid out as the parameters), as a view (..., *its shape)."""
+    where, shape = state_layout(config)[key]
+    return buffer[..., where].reshape(*buffer.shape[:-1], *shape)
+
+
+def initial_state(config: RiskModelConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """A new member's state: each Linear's weights drawn uniform in +-1 /
+    sqrt(fan-in) from `rng`, in network order; biases, BatchNorm betas and
+    running means zero; gammas and running variances one."""
+    state = np.zeros(state_size(config))
+    for key, (where, shape) in state_layout(config).items():
+        if key.endswith(".weight"):
+            bound = 1.0 / np.sqrt(shape[1])
+            state[where] = rng.uniform(-bound, bound, size=shape).ravel()
+        elif key.endswith((".gamma", ".running_var")):
+            state[where] = 1.0
+    return state
+
+
+class RiskModel:
+    """One ensemble member, trained in place in its `state` row. `layers`
+    maps each layer's name to it, in network order, over the `state_layout`
+    views of `state` and of `grads`, the gradients of `params` (`state` up
+    to the BatchNorm running statistics)."""
+
+    def __init__(self, config: RiskModelConfig, state: np.ndarray):
         config.validate()
-        self.config = config
-        self.layers = layers = {}  # built in order, so the draws keep theirs
-        for name, kind, n_in, n_out in _architecture(
+        self.config, self.state = config, state
+        self.grads = np.zeros(next(
+            where.start for key, (where, _) in state_layout(config).items()
+            if key.endswith(".running_mean")))
+        self.params = state[:self.grads.size]
+        self.layers = layers = {}
+        for name, kind, _, _ in _architecture(
                 config.n_features, config.hidden_width, config.latent_dim):
-            if kind is nn.Linear:
-                layers[name] = kind(n_in, n_out, rng)
-            elif kind is nn.BatchNorm:
-                layers[name] = kind(n_out)
-            else:
-                layers[name] = kind(SLOPE) if kind is nn.LeakyReLU else kind()
+            if kind is nn.LeakyReLU:  # the decoder's, of slope 0, is a ReLU
+                layers[name] = kind(SLOPE if name.startswith("encoder.")
+                                    else 0.0)
+                continue
+            layers[name] = kind(*(
+                _view(state, config, f"{name}.{array}")
+                for array in kind.param_names + kind.stat_names), *(
+                _view(self.grads, config, f"{name}.{array}")
+                for array in kind.param_names))
         self.encoder, self.decoder = (
             [layer for name, layer in layers.items() if name.startswith(part)]
             for part in ("encoder.", "decoder."))
         self.mu_head, self.logvar_head, self.classifier = (
             layers["mu_head"], layers["logvar_head"], layers["classifier"])
-        slots = [(layers[key.rpartition(".")[0]], key.rpartition(".")[2])
-                 for key in state_layout(config)]
-        self.state = nn.pack(slots)
-        self.grads = nn.pack([(layer, "d" + name) for layer, name in slots
-                              if name in layer.param_names])
-        self.params = self.state[:self.grads.size]
 
     # --- losses ---
 
@@ -302,12 +332,7 @@ def _scoring_layers(states: np.ndarray, config: RiskModelConfig):
     Folding `gamma * (y - mean) / sqrt(var + eps) + beta` of `y = x @ W.T +
     b` gives `W' = W * s` by row and `b' = (b - mean) * s + beta`, with `s =
     gamma / sqrt(var + eps)`."""
-    layout = state_layout(config)
-
-    def array(key):
-        where, shape = layout[key]
-        return states[:, where].reshape(len(states), *shape)
-
+    array = functools.partial(_view, states, config)
     layers = []
     for block in range(3):
         linear, norm = f"encoder.{3 * block}.", f"encoder.{3 * block + 1}."
@@ -329,12 +354,11 @@ class RiskEnsemble:
     config: RiskModelConfig
     catalog_version: str
     # The development cohort's mean ensemble scores and 0/1 labels, which
-    # per-patient LRs are read from, and the two halves of the explanation
-    # background rows.
+    # per-patient LRs are read from, and the explanation background: feature
+    # rows (n_background, 2 · n_features) drawn from it.
     dev_scores: np.ndarray
     dev_labels: np.ndarray
-    background_values: np.ndarray
-    background_mask: np.ndarray
+    background: np.ndarray
     member_subsets: list[dict] = field(default_factory=list)
     history: list[dict] = field(default_factory=list)
     # The model file the ensemble was loaded from; None if trained here.
@@ -420,7 +444,8 @@ def train_ensemble(rows: np.ndarray, labels: np.ndarray,
     pos_p = [p for p in pids if labels[patients[p]].max() > 0]
     neg_p = [p for p in pids if labels[patients[p]].max() == 0]
 
-    states, subsets, history = [], [], []
+    states = np.empty((n_members, state_size(config)))
+    subsets, history = [], []
     for member in range(n_members):
         ss = np.random.SeedSequence(config.seed, spawn_key=(member,))
         rng = np.random.default_rng(ss)
@@ -434,7 +459,8 @@ def train_ensemble(rows: np.ndarray, labels: np.ndarray,
         if subset.size == 0 or labels[subset].max() == 0:
             raise LabriskError(
                 f"member {member}: subsample lost all positives")
-        model = RiskModel(config, rng)
+        states[member] = initial_state(config, rng)
+        model = RiskModel(config, states[member])
         try:
             history += [
                 dict(h, member=member)
@@ -443,16 +469,14 @@ def train_ensemble(rows: np.ndarray, labels: np.ndarray,
                                      rng))]
         except nn.NumericsError as e:
             raise nn.NumericsError(f"member {member}: {e}") from None
-        states.append(model.state)
         subsets.append({"member": member, "n_rows": int(subset.size),
                         "n_patients": len(chosen)})
-    bg_values, bg_mask = np.split(draw_background(
-        rows, labels, background_size, background_seed), 2, axis=1)
     ensemble = RiskEnsemble(
-        states=np.stack(states), normalization=normalization, config=config,
+        states=states, normalization=normalization, config=config,
         catalog_version=catalog_version,
         dev_scores=np.empty(0), dev_labels=labels,
-        background_values=bg_values, background_mask=bg_mask,
+        background=draw_background(rows, labels, background_size,
+                                   background_seed),
         member_subsets=subsets, history=history)
     # The development scores are the ensemble's own, so it scores them.
     ensemble.dev_scores = ensemble.predict_batch(rows).mean(axis=1)
@@ -469,8 +493,7 @@ def train_ensemble(rows: np.ndarray, labels: np.ndarray,
 # plain copies of the stored weights, never by views of the file's bytes,
 # which numpy would hand to BLAS only if they were 8-byte aligned.
 
-ARRAYS = ("states", "dev_scores", "dev_labels", "background_values",
-          "background_mask")
+ARRAYS = ("states", "dev_scores", "dev_labels", "background")
 
 
 @dataclass
@@ -481,9 +504,9 @@ class _Payload:
     member_subsets: list[dict]
     states: tuple[int, ...]  # (members, state size): each RiskModel.state
     dev_scores: tuple[int, ...]  # (n_dev,)
-    dev_labels: tuple[int, ...]  # (n_dev,), 0 or 1
-    background_values: tuple[int, ...]  # (n_background, n_features)
-    background_mask: tuple[int, ...]  # (n_background, n_features), 0 or 1
+    dev_labels: tuple[int, ...]  # (n_dev,), 0 or 1, both present
+    # (n_background, 2 · n_features): feature rows, their mask half 0 or 1
+    background: tuple[int, ...]
 
 
 def save_model(ensemble: RiskEnsemble, path) -> str:
@@ -532,16 +555,13 @@ def load_model(data: bytes, where: str) -> tuple[RiskEnsemble, str]:
         raise LabriskError(
             f"{where}: normalization.feature_order has {n_order} features, "
             f"config.n_features is {doc.config.n_features}")
-    state_size = sum(math.prod(shape)
-                     for _, shape in state_layout(doc.config).values())
     arrays = {}
     # Each array's stated shape against the one it must have, a None
     # standing for any positive row count.
-    for name, want in (("states", (None, state_size)),
+    for name, want in (("states", (None, state_size(doc.config))),
                        ("dev_scores", (None,)),
                        ("dev_labels", doc.dev_scores),
-                       ("background_values", (None, doc.config.n_features)),
-                       ("background_mask", doc.background_values)):
+                       ("background", (None, 2 * doc.config.n_features))):
         shape, label = getattr(doc, name), f"{where}: {name}"
         if len(shape) != len(want) or shape[0] < 1 or any(
                 w not in (None, s) for s, w in zip(shape, want)):
@@ -557,14 +577,21 @@ def load_model(data: bytes, where: str) -> tuple[RiskEnsemble, str]:
         at += 8 * size
         if not np.isfinite(array).all():
             raise LabriskError(f"{label} holds non-finite values")
-        if name in ("dev_labels", "background_mask") and not (
-                (array == 0) | (array == 1)).all():
-            raise LabriskError(f"{label} holds values other than 0 and 1")
     if at != end:
-        raise LabriskError(f"{where}: background_mask is followed by "
+        raise LabriskError(f"{where}: {ARRAYS[-1]} is followed by "
                            f"{end - at} trailing bytes")
     if not ((arrays["dev_scores"] >= 0) & (arrays["dev_scores"] <= 1)).all():
         raise LabriskError(f"{where}: dev_scores holds values outside [0, 1]")
+    labels = arrays["dev_labels"]
+    for label, bits in ((f"{where}: dev_labels", labels),
+                        (f"{where}: background: the mask half",
+                         arrays["background"][:, doc.config.n_features:])):
+        if not ((bits == 0) | (bits == 1)).all():
+            raise LabriskError(f"{label} holds values other than 0 and 1")
+    # Not np.unique, which imports numpy.ma to look for a masked array.
+    if labels.min() == labels.max():
+        raise LabriskError(f"{where}: dev_labels holds one class only; the "
+                           "development cohort must hold both")
     return RiskEnsemble(
         **arrays, normalization=doc.normalization, config=doc.config,
         catalog_version=doc.catalog_version,

@@ -1,7 +1,8 @@
 """Minimal deterministic neural-network core.
 
 Dense layers, batch normalization, activations, VAE losses and Adam.
-Everything is float64 and operates on plain numpy arrays; each layer caches
+Everything is float64 and operates on plain numpy arrays; a layer is given
+its arrays (model.RiskModel gives it views of a member's state) and caches
 its last forward inputs for the matching backward call. No hidden global
 state.
 """
@@ -21,40 +22,24 @@ class NumericsError(FloatingPointError):
 
 class Layer:
     """Trainable arrays are named in `param_names` (the gradient of `x` is
-    `dx`), other saved state in `stat_names`; all are written in place."""
+    `dx`), other saved state in `stat_names`. A layer allocates none of them:
+    it is given them in that order, then the gradients, as Linear(weight,
+    bias, dweight, dbias), and writes them in place."""
 
     param_names: tuple[str, ...] = ()
     stat_names: tuple[str, ...] = ()
 
-
-def pack(slots: list[tuple[object, str]]) -> np.ndarray:
-    """Copy each `(layer, attribute)` array into one contiguous float64
-    buffer, in order, and rebind the attribute to its view of the buffer."""
-    buf = np.empty(sum(getattr(obj, name).size for obj, name in slots))
-    start = 0
-    for obj, name in slots:
-        a = getattr(obj, name)
-        view = buf[start:start + a.size].reshape(a.shape)
-        view[...] = a
-        setattr(obj, name, view)
-        start += a.size
-    return buf
+    def __init__(self, *arrays: np.ndarray):
+        names = (*self.param_names, *self.stat_names,
+                 *("d" + name for name in self.param_names))
+        for name, array in zip(names, arrays, strict=True):
+            setattr(self, name, array)
 
 
 class Linear(Layer):
-    """y = x @ W.T + b with uniform fan-in initialization."""
+    """y = x @ W.T + b, of a weight (out, in) and a bias (out,)."""
 
     param_names = ("weight", "bias")
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        if in_dim <= 0 or out_dim <= 0:
-            raise ShapeError(f"bad linear dims ({in_dim}, {out_dim})")
-        bound = 1.0 / np.sqrt(in_dim)
-        self.weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        self.bias = np.zeros(out_dim)
-        self.dweight = np.zeros_like(self.weight)
-        self.dbias = np.zeros_like(self.bias)
-        self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(..., in) -> (..., out), keeping x for backward, which takes
@@ -82,15 +67,6 @@ class BatchNorm(Layer):
     stat_names = ("running_mean", "running_var")
     momentum = 0.1
     eps = 1e-5
-
-    def __init__(self, dim: int):
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.dgamma = np.zeros(dim)
-        self.dbeta = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The arithmetic of `gamma * (x - mean) / sqrt(var + eps) + beta`
@@ -124,9 +100,10 @@ class BatchNorm(Layer):
 class LeakyReLU(Layer):
     """x where x > 0, else slope * x, as one multiplication by a factor of
     1.0 or slope: no data-dependent branch, and the same bits for every
-    input, signed zeros, infinities and quiet NaNs included."""
+    input, signed zeros, infinities and quiet NaNs included. A slope of 0
+    is a ReLU."""
 
-    def __init__(self, slope: float = 0.2):
+    def __init__(self, slope: float):
         self.slope = slope
         self._factor = None
 
@@ -136,11 +113,6 @@ class LeakyReLU(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._factor
-
-
-class ReLU(LeakyReLU):
-    def __init__(self):
-        super().__init__(slope=0.0)
 
 
 def sigmoid(x):

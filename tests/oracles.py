@@ -1,5 +1,6 @@
 """Reference helpers the tests check labrisk against: layer parameter
-lists, the plain-numpy expressions the layer kernels must match bit for bit,
+lists, layers over new arrays and a member's initial state built from them,
+the plain-numpy expressions the layer kernels must match bit for bit,
 central-difference gradient checks, average precision, the Shapley
 efficiency residual, the longest-prefix phecode scan, eval scoring
 through the unfolded layers, features and single-marker scores one
@@ -15,7 +16,7 @@ import numpy as np
 from labrisk import LabriskError, metrics, nn
 from labrisk.cohort import (consort_row, filter_encounters, group_by_patient,
                             split_dev_val)
-from labrisk.model import RiskModel
+from labrisk.model import RiskModel, _architecture, state_layout
 from labrisk.preprocess import NormalizationParams, percentile
 
 
@@ -27,6 +28,45 @@ def params(layer):
 def grads(layer):
     """The gradients of `params(layer)` (the gradient of `x` is `dx`)."""
     return [getattr(layer, "d" + n) for n in layer.param_names]
+
+
+# Layers over arrays of their own, allocated as the layer constructors once
+# allocated them, and a member's initial state as RiskModel once built it.
+
+def linear_layer(in_dim, out_dim, rng):
+    """An nn.Linear over new arrays: weights drawn uniform in +-1 /
+    sqrt(in_dim) from `rng`, zero bias and gradients."""
+    bound = 1.0 / np.sqrt(in_dim)
+    weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    return nn.Linear(weight, np.zeros(out_dim), np.zeros_like(weight),
+                     np.zeros(out_dim))
+
+
+def batchnorm_layer(dim):
+    """An nn.BatchNorm over new arrays: gamma and running variance one,
+    the rest zero."""
+    return nn.BatchNorm(np.ones(dim), np.zeros(dim), np.zeros(dim),
+                        np.ones(dim), np.zeros(dim), np.zeros(dim))
+
+
+def pack(arrays):
+    """The arrays copied into one flat buffer, in order."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def initial_state(config, rng):
+    """model.initial_state as the layers built it: each layer allocated its
+    arrays in network order, each Linear drawing its weights from `rng`,
+    then pack copied every array into one buffer in state_layout order."""
+    layers = {}
+    for name, kind, n_in, n_out in _architecture(
+            config.n_features, config.hidden_width, config.latent_dim):
+        if kind is nn.Linear:
+            layers[name] = linear_layer(n_in, n_out, rng)
+        elif kind is nn.BatchNorm:
+            layers[name] = batchnorm_layer(n_out)
+    return pack([getattr(layers[layer], name) for layer, _, name in (
+        key.rpartition(".") for key in state_layout(config))])
 
 
 # The layer kernels as plain numpy expressions. nn computes the same float
@@ -155,11 +195,10 @@ def unfolded_scores(ensemble, rows):
     was folded into its Linear: per member, each encoder Linear, its
     BatchNorm on the running statistics and LeakyReLU(0.2), then the mu head,
     the classifier and the sigmoid."""
-    model = RiskModel(ensemble.config, np.random.default_rng(0))
     x = np.atleast_2d(rows)
     scores = []
     for state in ensemble.states:
-        model.state[...] = state
+        model = RiskModel(ensemble.config, state)
         h = x
         for linear, norm in zip(model.encoder[::3], model.encoder[1::3]):
             h = h @ linear.weight.T

@@ -13,11 +13,11 @@ import pytest
 from labrisk import cli, comorbid, defaults, ioutil, likelihood, metrics, nn
 from labrisk.cohort import labeled_from_dict
 from labrisk.explain import _shap_sampling, shap_values
-from labrisk.model import RiskModel, RiskModelConfig, load_model
+from labrisk.model import RiskModel, RiskModelConfig, initial_state, load_model
 from labrisk.preprocess import complete_derived, vectorize_many
 
-from oracles import (average_precision, efficiency_residual, grad_check,
-                     grads, params)
+from oracles import (average_precision, batchnorm_layer, efficiency_residual,
+                     grad_check, grads, linear_layer, params)
 
 MASTER_SEED = 20260826
 
@@ -32,7 +32,7 @@ def test_criterion_1_gradient_checks_under_one_minute():
     # Layers and losses, randomized shapes, smooth ops held to 1e-6.
     for _ in range(30):
         n, din, dout = (int(rng.integers(2, 9)) for _ in range(3))
-        layer = nn.Linear(din + 1, dout + 1, rng)
+        layer = linear_layer(din + 1, dout + 1, rng)
         x = rng.normal(size=(n, din + 1))
         w = rng.normal(size=(n, dout + 1))
         layer.forward(x)
@@ -44,7 +44,7 @@ def test_criterion_1_gradient_checks_under_one_minute():
 
     for _ in range(20):
         n, d = int(rng.integers(3, 9)), int(rng.integers(2, 7))
-        bn = nn.BatchNorm(d)
+        bn = batchnorm_layer(d)
         x = rng.normal(size=(n, d)) * 2
         w = rng.normal(size=(n, d))
         bn.forward(x)
@@ -92,7 +92,7 @@ def test_criterion_1_gradient_checks_under_one_minute():
         r = np.random.default_rng(1000 + seed)
         cfg = RiskModelConfig(n_features=4, hidden_width=5, latent_dim=3,
                               batch_size=4, seed=seed)
-        model = RiskModel(cfg, rng=r)
+        model = RiskModel(cfg, initial_state(cfg, r))
         values = r.normal(size=(6, 4))
         mask = (r.random((6, 4)) < 0.8).astype(float)
         keep = mask * (r.random((6, 4)) < 0.75)

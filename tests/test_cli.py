@@ -309,6 +309,18 @@ def _ends_in_states(header, line, arrays):
                   **{name: b"" for name in ARRAYS[1:]})
 
 
+def _v5_file(header, line, arrays):
+    """The run's model as a v5 file: the background stored as two arrays,
+    its values and its mask."""
+    header.update(format="labrisk-ensemble-v5")
+    background = arrays.pop("background")
+    del line["background"]
+    for name, half in zip(("background_values", "background_mask"),
+                          np.split(background, 2, axis=1)):
+        arrays[name] = np.ascontiguousarray(half)
+        line[name] = list(half.shape)
+
+
 def _v4_file(header, line, arrays):
     """The run's model as a v4 file: a header line {"format", "sha256"}
     checksumming the bytes after it, and no trailer."""
@@ -332,7 +344,7 @@ def _flipped_trailer(header, line, arrays):
 
 
 def _short_file(header, line, arrays):
-    """A v5 header line and fewer than 64 bytes after it."""
+    """The header line and fewer than 64 bytes after it."""
     return json.dumps(header) + "\n" + "0" * 20
 
 
@@ -382,7 +394,7 @@ NORMALIZATION_EDITS = {
     (lambda h, line, a: line.update(states=[10**6, line["states"][1]]), True,
      "too few for shape [1000000, "),
     (lambda h, line, a: a.update(tail=bytes(8)), True,
-     "background_mask is followed by 8 trailing bytes"),
+     "background is followed by 8 trailing bytes"),
     (_reblob("states", lambda s: np.c_[s, s[:, :1]]), True,
      "states holds shape"),
     (_flip_bit, False, "sha256"),
@@ -391,7 +403,10 @@ NORMALIZATION_EDITS = {
      "format: unsupported model format 'labrisk-ensemble-v3'"),
     (_v4_file, True,
      "format: unsupported model format 'labrisk-ensemble-v4', expected "
-     "'labrisk-ensemble-v5'; older model files must be retrained"),
+     "'labrisk-ensemble-v6'; older model files must be retrained"),
+    (_v5_file, True,
+     "format: unsupported model format 'labrisk-ensemble-v5', expected "
+     "'labrisk-ensemble-v6'; older model files must be retrained"),
     (_tab_in_header, True, "sha256: checksum mismatch"),
     (_flipped_trailer, True, "sha256: checksum mismatch"),
     (lambda h, line, a: _model_bytes(h, line, a)[:-1], True,
@@ -400,18 +415,22 @@ NORMALIZATION_EDITS = {
      "sha256: the file ends before its 64-digit checksum trailer"),
     (_reblob("dev_labels", lambda a: np.r_[7.0, a[1:]]), True,
      "dev_labels holds values other than 0 and 1"),
+    *[(_reblob("dev_labels", lambda a, label=label: np.full_like(a, label)),
+       True, "dev_labels holds one class only") for label in (0.0, 1.0)],
     (lambda h, line, a: line.update(dev_scores="2818"), True,
      "dev_scores: expected tuple"),
     (_reblob("dev_scores", lambda a: np.r_[np.nan, a[1:]]), True,
      "dev_scores holds non-finite values"),
     (_reblob("dev_scores", lambda a: a + 7), True,
      "dev_scores holds values outside [0, 1]"),
-    (_reblob("background_values", lambda a: a.ravel()[:-1]), True,
-     "background_values holds"),
-    (_reblob("background_values", lambda a: a[:, :33]), True,
-     "background_values holds"),
-    (_reblob("background_mask", lambda a: a * 0.5), True,
-     "background_mask holds values other than 0 and 1"),
+    (_reblob("background", lambda a: a.ravel()[:-1]), True,
+     "background holds shape"),
+    # The values without their mask.
+    (_reblob("background", lambda a: a[:, :a.shape[1] // 2]), True,
+     "background holds shape"),
+    (_reblob("background", lambda a: np.c_[a[:, :a.shape[1] // 2],
+                                           a[:, a.shape[1] // 2:] * 0.5]),
+     True, "background: the mask half holds values other than 0 and 1"),
     (_reblob("dev_labels", lambda a: a[:-1]), True, "dev_labels holds"),
     (lambda h, line, a: line.update(catalog_version=5), True,
      "catalog_version: expected str"),
@@ -419,8 +438,8 @@ NORMALIZATION_EDITS = {
      "member_subsets: expected list"),
     (lambda h, line, a: line.__delitem__("dev_scores"), True,
      "missing field 'dev_scores'"),
-    (lambda h, line, a: line.__delitem__("background_mask"), True,
-     "missing field 'background_mask'"),
+    (lambda h, line, a: line.__delitem__("background"), True,
+     "missing field 'background'"),
     (_reblob("states", lambda a: np.full_like(a, 1e300)), True,
      "states: the stored weights give non-finite values"),
     *[(lambda h, line, a, key=key: line["config"].update({key: MAX_WIDTH + 1}),
@@ -431,12 +450,13 @@ NORMALIZATION_EDITS = {
       for edit, field in NORMALIZATION_EDITS.values()],
 ], ids=["v1-format", "truncated-blob", "shape-not-ints",
         "shape-overruns-file", "trailing-bytes", "states-width", "bit-flip",
-        "v2-file", "v3-file", "v4-file", "tab-in-header", "flipped-trailer",
-        "truncated-trailer", "shorter-than-trailer",
-        "label-7", "string-score", "nan-score", "score-out-of-range",
+        "v2-file", "v3-file", "v4-file", "v5-file", "tab-in-header",
+        "flipped-trailer", "truncated-trailer", "shorter-than-trailer",
+        "label-7", "labels-all-0", "labels-all-1", "string-score",
+        "nan-score", "score-out-of-range",
         "ragged-background", "narrow-background", "mask-not-binary",
         "short-labels", "catalog-version-number", "member-subsets-string",
-        "missing-dev-scores", "missing-background-mask", "extreme-states",
+        "missing-dev-scores", "missing-background", "extreme-states",
         "hidden-width-over-limit", "latent-dim-over-limit",
         *[f"normalization-{name}" for name in NORMALIZATION_EDITS]])
 def test_bad_model_file_is_validation_error(run, tmp_path, capsys, edit,
@@ -493,8 +513,7 @@ def test_stacked_value_function_is_bit_exact(run):
     ensemble, _ = load_model((out / "model.json").read_bytes(), "model.json")
     dev = likelihood.ScoredCohort.from_arrays(ensemble.dev_scores,
                                               ensemble.dev_labels)
-    background = np.concatenate([ensemble.background_values,
-                                 ensemble.background_mask], axis=1)
+    background = ensemble.background
     labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
                                            labeled_from_dict)
     val = [complete_derived(e.record) for e in labeled
@@ -631,17 +650,21 @@ def test_a_patient_request_hashes_each_file_once(run, tmp_path, monkeypatch,
 
 
 def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
+    """A line of one column, or with an empty phecode column, is exit 3
+    naming the file and the line."""
     _, out = run
     pmap = tmp_path / "phecodes.tsv"
-    pmap.write_text("# icd10\tphecode\nC22\t155\nK70\n")
     config = {"paths": {"output_dir": str(tmp_path / "o"),
                         "labeled": str(out / "labeled.jsonl"),
                         "phecode_map": str(pmap)},
               "master_seed": 99, "cancer_type": "liver"}
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
-    assert cli.main(["comorbid", "--config", str(cfg)]) == 3
-    assert f"{pmap}:3:" in capsys.readouterr().err
+    for line, fault in (("K70", "expected at least two tab-separated columns"),
+                        ("C22\t \tlabel", "empty phecode for prefix 'C22'")):
+        pmap.write_text(f"# icd10\tphecode\nK70\t155\n{line}\n")
+        assert cli.main(["comorbid", "--config", str(cfg)]) == 3
+        assert f"{pmap}:3: {fault}" in capsys.readouterr().err
 
 
 def _validation_doc(out):

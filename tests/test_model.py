@@ -16,8 +16,8 @@ import pytest
 from labrisk import LabriskError, nn
 from labrisk import model as model_module
 from labrisk.model import (ARRAYS, MAX_WIDTH, RiskAssessment, RiskEnsemble,
-                           RiskModel, RiskModelConfig, finetune, load_model,
-                           pretrain, save_model, train_ensemble)
+                           RiskModel, RiskModelConfig, finetune, initial_state,
+                           load_model, pretrain, save_model, train_ensemble)
 from labrisk.preprocess import NormalizationParams
 
 import oracles
@@ -43,13 +43,17 @@ def dummy_params(d):
 
 # The development-cohort fields of an ensemble built only to score.
 UNSCORED = dict(dev_scores=np.empty(0), dev_labels=np.empty(0),
-                background_values=np.empty((0, 0)),
-                background_mask=np.empty((0, 0)))
+                background=np.empty((0, 0)))
+
+
+def new_model(config, rng):
+    """A RiskModel over a new member's initial state drawn from `rng`."""
+    return RiskModel(config, initial_state(config, rng))
 
 
 def test_parameter_count():
     cfg = tiny_config(d=5)
-    model = RiskModel(cfg, rng=np.random.default_rng(0))
+    model = new_model(cfg, np.random.default_rng(0))
     # encoder: Linear(10,6)+BN(6), Linear(6,6)+BN(6) x2; heads 6->3 x2;
     # decoder: Linear(3,6)+BN(6), Linear(6,6)+BN(6) x2, Linear(6,5); cls 3->1.
     expected = ((10 * 6 + 6) + (6 * 6 + 6) * 2 + 12 * 3  # encoder + BN gammas/betas
@@ -65,7 +69,7 @@ def test_parameter_count():
 def test_pretrain_loss_gradient_check(seed):
     rng = np.random.default_rng(seed)
     cfg = tiny_config(d=4)
-    model = RiskModel(cfg, rng=rng)
+    model = new_model(cfg, rng)
     values = rng.normal(size=(6, 4))
     mask = (rng.random((6, 4)) < 0.8).astype(float)
     keep = mask * (rng.random((6, 4)) < 0.75)
@@ -88,7 +92,7 @@ def test_pretrain_loss_gradient_check(seed):
 def test_finetune_loss_gradient_check(seed):
     rng = np.random.default_rng(100 + seed)
     cfg = tiny_config(d=4)
-    model = RiskModel(cfg, rng=rng)
+    model = new_model(cfg, rng)
     values = rng.normal(size=(6, 4))
     mask = (rng.random((6, 4)) < 0.8).astype(float)
     rows = np.concatenate([values, mask], axis=1)
@@ -119,7 +123,7 @@ def test_finetune_separates_easy_classes():
     rows, y = separable_data()
     cfg = tiny_config(d=5, pretrain_epochs=5, finetune_epochs=60, lr=1e-2)
     rng = np.random.default_rng(1)
-    model = RiskModel(cfg, rng=rng)
+    model = new_model(cfg, rng)
     pretrain(model, rows, rng)
     finetune(model, rows, y, rng)
     ensemble = RiskEnsemble(
@@ -135,7 +139,7 @@ def test_pretrain_reduces_reconstruction_loss():
     rows, _ = separable_data(seed=3)
     cfg = tiny_config(d=5, pretrain_epochs=40, lr=1e-2)
     rng = np.random.default_rng(2)
-    model = RiskModel(cfg, rng=rng)
+    model = new_model(cfg, rng)
     history = pretrain(model, rows, rng)
     losses = [h["loss"] for h in history]
     assert losses[-1] < losses[0]
@@ -145,7 +149,7 @@ def test_finetune_rejects_single_class():
     rows, _ = separable_data(n=20)
     cfg = tiny_config(d=5)
     rng = np.random.default_rng(0)
-    model = RiskModel(cfg, rng=rng)
+    model = new_model(cfg, rng)
     with pytest.raises(LabriskError, match="single-class training set"):
         finetune(model, rows, np.zeros(20), rng)
 
@@ -156,13 +160,15 @@ def test_training_does_not_import_numpy_ma():
     larger."""
     code = ("import sys\n"
             "import numpy as np\n"
-            "from labrisk.model import RiskModel, RiskModelConfig, finetune\n"
+            "from labrisk.model import (RiskModel, RiskModelConfig, finetune,"
+            " initial_state)\n"
             "cfg = RiskModelConfig(n_features=3, hidden_width=4, latent_dim=2,"
             " finetune_epochs=1, batch_size=4)\n"
             "rng = np.random.default_rng(0)\n"
             "x = rng.normal(size=(8, 3))\n"
             "rows = np.concatenate([x, np.ones_like(x)], axis=1)\n"
-            "finetune(RiskModel(cfg, rng), rows, np.arange(8) % 2.0, rng)\n"
+            "model = RiskModel(cfg, initial_state(cfg, rng))\n"
+            "finetune(model, rows, np.arange(8) % 2.0, rng)\n"
             "assert 'numpy.ma' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(model_module.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
@@ -202,10 +208,9 @@ def model_document(path):
 
 
 def member_model(ens, member):
-    """A RiskModel holding row `member` of the ensemble's states."""
-    model = RiskModel(ens.config, np.random.default_rng(0))
-    model.state[...] = ens.states[member]
-    return model
+    """A RiskModel holding a copy of row `member` of the ensemble's
+    states."""
+    return RiskModel(ens.config, ens.states[member].copy())
 
 
 def state_bytes(model):
@@ -312,7 +317,7 @@ def test_trained_ensemble_saves_a_file_that_loads(tmp_path):
     np.testing.assert_array_equal(ens.dev_scores,
                                   ens.predict_batch(rows).mean(axis=1))
     assert np.array_equal(ens.dev_labels, y)
-    assert ens.background_values.shape == ens.background_mask.shape == (10, 5)
+    assert ens.background.shape == (10, 10)
     save_model(ens, tmp_path / "model.json")
     loaded = load_file(tmp_path / "model.json")
     assert np.array_equal(loaded.dev_scores, ens.dev_scores)
@@ -325,8 +330,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_file(path)
     np.testing.assert_array_equal(loaded.predict_batch(rows),
                                   ens.predict_batch(rows))
-    for name in ("dev_scores", "dev_labels", "background_values",
-                 "background_mask"):
+    for name in ("dev_scores", "dev_labels", "background"):
         assert np.array_equal(getattr(loaded, name), getattr(ens, name))
         assert getattr(loaded, name).dtype == np.float64
     assert (loaded.catalog_version, loaded.member_subsets) == \
@@ -459,8 +463,11 @@ def test_state_layout_is_built_once_per_network_size_and_read_only():
 
 def test_state_layout_locates_every_layer_array():
     """RiskModel's layer arrays are the views of `state` that state_layout
-    names, and the layout covers the state once, in order."""
-    model = RiskModel(tiny_config(), np.random.default_rng(0))
+    names, each parameter's gradient the view of `grads` at the same place,
+    and the layout covers the state once, in order: the parameters, which
+    `params` and `grads` span, then the running statistics."""
+    model = new_model(tiny_config(), np.random.default_rng(0))
+    model.grads[...] = np.arange(model.grads.size)
     layers = model.layers
     assert list(layers.values()) == (
         model.encoder + [model.mu_head, model.logvar_head] + model.decoder
@@ -474,8 +481,57 @@ def test_state_layout_locates_every_layer_array():
         assert array.shape == shape
         assert np.shares_memory(array, model.state)
         assert np.array_equal(array.ravel(), model.state[where])
+        if name in layers[layer].param_names:
+            assert where.stop <= model.grads.size
+            grad = getattr(layers[layer], "d" + name)
+            assert grad.shape == shape
+            assert np.shares_memory(grad, model.grads)
+            assert np.array_equal(grad.ravel(), model.grads[where])
+        else:
+            assert where.start >= model.grads.size
         start = where.stop
-    assert start == model.state.size
+    assert start == model.state.size == model_module.state_size(model.config)
+    assert np.shares_memory(model.params, model.state)
+    assert model.params.size == model.grads.size
+
+
+@pytest.mark.parametrize("config", [
+    tiny_config(), tiny_config(d=1, hidden_width=1, latent_dim=1),
+    tiny_config(d=7, hidden_width=9, latent_dim=4),
+    RiskModelConfig(n_features=34, hidden_width=32, latent_dim=16)],
+    ids=["tiny", "one-wide", "odd", "acceptance"])
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_initial_state_is_the_layers_allocation_packed(config, seed):
+    """initial_state gives the bytes, and leaves `rng` where, the layers
+    allocating their own arrays and drawing in network order, then packed
+    into one buffer, gave and left them."""
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    state = initial_state(config, rng)
+    expected = oracles.initial_state(config, reference_rng)
+    assert state.dtype == np.float64 and state.flags.c_contiguous
+    assert state.tobytes() == expected.tobytes()
+    assert rng.random() == reference_rng.random()
+
+
+def test_members_train_in_their_row_of_the_ensemble_states(monkeypatch):
+    """Each member's RiskModel wraps its row of the returned `states`, so
+    training writes the ensemble's array and nothing copies it after."""
+    built = []
+    init = RiskModel.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RiskModel, "__init__", recording)
+    ens, _ = trained_ensemble(seed=2, n_members=3)
+    assert len(built) == 3
+    for member, model in enumerate(built):
+        row = ens.states[member]
+        assert model.state.shape == row.shape
+        assert model.state.__array_interface__["data"][0] == \
+            row.__array_interface__["data"][0]
+        assert np.shares_memory(model.params, row)
 
 
 def test_trailer_checksums_every_byte_before_it_as_written(tmp_path):
@@ -487,7 +543,7 @@ def test_trailer_checksums_every_byte_before_it_as_written(tmp_path):
     save_model(ens, path)
     data = path.read_bytes()
     head, _, _ = data.partition(b"\n")
-    assert json.loads(head) == {"format": "labrisk-ensemble-v5"}
+    assert json.loads(head) == {"format": "labrisk-ensemble-v6"}
     # Padded so that each array's offset modulo 8 is line 2's alone.
     assert len(head + b"\n") == 40
     assert data[-64:] == hashlib.sha256(data[:-64]).hexdigest().encode()
@@ -645,7 +701,7 @@ def test_non_finite_training_names_member_stage_and_epoch(monkeypatch, stage,
                                                           value):
     """A NaN in any parameter or running statistic, or 1e300 in any weight,
     is caught by the one check after the optimizer step it spoils."""
-    net = RiskModel(tiny_config(), np.random.default_rng(0))
+    net = new_model(tiny_config(), np.random.default_rng(0))
     for layer, name in array_slots(list(net.layers.values())):
         target = list(net.layers.values())[layer]
         expected = f"member 1: {stage} epoch 1: "
@@ -681,7 +737,7 @@ def with_member_value(ens, member, layer, name, value):
     return dataclasses.replace(ens, states=states)
 
 
-SCORING_LAYERS = scoring_layers(RiskModel(tiny_config(),
+SCORING_LAYERS = scoring_layers(new_model(tiny_config(),
                                           np.random.default_rng(0)))
 
 

@@ -10,11 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from labrisk import model as model_module
 from labrisk import nn
-from labrisk.model import RiskEnsemble, RiskModel, RiskModelConfig
+from labrisk.model import (RiskEnsemble, RiskModel, RiskModelConfig,
+                           initial_state)
 
 import oracles
-from oracles import grad_check, grads, leaky_relu, params
-from test_model import UNSCORED
+from oracles import (batchnorm_layer, grad_check, grads, leaky_relu,
+                     linear_layer, params)
+from test_model import UNSCORED, new_model
 
 
 def _rng(seed):
@@ -30,7 +32,7 @@ def bce(p, y) -> float:
 
 def test_linear_forward_matches_manual():
     rng = _rng(0)
-    layer = nn.Linear(4, 3, rng)
+    layer = linear_layer(4, 3, rng)
     x = rng.normal(size=(5, 4))
     np.testing.assert_allclose(layer.forward(x), x @ layer.weight.T + layer.bias)
 
@@ -38,7 +40,7 @@ def test_linear_forward_matches_manual():
 @pytest.mark.parametrize("seed", range(10))
 def test_linear_grad_check(seed):
     rng = _rng(seed)
-    layer = nn.Linear(6, 4, rng)
+    layer = linear_layer(6, 4, rng)
     x = rng.normal(size=(7, 6))
     w = rng.normal(size=(7, 4))  # fixed projection so the loss is scalar
 
@@ -54,7 +56,7 @@ def test_linear_grad_check(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_batchnorm_grad_check(seed):
     rng = _rng(seed)
-    layer = nn.BatchNorm(5)
+    layer = batchnorm_layer(5)
     x = rng.normal(size=(8, 5)) * 2.0 + 1.0
     w = rng.normal(size=(8, 5))
 
@@ -69,7 +71,7 @@ def test_batchnorm_grad_check(seed):
 
 def test_batchnorm_input_gradient():
     rng = _rng(3)
-    layer = nn.BatchNorm(4)
+    layer = batchnorm_layer(4)
     x = rng.normal(size=(6, 4))
     w = rng.normal(size=(6, 4))
     layer.forward(x)
@@ -104,7 +106,7 @@ def _first_block(model):
 
 def test_batchnorm_eval_uses_running_stats():
     rng = _rng(4)
-    model = RiskModel(RiskModelConfig(n_features=2, hidden_width=3,
+    model = new_model(RiskModelConfig(n_features=2, hidden_width=3,
                                       latent_dim=2), rng)
     linear, norm = model.encoder[:2]
     for _ in range(200):
@@ -120,7 +122,7 @@ def test_batchnorm_eval_uses_running_stats():
 
 
 def test_batchnorm_rejects_single_row_training():
-    layer = nn.BatchNorm(3)
+    layer = batchnorm_layer(3)
     with pytest.raises(nn.ShapeError):
         layer.forward(np.zeros((1, 3)))
 
@@ -128,7 +130,8 @@ def test_batchnorm_rejects_single_row_training():
 def test_activations():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(nn.LeakyReLU(0.2).forward(x), leaky_relu(x))
-    np.testing.assert_allclose(nn.ReLU().forward(x), leaky_relu(x, 0.0))
+    np.testing.assert_allclose(nn.LeakyReLU(0.0).forward(x),
+                               leaky_relu(x, 0.0))
     assert nn.sigmoid(np.array([0.0]))[0] == 0.5
     # Stability at extreme logits: finite and correctly saturated.
     big = nn.sigmoid(np.array([1000.0, -1000.0]))
@@ -244,32 +247,46 @@ def test_adam_rejects_gradient_of_another_shape():
         opt.step(np.zeros(4))
 
 
-def test_pack_makes_layer_arrays_views_of_one_buffer():
-    layer = nn.Linear(3, 2, _rng(10))
-    weight, bias = layer.weight.copy(), layer.bias.copy()
-    buf = nn.pack([(layer, "weight"), (layer, "bias")])
-    assert np.array_equal(buf, np.concatenate([weight.ravel(), bias]))
-    assert layer.weight.shape == (2, 3)
-    buf[:] = 0.0
+def test_layers_train_the_arrays_they_are_given_in_place():
+    """A layer holds the arrays it is given, so its forward and backward
+    read and write the caller's buffers."""
+    rng = _rng(10)
+    state, grads_buf = rng.normal(size=8), np.zeros(8)
+    layer = nn.Linear(state[:6].reshape(2, 3), state[6:],
+                      grads_buf[:6].reshape(2, 3), grads_buf[6:])
+    x, dy = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    np.testing.assert_allclose(
+        layer.forward(x), x @ state[:6].reshape(2, 3).T + state[6:])
+    layer.backward(dy)
+    assert np.array_equal(grads_buf, np.concatenate([(dy.T @ x).ravel(),
+                                                     dy.sum(axis=0)]))
+    state[:] = 0.0
     assert not layer.weight.any() and not layer.bias.any()
+    stats, norm_grads = np.zeros(12), np.zeros(6)
+    norm = nn.BatchNorm(*stats.reshape(4, 3), *norm_grads.reshape(2, 3))
+    norm.gamma[...] = 1.0
+    norm.forward(rng.normal(size=(5, 3)))
+    norm.backward(rng.normal(size=(5, 3)))
+    assert stats[6:9].any() and stats[9:].any()  # the running statistics
+    assert norm_grads.all()
 
 
 def test_check_finite_raises():
     """The scoring check: a member whose weights give a NaN logit raises
     NumericsError naming it, where the layers themselves check nothing."""
     cfg = RiskModelConfig(n_features=2, hidden_width=3, latent_dim=2)
-    models = [RiskModel(cfg, _rng(8)) for _ in range(2)]
-    models[1].encoder[0].weight[0, 0] = np.nan
-    ensemble = RiskEnsemble(states=np.stack([m.state for m in models]),
-                            normalization=None, config=cfg,
+    states = np.stack([initial_state(cfg, _rng(8)) for _ in range(2)])
+    RiskModel(cfg, states[1]).encoder[0].weight[0, 0] = np.nan
+    ensemble = RiskEnsemble(states=states, normalization=None, config=cfg,
                             catalog_version="t", **UNSCORED)
     with pytest.raises(nn.NumericsError, match="member 1's logits"):
         ensemble.predict_batch(np.ones((3, 4)))
 
 
-LAYERS = {"linear": lambda: nn.Linear(3, 3, _rng(11)),
-          "batchnorm": lambda: nn.BatchNorm(3),
-          "leaky-relu": lambda: nn.LeakyReLU(0.2), "relu": nn.ReLU}
+LAYERS = {"linear": lambda: linear_layer(3, 3, _rng(11)),
+          "batchnorm": lambda: batchnorm_layer(3),
+          "leaky-relu": lambda: nn.LeakyReLU(0.2),
+          "relu": lambda: nn.LeakyReLU(0.0)}
 
 
 @pytest.mark.parametrize("make", LAYERS.values(), ids=LAYERS)
@@ -293,7 +310,7 @@ def test_layers_pass_non_finite_values_on(make, train, bad, monkeypatch):
         assert not np.isfinite(y).all()
         return
     cfg = RiskModelConfig(n_features=3, hidden_width=3, latent_dim=2)
-    model = RiskModel(cfg, _rng(8))
+    model = new_model(cfg, _rng(8))
     linear, norm = model.encoder[:2]
     if isinstance(layer, nn.BatchNorm):
         norm.running_mean[0] = bad
@@ -355,7 +372,7 @@ def batchnorm_cases(draw):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
                                   max_side=9))
     w = shape[-1]
-    layer = nn.BatchNorm(w)
+    layer = batchnorm_layer(w)
     layer.momentum = draw(st.sampled_from([0.1, 0.3]))
     layer.gamma[...] = draw(_arrays(w, st.floats(-4, 4)))
     layer.beta[...] = draw(_arrays(w, st.floats(-4, 4)))
@@ -383,7 +400,7 @@ def test_batchnorm_eval_forward_matches_oracle_bytes(data):
     """Eval scoring's first encoder block is its Linear with the eval
     BatchNorm folded in, in the bytes of oracles.fold_batchnorm."""
     d, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
-    model = RiskModel(RiskModelConfig(n_features=d, hidden_width=w,
+    model = new_model(RiskModelConfig(n_features=d, hidden_width=w,
                                       latent_dim=2), _rng(data.draw(
                                           st.integers(0, 99))))
     linear, norm = model.encoder[:2]
@@ -403,8 +420,8 @@ def test_batchnorm_eval_forward_matches_oracle_bytes(data):
 @given(data=st.data())
 def test_linear_forward_matches_oracle_bytes(data):
     shape = data.draw(SHAPES)
-    layer = nn.Linear(shape[-1], data.draw(st.integers(1, 9)),
-                      np.random.default_rng(data.draw(st.integers(0, 99))))
+    layer = linear_layer(shape[-1], data.draw(st.integers(1, 9)),
+                         np.random.default_rng(data.draw(st.integers(0, 99))))
     layer.bias[...] = data.draw(_arrays(layer.bias.shape, st.floats(-4, 4)))
     x = data.draw(_arrays(shape, FINITE))
     assert _same_bytes(layer.forward(x),
