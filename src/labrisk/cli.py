@@ -257,13 +257,13 @@ def _validation_scores(stage, ensemble):
         vectorize_many(val, ensemble.normalization))
 
 
-def _curves(scores, labels):
-    """ROC and PR curves of `scores`, and the metrics.json summary."""
-    roc_curve = metrics.roc(scores, labels)
-    pr = metrics.pr_curve(scores, labels)
+def _curves(cohort):
+    """ROC and PR curves of a scored cohort, and the metrics.json summary."""
+    roc_curve = metrics.roc(cohort)
+    pr = metrics.pr_curve(cohort)
     return roc_curve, pr, {"auc": roc_curve.auc, "ap": pr.ap,
-                           "n_validation": int(labels.size),
-                           "prevalence": float(labels.mean())}
+                           "n_validation": len(cohort),
+                           "prevalence": cohort.prevalence}
 
 
 # --- stages -------------------------------------------------------------------
@@ -368,9 +368,9 @@ def cmd_predict(cfg, args, stage) -> None:
 def cmd_evaluate(cfg, args, stage) -> None:
     ensemble = _load_model(stage)
     labels, member_scores = _validation_scores(stage, ensemble)
-    scores = member_scores.mean(axis=1)
-    roc_curve, pr, summary = _curves(scores, labels)
-    cohort = likelihood.ScoredCohort.from_arrays(scores, labels)
+    cohort = likelihood.ScoredCohort.from_arrays(member_scores.mean(axis=1),
+                                                 labels)
+    roc_curve, pr, summary = _curves(cohort)
     lrc = likelihood.lr_curve(cohort)
     stage.write("roc.csv", ioutil.write_table, ["fpr", "tpr"],
                 zip(roc_curve.fpr, roc_curve.tpr))
@@ -392,7 +392,7 @@ def cmd_evaluate(cfg, args, stage) -> None:
                       pr.precision.tolist())],
                     "Precision-recall", "recall", "precision")
     print(f"evaluate: AUC={roc_curve.auc:.4f} AP={pr.ap:.4f} "
-          f"on {labels.size} validation encounters")
+          f"on {len(cohort)} validation encounters")
 
 
 def cmd_lr(cfg, args, stage) -> None:
@@ -480,7 +480,7 @@ def cmd_explain(cfg, args, stage) -> None:
                                  seed, cfg.explain.top_k)
         out = stage.write("shap_summary.json", ioutil.atomic_write_json, {
             "top_features": summary.top_features(),
-            "mean_abs_phi": np.abs(summary.phi).mean(axis=0).tolist(),
+            "mean_abs_phi": summary.mean_abs_phi.tolist(),
             "feature_names": summary.feature_names,
             "n_samples": int(n)})
         rows = []
@@ -550,15 +550,15 @@ def cmd_report(cfg, args, stage) -> None:
         member_scores[:, j], labels)) for j in range(member_scores.shape[1])]
     # Every curve is a prefix of one threshold grid; keep the shortest.
     thresholds = min((c.thresholds for c in member_curves), key=len)
-    n_common = thresholds.size
-    stack = np.vstack([c.lr[:n_common] for c in member_curves])
-    bundle(
-        "lr_ribbon.csv", ioutil.write_table,
-        ["threshold", "lr_mean", "lr_std", "lr_min", "lr_max"],
-        [[thresholds[i], stack[:, i].mean(), stack[:, i].std(),
-          stack[:, i].min(), stack[:, i].max()] for i in range(n_common)])
-    index = {**_curves(member_scores.mean(axis=1), labels)[2],
-             "files": ["lr_ribbon.csv"]}
+    # (thresholds, members): each statistic reduces contiguous rows.
+    lr = np.column_stack([c.lr[:thresholds.size] for c in member_curves])
+    mean, std, lo, hi = (lr.mean(axis=1), lr.std(axis=1), lr.min(axis=1),
+                         lr.max(axis=1))
+    bundle("lr_ribbon.csv", ioutil.write_table,
+           ["threshold", "lr_mean", "lr_std", "lr_min", "lr_max"],
+           zip(thresholds, mean, std, lo, hi))
+    index = {**_curves(likelihood.ScoredCohort.from_arrays(
+        member_scores.mean(axis=1), labels))[2], "files": ["lr_ribbon.csv"]}
     for name in ("roc.csv", "pr.csv", "lr_curve.csv", "lr_baselines.csv",
                  "shap_summary.json", "comorbidity.tsv"):
         src = stage.input(name)
@@ -568,9 +568,8 @@ def cmd_report(cfg, args, stage) -> None:
     if args.svg:
         bundle(
             "lr_ribbon.svg", svg.svg_line_plot,
-            [("mean", thresholds.tolist(), stack.mean(axis=0).tolist()),
-             ("min", thresholds.tolist(), stack.min(axis=0).tolist()),
-             ("max", thresholds.tolist(), stack.max(axis=0).tolist())],
+            [(name, thresholds.tolist(), y.tolist())
+             for name, y in (("mean", mean), ("min", lo), ("max", hi))],
             "Ensemble LR ribbon", "risk threshold", "LR")
         index["files"].append("lr_ribbon.svg")
     out = bundle("report.json", ioutil.atomic_write_json, index)

@@ -50,14 +50,17 @@ def load_phecode_map(data: bytes, where: str) -> PhecodeMap:
         raise LabriskError(f"{where}: cannot read ({e})") from None
     # newline=None splits at \n, \r and \r\n, as reading in text mode does.
     for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        parts = line.split("\t")
+        # Split first, so an empty column keeps its place.
+        parts = [part.strip() for part in line.rstrip("\n").split("\t")]
         if len(parts) < 2:
             raise LabriskError(f"{where}:{lineno}: expected at least "
                                "two tab-separated columns")
-        prefix, phecode = parts[0].strip(), parts[1].strip()
+        prefix, phecode = parts[0], parts[1]
+        if not prefix:
+            raise LabriskError(f"{where}:{lineno}: empty ICD-10 prefix for "
+                               f"phecode {phecode!r}")
         if not phecode:
             raise LabriskError(f"{where}:{lineno}: empty phecode for prefix "
                                f"{prefix!r}")
@@ -66,8 +69,8 @@ def load_phecode_map(data: bytes, where: str) -> PhecodeMap:
                 f"{where}:{lineno}: prefix {prefix!r} maps to both "
                 f"{mapping[prefix]!r} and {phecode!r}")
         mapping[prefix] = phecode
-        if len(parts) >= 3:
-            labels[phecode] = parts[2].strip()
+        if len(parts) >= 3 and parts[2]:  # an empty label is no label
+            labels[phecode] = parts[2]
     return PhecodeMap(prefix_to_phecode=mapping, labels=labels)
 
 

@@ -72,7 +72,6 @@ class ShapResult:
     fx: float
     method: str  # exact_enumeration | permutation_sampling
     n_samples: int
-    seed: int
     ci99: np.ndarray | None = None  # per-feature 99% MC half-width
 
 
@@ -95,7 +94,7 @@ def _compose(row, coalition, background):
                     background)
 
 
-def _shap_exact(fn, row, background, seed) -> ShapResult:
+def _shap_exact(fn, row, background) -> ShapResult:
     d = row.size // 2
     n_sub = 1 << d
     # Coalition s holds feature j when bit j of s is set.
@@ -118,7 +117,7 @@ def _shap_exact(fn, row, background, seed) -> ShapResult:
         phi[j] = np.cumsum(terms)[-1]
     return ShapResult(phi=phi, base_value=float(v_of[0]),
                       fx=float(v_of[n_sub - 1]),
-                      method="exact_enumeration", n_samples=n_sub, seed=seed)
+                      method="exact_enumeration", n_samples=n_sub)
 
 
 def _shap_sampling(fn, row, background, n_permutations, seed) -> ShapResult:
@@ -148,7 +147,7 @@ def _shap_sampling(fn, row, background, n_permutations, seed) -> ShapResult:
     se = contribs.std(axis=0, ddof=1) / math.sqrt(n_walks)
     return ShapResult(phi=phi, base_value=float(f[:, 0].mean()),
                       fx=float(f[-1, -1]), method="permutation_sampling",
-                      n_samples=n_walks, seed=seed, ci99=2.576 * se)
+                      n_samples=n_walks, ci99=2.576 * se)
 
 
 def shap_values(fn, row: np.ndarray, background: np.ndarray,
@@ -170,7 +169,7 @@ def shap_values(fn, row: np.ndarray, background: np.ndarray,
     if background.shape[0] == 0:
         raise LabriskError("empty background set")
     if row.size // 2 <= MAX_EXACT:
-        return _shap_exact(fn, row, background, seed)
+        return _shap_exact(fn, row, background)
     return _shap_sampling(fn, row, background, n_permutations, seed)
 
 
@@ -179,7 +178,8 @@ class CohortShapSummary:
     feature_names: list[str]
     phi: np.ndarray  # (n_samples, d)
     feature_values: np.ndarray  # normalized values, (n_samples, d)
-    ranking: list[int]  # feature indices by descending mean |phi|
+    mean_abs_phi: np.ndarray  # (d,)
+    ranking: list[int]  # feature indices by descending mean_abs_phi
     top_k: int
     results: list[ShapResult] = field(repr=False, default_factory=list)
 
@@ -204,7 +204,8 @@ def cohort_summary(fn, rows: np.ndarray, background: np.ndarray,
     ranking = list(np.lexsort((np.arange(mean_abs.size), -mean_abs)))
     return CohortShapSummary(feature_names=list(feature_names), phi=phis,
                              feature_values=rows[:, :rows.shape[1] // 2],
-                             ranking=ranking, top_k=top_k, results=results)
+                             mean_abs_phi=mean_abs, ranking=ranking,
+                             top_k=top_k, results=results)
 
 
 @dataclass

@@ -5,6 +5,9 @@ post-test odds from a subgroup (either everyone above a risk threshold, for
 LR-vs-threshold curves, or the CI-based similar-score cohort, for per-patient
 reports). Degenerate all-positive/all-negative subgroups get a 0.5/0.5
 continuity correction and are flagged.
+
+A ScoredCohort sorts its scores once. Every curve of a cohort, here and in
+metrics, counts from that sort through ScoredCohort.at_or_above.
 """
 
 from __future__ import annotations
@@ -103,6 +106,18 @@ class ScoredCohort:
         cum_pos = np.zeros(order.size + 1, dtype=np.int64)
         cum_pos[1:] = np.cumsum(self.labels[order])
         return order, self.scores[order], cum_pos
+
+    def at_or_above(self, thresholds) -> tuple[np.ndarray, np.ndarray]:
+        """(n, n_pos) of the entries scoring at or above each threshold."""
+        _, s, cum_pos = self._sorted
+        start = np.searchsorted(s, thresholds, side="left")  # s[start:] >= t
+        return s.size - start, cum_pos[-1] - cum_pos[start]
+
+    @property
+    def distinct_scores(self) -> np.ndarray:
+        """The distinct scores, highest first."""
+        s = self._sorted[1]
+        return s[np.append(np.diff(s) != 0, True)][::-1]
 
     def similar_counts(self, mean, lo, hi,
                        min_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +238,6 @@ class LRCurve:
     n_above: np.ndarray
     n_pos_above: np.ndarray
     corrected: np.ndarray
-    truncated_at: float | None = None  # first threshold with empty subgroup
 
 
 def lr_curve(cohort: ScoredCohort, thresholds=None) -> LRCurve:
@@ -231,18 +245,14 @@ def lr_curve(cohort: ScoredCohort, thresholds=None) -> LRCurve:
     exactly 1; the curve is truncated when a subgroup becomes empty."""
     thresholds = np.array(np.linspace(0.0, 1.0, 101) if thresholds is None
                           else thresholds, dtype=np.float64)
-    _, s, cum_pos = cohort._sorted
-    start = np.searchsorted(s, thresholds, side="left")  # s[start:] >= t
-    stop = np.append(np.flatnonzero(start == s.size), thresholds.size)[0]
-    n_above = s.size - start[:stop]
-    n_pos_above = cum_pos[-1] - cum_pos[start[:stop]]
+    n_above, n_pos_above = cohort.at_or_above(thresholds)
+    stop = np.append(np.flatnonzero(n_above == 0), thresholds.size)[0]
+    n_above, n_pos_above = n_above[:stop], n_pos_above[:stop]
     lr, corrected = (lr_from_counts(n_pos_above, n_above, cohort.n_pos,
                                     len(cohort)) if stop
                      else (np.empty(0), np.empty(0, dtype=bool)))
     return LRCurve(thresholds=thresholds[:stop], lr=lr, n_above=n_above,
-                   n_pos_above=n_pos_above, corrected=corrected,
-                   truncated_at=(float(thresholds[stop])
-                                 if stop < thresholds.size else None))
+                   n_pos_above=n_pos_above, corrected=corrected)
 
 
 # --- baselines ---------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference helpers the tests check labrisk against: layer parameter
 lists, layers over new arrays and a member's initial state built from them,
 the plain-numpy expressions the layer kernels must match bit for bit,
-central-difference gradient checks, average precision, the Shapley
-efficiency residual, the longest-prefix phecode scan, eval scoring
+central-difference gradient checks, ROC and precision-recall curves from
+their own descending sort, average precision, the Shapley efficiency
+residual, the longest-prefix phecode scan, eval scoring
 through the unfolded layers, features and single-marker scores one
 value at a time, and the consort flow that scans each patient's claim
 codes once per question."""
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from labrisk import LabriskError, metrics, nn
+from labrisk.likelihood import ScoredCohort
 from labrisk.cohort import (consort_row, filter_encounters, group_by_patient,
                             split_dev_val)
 from labrisk.model import RiskModel, _architecture, state_layout
@@ -141,8 +143,47 @@ def grad_check(f, arrays: list[np.ndarray], analytic: list[np.ndarray],
     return worst
 
 
+# metrics.roc and metrics.pr_curve as they once counted a cohort: their own
+# descending sort and label cumsum. They must give these bits.
+
+def tie_grouped_counts(scores, labels):
+    """Cumulative true and false positives at the end of each tie block of
+    the scores in descending order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order].astype(np.float64)
+    # Indices where a tie block ends.
+    distinct = np.flatnonzero(np.diff(s)) if s.size > 1 else np.array([], int)
+    block_ends = np.append(distinct, s.size - 1)
+    cum_tp = np.cumsum(y)[block_ends]
+    cum_fp = (block_ends + 1) - cum_tp
+    return cum_tp, cum_fp
+
+
+def roc(scores, labels):
+    labels = np.asarray(labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    cum_tp, cum_fp = tie_grouped_counts(scores, labels)
+    tpr = np.concatenate([[0.0], cum_tp / n_pos])
+    fpr = np.concatenate([[0.0], cum_fp / n_neg])
+    return metrics.RocCurve(fpr=fpr, tpr=tpr,
+                            auc=float(np.trapezoid(tpr, fpr)))
+
+
+def pr_curve(scores, labels):
+    n_pos = int(np.sum(np.asarray(labels) == 1))
+    cum_tp, cum_fp = tie_grouped_counts(scores, labels)
+    recall = cum_tp / n_pos
+    precision = cum_tp / (cum_tp + cum_fp)
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return metrics.PrCurve(recall=recall, precision=precision,
+                           ap=float(np.sum((recall - prev) * precision)))
+
+
 def average_precision(scores, labels) -> float:
-    return metrics.pr_curve(scores, labels).ap
+    return metrics.pr_curve(ScoredCohort.from_arrays(scores, labels)).ap
 
 
 def efficiency_residual(result) -> float:
@@ -182,11 +223,17 @@ def lr_baselines_csv(rows):
         f"{n},{t:.10g},{l:.10g}\n" for n, t, l in rows)
 
 
+def lr_ribbon(stack):
+    """(mean, std, min, max) of each column of a (members, thresholds)
+    stack, one column at a time."""
+    return tuple([getattr(stack[:, i], stat)() for i in range(stack.shape[1])]
+                 for stat in ("mean", "std", "min", "max"))
+
+
 def lr_ribbon_csv(thresholds, stack):
     return "threshold,lr_mean,lr_std,lr_min,lr_max\n" + "".join(
-        f"{thresholds[i]:.10g},{stack[:, i].mean():.10g},"
-        f"{stack[:, i].std():.10g},{stack[:, i].min():.10g},"
-        f"{stack[:, i].max():.10g}\n" for i in range(stack.shape[1]))
+        f"{t:.10g},{mean:.10g},{std:.10g},{lo:.10g},{hi:.10g}\n"
+        for t, mean, std, lo, hi in zip(thresholds, *lr_ribbon(stack)))
 
 
 def unfolded_scores(ensemble, rows):

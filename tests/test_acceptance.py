@@ -137,6 +137,11 @@ def _enumerate_fisher(a, b, c, d):
     return min(1.0, total)
 
 
+def _auc(scores, labels):
+    return metrics.roc(likelihood.ScoredCohort.from_arrays(scores,
+                                                           labels)).auc
+
+
 def _mann_whitney(scores, labels):
     pos, neg = scores[labels == 1], scores[labels == 0]
     wins = sum(1.0 if p > n else (0.5 if p == n else 0.0)
@@ -179,7 +184,7 @@ def test_criterion_2_exact_statistics_oracles_under_two_minutes():
         labels[0], labels[1] = 0.0, 1.0
         scores = (rng.integers(0, 8, size=n) / 7.0 if i % 2
                   else rng.random(n))
-        assert abs(metrics.roc(scores, labels).auc
+        assert abs(_auc(scores, labels)
                    - _mann_whitney(scores, labels)) <= 1e-12
         assert abs(average_precision(scores, labels)
                    - _brute_ap(scores, labels)) <= 1e-12
@@ -338,15 +343,14 @@ def test_criterion_5_planted_signal_end_to_end(planted):
 
     cat = defaults.default_catalog()
     oor = np.array([likelihood.oor_score(r, cat)[0] for r in val])
-    oor_auc = metrics.roc(oor, labels).auc
+    oor_auc = _auc(oor, labels)
     assert summary["auc"] >= oor_auc + 0.05, (summary["auc"], oor_auc)
 
 
 def test_criterion_6_missingness_robustness(planted):
     ensemble, _, features, labels = _validation_data(
         planted["first"]["out"])
-    base_auc = metrics.roc(
-        ensemble.predict_batch(features).mean(axis=1), labels).auc
+    base_auc = _auc(ensemble.predict_batch(features).mean(axis=1), labels)
     values, mask = np.split(features, 2, axis=1)
     rng = np.random.default_rng(MASTER_SEED + 1)
     drop = (rng.random(mask.shape) < 0.30) & (mask == 1.0)
@@ -354,9 +358,9 @@ def test_criterion_6_missingness_robustness(planted):
     values2 = values.copy()
     mask2[drop] = 0.0
     values2[drop] = 0.0
-    degraded_auc = metrics.roc(
+    degraded_auc = _auc(
         ensemble.predict_batch(np.concatenate([values2, mask2], axis=1)
-                               ).mean(axis=1), labels).auc
+                               ).mean(axis=1), labels)
     assert abs(base_auc - degraded_auc) < 0.08, (base_auc, degraded_auc)
 
 

@@ -84,6 +84,34 @@ def test_evaluate_and_report(run):
     assert "lr_ribbon.csv" in index["files"]
 
 
+def test_report_ribbon_is_the_member_curves_column_by_column(run, tmp_path):
+    """report/lr_ribbon.csv holds each threshold's mean, std, min and max
+    of the member LR curves, rebuilt from model.json and the validation
+    split, and lr_ribbon.svg plots its mean, min and max columns."""
+    cfg_path, out = run
+    assert cli.main(["report", "--config", str(cfg_path), "--svg"]) == 0
+    ensemble, _ = load_model((out / "model.json").read_bytes(), "model.json")
+    labeled, _ = ioutil.read_records_jsonl(out / "labeled.jsonl",
+                                           labeled_from_dict)
+    val = [e for e in labeled if e.split == "validation"]
+    labels = np.array([int(e.label) for e in val])
+    member_scores = ensemble.predict_batch(oracles.vectorize_many(
+        [complete_derived(e.record) for e in val], ensemble.normalization))
+    curves = [likelihood.lr_curve(likelihood.ScoredCohort.from_arrays(
+        scores, labels)) for scores in member_scores.T]
+    thresholds = min((c.thresholds for c in curves), key=len)
+    stack = np.vstack([c.lr[:thresholds.size] for c in curves])
+    assert (out / "report" / "lr_ribbon.csv").read_text() == \
+        oracles.lr_ribbon_csv(thresholds, stack)
+    mean, _, lo, hi = oracles.lr_ribbon(stack)
+    svg.svg_line_plot(tmp_path / "ribbon.svg",
+                      [(name, thresholds.tolist(), ys) for name, ys in
+                       (("mean", mean), ("min", lo), ("max", hi))],
+                      "Ensemble LR ribbon", "risk threshold", "LR")
+    assert (out / "report" / "lr_ribbon.svg").read_bytes() == \
+        (tmp_path / "ribbon.svg").read_bytes()
+
+
 def test_lr_baselines(run):
     """lr_baselines.csv holds, byte for byte, the curves of every series as
     the scalar oracle scores them: the model, OoR, age and each default
@@ -650,8 +678,8 @@ def test_a_patient_request_hashes_each_file_once(run, tmp_path, monkeypatch,
 
 
 def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
-    """A line of one column, or with an empty phecode column, is exit 3
-    naming the file and the line."""
+    """A line of one column, or with an empty ICD-10 prefix or phecode
+    column, is exit 3 naming the file and the line."""
     _, out = run
     pmap = tmp_path / "phecodes.tsv"
     config = {"paths": {"output_dir": str(tmp_path / "o"),
@@ -661,7 +689,9 @@ def test_malformed_phecode_map_is_validation_error(run, tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     for line, fault in (("K70", "expected at least two tab-separated columns"),
-                        ("C22\t \tlabel", "empty phecode for prefix 'C22'")):
+                        ("C22\t \tlabel", "empty phecode for prefix 'C22'"),
+                        (" \tC22\tliver",
+                         "empty ICD-10 prefix for phecode 'C22'")):
         pmap.write_text(f"# icd10\tphecode\nK70\t155\n{line}\n")
         assert cli.main(["comorbid", "--config", str(cfg)]) == 3
         assert f"{pmap}:3: {fault}" in capsys.readouterr().err

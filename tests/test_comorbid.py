@@ -171,3 +171,20 @@ def test_load_phecode_map_round_trip(tmp_path):
     pmap = comorbid.load_phecode_map(path.read_bytes(), str(path))
     assert pmap.match("E11.9") == "250.2"
     assert pmap.label("571.5") == "cirrhosis"
+
+
+def test_load_phecode_map_keeps_each_column_in_its_place():
+    """Columns are split at tabs before they are stripped: an empty prefix
+    column is an error naming the line, and an empty label column (or a
+    trailing tab) gives no label."""
+    with pytest.raises(LabriskError,
+                       match="^map.tsv:2: empty ICD-10 prefix for phecode "
+                             "'C22'$"):
+        comorbid.load_phecode_map(b"K70\t155\n\tC22\tliver\n", "map.tsv")
+    pmap = comorbid.load_phecode_map(
+        b"# prefix\tphecode\tlabel\n \t\n K70 \t 155 \t\n"
+        b"C22\t155.1\t \tx\nE11\t250.2\t diabetes \n", "map.tsv")
+    assert pmap.prefix_to_phecode == {"K70": "155", "C22": "155.1",
+                                      "E11": "250.2"}
+    assert pmap.labels == {"250.2": "diabetes"}
+    assert pmap.label("155") == "155"

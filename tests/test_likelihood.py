@@ -71,8 +71,9 @@ def test_lr_curve_truncates_on_empty_subgroup():
     cohort = likelihood.ScoredCohort.from_arrays(
         np.array([0.1, 0.2, 0.3, 0.4]), np.array([0, 1, 0, 1]))
     curve = likelihood.lr_curve(cohort, np.linspace(0, 1, 11))
-    assert curve.truncated_at == pytest.approx(0.5)
-    assert curve.thresholds[-1] == pytest.approx(0.4)
+    # 0.5 is the first threshold above every score: the curve stops there.
+    assert curve.thresholds.tobytes() == np.linspace(0, 1, 11)[:5].tobytes()
+    assert curve.lr.size == 5
 
 
 def test_lr_curve_matches_manual_counts():
@@ -93,12 +94,10 @@ def lr_curve_oracle(cohort, thresholds=None):
     n_all = len(cohort)
     pos_all = cohort.n_pos
     ts, lrs, n_ab, np_ab, corr = [], [], [], [], []
-    truncated_at = None
     for t in thresholds:
         sel = cohort.scores >= t
         n_sub = int(sel.sum())
         if n_sub == 0:
-            truncated_at = float(t)
             break
         pos_sub = int(cohort.labels[sel].sum())
         lr, corrected = likelihood.lr_from_counts(pos_sub, n_sub, pos_all,
@@ -110,8 +109,7 @@ def lr_curve_oracle(cohort, thresholds=None):
         corr.append(corrected)
     return likelihood.LRCurve(
         thresholds=np.array(ts), lr=np.array(lrs), n_above=np.array(n_ab),
-        n_pos_above=np.array(np_ab), corrected=np.array(corr, dtype=bool),
-        truncated_at=truncated_at)
+        n_pos_above=np.array(np_ab), corrected=np.array(corr, dtype=bool))
 
 
 @st.composite
@@ -140,13 +138,12 @@ def test_lr_curve_matches_threshold_loop(case):
         a, b = getattr(got, name), getattr(want, name)
         assert a.tobytes() == b.tobytes(), name
         assert a.size == 0 or a.dtype == b.dtype, name
-    assert got.truncated_at == want.truncated_at
 
 
 def test_lr_curve_of_one_class_cohort_truncated_at_once():
     cohort = likelihood.ScoredCohort.from_arrays([0.2, 0.3], [1, 1])
     curve = likelihood.lr_curve(cohort, [0.5, 0.1])
-    assert curve.truncated_at == 0.5 and curve.lr.size == 0
+    assert curve.thresholds.size == 0 and curve.lr.size == 0
 
 
 def test_permutation_null_lr_band():

@@ -131,8 +131,9 @@ def test_finetune_separates_easy_classes():
         catalog_version="t", **UNSCORED)
     scores = ensemble.predict_batch(rows)[:, 0]
     # Training AUC on linearly separable data should be near perfect.
+    from labrisk.likelihood import ScoredCohort
     from labrisk.metrics import roc
-    assert roc(scores, y).auc > 0.95
+    assert roc(ScoredCohort.from_arrays(scores, y)).auc > 0.95
 
 
 def test_pretrain_reduces_reconstruction_loss():
